@@ -207,7 +207,8 @@ class Element:
     def sup_norm(self) -> float:
         """Operator norm (largest singular value over all blocks)."""
         return max(
-            float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.blocks
+            float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
+            for b in self.blocks
         )
 
     def is_zero(self, tol: float = 0.0) -> bool:

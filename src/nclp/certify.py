@@ -289,7 +289,7 @@ def certify_l1_norm(
                     route, upper, extra_lower = ROUTE_SAMPLED, np.inf, nv.lower
 
     lower = max(ratio, extra_lower)
-    alarm = np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol)
+    alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))
     if alarm:
         evidence["alarm_lower"] = lower
         lower = upper

@@ -69,6 +69,7 @@ def _pairing_matrix(algebra: AlgebraDescriptor) -> np.ndarray:
             for j in range(d):
                 K[pos + i * d + j, pos + j * d + i] = w
         pos += d * d
+    K.setflags(write=False)  # the cached array is shared by every caller
     return K
 
 
@@ -181,31 +182,31 @@ def _weighted_action(T: LinearMap) -> np.ndarray:
     return (T.action * wc[:, None]) / wd[None, :]
 
 
-def _norming_dual(y: Element, p: float, cfg: ToleranceConfig) -> Element:
-    """z with tau(z y) = |y|_p and |z|_{p'} = 1 (zero if y is zero)."""
-    ny = lp_norm(y, p)
-    if ny == 0:
-        return zero_element(y.algebra)
+def _norming_dual(y: Element, p: float, cfg: ToleranceConfig) -> tuple[float, Element]:
+    """(|y|_p, z) with tau(z y) = |y|_p and |z|_{p'} = 1 (z = 0 if y = 0),
+    from one SVD y_k = U s V* per block: z_k = V_r (s_r / |y|_p)^(p-1) U_r*
+    over the singular values above the rank cutoff (u* at p = 1), and at
+    p = inf the rank-one term v u* / w_k at the top singular pair."""
+    svds = [np.linalg.svd(b) for b in y.blocks]
+    tops = [float(s[0]) if s.size else 0.0 for _, s, _ in svds]
     if p == np.inf:
-        # rank-one at the top singular pair, weight-normalized
-        best = (0, 0.0)
-        svds = [np.linalg.svd(b) for b in y.blocks]
-        for k, (_, s, _) in enumerate(svds):
-            if s.size and s[0] > best[1]:
-                best = (k, float(s[0]))
-        k = best[0]
+        ny = max(tops)
+    else:
+        ny = sum(w * float(np.sum(s**p)) for w, (_, s, _) in zip(y.algebra.weights, svds))
+        ny = ny ** (1.0 / p)
+    blocks = [np.zeros((d, d), dtype=complex) for d in y.algebra.dims]
+    if ny == 0:
+        return 0.0, Element(y.algebra, blocks)
+    if p == np.inf:
+        k = int(np.argmax(tops))
         U, _, Vh = svds[k]
-        blocks = [np.zeros((d, d), dtype=complex) for d in y.algebra.dims]
-        w_k = y.algebra.blocks[k][1]
-        blocks[k] = np.outer(Vh[0].conj(), U[:, 0].conj()) / w_k
-        return Element(y.algebra, blocks)
-    u, m, _ = polar_support(y, cfg)
-    if p == 1:
-        return u.H
-    from .algebra import apply_spectral
-
-    power = apply_spectral(m, lambda v: np.clip(v, 0.0, None) ** (p - 1.0), cfg)
-    return (1.0 / ny ** (p - 1.0)) * (power * u.H)
+        blocks[k] = np.outer(Vh[0].conj(), U[:, 0].conj()) / y.algebra.weights[k]
+        return ny, Element(y.algebra, blocks)
+    cut = cfg.rank_cutoff * max(tops)
+    for k, (U, s, Vh) in enumerate(svds):
+        keep = s > cut
+        blocks[k] = (Vh[keep].conj().T * (s[keep] / ny) ** (p - 1.0)) @ U[:, keep].conj().T
+    return ny, Element(y.algebra, blocks)
 
 
 def _boyd_ascent(
@@ -222,21 +223,18 @@ def _boyd_ascent(
         return 0.0, None
     x = (1.0 / nx) * x
     for _ in range(iters):
-        y = T(x)
-        ny = lp_norm(y, p)
+        ny, z = _norming_dual(T(x), p, cfg)
         if ny > best:
             best, arg = ny, x
         if ny <= 1e-300:
             break
-        z = _norming_dual(y, p, cfg)
-        w = T_adj(z)
-        nw = lp_norm(w, pprime)
+        nw, x_new = _norming_dual(T_adj(z), pprime, cfg)
         if nw <= 1e-300:
             break
-        x_new = _norming_dual(w, pprime, cfg)
-        if lp_norm(x_new, p) <= 1e-300:
+        nx = lp_norm(x_new, p)
+        if nx <= 1e-300:
             break
-        x = (1.0 / lp_norm(x_new, p)) * x_new
+        x = (1.0 / nx) * x_new
     return best, arg
 
 

@@ -70,6 +70,15 @@ def test_elements_immutable():
         x.blocks[0][0, 0] = 5.0
 
 
+def test_sup_norm_matches_spectral_norm_exactly():
+    rng = rng_from(41)
+    alg = AlgebraDescriptor(((1, 0.3), (2, 1.0), (3, 2.0), (4, 0.7)))
+    for _ in range(20):
+        x = random_element(alg, rng)
+        want = max(float(np.linalg.norm(b, 2)) for b in x.blocks)
+        assert x.sup_norm() == want
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_adjoint_involution_and_traciality(seed):

@@ -33,6 +33,16 @@ def test_example_transpose_certify_pipeline(capcli):
     assert doc["alarm"] is False
 
 
+def test_certify_sampled_only_prints_boolean_alarm(capcli):
+    code, inst_text, _ = capcli(["example", "rotation", "--p", "3"])
+    assert code == 0
+    _, result, _ = capcli(["certify"], stdin_text=inst_text)
+    assert '"alarm": false' in result
+    doc = json.loads(result)
+    assert doc["route"] == "sampled_only"
+    assert doc["alarm"] is False
+
+
 def test_gen_positive_seq_seqnorm_pipeline(capcli):
     code, inst_text, _ = capcli(["gen", "--kind", "positive-seq", "--n", "3", "--seed", "7"])
     assert code == 0

@@ -3,20 +3,26 @@ import pytest
 
 from nclp.algebra import (
     AlgebraDescriptor,
+    Element,
     StructuralError,
     ToleranceConfig,
+    apply_spectral,
     block_entries,
     block_matrix,
     identity,
     matrix_algebra,
     matrix_unit,
+    polar_support,
     zero_element,
 )
-from nclp.lp import disjoint, duality_pair
+from nclp.lp import conjugate_exponent, disjoint, duality_pair, lp_norm
 from nclp.maps import (
     CERTIFIED,
     FALSIFIED,
     LinearMap,
+    _boyd_ascent,
+    _norming_dual,
+    _pairing_matrix,
     adjoint_map,
     amplified_map,
     apply_map,
@@ -132,6 +138,76 @@ def test_boyd_lower_reaches_exact_p2_value():
     # percent of the exact p = 2 value
     lower = op_norm(T, 2.05, CFG).lower
     assert lower >= 0.85 * exact
+
+
+KERNEL_ALGEBRAS = [
+    matrix_algebra(3),
+    AlgebraDescriptor(((1, 0.4), (2, 1.0), (2, 2.5))),
+]
+KERNEL_PS = [1.0, 1.5, 2.0, 3.0, np.inf]
+
+
+def _kernel_inputs(alg, seed):
+    """Zero, generic, rank-deficient (rank one, first block zero when there
+    are several) and tiny inputs."""
+    x = random_element(alg, rng_from(seed))
+    low = [np.outer(b[:, 0], b[0, :]) for b in x.blocks]
+    if len(low) > 1:
+        low[0] = np.zeros_like(low[0])
+    return [zero_element(alg), x, Element(alg, low), 1e-6 * x]
+
+
+def _polar_chain_dual(y, p, cfg):
+    """The norming dual as lp_norm -> polar_support -> apply_spectral
+    computes it, written out independently of the one-SVD kernel."""
+    ny = lp_norm(y, p)
+    if ny == 0:
+        return zero_element(y.algebra)
+    if p == np.inf:
+        tops = [np.linalg.svd(b, compute_uv=False)[0] for b in y.blocks]
+        k = int(np.argmax(tops))
+        U, _, Vh = np.linalg.svd(y.blocks[k])
+        blocks = [np.zeros((d, d), dtype=complex) for d in y.algebra.dims]
+        blocks[k] = np.outer(Vh[0].conj(), U[:, 0].conj()) / y.algebra.weights[k]
+        return Element(y.algebra, blocks)
+    u, m, _ = polar_support(y, cfg)
+    if p == 1:
+        return u.H
+    power = apply_spectral(m, lambda v: np.clip(v, 0.0, None) ** (p - 1.0), cfg)
+    return (1.0 / ny ** (p - 1.0)) * (power * u.H)
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_norming_dual_kernel(alg, p):
+    for y in _kernel_inputs(alg, 31):
+        ny, z = _norming_dual(y, p, CFG)
+        ref = lp_norm(y, p)
+        assert abs(ny - ref) <= 1e-12 * ref
+        if ref == 0:
+            assert z.sup_norm() == 0.0
+            continue
+        assert abs(duality_pair(z, y) - ny) <= 1e-10 * ny
+        assert lp_norm(z, conjugate_exponent(p)) == pytest.approx(1.0, rel=1e-10)
+        old = _polar_chain_dual(y, p, CFG)
+        assert (z - old).sup_norm() <= 1e-10 * max(old.sup_norm(), 1.0)
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_boyd_ascent_reports_realised_ratios(alg, p):
+    rng = rng_from(32)
+    T = LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p)
+    best, arg = _boyd_ascent(T, p, CFG, 8, random_element(alg, rng))
+    assert best > 0
+    assert abs(best - lp_norm(T(arg), p)) <= 1e-12 * best
+    assert lp_norm(arg, p) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pairing_matrix_is_read_only():
+    K = _pairing_matrix(AlgebraDescriptor(((1, 0.5), (2, 1.0))))
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
 
 
 def test_transpose_positivity_hierarchy():
