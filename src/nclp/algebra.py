@@ -9,6 +9,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -49,8 +50,10 @@ class ToleranceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.algebraic_tol <= 0 or self.opt_tol <= 0 or self.rank_cutoff <= 0:
-            raise StructuralError("tolerances must be positive")
+        for name in ("algebraic_tol", "opt_tol", "rank_cutoff"):
+            t = getattr(self, name)
+            if not 0 < t < 1:  # also rejects nan
+                raise StructuralError(f"{name} must lie in (0, 1), got {t!r}")
         if self.restarts < 1:
             raise StructuralError("restarts must be >= 1")
 
@@ -75,8 +78,8 @@ class AlgebraDescriptor:
         for k, (dim, weight) in enumerate(self.blocks):
             if int(dim) != dim or dim < 1:
                 raise StructuralError(f"block {k}: dimension must be a positive integer")
-            if not (float(weight) > 0):
-                raise StructuralError(f"block {k}: weight must be > 0")
+            if not (0 < float(weight) < math.inf):
+                raise StructuralError(f"block {k}: weight must be finite and > 0")
             norm.append((int(dim), float(weight)))
         object.__setattr__(self, "blocks", tuple(norm))
 
@@ -120,12 +123,6 @@ def amplify(algebra: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
     if n < 1:
         raise StructuralError("amplification order must be >= 1")
     return AlgebraDescriptor(tuple((n * d, w) for d, w in algebra.blocks))
-
-
-def opposite(algebra: AlgebraDescriptor) -> AlgebraDescriptor:
-    """Descriptor of the opposite algebra; see ``opposite_element`` for the
-    reversed product, realized by blockwise transposition."""
-    return algebra
 
 
 class Element:
@@ -218,10 +215,6 @@ class Element:
         return f"Element({self.algebra!r}, sup={self.sup_norm():.3g})"
 
 
-def element(algebra: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:
-    return Element(algebra, blocks)
-
-
 def zero_element(algebra: AlgebraDescriptor) -> Element:
     return Element(algebra, [np.zeros((d, d)) for d in algebra.dims])
 
@@ -242,10 +235,6 @@ def basis(algebra: AlgebraDescriptor) -> Iterator[Element]:
         for i in range(d):
             for j in range(d):
                 yield matrix_unit(algebra, k, i, j)
-
-
-def commutator(x: Element, y: Element) -> Element:
-    return x * y - y * x
 
 
 def hermitian_part(x: Element) -> Element:
@@ -271,13 +260,6 @@ def _eigh_blocks(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         out.append((vals, vecs))
     return out
-
-
-def eigenvalues(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """All eigenvalues of a self-adjoint element, ascending per block."""
-    if not is_selfadjoint(x, cfg):
-        raise DomainError("eigenvalues: element is not self-adjoint")
-    return np.concatenate([v for v, _ in _eigh_blocks(hermitian_part(x))])
 
 
 def apply_spectral(

@@ -21,7 +21,7 @@ flagged as an inconsistency alarm rather than silently clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,9 @@ from .sequences import (
     DISJOINT,
     ElementSequence,
     NormInterval,
+    _closed_form,
+    _objective,
+    _polar_factors,
     dinq_disjoint_test,
     l1_norm_bounds,
     phase_lower_bound,
@@ -77,25 +80,20 @@ ROUTE_POSITIVE = "positive_4x"
 ROUTE_SAMPLED = "sampled_only"
 
 
-def _fast(cfg: ToleranceConfig) -> ToleranceConfig:
-    return replace(cfg, restarts=1)
-
-
 def _sequence_lower(seq: ElementSequence, p: float, cfg: ToleranceConfig) -> float:
-    """Sound lower bound for the sequence norm without running the optimizer."""
-    items = list(seq)
-    if len(items) == 1:
-        return lp_norm(items[0], p)
-    if p == 1:
-        return float(sum(lp_norm(x, 1) for x in items))
-    if all(is_positive(x, cfg) for x in items):
-        return lp_norm(sum_elements(seq), p)
-    return phase_lower_bound(seq, p, cfg)
+    """Sound lower bound for the sequence norm without running the optimizer:
+    the closed form, else the scalar-phase sup."""
+    exact = _closed_form(seq, p, cfg)
+    return exact[0] if exact is not None else phase_lower_bound(seq, p, cfg)
 
 
 def _input_upper(seq: ElementSequence, p: float, cfg: ToleranceConfig) -> float:
-    """Valid upper bound for the input norm; polar-only optimizer pass."""
-    return l1_norm_bounds(seq, p, _fast(cfg), max_sweeps=0).upper
+    """Valid upper bound for the input norm: the closed form, else the
+    objective of the polar factorization."""
+    exact = _closed_form(seq, p, cfg)
+    if exact is not None:
+        return exact[0]
+    return _objective(seq.algebra, *_polar_factors(seq, cfg), p)
 
 
 def map_sequence(T: LinearMap, seq: ElementSequence) -> ElementSequence:

@@ -174,6 +174,8 @@ def _decode_matrix(obj, d_rows: int, d_cols: int, path: str) -> np.ndarray:
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z),
                 "expected [re, im] number pair", f"{path}[{i}][{j}]",
             )
+            _expect(all(math.isfinite(v) for v in z),
+                    "entry must be finite", f"{path}[{i}][{j}]")
             out[i, j] = complex(z[0], z[1])
     return out
 
@@ -213,8 +215,8 @@ def parse_instance(text: str) -> InstanceFile:
                     "dim must be a positive integer", bpath)
             _expect(
                 isinstance(weight, (int, float)) and not isinstance(weight, bool)
-                and weight > 0,
-                "weight must be > 0", bpath,
+                and 0 < weight < math.inf,
+                "weight must be finite and > 0", bpath,
             )
             blocks.append((dim, float(weight)))
         inst.algebras[name] = AlgebraDescriptor(tuple(blocks))

@@ -11,7 +11,6 @@ matrices), amplification, and a library of constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +27,6 @@ from .algebra import (
     diagonal_algebra,
     identity,
     matrix_algebra,
-    matrix_unit,
     polar_support,
     zero_element,
 )
@@ -58,19 +56,22 @@ def coord_weights(algebra: AlgebraDescriptor) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=64)
-def _pairing_matrix(algebra: AlgebraDescriptor) -> np.ndarray:
-    """K with tau(x y) = vec(x)^T K vec(y); a weighted transposition."""
-    D = algebra.coord_dim
-    K = np.zeros((D, D))
-    pos = 0
-    for d, w in algebra.blocks:
-        for i in range(d):
-            for j in range(d):
-                K[pos + i * d + j, pos + j * d + i] = w
+def _transposed_coords(algebra: AlgebraDescriptor) -> np.ndarray:
+    """Coordinate index of e_ji for each matrix unit e_ij (an involution)."""
+    out, pos = [], 0
+    for d in algebra.dims:
+        out.append(pos + np.arange(d * d).reshape(d, d).T.reshape(-1))
         pos += d * d
-    K.setflags(write=False)  # the cached array is shared by every caller
-    return K
+    return np.concatenate(out)
+
+
+def _block_stacks(algebra: AlgebraDescriptor, rows: np.ndarray) -> list[np.ndarray]:
+    """Split coordinate rows (m, coord_dim) into one (m, d, d) stack per block."""
+    out, pos = [], 0
+    for d in algebra.dims:
+        out.append(np.ascontiguousarray(rows[:, pos : pos + d * d]).reshape(-1, d, d))
+        pos += d * d
+    return out
 
 
 @dataclass
@@ -103,6 +104,30 @@ class LinearMap:
 
 def apply_map(T: LinearMap, x: Element) -> Element:
     return T(x)
+
+
+def _unit_images(T: LinearMap) -> list[np.ndarray]:
+    """T(e_a) for every domain matrix unit e_a, as one (D, c_l, c_l) stack per
+    codomain block l; column a of the action is vec(T(e_a))."""
+    return _block_stacks(T.codomain, T.action.T)
+
+
+def _sup_norms(stacks: list[np.ndarray]) -> np.ndarray:
+    """Operator norms of the elements given blockwise as (..., d, d) stacks."""
+    return np.max([np.linalg.svd(S, compute_uv=False)[..., 0] for S in stacks], axis=0)
+
+
+def _map_from_images(
+    domain: AlgebraDescriptor,
+    codomain: AlgebraDescriptor,
+    images: list[np.ndarray],
+    p: float,
+    meta: Optional[dict] = None,
+) -> LinearMap:
+    """Inverse of ``_unit_images``: the map sending e_a to the a-th images."""
+    D = domain.coord_dim
+    cols = np.concatenate([S.reshape(D, -1) for S in images], axis=1)
+    return LinearMap(domain, codomain, cols.T, p, dict(meta or {}))
 
 
 def map_from_function(
@@ -155,13 +180,15 @@ def add_maps(S: LinearMap, T: LinearMap) -> LinearMap:
 def adjoint_map(T: LinearMap, p: Optional[float] = None) -> LinearMap:
     """The trace-duality adjoint: tau(T(x) y) = tau(x T*(y)) for all x, y.
 
-    The pairing is bilinear (no conjugation), so the adjoint action is
-    K_dom^{-1} A^T K_cod.  The returned map carries the conjugate exponent.
+    The pairing is bilinear (no conjugation): tau(x y) = vec(x)^T K vec(y)
+    with K = diag(w) P, P the transposition of coordinates.  So the adjoint
+    action K_dom^{-1} A^T K_cod is A^T with both coordinate sets transposed,
+    its columns scaled by the codomain weights and its rows divided by the
+    domain weights.  The returned map carries the conjugate exponent.
     """
     p = T.p if p is None else p
-    K_dom = _pairing_matrix(T.domain)
-    K_cod = _pairing_matrix(T.codomain)
-    A_star = np.linalg.solve(K_dom, T.action.T @ K_cod)
+    At = T.action[_transposed_coords(T.codomain)][:, _transposed_coords(T.domain)].T
+    A_star = (At * coord_weights(T.codomain)[None, :]) / coord_weights(T.domain)[:, None]
     meta = {"kind": "adjoint", "of": T.meta.get("kind")}
     if T.meta.get("cp"):
         meta["cp"] = True
@@ -341,15 +368,13 @@ def choi_components(T: LinearMap) -> list[list[np.ndarray]]:
     positive semidefinite; direct sums split complete positivity blockwise.
     """
     comps = []
-    for l, c in enumerate(T.codomain.dims):
-        row = []
-        for k, d in enumerate(T.domain.dims):
-            C = np.zeros((d * c, d * c), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    img = T(matrix_unit(T.domain, k, i, j)).blocks[l]
-                    C[i * c : (i + 1) * c, j * c : (j + 1) * c] = img
-            row.append(C)
+    for S, c in zip(_unit_images(T), T.codomain.dims):
+        # S[pos + i d + j] = T(e_ij)_l sits at rows i c.., columns j c.. of C
+        row, pos = [], 0
+        for d in T.domain.dims:
+            C = S[pos : pos + d * d].reshape(d, d, c, c).transpose(0, 2, 1, 3)
+            row.append(C.reshape(d * c, d * c))
+            pos += d * d
         comps.append(row)
     return comps
 
@@ -484,34 +509,22 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
         raise StructuralError("amplification order must be >= 1")
     if n == 1:
         return LinearMap(T.domain, T.codomain, T.action.copy(), T.p, dict(T.meta))
+    # the big matrix unit E_rs (x) e_ab goes to E_rs (x) T(e_ab): the entry of
+    # T_lk at (ij, ab) is copied to row (r i, s j), column (r a, s b)
     dom, cod = T.domain, T.codomain
-    dom_amp, cod_amp = amplify(dom, n), amplify(cod, n)
-    A = np.zeros((cod_amp.coord_dim, dom_amp.coord_dim), dtype=complex)
-
-    dom_off = np.cumsum([0] + [(n * d) ** 2 for d in dom.dims])
-    cod_off = np.cumsum([0] + [(n * c) ** 2 for c in cod.dims])
-    small_dom_off = np.cumsum([0] + [d * d for d in dom.dims])
-    small_cod_off = np.cumsum([0] + [c * c for c in cod.dims])
-
-    for k, d in enumerate(dom.dims):
-        for a in range(d):
-            for b in range(d):
-                col_small = T.action[:, small_dom_off[k] + a * d + b]
-                for r in range(n):
-                    for c in range(n):
-                        I = r * d + a
-                        J = c * d + b
-                        col_big = dom_off[k] + I * (n * d) + J
-                        for l, cdim in enumerate(cod.dims):
-                            sub = col_small[
-                                small_cod_off[l] : small_cod_off[l + 1]
-                            ].reshape(cdim, cdim)
-                            rows = (
-                                cod_off[l]
-                                + (r * cdim + np.arange(cdim))[:, None] * (n * cdim)
-                                + (c * cdim + np.arange(cdim))[None, :]
-                            )
-                            A[rows.reshape(-1), col_big] = sub.reshape(-1)
+    dom_pos = np.cumsum([0] + [d * d for d in dom.dims])
+    rows, pos = [], 0
+    for c in cod.dims:
+        cols = []
+        for k, d in enumerate(dom.dims):
+            T_lk = T.action[pos : pos + c * c, dom_pos[k] : dom_pos[k + 1]]
+            big = np.zeros((n, c, n, c, n, d, n, d), dtype=complex)
+            for r in range(n):
+                for s in range(n):
+                    big[r, :, s, :, r, :, s, :] = T_lk.reshape(c, c, d, d)
+            cols.append(big.reshape((n * c) ** 2, (n * d) ** 2))
+        rows.append(np.concatenate(cols, axis=1))
+        pos += c * c
     meta = {"kind": "amplified", "of": T.meta.get("kind"), "order": n}
     # complete positivity survives amplification; plain positivity and
     # every-exponent isometry do not (the partial transpose is the standard
@@ -519,7 +532,7 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
     if T.meta.get("cp"):
         meta["cp"] = True
         meta["positive"] = True
-    return LinearMap(dom_amp, cod_amp, A, T.p, meta)
+    return LinearMap(amplify(dom, n), amplify(cod, n), np.concatenate(rows), T.p, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +680,6 @@ def anti_star_homomorphism(domain, parts_blocks, weights=None, p: float = 2.0) -
     return jordan_direct_sum(domain, [(k, "anti") for k in parts_blocks], weights, p)
 
 
-def left_multiplication(a: Element, p: float = 2.0) -> LinearMap:
-    return map_from_function(a.algebra, a.algebra, lambda x: a * x, p,
-                             {"kind": "left_multiplication"})
-
-
 def convex_combination(T1: LinearMap, T2: LinearMap, t: float) -> LinearMap:
     """t T1 + (1 - t) T2, remembering the parts so certification can bound
     the mixture by certifying each part separately."""
@@ -712,15 +720,15 @@ def yeadon_synthetic(
     scale = max(1.0, B.sup_norm())
     if (ww - J1).sup_norm() > 1e-7 * scale or (J1 - sB).sup_norm() > 1e-7 * scale:
         raise StructuralError("condition (b) fails: w*w, J(1), s(B) disagree")
-    for e in basis(J.domain):
-        img = J(e)
-        if (B * img - img * B).sup_norm() > 1e-7 * scale * max(img.sup_norm(), 1.0):
-            raise StructuralError("condition (c) fails: B does not commute with J range")
+    images = _unit_images(J)
+    comm = _sup_norms([np.matmul(b, S) - np.matmul(S, b) for b, S in zip(B.blocks, images)])
+    if np.any(comm > 1e-7 * scale * np.maximum(_sup_norms(images), 1.0)):
+        raise StructuralError("condition (c) fails: B does not commute with J range")
     wB = w * B
-    T = map_from_function(
+    T = _map_from_images(
         J.domain,
         N,
-        lambda x: wB * J(x),
+        [np.matmul(b, S) for b, S in zip(wB.blocks, images)],
         p,
         {"kind": "yeadon_synthetic", "separating": True},
     )

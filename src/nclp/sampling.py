@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    AlgebraDescriptor,
-    Element,
-    ToleranceConfig,
-    apply_spectral,
-    hermitian_part,
-    identity,
-)
+from .algebra import AlgebraDescriptor, Element, hermitian_part
 
 def rng_from(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *map(int, keys)]))
@@ -52,21 +45,6 @@ def random_positive(algebra: AlgebraDescriptor, rng: np.random.Generator) -> Ele
 
 def random_unitary(algebra: AlgebraDescriptor, rng: np.random.Generator) -> Element:
     return Element(algebra, [haar_unitary(rng, d) for d in algebra.dims])
-
-
-def random_projection(
-    algebra: AlgebraDescriptor, rng: np.random.Generator
-) -> Element:
-    """Random orthogonal projection with a random rank per block (rank 0 allowed
-    only when the block has dimension 1 and the coin says so; never all-zero)."""
-    blocks = []
-    for d in algebra.dims:
-        r = int(rng.integers(1, d + 1))
-        u = haar_unitary(rng, d)
-        diag = np.zeros(d)
-        diag[:r] = 1.0
-        blocks.append((u * diag[None, :]) @ u.conj().T)
-    return Element(algebra, blocks)
 
 
 def _random_split_projection(
@@ -118,29 +96,6 @@ def random_disjoint_pair(
     raise RuntimeError("failed to draw a nonzero disjoint pair")
 
 
-def random_nondisjoint_pair(
-    algebra: AlgebraDescriptor,
-    rng: np.random.Generator,
-    positive: bool = False,
-) -> tuple[Element, Element]:
-    if positive:
-        return random_positive(algebra, rng), random_positive(algebra, rng)
-    return random_element(algebra, rng), random_element(algebra, rng)
-
-
-def random_sequence(
-    algebra: AlgebraDescriptor,
-    n: int,
-    rng: np.random.Generator,
-    kind: str = "general",
-) -> list[Element]:
-    if kind == "positive":
-        return [random_positive(algebra, rng) for _ in range(n)]
-    if kind == "general":
-        return [random_element(algebra, rng) for _ in range(n)]
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 def random_algebra(
     rng: np.random.Generator,
     max_blocks: int = 3,
@@ -152,14 +107,3 @@ def random_algebra(
         for _ in range(nb)
     )
     return AlgebraDescriptor(blocks)
-
-
-def perturbed_projection_cut(
-    h: Element, cut: float, cfg: ToleranceConfig, rng: np.random.Generator
-) -> tuple[Element, Element]:
-    """Positive disjoint pair carved out of a self-adjoint h at spectral cut."""
-    p = apply_spectral(h, lambda v: (v >= cut).astype(float), cfg)
-    q = identity(h.algebra) - p
-    g1 = random_positive(h.algebra, rng)
-    g2 = random_positive(h.algebra, rng)
-    return p * g1 * p, q * g2 * q

@@ -17,7 +17,9 @@ rather than stalling at the start.  The lower endpoint is the best of the
 unimodular-scalar sup  sup_eps |sum eps_n x_n|_p  and  max_n |x_n|_p,
 both of which every factorization dominates.  Three input classes
 collapse to exact values: positive sequences (norm of the sum), single
-elements, and p = 1 (the ell^1 direct sum of the summands' norms).
+elements, and p = 1 (the ell^1 direct sum of the summands' norms).  One
+private helper, ``_closed_form``, holds these three, so the enclosure and
+the sampled ratios of ``certify`` apply them in the same order.
 """
 
 from __future__ import annotations
@@ -520,47 +522,53 @@ def phase_lower_bound(
 # ---------------------------------------------------------------------------
 
 
+def _closed_form(
+    seq: ElementSequence, p: float, cfg: ToleranceConfig
+) -> Optional[tuple[float, str]]:
+    """(value, route) of the exact routes, tried in order: all-positive
+    entries (norm of the sum), a single entry (its norm), and p = 1 (sum of
+    the entries' norms; the polar factorization attains it).  None when no
+    route applies."""
+    items = list(seq)
+    if all(is_positive(x, cfg) for x in items):
+        return lp_norm(sum_elements(seq), p), "positive"
+    if len(items) == 1:
+        return lp_norm(items[0], p), "singleton"
+    if p == 1:
+        return float(sum(lp_norm(x, 1) for x in items)), "p1_direct_sum"
+    return None
+
+
 def l1_norm_bounds(
     seq: ElementSequence,
     p: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    max_sweeps: int = 48,
 ) -> NormInterval:
     """Two-sided enclosure of the ell^1-valued sequence norm.
 
-    Exact shortcuts: all-positive entries (norm of the sum), p = 1 (sum of
-    the entries' norms; the polar factorization attains it), and single
-    entries.  Otherwise the gauge-descent optimizer supplies the upper
-    endpoint and the scalar-phase sup the lower one; the optimizer never
-    fails hard, a stuck search simply leaves certified_exact False.
+    Exact shortcuts, in this order: all-positive entries (norm of the sum,
+    witnessed by the square roots), single entries and p = 1 (sum of the
+    entries' norms; the polar factorization attains both).  Otherwise the
+    gauge descent (up to 48 steps from each of cfg.restarts starts)
+    supplies the upper endpoint and the scalar-phase sup the lower one; the
+    optimizer never fails hard, a stuck search simply leaves
+    certified_exact False.
     """
     if p == np.inf:
         raise DomainError("sequence norms are defined for finite exponents")
     if p < 1:
         raise DomainError("sequence norms need p >= 1")
     alg = seq.algebra
-    items = list(seq)
 
-    if all(is_positive(x, cfg) for x in items):
-        value = lp_norm(sum_elements(seq), p)
-        roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in items]
-        return NormInterval(
-            value, value, True, witness=(roots, roots), meta={"route": "positive"}
-        )
-
-    if len(items) == 1:
-        value = lp_norm(items[0], p)
-        A, B = _polar_factors(seq, cfg)
-        wa, wb = _factors_to_elements(alg, A, B)
-        return NormInterval(value, value, True, witness=(wa, wb), meta={"route": "singleton"})
-
-    if p == 1:
-        value = float(sum(lp_norm(x, 1) for x in items))
-        A, B = _polar_factors(seq, cfg)
-        wa, wb = _factors_to_elements(alg, A, B)
-        return NormInterval(
-            value, value, True, witness=(wa, wb), meta={"route": "p1_direct_sum"}
-        )
+    exact = _closed_form(seq, p, cfg)
+    if exact is not None:
+        value, route = exact
+        if route == "positive":
+            roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in seq]
+            witness = (roots, roots)
+        else:
+            witness = _factors_to_elements(alg, *_polar_factors(seq, cfg))
+        return NormInterval(value, value, True, witness=witness, meta={"route": route})
 
     lower = phase_lower_bound(seq, p, cfg)
 
@@ -574,12 +582,8 @@ def l1_norm_bounds(
         if restart > 0:
             rng = rng_from(cfg.seed, 7100, restart)
             _augment_and_gauge(alg, A, B, extra=restart, rng=rng)
-        if max_sweeps > 0:
-            history = _gauge_descent(seq, A, B, p, cfg, max_iters=max_sweeps,
-                                     target=lower)
-            repairs += _feasibility_repair(seq, A, B, cfg)
-        else:
-            history = [_objective(alg, A, B, p)]
+        history = _gauge_descent(seq, A, B, p, cfg, max_iters=48, target=lower)
+        repairs += _feasibility_repair(seq, A, B, cfg)
         if init_upper is None:
             init_upper = history[0]
         histories.append(history)

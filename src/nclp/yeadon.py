@@ -31,7 +31,6 @@ from .algebra import (
     StructuralError,
     ToleranceConfig,
     apply_spectral,
-    basis,
     hermitian_part,
     identity,
     polar_support,
@@ -41,8 +40,13 @@ from .algebra import (
 from .lp import is_positive
 from .maps import (
     LinearMap,
+    _block_stacks,
+    _map_from_images,
+    _sup_norms,
+    _transposed_coords,
+    _unit_images,
     amplified_map,
-    map_from_function,
+    coord_weights,
     unvec,
     vec,
 )
@@ -53,22 +57,28 @@ FALSIFIED = "falsified"
 UNDETERMINED = "undetermined"
 
 
-def _unit_coords(algebra) -> list[tuple[int, int, int]]:
+def _unit_products(algebra) -> np.ndarray:
+    """Index of e_a e_b in the matrix-unit basis, or -1 when the product is 0."""
+    sizes = [d * d for d in algebra.dims]
+    k = np.repeat(np.arange(len(sizes)), sizes)  # block of each unit
+    d = np.array(algebra.dims)[k]
+    start = np.cumsum([0] + sizes)[k]
+    i, j = divmod(np.arange(algebra.coord_dim) - start, d)  # e_a = e_ij
+    # e_ij e_i'j' is e_ij' when both sit in one block and j = i', else 0
+    nonzero = (k[:, None] == k[None, :]) & (j[:, None] == i[None, :])
+    return np.where(nonzero, (start + i * d)[:, None] + j[None, :], -1)
+
+
+def _product_table(domain, images) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per codomain block, from the images J(e_a) of ``_unit_images``:
+    J(e_a e_b) and P[a, b] = J(e_a) J(e_b) for all pairs of domain matrix
+    units, as two (D, D, c, c) arrays."""
+    units = _unit_products(domain)
     out = []
-    for k, d in enumerate(algebra.dims):
-        for i in range(d):
-            for j in range(d):
-                out.append((k, i, j))
+    for S in images:
+        padded = np.concatenate([S, np.zeros((1,) + S.shape[1:], dtype=complex)])
+        out.append((padded[units], np.matmul(S[:, None], S[None, :])))
     return out
-
-
-def _unit_product(coords, index, a: int, b: int) -> Optional[int]:
-    """Index of e_a e_b in the matrix-unit basis, or None when the product is 0."""
-    ka, ia, ja = coords[a]
-    kb, ib, jb = coords[b]
-    if ka != kb or ja != ib:
-        return None
-    return index[(ka, ia, jb)]
 
 
 @dataclass
@@ -85,28 +95,19 @@ def verify_jordan(
     is equivalent by bilinearity) and J(x*) = J(x)* on the basis, plus a few
     random squares."""
     dom = J.domain
-    coords = _unit_coords(dom)
-    index = {c: n for n, c in enumerate(coords)}
-    images = [J(e) for e in basis(dom)]
-    zero = zero_element(J.codomain)
-    scale = max(1.0, max(im.sup_norm() for im in images)) ** 2
-    defect = 0.0
-    for a in range(len(coords)):
-        for b in range(a, len(coords)):
-            pab = _unit_product(coords, index, a, b)
-            pba = _unit_product(coords, index, b, a)
-            lhs = (images[pab] if pab is not None else zero) + (
-                images[pba] if pba is not None else zero
-            )
-            rhs = images[a] * images[b] + images[b] * images[a]
-            defect = max(defect, (lhs - rhs).sup_norm())
-    for a, (k, i, j) in enumerate(coords):
-        star = index[(k, j, i)]
-        defect = max(defect, (images[star] - images[a].H).sup_norm())
+    images = _unit_images(J)
+    scale = max(1.0, float(_sup_norms(images).max())) ** 2
+    upper = np.triu_indices(dom.coord_dim)
+    polarized = [(L + L.swapaxes(0, 1) - (P + P.swapaxes(0, 1)))[upper]
+                 for L, P in _product_table(dom, images)]
+    star = _transposed_coords(dom)
+    adjoints = [S[star] - S.conj().swapaxes(1, 2) for S in images]
+    defect = max(float(_sup_norms(polarized).max()), float(_sup_norms(adjoints).max()))
     rng = rng_from(cfg.seed, 9100)
     for _ in range(spot_checks):
         x = random_selfadjoint(dom, rng)
-        defect = max(defect, (J(x * x) - J(x) * J(x)).sup_norm() / max(1.0, x.sup_norm() ** 2))
+        jx = J(x)
+        defect = max(defect, (J(x * x) - jx * jx).sup_norm() / max(1.0, x.sup_norm() ** 2))
     tol = max(1e-7, 100.0 * cfg.algebraic_tol)
     return JordanReport(defect <= tol * scale, float(defect), float(scale))
 
@@ -130,43 +131,41 @@ def _span_orthonormal(vectors: np.ndarray, tol: float) -> np.ndarray:
     return vh[keep]
 
 
-def _generated_algebra(J: LinearMap, cfg: ToleranceConfig) -> list[Element]:
-    """Basis of the algebra generated by J's range, by closing the linear
-    span of the images under multiplication until the dimension stabilizes."""
-    N = J.codomain
-    gens = [J(e) for e in basis(J.domain)] + [J(identity(J.domain))]
-    rows = _span_orthonormal(np.array([vec(g) for g in gens]), 1e-12)
+def _generated_algebra(J: LinearMap) -> np.ndarray:
+    """Orthonormal coordinate rows spanning the algebra generated by J's
+    range, by closing the linear span of the images under multiplication
+    until the dimension stabilizes."""
+    gens = np.concatenate([J.action.T, vec(J(identity(J.domain)))[None, :]])
+    rows = _span_orthonormal(gens, 1e-12)
     while True:
-        elems = [unvec(N, r) for r in rows]
-        prods = [vec(x * y) for x in elems for y in elems]
-        new_rows = _span_orthonormal(np.concatenate([rows, np.array(prods)]), 1e-12)
+        prods = [np.matmul(S[:, None], S[None, :]).reshape(len(rows) ** 2, -1)
+                 for S in _block_stacks(J.codomain, rows)]
+        new_rows = _span_orthonormal(np.concatenate([rows, np.concatenate(prods, axis=1)]), 1e-12)
         if new_rows.shape[0] == rows.shape[0]:
-            return [unvec(N, r) for r in new_rows]
+            return new_rows
         rows = new_rows
 
 
-def _center_basis(algebra_basis: list[Element], cfg: ToleranceConfig) -> list[Element]:
-    if not algebra_basis:
-        return []
-    N = algebra_basis[0].algebra
-    rows = []
-    for z in algebra_basis:
-        rows.append(
-            np.concatenate([vec(z * d - d * z) for d in algebra_basis])
-        )
-    C = np.array(rows).T  # columns indexed by span coefficients
-    u, s, vh = np.linalg.svd(C, full_matrices=True) if C.size else (None, np.array([]), np.eye(len(rows)))
+def _center_basis(N, rows: np.ndarray) -> list[Element]:
+    """Basis of the center of the algebra spanned by the coordinate rows:
+    the null space of the commutators z d - d z over all basis pairs."""
+    m = len(rows)
+    comms = []
+    for S in _block_stacks(N, rows):
+        P = np.matmul(S[:, None], S[None, :])
+        comms.append((P - P.swapaxes(0, 1)).reshape(m, m, -1))
+    C = np.concatenate(comms, axis=2).reshape(m, -1).T  # columns: span coefficients
+    _, s, vh = np.linalg.svd(C, full_matrices=True)
     # basis vectors are orthonormal, so genuine commutators are O(1);
     # the threshold must not scale down with an all-noise commutator matrix
-    tol = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
+    tol = 1e-10 * max(1.0, float(s[0]))
     null_mask = np.concatenate([s <= tol, np.ones(vh.shape[0] - s.size, dtype=bool)])
-    coeffs = vh.conj()[null_mask]
     out = []
-    for c in coeffs:
-        z = zero_element(N)
-        for ci, base in zip(c, algebra_basis):
+    for c in vh.conj()[null_mask]:
+        z = np.zeros(rows.shape[1], dtype=complex)
+        for ci, base in zip(c, rows):
             z = z + complex(ci) * base
-        out.append(z)
+        out.append(unvec(N, z))
     return out
 
 
@@ -187,12 +186,11 @@ def central_decompose(
     dom = J.domain
     e_unit = J(identity(dom))
     if e_unit.sup_norm() <= cfg.algebraic_tol:
-        zero_map = map_from_function(dom, N, lambda x: zero_element(N), J.p)
+        zero_map = LinearMap(dom, N, np.zeros((N.coord_dim, dom.coord_dim)), J.p)
         z = zero_element(N)
         return CentralDecomposition(z, z, zero_map, zero_map)
 
-    alg_basis = _generated_algebra(J, cfg)
-    center = _center_basis(alg_basis, cfg)
+    center = _center_basis(N, _generated_algebra(J))
     if not center:
         raise StructuralError("range algebra has empty center at tolerance")
 
@@ -234,31 +232,28 @@ def central_decompose(
     if not projections:
         raise StructuralError("could not isolate minimal central projections")
 
-    coords = _unit_coords(dom)
-    index = {c: n for n, c in enumerate(coords)}
-    images = [J(e) for e in basis(dom)]
-    zero = zero_element(N)
-    scale = max(1.0, max(im.sup_norm() for im in images)) ** 2
+    images = _unit_images(J)
+    table = _product_table(dom, images)
+    scale = max(1.0, float(_sup_norms(images).max())) ** 2
     tol = max(1e-7, 100.0 * cfg.algebraic_tol) * scale
 
     g = zero_element(N)
     f = zero_element(N)
     labels = []
     for q in projections:
-        hom_res = 0.0
-        anti_res = 0.0
-        for a in range(len(coords)):
-            for b in range(len(coords)):
-                pab = _unit_product(coords, index, a, b)
-                lhs = (images[pab] if pab is not None else zero) * q
-                hom_res = max(hom_res, (lhs - images[a] * images[b] * q).sup_norm())
-                anti_res = max(anti_res, (lhs - images[b] * images[a] * q).sup_norm())
-                if hom_res > tol and anti_res > tol:
-                    raise StructuralError(
-                        "central block obeys neither multiplication law "
-                        f"(hom {hom_res:.2e}, anti {anti_res:.2e}); "
-                        "input is not Jordan at tolerance"
-                    )
+        hom, anti = [], []
+        for (L, P), b in zip(table, q.blocks):
+            lhs = np.matmul(L, b)
+            hom.append(lhs - np.matmul(P, b))
+            anti.append(lhs - np.matmul(P.swapaxes(0, 1), b))
+        hom_res = float(_sup_norms(hom).max())
+        anti_res = float(_sup_norms(anti).max())
+        if hom_res > tol and anti_res > tol:
+            raise StructuralError(
+                "central block obeys neither multiplication law "
+                f"(hom {hom_res:.2e}, anti {anti_res:.2e}); "
+                "input is not Jordan at tolerance"
+            )
         if hom_res <= tol:
             g = g + q
             labels.append("hom")
@@ -266,8 +261,10 @@ def central_decompose(
             f = f + q
             labels.append("anti")
 
-    pi = map_from_function(dom, N, lambda x, g=g: J(x) * g, J.p, {"kind": "jordan_hom_part"})
-    sigma = map_from_function(dom, N, lambda x, f=f: J(x) * f, J.p, {"kind": "jordan_anti_part"})
+    pi = _map_from_images(dom, N, [np.matmul(S, b) for S, b in zip(images, g.blocks)],
+                          J.p, {"kind": "jordan_hom_part"})
+    sigma = _map_from_images(dom, N, [np.matmul(S, b) for S, b in zip(images, f.blocks)],
+                             J.p, {"kind": "jordan_anti_part"})
     return CentralDecomposition(g, f, pi, sigma, projections, labels)
 
 
@@ -320,7 +317,7 @@ def extract_yeadon(
 
     if t1.sup_norm() <= cfg.algebraic_tol * max(1.0, action_scale):
         if action_scale <= cfg.algebraic_tol:
-            zero_map = map_from_function(dom, cod, lambda x: zero_element(cod), T.p)
+            zero_map = LinearMap(dom, cod, np.zeros((cod.coord_dim, dom.coord_dim)), T.p)
             z = zero_element(cod)
             return YeadonTriple(z, z, zero_map, True, z, z, zero_map, zero_map,
                                 {"note": "zero map"})
@@ -328,22 +325,19 @@ def extract_yeadon(
 
     w, B, sB = polar_support(t1, cfg)
     B_pinv = pseudo_inverse(B, cfg)
-    wH = w.H
-    J = map_from_function(
-        dom, cod, lambda x: B_pinv * (wH * T(x)), T.p, {"kind": "extracted_jordan"}
-    )
-
-    dom_basis = list(basis(dom))
-    T_images = [T(e) for e in dom_basis]
-    J_images = [J(e) for e in dom_basis]
-    out_scale = max(1.0, max(im.sup_norm() for im in T_images))
+    T_images = _unit_images(T)
+    J_images = [np.matmul(bp, np.matmul(u, S))
+                for bp, u, S in zip(B_pinv.blocks, w.H.blocks, T_images)]
+    J = _map_from_images(dom, cod, J_images, T.p, {"kind": "extracted_jordan"})
+    out_scale = max(1.0, float(_sup_norms(T_images).max()))
     tol = max(1e-7, 100.0 * cfg.algebraic_tol)
 
     residuals = {}
     reasons = []
 
     wB = w * B
-    rec = max((Ti - wB * Ji).sup_norm() for Ti, Ji in zip(T_images, J_images))
+    rec = float(_sup_norms([S - np.matmul(b, Jl)
+                            for S, b, Jl in zip(T_images, wB.blocks, J_images)]).max())
     residuals["reconstruction"] = rec / out_scale
     if rec > tol * out_scale:
         reasons.append("reconstruction (a)")
@@ -359,9 +353,10 @@ def extract_yeadon(
     if sup_res > tol * 10:
         reasons.append("support (b)")
 
-    comm = max((B * Ji - Ji * B).sup_norm() for Ji in J_images)
+    comm = float(_sup_norms([np.matmul(b, Jl) - np.matmul(Jl, b)
+                             for b, Jl in zip(B.blocks, J_images)]).max())
     residuals["commutation"] = comm / max(1.0, B.sup_norm())
-    if comm > tol * max(1.0, B.sup_norm()) * max(1.0, max(j.sup_norm() for j in J_images)):
+    if comm > tol * max(1.0, B.sup_norm()) * max(1.0, float(_sup_norms(J_images).max())):
         reasons.append("commutation (c)")
 
     report = verify_jordan(J, cfg)
@@ -401,14 +396,13 @@ def isometry_trace_diagnostic(
     the maps whose factorization implements an isometry at exponent p, so a
     small value here together with a valid triple signals an isometry and a
     large one a proper contraction or expansion."""
-    from .algebra import apply_spectral
-
     Bp = apply_spectral(triple.B, lambda v: np.clip(v, 0.0, None) ** p, cfg)
-    worst = 0.0
-    for e in basis(domain):
-        lhs = complex(e.trace())
-        rhs = complex((Bp * triple.J(e)).trace())
-        worst = max(worst, abs(lhs - rhs))
+    lhs = coord_weights(domain) * vec(identity(domain))  # tau(e_a)
+    rhs = 0
+    for (_, w), b, S in zip(Bp.algebra.blocks, Bp.blocks, _unit_images(triple.J)):
+        rhs = rhs + w * np.trace(np.matmul(b, S), axis1=1, axis2=2)
+    defect = lhs - rhs
+    worst = float(np.max(np.hypot(defect.real, defect.imag)))  # |z| as Python rounds it
     scale = max(1.0, domain.trace_of_identity)
     return worst / scale
 

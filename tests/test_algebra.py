@@ -231,3 +231,9 @@ def test_tolerance_config_validation():
         ToleranceConfig(algebraic_tol=-1.0)
     with pytest.raises(StructuralError):
         ToleranceConfig(restarts=0)
+    for name in ("algebraic_tol", "opt_tol", "rank_cutoff"):
+        for bad in (0.0, 1.0, 1e300, float("inf"), float("nan")):
+            with pytest.raises(StructuralError, match=name):
+                ToleranceConfig(**{name: bad})
+    with pytest.raises(StructuralError, match="weight"):
+        AlgebraDescriptor(((2, float("inf")),))

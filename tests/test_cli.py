@@ -146,6 +146,48 @@ def test_input_error_exit_3(capcli):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e300", "nan", "1", "0"])
+def test_tolerance_flag_outside_unit_interval_is_input_error(capcli, tol):
+    # a huge tolerance made every element pass as positive and certified
+    # a value below the proved lower endpoint
+    _, inst, _ = capcli(["gen", "--kind", "seq", "--n", "3", "--dims", "3", "--seed", "3"])
+    code, out, err = capcli(["seqnorm", "--p", "3", "--tol", tol], stdin_text=inst)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "algebraic_tol" in err
+
+
+def _edited_instance(capcli, argv, edit):
+    _, text, _ = capcli(argv)
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)  # writes NaN / Infinity tokens as Python's json does
+
+
+def test_non_finite_instance_values_are_input_errors(capcli):
+    seq = ["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"]
+    pair = ["gen", "--kind", "disjoint-pair", "--dims", "1,2", "--seed", "3"]
+
+    def opt_tol(doc):
+        doc["tolerances"] = {"opt_tol": float("inf")}
+
+    def nan_entry(doc):
+        doc["elements"]["x0"]["blocks"][0][1][0] = [float("nan"), 0.0]
+
+    def inf_weight(doc):
+        doc["algebras"]["M"]["blocks"][1]["weight"] = float("inf")
+
+    cases = [
+        (seq, ["seqnorm", "--p", "3"], opt_tol, "opt_tol"),
+        (seq, ["seqnorm", "--p", "3"], nan_entry, "$.elements.x0.blocks[0][1][0]"),
+        (pair, ["dinq"], inf_weight, "$.algebras.M.blocks[1]"),
+    ]
+    for gen, cmd, edit, field in cases:
+        text = _edited_instance(capcli, gen, edit)
+        code, out, err = capcli(cmd, stdin_text=text)
+        assert code == 3 and out == "", (field, out)
+        assert err.startswith("error:") and field in err, err
+
+
 def test_missing_stdin_is_input_error(capcli):
     code, _, err = capcli(["certify"], stdin_text="")
     assert code == 3

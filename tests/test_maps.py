@@ -22,7 +22,6 @@ from nclp.maps import (
     LinearMap,
     _boyd_ascent,
     _norming_dual,
-    _pairing_matrix,
     adjoint_map,
     amplified_map,
     apply_map,
@@ -79,6 +78,37 @@ def test_adjoint_pairing_identity():
     for _ in range(5):
         x, y = random_element(alg, rng), random_element(alg, rng)
         assert duality_pair(T(x), y) == pytest.approx(duality_pair(x, Ts(y)), rel=1e-10)
+
+
+def test_adjoint_duality_between_different_algebras():
+    # weighted 3-block domain into a different 2-block codomain
+    rng = rng_from(31)
+    dom = AlgebraDescriptor(((1, 0.5), (2, 1.7), (3, 0.8)))
+    cod = AlgebraDescriptor(((2, 2.5), (3, 0.6)))
+    T = LinearMap(dom, cod, rng.standard_normal((cod.coord_dim, dom.coord_dim))
+                  + 1j * rng.standard_normal((cod.coord_dim, dom.coord_dim)), 3.0)
+    Ts = adjoint_map(T)
+    assert (Ts.domain, Ts.codomain) == (cod, dom)
+    assert Ts.p == pytest.approx(1.5)
+    for _ in range(5):
+        x, y = random_element(dom, rng), random_element(cod, rng)
+        lhs, rhs = (T(x) * y).trace(), (x * Ts(y)).trace()
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    # the permutation form equals solving with the weighted-transposition
+    # pairing matrices K (tau(x y) = vec(x)^T K vec(y)) bit for bit
+    def pairing(alg):
+        K = np.zeros((alg.coord_dim, alg.coord_dim))
+        pos = 0
+        for d, w in alg.blocks:
+            for i in range(d):
+                for j in range(d):
+                    K[pos + i * d + j, pos + j * d + i] = w
+            pos += d * d
+        return K
+
+    want = np.linalg.solve(pairing(dom), T.action.T @ pairing(cod))
+    assert np.array_equal(Ts.action, want)
 
 
 def test_adjoint_is_involution():
@@ -204,12 +234,6 @@ def test_boyd_ascent_reports_realised_ratios(alg, p):
     assert lp_norm(arg, p) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pairing_matrix_is_read_only():
-    K = _pairing_matrix(AlgebraDescriptor(((1, 0.5), (2, 1.0))))
-    with pytest.raises(ValueError):
-        K[0, 0] = 1.0
-
-
 def test_transpose_positivity_hierarchy():
     T = transpose_map(matrix_algebra(2), 2.0)
     assert positivity_tests(T, "positive", CFG).status == CERTIFIED
@@ -241,6 +265,25 @@ def test_choi_matrix_of_conjugation_is_rank_one():
     vals = np.linalg.eigvalsh(C)
     assert vals.min() > -1e-10
     assert np.sum(vals > 1e-8) == 1
+
+
+def test_choi_components_match_definition():
+    # C_lk has the (i, j) block T(e_ij of domain block k) restricted to block l
+    rng = rng_from(32)
+    dom = AlgebraDescriptor(((2, 0.7), (1, 1.0), (3, 2.0)))
+    cod = AlgebraDescriptor(((3, 1.5), (2, 0.4)))
+    T = LinearMap(dom, cod, rng.standard_normal((cod.coord_dim, dom.coord_dim))
+                  + 1j * rng.standard_normal((cod.coord_dim, dom.coord_dim)), 2.0)
+    comps = choi_components(T)
+    assert len(comps) == 2 and all(len(row) == 3 for row in comps)
+    for l, c in enumerate(cod.dims):
+        for k, d in enumerate(dom.dims):
+            want = np.zeros((d * c, d * c), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    img = T(matrix_unit(dom, k, i, j)).blocks[l]
+                    want[i * c : (i + 1) * c, j * c : (j + 1) * c] = img
+            assert np.array_equal(comps[l][k], want)
 
 
 def test_trace_subtraction_falsified_on_rank_one():
@@ -300,6 +343,19 @@ def test_amplified_map_entrywise_oracle():
     got = block_entries(alg, 2, amp(X))
     for i in range(2):
         for j in range(2):
+            assert (got[i][j] - T(grid[i][j])).sup_norm() < 1e-12
+
+
+def test_amplified_map_between_different_algebras():
+    rng = rng_from(33)
+    dom = AlgebraDescriptor(((2, 0.7), (1, 1.0)))
+    cod = AlgebraDescriptor(((1, 1.5), (3, 0.4)))
+    T = LinearMap(dom, cod, rng.standard_normal((cod.coord_dim, dom.coord_dim)), 1.5)
+    amp = amplified_map(T, 3)
+    grid = [[random_element(dom, rng) for _ in range(3)] for _ in range(3)]
+    got = block_entries(cod, 3, amp(block_matrix(dom, grid)))
+    for i in range(3):
+        for j in range(3):
             assert (got[i][j] - T(grid[i][j])).sup_norm() < 1e-12
 
 

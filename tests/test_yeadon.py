@@ -1,12 +1,16 @@
 import numpy as np
+import pytest
 
 from nclp.algebra import (
     AlgebraDescriptor,
     Element,
+    StructuralError,
     ToleranceConfig,
+    basis,
     identity,
     matrix_algebra,
     matrix_unit,
+    zero_element,
 )
 from nclp.lp import disjoint
 from nclp.maps import (
@@ -20,7 +24,7 @@ from nclp.maps import (
     unitary_conjugation,
     yeadon_synthetic,
 )
-from nclp.sampling import random_disjoint_pair, random_unitary, rng_from
+from nclp.sampling import random_disjoint_pair, random_selfadjoint, random_unitary, rng_from
 from nclp.yeadon import (
     CERTIFIED,
     FALSIFIED,
@@ -141,6 +145,104 @@ def test_central_decompose_commutative_range_goes_to_hom():
     one_img = J(identity(dom))
     assert (dec.g - one_img).sup_norm() < 1e-8
     assert dec.f.sup_norm() < 1e-8
+
+
+def _per_pair_reference(J):
+    """Today's per-pair evaluation: images, products of matrix units, scale."""
+    dom = J.domain
+    coords = [(k, i, j) for k, d in enumerate(dom.dims) for i in range(d) for j in range(d)]
+    index = {c: n for n, c in enumerate(coords)}
+    images = [J(e) for e in basis(dom)]
+    zero = zero_element(J.codomain)
+
+    def unit_image(a, b):  # J(e_a e_b)
+        (ka, ia, ja), (kb, ib, jb) = coords[a], coords[b]
+        return images[index[(ka, ia, jb)]] if ka == kb and ja == ib else zero
+
+    scale = max(1.0, max(im.sup_norm() for im in images)) ** 2
+    return coords, index, images, unit_image, scale
+
+
+def _jordan_reference(J, cfg, spot_checks=3):
+    coords, index, images, unit_image, scale = _per_pair_reference(J)
+    defect = 0.0
+    for a in range(len(coords)):
+        for b in range(a, len(coords)):
+            lhs = unit_image(a, b) + unit_image(b, a)
+            rhs = images[a] * images[b] + images[b] * images[a]
+            defect = max(defect, (lhs - rhs).sup_norm())
+    for a, (k, i, j) in enumerate(coords):
+        defect = max(defect, (images[index[(k, j, i)]] - images[a].H).sup_norm())
+    rng = rng_from(cfg.seed, 9100)
+    for _ in range(spot_checks):
+        x = random_selfadjoint(J.domain, rng)
+        defect = max(defect, (J(x * x) - J(x) * J(x)).sup_norm() / max(1.0, x.sup_norm() ** 2))
+    tol = max(1e-7, 100.0 * cfg.algebraic_tol)
+    return defect <= tol * scale, defect
+
+
+def _central_reference(J, projections, cfg):
+    coords, _, images, unit_image, scale = _per_pair_reference(J)
+    tol = max(1e-7, 100.0 * cfg.algebraic_tol) * scale
+    g = f = zero_element(J.codomain)
+    labels = []
+    for q in projections:
+        hom = anti = 0.0
+        for a in range(len(coords)):
+            for b in range(len(coords)):
+                lhs = unit_image(a, b) * q
+                hom = max(hom, (lhs - images[a] * images[b] * q).sup_norm())
+                anti = max(anti, (lhs - images[b] * images[a] * q).sup_norm())
+        assert not (hom > tol and anti > tol)
+        if hom <= tol:
+            g, labels = g + q, labels + ["hom"]
+        else:
+            f, labels = f + q, labels + ["anti"]
+    return g, f, labels
+
+
+def _product_table_cases():
+    alg = AlgebraDescriptor(((2, 0.6), (3, 1.7)))
+    rng = rng_from(41)
+    T = transpose_map(alg, 2.0)
+    noise = 1e-3 * rng.standard_normal(T.action.shape)
+    return {
+        "identity": identity_map(alg),
+        "transpose": T,
+        "hom+anti": jordan_direct_sum(alg, [(0, "hom"), (1, "anti"), (0, "anti")],
+                                      weights=[0.5, 2.0, 1.3]),
+        "perturbed": LinearMap(alg, alg, T.action + noise, 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["identity", "transpose", "hom+anti", "perturbed"])
+def test_product_table_matches_per_pair_loops(name):
+    J = _product_table_cases()[name]
+    report = verify_jordan(J, CFG)
+    ok, defect = _jordan_reference(J, CFG)
+    assert report.defect == defect  # bitwise
+    assert report.ok == ok == (name != "perturbed")
+    if name == "perturbed":
+        return
+    dec = central_decompose(J, CFG)
+    g, f, labels = _central_reference(J, dec.projections, CFG)
+    assert np.array_equal(np.concatenate([b.ravel() for b in dec.g.blocks]),
+                          np.concatenate([b.ravel() for b in g.blocks]))
+    assert np.array_equal(np.concatenate([b.ravel() for b in dec.f.blocks]),
+                          np.concatenate([b.ravel() for b in f.blocks]))
+    assert dec.labels == labels
+    if name == "hom+anti":
+        assert sorted(labels) == ["anti", "anti", "hom"]
+
+
+def test_central_decompose_rejects_map_obeying_neither_law():
+    # x -> (x + x^T) / 2 is unital with range generating M_2, but
+    # J(e12 e21) = e11 while J(e12) J(e21) = J(e21) J(e12) = 1 / 4
+    alg = matrix_algebra(2)
+    J = LinearMap(alg, alg, 0.5 * (np.eye(4) + transpose_map(alg).action), 2.0)
+    assert not verify_jordan(J, CFG).ok
+    with pytest.raises(StructuralError, match="neither multiplication law"):
+        central_decompose(J, CFG)
 
 
 def test_certify_separating_transpose():
