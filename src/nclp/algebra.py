@@ -314,18 +314,27 @@ def positive_sqrt(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:
     return apply_spectral(x, lambda v: np.sqrt(np.clip(v, 0.0, None)), cfg)
 
 
+def _ranked_svd(
+    blocks: Sequence[np.ndarray], cfg: ToleranceConfig
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(U, s, Vh, keep) per block: the full SVD and the mask of singular
+    values above the relative rank cutoff, measured against the largest
+    singular value over all blocks (all False when every block is zero)."""
+    svds = [np.linalg.svd(b) for b in blocks]
+    cut = cfg.rank_cutoff * max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
+    return [(U, s, Vh, s > cut) for U, s, Vh in svds]
+
+
 def pseudo_inverse(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:
     """Moore-Penrose inverse; singular values below the relative cutoff
     (measured against the largest singular value of the whole element) are
     treated as zero."""
-    svds = [np.linalg.svd(b) for b in x.blocks]
-    top = max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
-    if top == 0.0:
+    svds = _ranked_svd(x.blocks, cfg)
+    if not any(keep.any() for *_, keep in svds):
         return zero_element(x.algebra)
-    cut = cfg.rank_cutoff * top
     blocks = []
-    for U, s, Vh in svds:
-        inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
+    for U, s, Vh, keep in svds:
+        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
         blocks.append((Vh.conj().T * inv[None, :]) @ U.conj().T)
     return Element(x.algebra, blocks)
 
@@ -339,12 +348,8 @@ def polar_support(
     cutoff, so u* u equals the support projection s = s(|x|) exactly by
     construction.  For self-adjoint x the support of x itself is u* u.
     """
-    svds = [np.linalg.svd(b) for b in x.blocks]
-    top = max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
-    cut = cfg.rank_cutoff * top
     us, ms, ss = [], [], []
-    for U, s, Vh in svds:
-        keep = s > cut if top > 0 else np.zeros_like(s, dtype=bool)
+    for U, s, Vh, keep in _ranked_svd(x.blocks, cfg):
         V = Vh.conj().T
         Ur, Vr = U[:, keep], V[:, keep]
         us.append(Ur @ Vr.conj().T)

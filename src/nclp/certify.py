@@ -57,6 +57,7 @@ from .sequences import (
     ElementSequence,
     NormInterval,
     _closed_form,
+    _gram_norms,
     _objective,
     _polar_factors,
     dinq_disjoint_test,
@@ -414,10 +415,9 @@ def _normalized_factorization(
     if iv.witness is None:
         raise StructuralError("no factorization witness available")
     a_list, b_list = iv.witness
-    from .sequences import row_gram, column_gram
-
-    ra = lp_norm(row_gram(sequence(a_list)), p)
-    cb = lp_norm(column_gram(sequence(b_list)), p)
+    _, _, ra, cb = _gram_norms(
+        seq.algebra, [a.blocks for a in a_list], [b.blocks for b in b_list], p
+    )
     margin = 1.0 + 1e-9
     sa = 1.0 / np.sqrt(ra * margin) if ra > 0 else 1.0
     sb = 1.0 / np.sqrt(cb * margin) if cb > 0 else 1.0

@@ -270,24 +270,27 @@ def parse_instance(text: str) -> InstanceFile:
         inst.maps[name] = LinearMap(dom, cod, action, p)
         inst.map_refs[name] = (dom_ref, cod_ref)
 
-    tol = doc.get("tolerances")
-    if tol is not None:
-        _expect(isinstance(tol, dict), "tolerances must be an object", "$.tolerances")
-        try:
-            inst.tolerances = ToleranceConfig(
-                algebraic_tol=float(tol.get("algebraic_tol", 1e-9)),
-                opt_tol=float(tol.get("opt_tol", 1e-7)),
-                rank_cutoff=float(tol.get("rank_cutoff", 1e-10)),
-                restarts=int(tol.get("restarts", 3)),
-                seed=int(doc.get("seed", 0)),
-            )
-        except StructuralError as exc:
-            raise ParseError(str(exc), "$.tolerances") from exc
-
     seed = doc.get("seed")
     if seed is not None:
         _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer", "$.seed")
         inst.seed = seed
+
+    tol = doc.get("tolerances")
+    if tol is not None:
+        _expect(isinstance(tol, dict), "tolerances must be an object", "$.tolerances")
+        values = {}
+        for name, default in (("algebraic_tol", 1e-9), ("opt_tol", 1e-7), ("rank_cutoff", 1e-10)):
+            v = tol.get(name, default)
+            _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
+                    f"{name} must be a number", f"$.tolerances.{name}")
+            values[name] = float(v)
+        restarts = tol.get("restarts", 3)
+        _expect(isinstance(restarts, int) and not isinstance(restarts, bool) and restarts >= 1,
+                "restarts must be an integer >= 1", "$.tolerances.restarts")
+        try:
+            inst.tolerances = ToleranceConfig(**values, restarts=restarts, seed=seed or 0)
+        except StructuralError as exc:
+            raise ParseError(str(exc), "$.tolerances") from exc
     return inst
 
 

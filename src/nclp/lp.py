@@ -25,19 +25,26 @@ def singular_values(x: Element) -> list[np.ndarray]:
     return [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
 
 
+def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float) -> float:
+    """(sum_k w_k sum_i s_ki^p)^(1/p) from the singular values s_k of each
+    block and the block weights w_k, or max_k s_k0 for p = inf.  Every
+    weighted Schatten value in the package is summed here."""
+    if p == np.inf:
+        return max((float(s[0]) if s.size else 0.0) for s in svals)
+    total = 0.0
+    for w, s in zip(weights, svals):
+        total += w * float(np.sum(s**p))
+    return total ** (1.0 / p)
+
+
 def schatten_quasi(x: Element, p: float) -> float:
     """tau(|x|^p)^(1/p) for any p > 0, or the operator norm for p = inf.
 
     Internal entry point: does not reject quasi-norm exponents p < 1.
     """
-    if p == np.inf:
-        return x.sup_norm()
     if not p > 0:
         raise DomainError("exponent must be positive")
-    total = 0.0
-    for (_, w), s in zip(x.algebra.blocks, singular_values(x)):
-        total += w * float(np.sum(s**p))
-    return total ** (1.0 / p)
+    return _schatten(singular_values(x), x.algebra.weights, p)
 
 
 def lp_norm(x: Element, p: float) -> float:

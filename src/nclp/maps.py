@@ -22,6 +22,7 @@ from .algebra import (
     Element,
     StructuralError,
     ToleranceConfig,
+    _ranked_svd,
     amplify,
     basis,
     diagonal_algebra,
@@ -30,7 +31,7 @@ from .algebra import (
     polar_support,
     zero_element,
 )
-from .lp import conjugate_exponent, is_positive, lp_norm
+from .lp import _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
 from .sequences import NormInterval
 
@@ -214,24 +215,17 @@ def _norming_dual(y: Element, p: float, cfg: ToleranceConfig) -> tuple[float, El
     from one SVD y_k = U s V* per block: z_k = V_r (s_r / |y|_p)^(p-1) U_r*
     over the singular values above the rank cutoff (u* at p = 1), and at
     p = inf the rank-one term v u* / w_k at the top singular pair."""
-    svds = [np.linalg.svd(b) for b in y.blocks]
-    tops = [float(s[0]) if s.size else 0.0 for _, s, _ in svds]
-    if p == np.inf:
-        ny = max(tops)
-    else:
-        ny = sum(w * float(np.sum(s**p)) for w, (_, s, _) in zip(y.algebra.weights, svds))
-        ny = ny ** (1.0 / p)
+    svds = _ranked_svd(y.blocks, cfg)
+    ny = _schatten([s for _, s, _, _ in svds], y.algebra.weights, p)
     blocks = [np.zeros((d, d), dtype=complex) for d in y.algebra.dims]
     if ny == 0:
         return 0.0, Element(y.algebra, blocks)
     if p == np.inf:
-        k = int(np.argmax(tops))
-        U, _, Vh = svds[k]
+        k = int(np.argmax([s[0] for _, s, _, _ in svds]))
+        U, _, Vh, _ = svds[k]
         blocks[k] = np.outer(Vh[0].conj(), U[:, 0].conj()) / y.algebra.weights[k]
         return ny, Element(y.algebra, blocks)
-    cut = cfg.rank_cutoff * max(tops)
-    for k, (U, s, Vh) in enumerate(svds):
-        keep = s > cut
+    for k, (U, s, Vh, keep) in enumerate(svds):
         blocks[k] = (Vh[keep].conj().T * (s[keep] / ny) ** (p - 1.0)) @ U[:, keep].conj().T
     return ny, Element(y.algebra, blocks)
 

@@ -20,6 +20,14 @@ collapse to exact values: positive sequences (norm of the sum), single
 elements, and p = 1 (the ell^1 direct sum of the summands' norms).  One
 private helper, ``_closed_form``, holds these three, so the enclosure and
 the sampled ratios of ``certify`` apply them in the same order.
+
+Factors stay plain arrays, one per item and block.  The descent carries
+the Grams Y1 = sum a_n a_n*, Y2 = sum b_n* b_n of its current factors and
+their p-norms: a trial step computes them once, and an accepted step hands
+them to the gradient, the recorded objective sqrt(|Y1|_p |Y2|_p) and the
+final balancing.  One eigendecomposition of each direction D_n per step
+serves every backtracking trial exp(+-eta D_n / 2), and its largest
+eigenvalue modulus (the operator norm of D_n) is the flat-gradient test.
 """
 
 from __future__ import annotations
@@ -37,11 +45,12 @@ from .algebra import (
     NumericError,
     StructuralError,
     ToleranceConfig,
+    _ranked_svd,
     amplify,
     positive_sqrt,
     zero_element,
 )
-from .lp import hs_inner, is_positive, lp_norm, schatten_quasi, disjoint
+from .lp import _schatten, disjoint, hs_inner, is_positive, lp_norm
 from .sampling import ginibre, rng_from
 
 
@@ -91,6 +100,8 @@ class NormInterval:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.certified_exact and not np.isfinite([self.lower, self.upper]).all():
+            raise NumericError(f"exact enclosure [{self.lower}, {self.upper}] is not finite")
         if self.lower < 0:
             self.lower = max(self.lower, 0.0)
         scale = max(abs(self.upper), abs(self.lower), 1.0)
@@ -110,20 +121,6 @@ class NormInterval:
 # ---------------------------------------------------------------------------
 
 
-def column_gram(seq: ElementSequence) -> Element:
-    out = zero_element(seq.algebra)
-    for x in seq:
-        out = out + x.H * x
-    return out
-
-
-def row_gram(seq: ElementSequence) -> Element:
-    out = zero_element(seq.algebra)
-    for x in seq:
-        out = out + x * x.H
-    return out
-
-
 def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     """|sum b_n* b_n|_{p/2}^(1/2) (column) or |sum a_n a_n*|_{p/2}^(1/2) (row).
 
@@ -132,10 +129,11 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     """
     if p != np.inf and p < 1:
         raise DomainError("column/row norms need p >= 1")
-    gram = column_gram(seq) if side == "column" else row_gram(seq)
     if side not in ("column", "row"):
         raise DomainError(f"side must be 'column' or 'row', got {side!r}")
-    return schatten_quasi(gram, p / 2.0 if p != np.inf else np.inf) ** 0.5
+    items = [x.blocks for x in seq]
+    row, column = _grams(seq.algebra, items, items)
+    return _norm(seq.algebra, column if side == "column" else row, p / 2.0) ** 0.5
 
 
 def column_embed(seq: ElementSequence) -> Element:
@@ -200,12 +198,8 @@ def _polar_factors(
     A: Factors = []
     B: Factors = []
     for x in seq:
-        svds = [np.linalg.svd(blk) for blk in x.blocks]
-        top = max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
-        cut = cfg.rank_cutoff * top
         an, bn = [], []
-        for U, s, Vh in svds:
-            keep = s > cut if top > 0 else np.zeros_like(s, dtype=bool)
+        for U, s, Vh, keep in _ranked_svd(x.blocks, cfg):
             root = np.sqrt(s[keep])
             an.append(U[:, keep] * root[None, :])
             bn.append(root[:, None] * Vh[keep, :])
@@ -214,60 +208,44 @@ def _polar_factors(
     return A, B
 
 
-def _left_gram(alg, F: Factors) -> Element:
-    blocks = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    for fn in F:
-        for k, m in enumerate(fn):
-            blocks[k] = blocks[k] + m @ m.conj().T
-    return Element(alg, blocks)
+def _grams(alg, A: Factors, B: Factors) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per block, Y1 = sum_n a_n a_n* and Y2 = sum_n b_n* b_n."""
+    Y1 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+    Y2 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+    for an, bn in zip(A, B):
+        for k, (a, b) in enumerate(zip(an, bn)):
+            Y1[k] += a @ a.conj().T
+            Y2[k] += b.conj().T @ b
+    return Y1, Y2
 
 
-def _right_gram(alg, F: Factors) -> Element:
-    blocks = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    for fn in F:
-        for k, m in enumerate(fn):
-            blocks[k] = blocks[k] + m.conj().T @ m
-    return Element(alg, blocks)
+def _norm(alg, blocks: list[np.ndarray], p: float) -> float:
+    """The (quasi-)norm tau(|y|^p)^(1/p) of the element with these blocks."""
+    return _schatten([np.linalg.svd(b, compute_uv=False) for b in blocks], alg.weights, p)
+
+
+def _gram_norms(alg, A: Factors, B: Factors, p: float):
+    """(Y1, Y2, |Y1|_p, |Y2|_p) of a factorization; the objective is
+    sqrt(|Y1|_p |Y2|_p)."""
+    Y1, Y2 = _grams(alg, A, B)
+    return Y1, Y2, _norm(alg, Y1, p), _norm(alg, Y2, p)
 
 
 def _objective(alg, A: Factors, B: Factors, p: float) -> float:
-    ra = lp_norm(_left_gram(alg, A), p)
-    cb = lp_norm(_right_gram(alg, B), p)
-    return float(np.sqrt(ra * cb))
+    _, _, n1, n2 = _gram_norms(alg, A, B, p)
+    return float(np.sqrt(n1 * n2))
 
 
-def _balance(alg, A: Factors, B: Factors, p: float) -> None:
-    """Rescale (a_n) <- t a_n, (b_n) <- b_n / t so the two factor norms agree;
-    the objective is invariant but subsequent pseudo-inverse steps behave
-    better on a balanced pair."""
-    ra = lp_norm(_left_gram(alg, A), p)
-    cb = lp_norm(_right_gram(alg, B), p)
-    if ra <= 0 or cb <= 0:
+def _balance(A: Factors, B: Factors, n1: float, n2: float) -> None:
+    """Rescale (a_n) <- t a_n, (b_n) <- b_n / t so the two factor norms
+    |Y1|_p = n1 and |Y2|_p = n2 agree; the objective is invariant but
+    subsequent gauge steps behave better on a balanced pair."""
+    if n1 <= 0 or n2 <= 0:
         return
-    t = (cb / ra) ** 0.25
-    for fn in A:
-        for k in range(len(fn)):
-            fn[k] = fn[k] * t
-    for fn in B:
-        for k in range(len(fn)):
-            fn[k] = fn[k] / t
-
-
-def _pinv(m: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    return np.linalg.pinv(m, rcond=max(cfg.rank_cutoff, 1e-13))
-
-
-def _sweep(seq: ElementSequence, A: Factors, B: Factors, p: float, cfg: ToleranceConfig) -> None:
-    """One alternating pass.  Given b_n, the feasible a_n minimizing the left
-    gram in the positive-cone order is x_n b_n^+; symmetrically for b_n.  The
-    objective therefore never increases along sweeps."""
-    alg = seq.algebra
-    for n, x in enumerate(seq):
-        A[n] = [x.blocks[k] @ _pinv(B[n][k], cfg) for k in range(len(alg.dims))]
-    _balance(alg, A, B, p)
-    for n, x in enumerate(seq):
-        B[n] = [_pinv(A[n][k], cfg) @ x.blocks[k] for k in range(len(alg.dims))]
-    _balance(alg, A, B, p)
+    t = (n2 / n1) ** 0.25
+    for an, bn in zip(A, B):
+        an[:] = [a * t for a in an]
+        bn[:] = [b / t for b in bn]
 
 
 def _psd_power(y: np.ndarray, t: float) -> np.ndarray:
@@ -276,15 +254,11 @@ def _psd_power(y: np.ndarray, t: float) -> np.ndarray:
     return (vecs * (vals**t)[None, :]) @ vecs.conj().T
 
 
-def _expm_hermitian(s: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
-    return (vecs * np.exp(vals)[None, :]) @ vecs.conj().T
-
-
 def _gauge_gradients(
-    alg, A: Factors, B: Factors, p: float
-) -> tuple[float, list[list[np.ndarray]]]:
-    """Objective and the gradient of its logarithm in the gauge directions.
+    alg, A: Factors, B: Factors, Y1, Y2, n1: float, n2: float, p: float
+) -> list[list[np.ndarray]]:
+    """Gradient of the log-objective in the gauge directions, from the
+    factors' Grams Y1, Y2 and their p-norms n1, n2.
 
     Replacing (a_n, b_n) by (a_n g_n^{-1}, g_n b_n) leaves the products
     fixed and changes the objective only through M_n = g_n* g_n > 0, in
@@ -297,14 +271,10 @@ def _gauge_gradients(
 
     so updating a_n <- a_n exp(+eta D/2), b_n <- exp(-eta D/2) b_n with
     D = B_n - A_n is exact-feasibility-preserving steepest descent."""
-    Y1 = _left_gram(alg, A)
-    Y2 = _right_gram(alg, B)
-    v1 = schatten_quasi(Y1, p) ** p
-    v2 = schatten_quasi(Y2, p) ** p
-    obj = float(np.sqrt(v1 ** (1.0 / p) * v2 ** (1.0 / p)))
+    v1, v2 = n1**p, n2**p
+    pw1 = [_psd_power(y, p - 1.0) for y in Y1]
+    pw2 = [_psd_power(y, p - 1.0) for y in Y2]
     grads: list[list[np.ndarray]] = []
-    pw1 = [_psd_power(blk, p - 1.0) for blk in Y1.blocks]
-    pw2 = [_psd_power(blk, p - 1.0) for blk in Y2.blocks]
     for an, bn in zip(A, B):
         gn = []
         for k, (d, w) in enumerate(alg.blocks):
@@ -313,7 +283,12 @@ def _gauge_gradients(
             Bk = w * (b @ pw2[k] @ b.conj().T) / max(v2, 1e-300)
             gn.append(Bk - Ak)
         grads.append(gn)
-    return obj, grads
+    return grads
+
+
+def _exp_step(vals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(t D) from the eigendecomposition D = vecs diag(vals) vecs*."""
+    return (vecs * np.exp(t * vals)[None, :]) @ vecs.conj().T
 
 
 def _gauge_descent(
@@ -333,7 +308,8 @@ def _gauge_descent(
     Stops early once the objective reaches ``target`` (a known lower bound)
     within the gap tolerance, or when a step stops paying its way."""
     alg = seq.algebra
-    obj, grads = _gauge_gradients(alg, A, B, p)
+    Y1, Y2, n1, n2 = _gram_norms(alg, A, B, p)
+    obj = float(np.sqrt(n1 * n2))
     history = [obj]
     eta = 0.5
     floor_gap = 0.3 * cfg.opt_tol
@@ -341,28 +317,28 @@ def _gauge_descent(
     for _ in range(max_iters):
         if obj <= target * (1.0 + floor_gap):
             break
-        gnorm = max(
-            (float(np.linalg.norm(g, 2)) if g.size else 0.0)
-            for gn in grads for g in gn
-        )
+        grads = _gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p)
+        eigs = [[np.linalg.eigh(0.5 * (g + g.conj().T)) for g in gn] for gn in grads]
+        gnorm = max(float(np.abs(vals).max(initial=0.0)) for en in eigs for vals, _ in en)
         if gnorm <= 1e-14:
             break
         accepted = False
         while eta > 1e-8:
             newA = [
-                [a @ _expm_hermitian(+0.5 * eta * g) for a, g in zip(an, gn)]
-                for an, gn in zip(A, grads)
+                [a @ _exp_step(*e, +0.5 * eta) for a, e in zip(an, en)]
+                for an, en in zip(A, eigs)
             ]
             newB = [
-                [_expm_hermitian(-0.5 * eta * g) @ b for b, g in zip(bn, gn)]
-                for bn, gn in zip(B, grads)
+                [_exp_step(*e, -0.5 * eta) @ b for b, e in zip(bn, en)]
+                for bn, en in zip(B, eigs)
             ]
-            new_obj = _objective(alg, newA, newB, p)
+            trial = _gram_norms(alg, newA, newB, p)
+            new_obj = float(np.sqrt(trial[2] * trial[3]))
             if new_obj < obj * (1 - 1e-14):
                 gain = obj - new_obj
-                for n in range(len(A)):
-                    A[n], B[n] = newA[n], newB[n]
-                obj, grads = _gauge_gradients(alg, A, B, p)
+                A[:], B[:] = newA, newB
+                Y1, Y2, n1, n2 = trial
+                obj = new_obj
                 history.append(obj)
                 accepted = gain > step_gain * max(obj, 1e-300)
                 eta = min(eta * 1.6, 1.0)
@@ -370,7 +346,7 @@ def _gauge_descent(
             eta *= 0.5
         if not accepted:
             break
-    _balance(alg, A, B, p)
+    _balance(A, B, n1, n2)
     return history
 
 
@@ -415,7 +391,8 @@ def _augment_and_gauge(
                 g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
             A[n][k] = np.linalg.solve(g.T, a.T).T
             B[n][k] = g @ b
-    _balance(alg, A, B, 2.0)
+    _, _, n1, n2 = _gram_norms(alg, A, B, 2.0)
+    _balance(A, B, n1, n2)
 
 
 def _factors_to_elements(
@@ -445,10 +422,12 @@ def _factors_to_elements(
 
 
 def _phase_value(seq: ElementSequence, eps: np.ndarray, p: float) -> float:
-    combo = zero_element(seq.algebra)
+    """|sum eps_n x_n|_p."""
+    combo = [np.zeros((d, d), dtype=complex) for d in seq.algebra.dims]
     for e, x in zip(eps, seq):
-        combo = combo + complex(e) * x
-    return lp_norm(combo, p)
+        for k, blk in enumerate(x.blocks):
+            combo[k] = combo[k] + complex(e) * blk
+    return _norm(seq.algebra, combo, p)
 
 
 def _phase_sup_quadratic(gram: np.ndarray, starts: list[np.ndarray], sweeps: int = 40) -> float:

@@ -176,8 +176,17 @@ def test_non_finite_instance_values_are_input_errors(capcli):
     def inf_weight(doc):
         doc["algebras"]["M"]["blocks"][1]["weight"] = float("inf")
 
+    def inf_restarts(doc):
+        doc["tolerances"] = {"restarts": float("inf")}
+
+    def inf_seed(doc):
+        doc["tolerances"] = {}
+        doc["seed"] = float("inf")
+
     cases = [
         (seq, ["seqnorm", "--p", "3"], opt_tol, "opt_tol"),
+        (seq, ["seqnorm", "--p", "3"], inf_restarts, "$.tolerances.restarts"),
+        (pair, ["dinq"], inf_seed, "$.seed"),
         (seq, ["seqnorm", "--p", "3"], nan_entry, "$.elements.x0.blocks[0][1][0]"),
         (pair, ["dinq"], inf_weight, "$.algebras.M.blocks[1]"),
     ]
@@ -213,3 +222,25 @@ def test_out_flag_writes_file(capcli, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["value"] > 0
+
+
+def test_non_finite_exact_enclosure_is_input_error(capcli):
+    # the positive closed form overflows to inf; an exact [inf, inf] used to
+    # be printed as certified
+    _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
+    doc = json.loads(text)
+    big = [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]
+    for name in ("x0", "x1"):
+        doc["elements"][name]["blocks"] = [big]
+    code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=json.dumps(doc))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+    _, text, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--seed", "3"])
+    doc = json.loads(text)
+    names = list(doc["elements"])
+    doc["elements"][names[0]]["blocks"] = [[[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    doc["elements"][names[1]]["blocks"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
+    code, out, err = capcli(["dinq"], stdin_text=json.dumps(doc))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "not finite" in err

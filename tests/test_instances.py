@@ -150,3 +150,41 @@ def test_infinite_exponent_roundtrip():
     inst = make_instance({"M": alg}, maps={"T": T})
     back = parse_instance(serialize_instance(inst))
     assert back.maps["T"].p == np.inf
+
+
+def _with_tolerances(tolerances, seed=None):
+    doc = json.loads(serialize_instance(_sample_instance()))
+    doc["tolerances"] = tolerances
+    if seed is not None:
+        doc["seed"] = seed
+    return json.dumps(doc)  # writes NaN / Infinity tokens as Python's json does
+
+
+@pytest.mark.parametrize(
+    "tolerances, seed, path",
+    [
+        ({"restarts": float("inf")}, None, "$.tolerances.restarts"),
+        ({"restarts": float("nan")}, None, "$.tolerances.restarts"),
+        ({"restarts": 2.5}, None, "$.tolerances.restarts"),
+        ({"restarts": "3"}, None, "$.tolerances.restarts"),
+        ({"restarts": True}, None, "$.tolerances.restarts"),
+        ({"restarts": 0}, None, "$.tolerances.restarts"),
+        ({"opt_tol": [1]}, None, "$.tolerances.opt_tol"),
+        ({"opt_tol": "abc"}, None, "$.tolerances.opt_tol"),
+        ({"rank_cutoff": None}, None, "$.tolerances.rank_cutoff"),
+        ({}, float("inf"), "$.seed"),
+        ({}, 1e400, "$.seed"),
+        ({}, float("nan"), "$.seed"),
+    ],
+)
+def test_tolerances_block_validated_with_field_path(tolerances, seed, path):
+    with pytest.raises(ParseError) as info:
+        parse_instance(_with_tolerances(tolerances, seed))
+    assert info.value.path == path
+
+
+def test_tolerances_block_accepts_integers_and_keeps_seed():
+    inst = parse_instance(_with_tolerances({"restarts": 5, "opt_tol": 1e-6}))
+    assert inst.tolerances.restarts == 5
+    assert inst.tolerances.opt_tol == 1e-6
+    assert inst.tolerances.seed == inst.seed == 7

@@ -12,6 +12,7 @@ from nclp.algebra import (
     matrix_unit,
 )
 from nclp.lp import (
+    _schatten,
     conjugate_exponent,
     disjoint,
     duality_pair,
@@ -39,6 +40,24 @@ def test_infinity_norm_is_operator_norm():
     alg = matrix_algebra(2)
     x = Element(alg, [np.diag([3.0, -7.0])])
     assert lp_norm(x, np.inf) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, np.inf])
+def test_schatten_kernel_matches_blockwise_sum(p):
+    # the summation order of the kernel is the one every caller used before
+    rng = rng_from(17)
+    alg = AlgebraDescriptor(((1, 0.4), (2, 1.0), (3, 2.5)))
+    x = random_element(alg, rng)
+    svals = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
+    if p == np.inf:
+        want = x.sup_norm()
+    else:
+        total = 0.0
+        for (_, w), s in zip(alg.blocks, svals):
+            total += w * float(np.sum(s**p))
+        want = total ** (1.0 / p)
+    assert _schatten(svals, alg.weights, p) == want
+    assert schatten_quasi(x, p) == want
 
 
 def test_public_boundary_rejects_quasi_norm():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from nclp.algebra import (
     AlgebraDescriptor,
     DomainError,
+    Element,
+    NumericError,
     ToleranceConfig,
     diagonal_algebra,
     identity,
@@ -24,6 +26,11 @@ from nclp.sequences import (
     DISJOINT,
     NOT_DISJOINT,
     NormInterval,
+    _gauge_descent,
+    _gram_norms,
+    _grams,
+    _objective,
+    _polar_factors,
     column_embed,
     column_row_norm,
     dinq_disjoint_test,
@@ -264,6 +271,59 @@ def test_norm_interval_validation():
         NormInterval(2.0, 1.0)
     iv = NormInterval(1.0, 1.0 + 1e-12)
     assert iv.width >= 0
+    # an exact enclosure must be finite; an open-ended one may be infinite
+    for lower, upper in ((np.inf, np.inf), (1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(NumericError):
+            NormInterval(lower, upper, True)
+    assert NormInterval(1.0, np.inf, False).upper == np.inf
+
+
+def test_non_finite_exact_values_raise():
+    # the closed forms overflow to inf at this scale
+    alg = matrix_algebra(2)
+    big = 1e300 * identity(alg)
+    with pytest.raises(NumericError):
+        l1_norm_bounds(sequence([big, big]), 3.0, CFG)
+    a = Element(alg, [np.diag([1e300, 0.0])])
+    b = Element(alg, [np.diag([0.0, 1e300])])
+    with pytest.raises(NumericError):
+        dinq_disjoint_test(a, b, CFG)
+
+
+def test_grams_match_element_products():
+    # the block-array Grams equal the Element sums they replace, bit for bit
+    rng = rng_from(15)
+    alg = AlgebraDescriptor(((1, 1.0), (3, 0.5)))
+    xs = [random_element(alg, rng) for _ in range(3)]
+    ys = [random_element(alg, rng) for _ in range(3)]
+    Y1, Y2 = _grams(alg, [x.blocks for x in xs], [y.blocks for y in ys])
+    row, column = zero_element(alg), zero_element(alg)
+    for x, y in zip(xs, ys):
+        row = row + x * x.H
+        column = column + y.H * y
+    for k in range(len(alg.blocks)):
+        assert np.array_equal(Y1[k], row.blocks[k])
+        assert np.array_equal(Y2[k], column.blocks[k])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "alg", [matrix_algebra(3), AlgebraDescriptor(((1, 0.5), (2, 0.5)))]
+)
+def test_gauge_descent_on_nonpositive_sequence(alg, p):
+    rng = rng_from(16)
+    seq = sequence([random_element(alg, rng) for _ in range(3)])
+    A, B = _polar_factors(seq, CFG)
+    history = _gauge_descent(seq, A, B, p, CFG, max_iters=48)
+    assert len(history) > 1
+    assert all(b < a for a, b in zip(history, history[1:]))
+    scale = max(x.sup_norm() for x in seq)
+    for an, bn, x in zip(A, B, seq):
+        for a, b, blk in zip(an, bn, x.blocks):
+            assert np.linalg.norm(a @ b - blk, 2) <= 1e-10 * scale
+    assert _objective(alg, A, B, p) == pytest.approx(min(history), rel=1e-12)
+    _, _, n1, n2 = _gram_norms(alg, A, B, p)
+    assert n1 == pytest.approx(n2, rel=1e-12)
 
 
 def test_sequence_rejects_quasi_norm_exponent():
