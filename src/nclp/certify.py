@@ -57,9 +57,10 @@ from .sequences import (
     ElementSequence,
     NormInterval,
     _closed_form,
-    _gram_norms,
+    _gram_spectra,
     _objective,
     _polar_factors,
+    _stacks,
     dinq_disjoint_test,
     l1_norm_bounds,
     phase_lower_bound,
@@ -415,9 +416,7 @@ def _normalized_factorization(
     if iv.witness is None:
         raise StructuralError("no factorization witness available")
     a_list, b_list = iv.witness
-    _, _, ra, cb = _gram_norms(
-        seq.algebra, [a.blocks for a in a_list], [b.blocks for b in b_list], p
-    )
+    _, ra, cb = _gram_spectra(seq.algebra, _stacks(a_list), _stacks(b_list), p)
     margin = 1.0 + 1e-9
     sa = 1.0 / np.sqrt(ra * margin) if ra > 0 else 1.0
     sb = 1.0 / np.sqrt(cb * margin) if cb > 0 else 1.0

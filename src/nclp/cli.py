@@ -15,6 +15,7 @@ seed; an explicit --seed flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -97,14 +98,26 @@ def _emit_instance(inst: InstanceFile, args) -> None:
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    """A seed from --seed or NCLP_SEED: an integer in [0, 2**32), the range
+    that ``rng_from`` honours."""
+    try:
+        seed = int(text)
+        if 0 <= seed < 2**32:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**32), got {text!r}")
+
+
 def _env_seed() -> Optional[int]:
     env = os.environ.get("NCLP_SEED")
     if env is None:
         return None
     try:
-        return int(env)
-    except ValueError as exc:
-        raise CliError(f"NCLP_SEED must be an integer, got {env!r}") from exc
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"NCLP_SEED: {exc}") from exc
 
 
 def _default_seed(args) -> int:
@@ -454,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, needs_input=True):
         sp.add_argument("--p", type=float, default=None, help="exponent (default: 2 or the map's own)")
         sp.add_argument("--tol", type=float, default=None, help="override tolerance")
-        sp.add_argument("--seed", type=int, default=None, help="seed (default: NCLP_SEED or 0)")
+        sp.add_argument("--seed", type=_seed, default=None, help="seed (default: NCLP_SEED or 0)")
         sp.add_argument("--restarts", type=int, default=None, help="optimizer restarts")
         sp.add_argument("--budget", type=int, default=None, help="sampling budget")
         sp.add_argument("--out", type=str, default=None, help="write result to a file instead of stdout")
@@ -528,10 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for ``run_command``, built on first use."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

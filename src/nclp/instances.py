@@ -272,7 +272,8 @@ def parse_instance(text: str) -> InstanceFile:
 
     seed = doc.get("seed")
     if seed is not None:
-        _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer", "$.seed")
+        _expect(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**32,
+                "seed must be an integer in [0, 2**32)", "$.seed")
         inst.seed = seed
 
     tol = doc.get("tolerances")

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element, hermitian_part
+from .algebra import AlgebraDescriptor, DomainError, Element, hermitian_part
+
 
 def rng_from(seed: int, *keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *map(int, keys)]))
+    """The generator of (seed, *keys); seeds outside [0, 2**32) are refused
+    rather than reduced, so distinct seeds never share a stream."""
+    if not 0 <= seed < 2**32:
+        raise DomainError(f"seed must lie in [0, 2**32), got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, keys)]))
 
 
 def ginibre(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -21,13 +21,18 @@ elements, and p = 1 (the ell^1 direct sum of the summands' norms).  One
 private helper, ``_closed_form``, holds these three, so the enclosure and
 the sampled ratios of ``certify`` apply them in the same order.
 
-Factors stay plain arrays, one per item and block.  The descent carries
-the Grams Y1 = sum a_n a_n*, Y2 = sum b_n* b_n of its current factors and
-their p-norms: a trial step computes them once, and an accepted step hands
-them to the gradient, the recorded objective sqrt(|Y1|_p |Y2|_p) and the
-final balancing.  One eigendecomposition of each direction D_n per step
-serves every backtracking trial exp(+-eta D_n / 2), and its largest
-eigenvalue modulus (the operator norm of D_n) is the flat-gradient test.
+A factorization is stored per block k as two stacks over the items,
+A_k of shape (n, d_k, r_k) and B_k of shape (n, r_k, d_k).  Items of lower
+inner rank are padded with zeros to the block's largest rank r_k: a zero
+column of a_n paired with a zero row of b_n changes no product and no Gram,
+and the gauge directions vanish on it, so every step keeps it zero.  Each
+descent step is one batched computation per block: one eigendecomposition
+of the stacked directions D_n serves every backtracking trial
+exp(+-eta D_n / 2), and its largest eigenvalue modulus is the flat-gradient
+test.  Each trial takes one eigendecomposition of the stacked Grams
+(Y1, Y2) = (sum a_n a_n*, sum b_n* b_n); the Grams are positive, so the
+eigenvalue moduli give both p-norms, and on acceptance the eigenvectors
+give the powers Y^(p-1) of the next gradient.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .algebra import (
     NumericError,
     StructuralError,
     ToleranceConfig,
-    _ranked_svd,
     amplify,
     positive_sqrt,
     zero_element,
@@ -131,9 +135,9 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
         raise DomainError("column/row norms need p >= 1")
     if side not in ("column", "row"):
         raise DomainError(f"side must be 'column' or 'row', got {side!r}")
-    items = [x.blocks for x in seq]
-    row, column = _grams(seq.algebra, items, items)
-    return _norm(seq.algebra, column if side == "column" else row, p / 2.0) ** 0.5
+    items = _stacks(seq)
+    _, row, column = _gram_spectra(seq.algebra, items, items, p / 2.0)
+    return (column if side == "column" else row) ** 0.5
 
 
 def column_embed(seq: ElementSequence) -> Element:
@@ -185,54 +189,71 @@ def l1_norm_positive(
 
 
 # ---------------------------------------------------------------------------
-# Factorizations: rectangular inner factors per item and block
+# Factorizations: per block, the items' inner factors stacked and zero-padded
 # ---------------------------------------------------------------------------
 
-Factors = list[list[np.ndarray]]  # [item][block], shapes (d, r) resp. (r, d)
+Factors = list[np.ndarray]  # per block: (n, d, r) for the a_n, (n, r, d) for the b_n
+
+
+def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
+    """Per block, the items' blocks stacked into one (n, d, d) array."""
+    return [np.stack(blocks) for blocks in zip(*(x.blocks for x in items))]
+
+
+def _adjoint(s: np.ndarray) -> np.ndarray:
+    return s.conj().swapaxes(-1, -2)
+
+
+def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """vecs diag(f) vecs*, batched over the leading axes; f is shaped like vals."""
+    return (vecs * f[..., None, :]) @ _adjoint(vecs)
 
 
 def _polar_factors(
     seq: ElementSequence, cfg: ToleranceConfig
 ) -> tuple[Factors, Factors]:
-    """a_n = u_n |x_n|^(1/2), b_n = |x_n|^(1/2) in compressed rectangular form."""
+    """a_n = u_n |x_n|^(1/2), b_n = |x_n|^(1/2) in compressed rectangular
+    form, from one batched SVD per block.  As in ``_ranked_svd``, each item
+    keeps the singular values above the cutoff relative to its own largest
+    one; the inner rank is padded with zeros to the block's largest rank."""
+    svds = [np.linalg.svd(x) for x in _stacks(seq)]
+    cut = cfg.rank_cutoff * np.max([s[:, 0] for _, s, _ in svds], axis=0)
     A: Factors = []
     B: Factors = []
-    for x in seq:
-        an, bn = [], []
-        for U, s, Vh, keep in _ranked_svd(x.blocks, cfg):
-            root = np.sqrt(s[keep])
-            an.append(U[:, keep] * root[None, :])
-            bn.append(root[:, None] * Vh[keep, :])
-        A.append(an)
-        B.append(bn)
+    for U, s, Vh in svds:
+        keep = s > cut[:, None]
+        r = int(keep.sum(axis=1).max())
+        root = np.sqrt(np.where(keep, s, 0.0))[:, :r]
+        A.append(U[:, :, :r] * root[:, None, :])
+        B.append(root[:, :, None] * Vh[:, :r, :])
     return A, B
 
 
-def _grams(alg, A: Factors, B: Factors) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _padded(A: Factors, B: Factors, widths: Sequence[int]) -> tuple[Factors, Factors]:
+    """The stacks with their inner rank zero-padded to ``widths``, per block."""
+    return (
+        [np.pad(a, ((0, 0), (0, 0), (0, w - a.shape[2]))) for a, w in zip(A, widths)],
+        [np.pad(b, ((0, 0), (0, w - b.shape[1]), (0, 0))) for b, w in zip(B, widths)],
+    )
+
+
+def _grams(A: Factors, B: Factors) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per block, Y1 = sum_n a_n a_n* and Y2 = sum_n b_n* b_n."""
-    Y1 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    Y2 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    for an, bn in zip(A, B):
-        for k, (a, b) in enumerate(zip(an, bn)):
-            Y1[k] += a @ a.conj().T
-            Y2[k] += b.conj().T @ b
-    return Y1, Y2
+    return [(a @ _adjoint(a)).sum(axis=0) for a in A], [(_adjoint(b) @ b).sum(axis=0) for b in B]
 
 
-def _norm(alg, blocks: list[np.ndarray], p: float) -> float:
-    """The (quasi-)norm tau(|y|^p)^(1/p) of the element with these blocks."""
-    return _schatten([np.linalg.svd(b, compute_uv=False) for b in blocks], alg.weights, p)
-
-
-def _gram_norms(alg, A: Factors, B: Factors, p: float):
-    """(Y1, Y2, |Y1|_p, |Y2|_p) of a factorization; the objective is
-    sqrt(|Y1|_p |Y2|_p)."""
-    Y1, Y2 = _grams(alg, A, B)
-    return Y1, Y2, _norm(alg, Y1, p), _norm(alg, Y2, p)
+def _gram_spectra(alg, A: Factors, B: Factors, p: float):
+    """(spectra, |Y1|_p, |Y2|_p): per block the eigendecomposition of the
+    stacked pair (Y1, Y2), and both norms from its eigenvalue moduli, which
+    are the Grams' singular values.  The objective is sqrt(|Y1|_p |Y2|_p)."""
+    spectra = [np.linalg.eigh(np.stack(pair)) for pair in zip(*_grams(A, B))]
+    moduli = [np.abs(vals[:, ::-1]) for vals, _ in spectra]
+    n1, n2 = (_schatten([m[i] for m in moduli], alg.weights, p) for i in (0, 1))
+    return spectra, n1, n2
 
 
 def _objective(alg, A: Factors, B: Factors, p: float) -> float:
-    _, _, n1, n2 = _gram_norms(alg, A, B, p)
+    _, n1, n2 = _gram_spectra(alg, A, B, p)
     return float(np.sqrt(n1 * n2))
 
 
@@ -243,52 +264,8 @@ def _balance(A: Factors, B: Factors, n1: float, n2: float) -> None:
     if n1 <= 0 or n2 <= 0:
         return
     t = (n2 / n1) ** 0.25
-    for an, bn in zip(A, B):
-        an[:] = [a * t for a in an]
-        bn[:] = [b / t for b in bn]
-
-
-def _psd_power(y: np.ndarray, t: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (y + y.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * (vals**t)[None, :]) @ vecs.conj().T
-
-
-def _gauge_gradients(
-    alg, A: Factors, B: Factors, Y1, Y2, n1: float, n2: float, p: float
-) -> list[list[np.ndarray]]:
-    """Gradient of the log-objective in the gauge directions, from the
-    factors' Grams Y1, Y2 and their p-norms n1, n2.
-
-    Replacing (a_n, b_n) by (a_n g_n^{-1}, g_n b_n) leaves the products
-    fixed and changes the objective only through M_n = g_n* g_n > 0, in
-    which both factor norms are geodesically convex.  With Y1 = sum a M^-1 a*
-    and Y2 = sum b* M b, the gradient of log F at M = 1 along a Hermitian
-    direction H_n is  <B_n - A_n, H_n>  with
-
-        A_n = w_k a_n* Y1^(p-1) a_n / tau(Y1^p),
-        B_n = w_k b_n Y2^(p-1) b_n* / tau(Y2^p),
-
-    so updating a_n <- a_n exp(+eta D/2), b_n <- exp(-eta D/2) b_n with
-    D = B_n - A_n is exact-feasibility-preserving steepest descent."""
-    v1, v2 = n1**p, n2**p
-    pw1 = [_psd_power(y, p - 1.0) for y in Y1]
-    pw2 = [_psd_power(y, p - 1.0) for y in Y2]
-    grads: list[list[np.ndarray]] = []
-    for an, bn in zip(A, B):
-        gn = []
-        for k, (d, w) in enumerate(alg.blocks):
-            a, b = an[k], bn[k]
-            Ak = w * (a.conj().T @ pw1[k] @ a) / max(v1, 1e-300)
-            Bk = w * (b @ pw2[k] @ b.conj().T) / max(v2, 1e-300)
-            gn.append(Bk - Ak)
-        grads.append(gn)
-    return grads
-
-
-def _exp_step(vals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    """exp(t D) from the eigendecomposition D = vecs diag(vals) vecs*."""
-    return (vecs * np.exp(t * vals)[None, :]) @ vecs.conj().T
+    A[:] = [a * t for a in A]
+    B[:] = [b / t for b in B]
 
 
 def _gauge_descent(
@@ -302,13 +279,21 @@ def _gauge_descent(
 ) -> list[float]:
     """Backtracking gradient descent over the per-item gauge cone.
 
+    Replacing (a_n, b_n) by (a_n g_n^{-1}, g_n b_n) leaves the products
+    fixed and changes the objective only through M_n = g_n* g_n > 0, in
+    which both factor norms are geodesically convex.  With Y1 = sum a M^-1 a*
+    and Y2 = sum b* M b, the gradient of log F at M = 1 along a Hermitian
+    direction H_n is  <D_n, H_n>  with
+
+        D_n = w_k b_n Y2^(p-1) b_n* / tau(Y2^p) - w_k a_n* Y1^(p-1) a_n / tau(Y1^p).
+
     Each accepted step multiplies a_n by exp(eta D_n / 2) on the right and
     b_n by exp(-eta D_n / 2) on the left, so a_n b_n = x_n holds exactly
     throughout and the recorded objective history is strictly monotone.
     Stops early once the objective reaches ``target`` (a known lower bound)
     within the gap tolerance, or when a step stops paying its way."""
     alg = seq.algebra
-    Y1, Y2, n1, n2 = _gram_norms(alg, A, B, p)
+    spectra, n1, n2 = _gram_spectra(alg, A, B, p)
     obj = float(np.sqrt(n1 * n2))
     history = [obj]
     eta = 0.5
@@ -317,27 +302,25 @@ def _gauge_descent(
     for _ in range(max_iters):
         if obj <= target * (1.0 + floor_gap):
             break
-        grads = _gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p)
-        eigs = [[np.linalg.eigh(0.5 * (g + g.conj().T)) for g in gn] for gn in grads]
-        gnorm = max(float(np.abs(vals).max(initial=0.0)) for en in eigs for vals, _ in en)
+        v1, v2 = max(n1**p, 1e-300), max(n2**p, 1e-300)
+        steps = []
+        for (_, w), a, b, (vals, vecs) in zip(alg.blocks, A, B, spectra):
+            pw = _spectral(vals, vecs, np.clip(vals, 0.0, None) ** (p - 1.0))
+            g = w * (b @ pw[1] @ _adjoint(b)) / v2 - w * (_adjoint(a) @ pw[0] @ a) / v1
+            steps.append(np.linalg.eigh(0.5 * (g + _adjoint(g))))
+        gnorm = max(float(np.abs(vals).max(initial=0.0)) for vals, _ in steps)
         if gnorm <= 1e-14:
             break
         accepted = False
         while eta > 1e-8:
-            newA = [
-                [a @ _exp_step(*e, +0.5 * eta) for a, e in zip(an, en)]
-                for an, en in zip(A, eigs)
-            ]
-            newB = [
-                [_exp_step(*e, -0.5 * eta) @ b for b, e in zip(bn, en)]
-                for bn, en in zip(B, eigs)
-            ]
-            trial = _gram_norms(alg, newA, newB, p)
-            new_obj = float(np.sqrt(trial[2] * trial[3]))
+            newA = [a @ _spectral(*e, np.exp(+0.5 * eta * e[0])) for a, e in zip(A, steps)]
+            newB = [_spectral(*e, np.exp(-0.5 * eta * e[0])) @ b for b, e in zip(B, steps)]
+            trial = _gram_spectra(alg, newA, newB, p)
+            new_obj = float(np.sqrt(trial[1] * trial[2]))
             if new_obj < obj * (1 - 1e-14):
                 gain = obj - new_obj
                 A[:], B[:] = newA, newB
-                Y1, Y2, n1, n2 = trial
+                spectra, n1, n2 = trial
                 obj = new_obj
                 history.append(obj)
                 accepted = gain > step_gain * max(obj, 1e-300)
@@ -354,66 +337,58 @@ def _feasibility_repair(
     seq: ElementSequence, A: Factors, B: Factors, cfg: ToleranceConfig
 ) -> int:
     """Re-anchor items whose product drifted off x_n (rank collapse in a
-    pseudo-inverse); returns the number of repaired items."""
-    repairs = 0
-    for n, x in enumerate(seq):
-        scale = max(x.sup_norm(), 1e-300)
-        err = max(
-            float(np.linalg.norm(A[n][k] @ B[n][k] - x.blocks[k], 2))
-            for k in range(len(x.blocks))
-        )
-        if err > 1e3 * cfg.rank_cutoff * scale:
-            fresh_a, fresh_b = _polar_factors(sequence([x]), cfg)
-            A[n], B[n] = fresh_a[0], fresh_b[0]
-            repairs += 1
-    return repairs
+    pseudo-inverse); returns the number of repaired items.  Per block, one
+    batched SVD gives the residuals' operator norms and the items' scales."""
+    n = len(seq)
+    err = np.zeros(n)
+    scale = np.full(n, 1e-300)
+    for a, b, x in zip(A, B, _stacks(seq)):
+        residual = a @ b - x
+        if not np.isfinite(residual).all():
+            raise NumericError("factor products overflowed")
+        top = np.linalg.svd(np.concatenate([residual, x]), compute_uv=False)[:, 0]
+        err = np.maximum(err, top[:n])
+        scale = np.maximum(scale, top[n:])
+    bad = np.flatnonzero(err > 1e3 * cfg.rank_cutoff * scale)
+    if bad.size:
+        fresh = _polar_factors(sequence([seq.items[i] for i in bad]), cfg)
+        for a, b, fa, fb in zip(A, B, *_padded(*fresh, [a.shape[2] for a in A])):
+            a[bad], b[bad] = fa, fb
+    return int(bad.size)
 
 
 def _augment_and_gauge(
     alg, A: Factors, B: Factors, extra: int, rng: np.random.Generator
 ) -> None:
     """Append ``extra`` zero inner dimensions, then mix with a random
-    invertible gauge g per item and block: (a g^{-1}) (g b) = a b exactly."""
-    for n in range(len(A)):
+    invertible gauge g per item and block: (a g^{-1}) (g b) = a b exactly.
+    An item's inner rank is its count of nonzero columns, as the polar
+    factors leave them; gauges are drawn item by item, then block by block."""
+    ranks = [np.count_nonzero(np.any(a, axis=1), axis=1) for a in A]
+    widths = [int(np.minimum(r + extra, d).max()) for r, d in zip(ranks, alg.dims)]
+    newA, newB = _padded(A, B, widths)
+    for n in range(len(A[0])):
         for k, d in enumerate(alg.dims):
-            a, b = A[n][k], B[n][k]
-            r = a.shape[1]
-            add = min(extra, max(d - r, 0))
-            if add:
-                a = np.concatenate([a, np.zeros((d, add), dtype=complex)], axis=1)
-                b = np.concatenate([b, np.zeros((add, d), dtype=complex)], axis=0)
-                r += add
+            r = min(int(ranks[k][n]) + extra, d)
             if r == 0:
-                A[n][k], B[n][k] = a, b
                 continue
             g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
             while np.linalg.cond(g) > 1e4:
                 g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
-            A[n][k] = np.linalg.solve(g.T, a.T).T
-            B[n][k] = g @ b
-    _, _, n1, n2 = _gram_norms(alg, A, B, 2.0)
+            a, b = newA[k][n, :, :r], newB[k][n, :r, :]
+            newA[k][n, :, :r] = np.linalg.solve(g.T, a.T).T
+            newB[k][n, :r, :] = g @ b
+    A[:], B[:] = newA, newB
+    _, n1, n2 = _gram_spectra(alg, A, B, 2.0)
     _balance(A, B, n1, n2)
 
 
 def _factors_to_elements(
     alg, A: Factors, B: Factors
 ) -> tuple[list[Element], list[Element]]:
-    """Zero-pad rectangular inner factors into genuine algebra elements."""
-    outs_a, outs_b = [], []
-    for an, bn in zip(A, B):
-        pa, pb = [], []
-        for k, d in enumerate(alg.dims):
-            a, b = an[k], bn[k]
-            sq_a = np.zeros((d, d), dtype=complex)
-            sq_b = np.zeros((d, d), dtype=complex)
-            r = min(a.shape[1], d)
-            sq_a[:, :r] = a[:, :r]
-            sq_b[:r, :] = b[:r, :]
-            pa.append(sq_a)
-            pb.append(sq_b)
-        outs_a.append(Element(alg, pa))
-        outs_b.append(Element(alg, pb))
-    return outs_a, outs_b
+    """Zero-pad the stacked inner factors into genuine algebra elements."""
+    A, B = _padded(A, B, alg.dims)
+    return [Element(alg, list(x)) for x in zip(*A)], [Element(alg, list(x)) for x in zip(*B)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +402,7 @@ def _phase_value(seq: ElementSequence, eps: np.ndarray, p: float) -> float:
     for e, x in zip(eps, seq):
         for k, blk in enumerate(x.blocks):
             combo[k] = combo[k] + complex(e) * blk
-    return _norm(seq.algebra, combo, p)
+    return _schatten([np.linalg.svd(b, compute_uv=False) for b in combo], seq.algebra.weights, p)
 
 
 def _phase_sup_quadratic(gram: np.ndarray, starts: list[np.ndarray], sweeps: int = 40) -> float:

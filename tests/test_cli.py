@@ -244,3 +244,41 @@ def test_non_finite_exact_enclosure_is_input_error(capcli):
     code, out, err = capcli(["dinq"], stdin_text=json.dumps(doc))
     assert code == 3 and out == ""
     assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32), str(2**40)])
+def test_seed_outside_honoured_range_is_input_error(capcli, monkeypatch, seed):
+    _, pair, _ = capcli(["gen", "--kind", "nondisjoint-pair", "--dims", "2", "--seed", "4"])
+    code, out, err = capcli(["dinq", "--seed", seed], stdin_text=pair)
+    assert code == 3 and out == "" and "--seed" in err
+    monkeypatch.setenv("NCLP_SEED", seed)
+    code, out, err = capcli(["dinq"], stdin_text=pair)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "NCLP_SEED" in err
+
+
+def test_factor_overflow_is_input_error(capcli):
+    # the factor products of a non-positive pair near 1e300 overflow
+    _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
+    doc = json.loads(text)
+    doc["elements"]["x0"]["blocks"] = [[[[1e300, 0.0], [2e300, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
+    doc["elements"]["x1"]["blocks"] = [[[[0.0, 0.0], [1e300, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]]
+    code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=json.dumps(doc))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "overflowed" in err
+
+
+def test_shared_parser_matches_a_fresh_one(capcli, monkeypatch):
+    # run_command reuses one parser per process; a sequence of commands,
+    # including a rejected argv, must print what fresh parsers print
+    import nclp.cli as cli
+
+    _, pair, _ = capcli(["gen", "--kind", "nondisjoint-pair", "--dims", "2", "--seed", "4"])
+    _, seq, _ = capcli(["gen", "--kind", "seq", "--n", "3", "--dims", "2", "--seed", "3"])
+    runs = [(["dinq"], pair), (["seqnorm", "--p", "3"], seq), (["dinq", "--p"], pair), (["dinq"], pair)]
+    shared = [capcli(argv, stdin_text=text) for argv, text in runs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [capcli(argv, stdin_text=text) for argv, text in runs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 3, 1]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nclp.algebra import AlgebraDescriptor, matrix_algebra
+from nclp.algebra import AlgebraDescriptor, DomainError, matrix_algebra
 from nclp.instances import (
     ParseError,
     make_instance,
@@ -175,6 +175,10 @@ def _with_tolerances(tolerances, seed=None):
         ({}, float("inf"), "$.seed"),
         ({}, 1e400, "$.seed"),
         ({}, float("nan"), "$.seed"),
+        # rng_from used to reduce seeds mod 2**32, so 0 and 2**32 drove one run
+        ({}, -1, "$.seed"),
+        ({}, 2**32, "$.seed"),
+        ({}, 2**40, "$.seed"),
     ],
 )
 def test_tolerances_block_validated_with_field_path(tolerances, seed, path):
@@ -188,3 +192,15 @@ def test_tolerances_block_accepts_integers_and_keeps_seed():
     assert inst.tolerances.restarts == 5
     assert inst.tolerances.opt_tol == 1e-6
     assert inst.tolerances.seed == inst.seed == 7
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**40])
+def test_rng_from_refuses_seeds_it_cannot_honour(seed):
+    with pytest.raises(DomainError):
+        rng_from(seed)
+
+
+def test_seed_range_endpoints_are_accepted():
+    for seed in (0, 2**32 - 1):
+        assert parse_instance(_with_tolerances({}, seed)).seed == seed
+    assert rng_from(2**32 - 1).random() != rng_from(0).random()

@@ -26,11 +26,14 @@ from nclp.sequences import (
     DISJOINT,
     NOT_DISJOINT,
     NormInterval,
+    _augment_and_gauge,
+    _feasibility_repair,
     _gauge_descent,
-    _gram_norms,
+    _gram_spectra,
     _grams,
     _objective,
     _polar_factors,
+    _stacks,
     column_embed,
     column_row_norm,
     dinq_disjoint_test,
@@ -290,13 +293,51 @@ def test_non_finite_exact_values_raise():
         dinq_disjoint_test(a, b, CFG)
 
 
+def test_factor_product_overflow_raises_numeric_error():
+    # the residual of a non-positive pair near 1e300 overflows; its operator
+    # norm used to end in a raw LinAlgError from the SVD
+    alg = matrix_algebra(2)
+    x = Element(alg, [1e300 * np.array([[1.0, 2.0], [0.0, 1.0]])])
+    y = Element(alg, [1e300 * np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(NumericError, match="overflowed"):
+        l1_norm_bounds(sequence([x, y]), 3.0, CFG)
+
+
+@pytest.mark.parametrize("side", ["column", "row"])
+def test_column_row_norm_at_infinity(side):
+    # |sum x_n* x_n|_inf^(1/2) is the operator norm of the column embedding
+    rng = rng_from(19)
+    alg = AlgebraDescriptor(((2, 1.0), (3, 0.5)))
+    seq = sequence([random_element(alg, rng) for _ in range(3)])
+    embed = column_embed(seq) if side == "column" else row_embed(seq)
+    assert column_row_norm(seq, np.inf, side) == pytest.approx(embed.sup_norm(), rel=1e-12)
+
+
+def test_feasibility_repair_reanchors_drifted_items():
+    # item 1 drifts off x_1 on one block; the repair restores its polar
+    # factors inside the padded stacks and leaves the other items alone
+    seq = _rank_deficient_sequence()
+    A, B = _polar_factors(seq, CFG)
+    _augment_and_gauge(seq.algebra, A, B, extra=1, rng=rng_from(CFG.seed, 7100, 1))
+    kept = [a[[0, 2]].copy() for a in A]
+    B[1][1] *= 1.5
+    assert _feasibility_repair(seq, A, B, CFG) == 1
+    polar_a, polar_b = _polar_factors(sequence([seq.items[1]]), CFG)
+    for k, x in enumerate(_stacks(seq)):
+        assert np.allclose(A[k] @ B[k], x, rtol=0.0, atol=1e-12)
+        assert np.array_equal(A[k][[0, 2]], kept[k])
+        r = polar_a[k].shape[2]
+        assert np.array_equal(A[k][1, :, :r], polar_a[k][0])
+        assert not A[k][1, :, r:].any() and not B[k][1, r:, :].any()
+
+
 def test_grams_match_element_products():
     # the block-array Grams equal the Element sums they replace, bit for bit
     rng = rng_from(15)
     alg = AlgebraDescriptor(((1, 1.0), (3, 0.5)))
     xs = [random_element(alg, rng) for _ in range(3)]
     ys = [random_element(alg, rng) for _ in range(3)]
-    Y1, Y2 = _grams(alg, [x.blocks for x in xs], [y.blocks for y in ys])
+    Y1, Y2 = _grams(_stacks(xs), _stacks(ys))
     row, column = zero_element(alg), zero_element(alg)
     for x, y in zip(xs, ys):
         row = row + x * x.H
@@ -318,11 +359,10 @@ def test_gauge_descent_on_nonpositive_sequence(alg, p):
     assert len(history) > 1
     assert all(b < a for a, b in zip(history, history[1:]))
     scale = max(x.sup_norm() for x in seq)
-    for an, bn, x in zip(A, B, seq):
-        for a, b, blk in zip(an, bn, x.blocks):
-            assert np.linalg.norm(a @ b - blk, 2) <= 1e-10 * scale
+    for a, b, x in zip(A, B, _stacks(seq)):
+        assert np.linalg.norm(a @ b - x, 2, axis=(1, 2)).max() <= 1e-10 * scale
     assert _objective(alg, A, B, p) == pytest.approx(min(history), rel=1e-12)
-    _, _, n1, n2 = _gram_norms(alg, A, B, p)
+    _, n1, n2 = _gram_spectra(alg, A, B, p)
     assert n1 == pytest.approx(n2, rel=1e-12)
 
 
@@ -330,3 +370,190 @@ def test_sequence_rejects_quasi_norm_exponent():
     alg = matrix_algebra(2)
     with pytest.raises(DomainError):
         l1_norm_bounds(sequence([identity(alg)]), 0.5, CFG)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-item gauge descent on lists of per-block factors
+# ---------------------------------------------------------------------------
+# A copy of the loop version that the per-block stacks replaced: factors are
+# [item][block] arrays of shapes (d, r_n) and (r_n, d) with each item's own
+# inner rank r_n, and every eigendecomposition and exponential is taken one
+# item at a time.  The stacked descent must reproduce its history and its
+# factor products.
+
+REF_RTOL = 1e-12
+
+
+def _ref_polar_factors(seq, cfg):
+    from nclp.algebra import _ranked_svd
+
+    A, B = [], []
+    for x in seq:
+        an, bn = [], []
+        for U, s, Vh, keep in _ranked_svd(x.blocks, cfg):
+            root = np.sqrt(s[keep])
+            an.append(U[:, keep] * root[None, :])
+            bn.append(root[:, None] * Vh[keep, :])
+        A.append(an)
+        B.append(bn)
+    return A, B
+
+
+def _ref_gram_norms(alg, A, B, p):
+    from nclp.lp import _schatten
+
+    Y1 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+    Y2 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+    for an, bn in zip(A, B):
+        for k, (a, b) in enumerate(zip(an, bn)):
+            Y1[k] += a @ a.conj().T
+            Y2[k] += b.conj().T @ b
+
+    def norm(blocks):
+        return _schatten([np.linalg.svd(y, compute_uv=False) for y in blocks], alg.weights, p)
+
+    return Y1, Y2, norm(Y1), norm(Y2)
+
+
+def _ref_balance(A, B, n1, n2):
+    if n1 <= 0 or n2 <= 0:
+        return
+    t = (n2 / n1) ** 0.25
+    for an, bn in zip(A, B):
+        an[:] = [a * t for a in an]
+        bn[:] = [b / t for b in bn]
+
+
+def _ref_psd_power(y, t):
+    vals, vecs = np.linalg.eigh(0.5 * (y + y.conj().T))
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * (vals**t)[None, :]) @ vecs.conj().T
+
+
+def _ref_gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p):
+    v1, v2 = n1**p, n2**p
+    pw1 = [_ref_psd_power(y, p - 1.0) for y in Y1]
+    pw2 = [_ref_psd_power(y, p - 1.0) for y in Y2]
+    grads = []
+    for an, bn in zip(A, B):
+        gn = []
+        for k, (d, w) in enumerate(alg.blocks):
+            a, b = an[k], bn[k]
+            Ak = w * (a.conj().T @ pw1[k] @ a) / max(v1, 1e-300)
+            Bk = w * (b @ pw2[k] @ b.conj().T) / max(v2, 1e-300)
+            gn.append(Bk - Ak)
+        grads.append(gn)
+    return grads
+
+
+def _ref_exp_step(vals, vecs, t):
+    return (vecs * np.exp(t * vals)[None, :]) @ vecs.conj().T
+
+
+def _ref_gauge_descent(seq, A, B, p, cfg, max_iters, target=0.0):
+    alg = seq.algebra
+    Y1, Y2, n1, n2 = _ref_gram_norms(alg, A, B, p)
+    obj = float(np.sqrt(n1 * n2))
+    history = [obj]
+    eta = 0.5
+    floor_gap = 0.3 * cfg.opt_tol
+    step_gain = 0.02 * cfg.opt_tol
+    for _ in range(max_iters):
+        if obj <= target * (1.0 + floor_gap):
+            break
+        grads = _ref_gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p)
+        eigs = [[np.linalg.eigh(0.5 * (g + g.conj().T)) for g in gn] for gn in grads]
+        gnorm = max(float(np.abs(vals).max(initial=0.0)) for en in eigs for vals, _ in en)
+        if gnorm <= 1e-14:
+            break
+        accepted = False
+        while eta > 1e-8:
+            newA = [
+                [a @ _ref_exp_step(*e, +0.5 * eta) for a, e in zip(an, en)]
+                for an, en in zip(A, eigs)
+            ]
+            newB = [
+                [_ref_exp_step(*e, -0.5 * eta) @ b for b, e in zip(bn, en)]
+                for bn, en in zip(B, eigs)
+            ]
+            trial = _ref_gram_norms(alg, newA, newB, p)
+            new_obj = float(np.sqrt(trial[2] * trial[3]))
+            if new_obj < obj * (1 - 1e-14):
+                gain = obj - new_obj
+                A[:], B[:] = newA, newB
+                Y1, Y2, n1, n2 = trial
+                obj = new_obj
+                history.append(obj)
+                accepted = gain > step_gain * max(obj, 1e-300)
+                eta = min(eta * 1.6, 1.0)
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+    _ref_balance(A, B, n1, n2)
+    return history
+
+
+def _ref_augment_and_gauge(alg, A, B, extra, rng):
+    from nclp.sampling import ginibre
+
+    for n in range(len(A)):
+        for k, d in enumerate(alg.dims):
+            a, b = A[n][k], B[n][k]
+            r = a.shape[1]
+            add = min(extra, max(d - r, 0))
+            if add:
+                a = np.concatenate([a, np.zeros((d, add), dtype=complex)], axis=1)
+                b = np.concatenate([b, np.zeros((add, d), dtype=complex)], axis=0)
+                r += add
+            if r == 0:
+                A[n][k], B[n][k] = a, b
+                continue
+            g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
+            while np.linalg.cond(g) > 1e4:
+                g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
+            A[n][k] = np.linalg.solve(g.T, a.T).T
+            B[n][k] = g @ b
+    _, _, n1, n2 = _ref_gram_norms(alg, A, B, 2.0)
+    _ref_balance(A, B, n1, n2)
+
+
+def _rank_deficient_sequence():
+    # M_1 + M_2 with weights 1/2; the last item vanishes on M_1 and has rank
+    # one on M_2, so its factors are padded to the others' inner ranks
+    alg = AlgebraDescriptor(((1, 0.5), (2, 0.5)))
+    rng = rng_from(17)
+    items = [random_element(alg, rng) for _ in range(2)]
+    u, v = random_element(matrix_algebra(2), rng).blocks[0][:, :1], rng.standard_normal((1, 2))
+    items.append(Element(alg, [np.zeros((1, 1)), u @ v]))
+    return sequence(items)
+
+
+def _generic_sequence():
+    rng = rng_from(18)
+    return sequence([random_element(matrix_algebra(3), rng) for _ in range(3)])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("restart", [0, 2])
+@pytest.mark.parametrize("make", [_generic_sequence, _rank_deficient_sequence])
+def test_stacked_descent_matches_per_item_reference(make, restart, p):
+    seq = make()
+    alg = seq.algebra
+    A, B = _polar_factors(seq, CFG)
+    RA, RB = _ref_polar_factors(seq, CFG)
+    if restart:
+        # both draw from the same stream, item by item and block by block
+        _augment_and_gauge(alg, A, B, extra=restart, rng=rng_from(CFG.seed, 7100, restart))
+        _ref_augment_and_gauge(alg, RA, RB, extra=restart, rng=rng_from(CFG.seed, 7100, restart))
+    history = _gauge_descent(seq, A, B, p, CFG, max_iters=48)
+    ref = _ref_gauge_descent(seq, RA, RB, p, CFG, max_iters=48)
+    assert len(ref) > 1
+    assert len(history) == len(ref)
+    assert np.allclose(history, ref, rtol=REF_RTOL, atol=0.0)
+    scale = max(x.sup_norm() for x in seq)
+    for k in range(len(alg.blocks)):
+        products = A[k] @ B[k]
+        for n in range(len(seq)):
+            want = RA[n][k] @ RB[n][k]
+            assert np.abs(products[n] - want).max() <= REF_RTOL * scale
