@@ -56,6 +56,8 @@ class ToleranceConfig:
                 raise StructuralError(f"{name} must lie in (0, 1), got {t!r}")
         if self.restarts < 1:
             raise StructuralError("restarts must be >= 1")
+        if not 0 <= self.seed < 2**32:
+            raise StructuralError(f"seed must lie in [0, 2**32), got {self.seed!r}")
 
 
 DEFAULT_CONFIG = ToleranceConfig()

@@ -46,6 +46,8 @@ from .maps import (
     UNDETERMINED,
     LinearMap,
     _boyd_ascent,
+    _op_norm_upper,
+    _transposed_coords,
     _weighted_action,
     amplified_map,
     op_norm,
@@ -255,12 +257,9 @@ def certify_l1_norm(
             if not two_route:
                 # the ell^1 norm is blind to reversing the product, so a
                 # 2-copositive contraction certifies the same way through
-                # composition with the blockwise transposition
-                from .maps import compose, transpose_map
-
-                co = positivity_tests(
-                    compose(transpose_map(T.codomain, p), T), "two_positive", cfg
-                )
+                # the blockwise transposition of its values: a row permutation
+                tT = LinearMap(T.domain, T.codomain, T.action[_transposed_coords(T.codomain)], T.p)
+                co = positivity_tests(tT, "two_positive", cfg)
                 evidence["two_copositive"] = co.status
                 if co.status == CERTIFIED:
                     two_route = True
@@ -282,9 +281,11 @@ def certify_l1_norm(
                 pos = positivity_tests(T, "positive", cfg)
                 evidence["positive"] = pos.status
                 if pos.status == CERTIFIED:
-                    nvp = op_norm(T, p, cfg, positive_certified=True)
-                    route, upper, extra_lower = ROUTE_POSITIVE, 4.0 * nvp.upper, nvp.lower
-                    evidence["op_norm"] = (nvp.lower, nvp.upper)
+                    # same ascent as nv, so only the upper endpoint is new
+                    pos_upper = _op_norm_upper(T, p, positive_certified=True)[0]
+                    pos_lower = min(nv.lower, pos_upper)
+                    route, upper, extra_lower = ROUTE_POSITIVE, 4.0 * pos_upper, pos_lower
+                    evidence["op_norm"] = (pos_lower, pos_upper)
                 else:
                     route, upper, extra_lower = ROUTE_SAMPLED, np.inf, nv.lower
 

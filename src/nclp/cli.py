@@ -40,8 +40,16 @@ from .certify import (
 )
 from .instances import InstanceFile, ParseError, make_instance, parse_instance, serialize_instance, canonical_json
 from .lp import disjoint, lp_norm
-from .maps import make_example
+from .maps import (
+    LinearMap,
+    depolarizing,
+    identity_map,
+    rotation_mixing,
+    transpose_map,
+    unitary_conjugation,
+)
 from .sampling import (
+    ginibre,
     random_disjoint_pair,
     random_element,
     random_positive,
@@ -80,17 +88,9 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(doc: dict, args) -> None:
-    text = canonical_json(_jsonable(doc))
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_instance(inst: InstanceFile, args) -> None:
-    text = serialize_instance(inst)
+def _emit(doc: dict | InstanceFile, args) -> None:
+    """Write a result document (a dict) or an instance file to --out or stdout."""
+    text = serialize_instance(doc) if isinstance(doc, InstanceFile) else canonical_json(_jsonable(doc))
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -357,6 +357,14 @@ def _parse_algebra(args) -> AlgebraDescriptor:
     return AlgebraDescriptor(tuple(zip(dims, weights)))
 
 
+def _map_instance(T: LinearMap, seed: int) -> InstanceFile:
+    """An instance file holding T as "T", on "M" (and "N" when T changes algebra)."""
+    algebras = {"M": T.domain}
+    if T.codomain != T.domain:
+        algebras["N"] = T.codomain
+    return make_instance(algebras, maps={"T": T}, seed=seed)
+
+
 def _cmd_gen(args) -> int:
     seed = _default_seed(args)
     rng = rng_from(seed, 12000)
@@ -386,34 +394,21 @@ def _cmd_gen(args) -> int:
         inst = make_instance({"M": alg}, {"x": random_positive(alg, rng)},
                              positive={"x"}, seed=seed)
     elif kind == "map":
-        from .sampling import ginibre
-
-        T = __import__("nclp.maps", fromlist=["LinearMap"]).LinearMap(
-            alg, alg, ginibre(rng, alg.coord_dim), p
-        )
-        inst = make_instance({"M": alg}, maps={"T": T}, seed=seed)
+        inst = _map_instance(LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p), seed)
     elif kind == "separating-map":
-        T, _, _, _ = synth.random_yeadon_map(rng, p=p)
-        inst = make_instance({"M": T.domain, "N": T.codomain} if T.domain != T.codomain
-                             else {"M": T.domain}, maps={"T": T}, seed=seed)
+        inst = _map_instance(synth.random_yeadon_map(rng, p=p)[0], seed)
     elif kind == "cp-map":
-        T = synth.random_cp_contraction(alg, p, rng)
-        inst = make_instance({"M": alg}, maps={"T": T}, seed=seed)
+        inst = _map_instance(synth.random_cp_contraction(alg, p, rng), seed)
     elif kind == "positive-map":
-        T = synth.random_positive_map(alg, p, rng)
-        inst = make_instance({"M": alg}, maps={"T": T}, seed=seed)
+        inst = _map_instance(synth.random_positive_map(alg, p, rng), seed)
     elif kind == "isometry":
-        T = synth.random_l2_isometry(rng, int(rng.integers(0, 5)))
-        inst = make_instance({"M": T.domain, "N": T.codomain} if T.domain != T.codomain
-                             else {"M": T.domain}, maps={"T": T}, seed=seed)
+        inst = _map_instance(synth.random_l2_isometry(rng, int(rng.integers(0, 5))), seed)
     elif kind == "commutative-map":
         n = args.n or 3
-        T = synth.random_commutative_map(rng, n, n, p)
-        inst = make_instance({"M": T.domain, "N": T.codomain} if T.domain != T.codomain
-                             else {"M": T.domain}, maps={"T": T}, seed=seed)
+        inst = _map_instance(synth.random_commutative_map(rng, n, n, p), seed)
     else:
         raise CliError(f"unknown generator kind {args.kind!r}")
-    _emit_instance(inst, args)
+    _emit(inst, args)
     return EXIT_OK
 
 
@@ -424,25 +419,20 @@ def _cmd_example(args) -> int:
     p = args.p if args.p is not None else 2.0
     dim = args.dim or 2
     if kind == "transpose":
-        T = make_example("transpose", dim=dim, p=p)
+        T = transpose_map(matrix_algebra(dim), p)
     elif kind == "identity":
-        T = make_example("identity", dim=dim, p=p)
+        T = identity_map(matrix_algebra(dim), p)
     elif kind == "rotation":
-        T = make_example("rotation", theta=args.theta if args.theta is not None else 0.7853981633974483, p=p)
+        T = rotation_mixing(args.theta if args.theta is not None else np.pi / 4, p)
     elif kind == "depolarizing":
-        T = make_example("depolarizing", dim=dim, lam=args.lam if args.lam is not None else 0.5, p=p)
+        T = depolarizing(matrix_algebra(dim), args.lam if args.lam is not None else 0.5, p)
     elif kind == "unitary":
-        u = random_unitary(matrix_algebra(dim), rng)
-        T = make_example("unitary_conjugation", u=u, p=p)
+        T = unitary_conjugation(random_unitary(matrix_algebra(dim), rng), p)
     elif kind == "yeadon":
         T, _, _, _ = synth.random_yeadon_map(rng, p=p)
     else:
         raise CliError(f"unknown example kind {args.kind!r}")
-    algebras = {"M": T.domain}
-    if T.codomain != T.domain:
-        algebras["N"] = T.codomain
-    inst = make_instance(algebras, maps={"T": T}, seed=seed)
-    _emit_instance(inst, args)
+    _emit(_map_instance(T, seed), args)
     return EXIT_OK
 
 

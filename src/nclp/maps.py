@@ -5,7 +5,9 @@ block spaces (row-major within each block, blocks concatenated), together
 with the exponent p giving its norm semantics.  The module provides
 application, trace-duality adjoints, norm enclosures, the positivity
 hierarchy (positive / 2-positive / completely positive via component Choi
-matrices), amplification, and a library of constructors.
+matrices), amplification, and a library of constructors that write their
+action matrix directly, as coordinate copies or sums of kron(v, conj v).
+``map_from_function`` (evaluation on every matrix unit) is their reference.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .algebra import (
     identity,
     matrix_algebra,
     polar_support,
-    zero_element,
 )
 from .lp import _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
@@ -259,57 +260,18 @@ def _boyd_ascent(
     return best, arg
 
 
-def op_norm(
-    T: LinearMap,
-    p: Optional[float] = None,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    positive_certified: Optional[bool] = None,
-    samples: int = 6,
-    iters: int = 30,
-) -> NormInterval:
-    """Enclosure of the L^p -> L^p operator norm.
-
-    p = 2 is exact (largest singular value in the trace-weighted inner
-    products).  Otherwise the lower endpoint is the best sampled ratio
-    improved by nonlinear power iterations; a certified upper endpoint
-    exists for positivity-preserving maps (exact at p = 1 and p = inf via
-    the unit evaluations, interpolated in between) and for constructors
-    that are isometric at every exponent.  Without such structure the upper
-    endpoint is infinite.
-    """
-    p = T.p if p is None else p
-    if p != np.inf and p < 1:
-        raise DomainError("op_norm needs p >= 1")
-    if positive_certified is None:
-        positive_certified = bool(T.meta.get("positive") or T.meta.get("cp"))
-
+def _op_norm_upper(T: LinearMap, p: float, positive_certified: bool) -> tuple[float, str]:
+    """The certified upper endpoint of ``op_norm`` and the method behind it;
+    exact at p = 2 and for constructors isometric at every exponent."""
+    if p != 2 and T.meta.get("isometry_all_p"):
+        return 1.0, "constructor_isometry"
+    n2 = float(np.linalg.norm(_weighted_action(T), 2))
     if p == 2:
-        s = float(np.linalg.norm(_weighted_action(T), 2))
-        return NormInterval(s, s, True, meta={"method": "weighted_svd"})
-
-    if T.meta.get("isometry_all_p"):
-        return NormInterval(1.0, 1.0, True, meta={"method": "constructor_isometry"})
-
-    lower = 0.0
-    starts = [identity(T.domain)]
-    rng = rng_from(cfg.seed, 8000)
-    for k in range(samples):
-        if k % 2 == 0:
-            starts.append(
-                Element(T.domain, [ginibre(rng, d) for d in T.domain.dims])
-            )
-        else:
-            starts.append(
-                Element(T.domain, [wishart(rng, d) for d in T.domain.dims])
-            )
-    for x0 in starts:
-        lower = max(lower, _boyd_ascent(T, p, cfg, iters, x0)[0])
-
+        return n2, "weighted_svd"
     # crude but certified: factor through p = 2 and interpolate.
     # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
     # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
     # dimensional operator interpolates between its endpoint bounds.
-    n2 = float(np.linalg.norm(_weighted_action(T), 2))
     wmin_dom = min(w for _, w in T.domain.blocks)
     wmin_cod = min(w for _, w in T.codomain.blocks)
     crude1 = np.sqrt(T.codomain.trace_of_identity / wmin_dom) * n2
@@ -334,9 +296,49 @@ def op_norm(
         if pos_upper < upper:
             upper = pos_upper
             method = "positive_unit" if p in (1, np.inf) else "positive_interpolation"
+    return float(upper), method
+
+
+def op_norm(
+    T: LinearMap,
+    p: Optional[float] = None,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+    positive_certified: Optional[bool] = None,
+    samples: int = 6,
+    iters: int = 30,
+) -> NormInterval:
+    """Enclosure of the L^p -> L^p operator norm.
+
+    p = 2 is exact (largest singular value in the trace-weighted inner
+    products).  Otherwise the lower endpoint is the best sampled ratio
+    improved by nonlinear power iterations; a certified upper endpoint
+    exists for positivity-preserving maps (exact at p = 1 and p = inf via
+    the unit evaluations, interpolated in between) and for constructors
+    that are isometric at every exponent.  Without such structure the upper
+    endpoint is infinite.
+    """
+    p = T.p if p is None else p
+    if p != np.inf and p < 1:
+        raise DomainError("op_norm needs p >= 1")
+    if positive_certified is None:
+        positive_certified = bool(T.meta.get("positive") or T.meta.get("cp"))
+
+    upper, method = _op_norm_upper(T, p, positive_certified)
+    if method in ("weighted_svd", "constructor_isometry"):
+        return NormInterval(upper, upper, True, meta={"method": method})
+
+    lower = 0.0
+    starts = [identity(T.domain)]
+    rng = rng_from(cfg.seed, 8000)
+    for k in range(samples):
+        draw = ginibre if k % 2 == 0 else wishart
+        starts.append(Element(T.domain, [draw(rng, d) for d in T.domain.dims]))
+    for x0 in starts:
+        lower = max(lower, _boyd_ascent(T, p, cfg, iters, x0)[0])
+
     certified = upper < np.inf and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
     lower = min(lower, upper)
-    return NormInterval(lower, float(upper), certified, meta={"method": method})
+    return NormInterval(lower, upper, certified, meta={"method": method})
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +536,71 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
+def _conjugation_action(vs: list[Element]) -> np.ndarray:
+    """Action of x -> sum_i v_i x v_i*: on row-major coordinates v x v* is
+    kron(v, conj v) vec(x), so block k carries sum_i kron(v_ik, conj v_ik)."""
+    alg = vs[0].algebra
+    out = np.zeros((alg.coord_dim, alg.coord_dim), dtype=complex)
+    pos = 0
+    for k, d in enumerate(alg.dims):
+        blk = slice(pos, pos + d * d)
+        out[blk, blk] = sum(np.kron(v.blocks[k], v.blocks[k].conj()) for v in vs)
+        pos += d * d
+    return out
+
+
+def _jordan_layout(
+    domain: AlgebraDescriptor,
+    layout: list[tuple[list[tuple[int, str]], int]],
+    weights,
+    unitaries: Optional[list[np.ndarray]],
+    p: float,
+    meta: dict,
+) -> LinearMap:
+    """J(x) = (+)_l u_l ( (+)_i phi_i(x_{k_i}) (+) 0_dead ) u_l*, with phi_i
+    the identity ('hom') or the transpose ('anti') of domain block k_i.
+
+    layout[l] = (parts, dead): the parts stacked down the diagonal of
+    codomain block l (weight weights[l]) and the dimension of its dead
+    corner, outside the range of J.  The action copies domain coordinates
+    into place and, when unitaries are given, is left-multiplied by
+    kron(u_l, conj u_l) per codomain block.
+    """
+    dims = domain.dims
+    if len(weights) != len(layout):
+        raise StructuralError("need one weight per codomain block")
+    for i, (k, kind) in enumerate(part for parts, _ in layout for part in parts):
+        if not (0 <= k < len(dims)):
+            raise StructuralError(f"part {i}: no source block {k}")
+        if kind not in ("hom", "anti"):
+            raise StructuralError(f"part {i}: kind must be 'hom' or 'anti'")
+    starts = np.cumsum([0] + [d * d for d in dims])
+    rows, cod_blocks = [], []
+    for l, ((parts, dead), w) in enumerate(zip(layout, weights)):
+        size = sum(dims[k] for k, _ in parts) + dead
+        R = np.zeros((size, size, domain.coord_dim))
+        pos = 0
+        for k, kind in parts:
+            d = dims[k]
+            r, c = np.indices((d, d))
+            R[pos + r, pos + c, starts[k] + (c * d + r if kind == "anti" else r * d + c)] = 1.0
+            pos += d
+        R = R.reshape(size * size, -1)
+        if unitaries is not None:
+            u = unitaries[l]
+            R = np.kron(u, u.conj()) @ R
+        rows.append(R)
+        cod_blocks.append((size, float(w)))
+    return LinearMap(domain, AlgebraDescriptor(tuple(cod_blocks)), np.concatenate(rows), p, dict(meta))
+
+
 def transpose_map(algebra: AlgebraDescriptor, p: float = 2.0) -> LinearMap:
     """Blockwise transposition; positive, separating, isometric at every p,
     but not 2-positive on blocks of dimension >= 2."""
-    return map_from_function(
+    return LinearMap(
         algebra,
         algebra,
-        lambda x: Element(x.algebra, [b.T for b in x.blocks]),
+        np.eye(algebra.coord_dim)[_transposed_coords(algebra)],
         p,
         {"kind": "transpose", "positive": True, "isometry_all_p": True,
          "separating": True},
@@ -552,10 +612,10 @@ def unitary_conjugation(u: Element, p: float = 2.0) -> LinearMap:
     d = (uu - identity(u.algebra)).sup_norm()
     if d > 1e-9:
         raise StructuralError("conjugation needs a unitary element")
-    return map_from_function(
+    return LinearMap(
         u.algebra,
         u.algebra,
-        lambda x: u * x * u.H,
+        _conjugation_action([u]),
         p,
         {"kind": "unitary_conjugation", "positive": True, "cp": True,
          "two_positive": True, "isometry_all_p": True, "separating": True},
@@ -597,13 +657,12 @@ def depolarizing(algebra: AlgebraDescriptor, lam: float, p: float = 2.0) -> Line
     trace preserving, contractive at every exponent for 0 <= lam <= 1."""
     if not (0.0 <= lam <= 1.0):
         raise StructuralError("mixing parameter must lie in [0, 1]")
-    tau1 = algebra.trace_of_identity
-    one = identity(algebra)
-    return map_from_function(
-        algebra,
-        algebra,
-        lambda x: (1.0 - lam) * x + (lam * complex(x.trace()) / tau1) * one,
-        p,
+    one = vec(identity(algebra))
+    action = (1.0 - lam) * np.eye(algebra.coord_dim) + np.outer(
+        one, lam * (coord_weights(algebra) * one) / algebra.trace_of_identity
+    )
+    return LinearMap(
+        algebra, algebra, action, p,
         {"kind": "depolarizing", "positive": True, "cp": True, "lam": lam},
     )
 
@@ -613,22 +672,16 @@ def kraus_map(vs: list[Element], p: float = 2.0, transposed: bool = False) -> Li
     positive (resp. completely copositive) by construction."""
     if not vs:
         raise StructuralError("need at least one Kraus element")
-    alg = vs[0].algebra
-
-    def fn(x: Element) -> Element:
-        src = Element(x.algebra, [b.T for b in x.blocks]) if transposed else x
-        out = zero_element(alg)
-        for v in vs:
-            out = out + v * src * v.H
-        return out
-
+    action = _conjugation_action(vs)
     meta = {"kind": "kraus", "positive": True}
     if transposed:
+        # x -> x^T permutes the coordinates, so it permutes the columns
+        action = action[:, _transposed_coords(vs[0].algebra)]
         meta["co_cp"] = True
         meta["kind"] = "kraus_transposed"
     else:
         meta["cp"] = True
-    return map_from_function(alg, alg, fn, p, meta)
+    return LinearMap(vs[0].algebra, vs[0].algebra, action, p, meta)
 
 
 def jordan_direct_sum(
@@ -642,36 +695,15 @@ def jordan_direct_sum(
     homomorphism into the direct sum of the matching matrix blocks."""
     if not parts:
         raise StructuralError("need at least one part")
-    dims = domain.dims
-    cod_blocks = []
-    for i, (k, kind) in enumerate(parts):
-        if not (0 <= k < len(dims)):
-            raise StructuralError(f"part {i}: no source block {k}")
-        if kind not in ("hom", "anti"):
-            raise StructuralError(f"part {i}: kind must be 'hom' or 'anti'")
-        w = 1.0 if weights is None else float(weights[i])
-        cod_blocks.append((dims[k], w))
-    cod = AlgebraDescriptor(tuple(cod_blocks))
-
-    def fn(x: Element) -> Element:
-        out = []
-        for i, (k, kind) in enumerate(parts):
-            blk = x.blocks[k]
-            out.append(blk.T if kind == "anti" else blk.copy())
-        return Element(cod, out)
-
-    return map_from_function(domain, cod, fn, p, {"kind": "jordan_direct_sum",
-                                                  "parts": tuple(parts),
-                                                  "positive": True,
-                                                  "separating": True})
-
-
-def star_homomorphism(domain, parts_blocks, weights=None, p: float = 2.0) -> LinearMap:
-    return jordan_direct_sum(domain, [(k, "hom") for k in parts_blocks], weights, p)
-
-
-def anti_star_homomorphism(domain, parts_blocks, weights=None, p: float = 2.0) -> LinearMap:
-    return jordan_direct_sum(domain, [(k, "anti") for k in parts_blocks], weights, p)
+    return _jordan_layout(
+        domain,
+        [([part], 0) for part in parts],
+        [1.0] * len(parts) if weights is None else weights,
+        None,
+        p,
+        {"kind": "jordan_direct_sum", "parts": tuple(parts), "positive": True,
+         "separating": True},
+    )
 
 
 def convex_combination(T1: LinearMap, T2: LinearMap, t: float) -> LinearMap:
@@ -732,32 +764,3 @@ def yeadon_synthetic(
         T.meta["positive"] = True
     return T
 
-
-def make_example(kind: str, **params) -> LinearMap:
-    """Uniform constructor entry point used by the CLI."""
-    p = float(params.pop("p", 2.0))
-    if kind == "transpose":
-        alg = params.pop("algebra", matrix_algebra(int(params.pop("dim", 2))))
-        return transpose_map(alg, p)
-    if kind == "identity":
-        alg = params.pop("algebra", matrix_algebra(int(params.pop("dim", 2))))
-        return identity_map(alg, p)
-    if kind == "rotation":
-        return rotation_mixing(float(params.pop("theta", np.pi / 4)), p)
-    if kind == "depolarizing":
-        alg = params.pop("algebra", matrix_algebra(int(params.pop("dim", 2))))
-        return depolarizing(alg, float(params.pop("lam", 0.5)), p)
-    if kind == "unitary_conjugation":
-        u = params.pop("u")
-        return unitary_conjugation(u, p)
-    if kind == "yeadon_synthetic":
-        return yeadon_synthetic(params.pop("w"), params.pop("B"), params.pop("J"), p)
-    if kind == "star_homomorphism":
-        return star_homomorphism(params.pop("domain"), params.pop("blocks"), params.pop("weights", None), p)
-    if kind == "anti_star_homomorphism":
-        return anti_star_homomorphism(params.pop("domain"), params.pop("blocks"), params.pop("weights", None), p)
-    if kind == "jordan_direct_sum":
-        return jordan_direct_sum(params.pop("domain"), params.pop("parts"), params.pop("weights", None), p)
-    if kind == "commutative":
-        return commutative_matrix(params.pop("entries"), params.pop("dom_weights"), params.pop("cod_weights"), p)
-    raise DomainError(f"unknown example kind {kind!r}")

@@ -531,8 +531,9 @@ def l1_norm_bounds(
     histories: list[list[float]] = []
     init_upper = None
     repairs = 0
+    A0, B0 = _polar_factors(seq, cfg)
     for restart in range(cfg.restarts):
-        A, B = _polar_factors(seq, cfg)
+        A, B = [a.copy() for a in A0], [b.copy() for b in B0]
         if restart > 0:
             rng = rng_from(cfg.seed, 7100, restart)
             _augment_and_gauge(alg, A, B, extra=restart, rng=rng)

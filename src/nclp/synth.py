@@ -17,11 +17,12 @@ from .algebra import (
 )
 from .maps import (
     LinearMap,
+    _jordan_layout,
     add_maps,
+    adjoint_map,
     commutative_matrix,
     depolarizing,
     kraus_map,
-    map_from_function,
     rotation_mixing,
     scale_map,
     unitary_conjugation,
@@ -30,61 +31,11 @@ from .maps import (
 from .sampling import ginibre, haar_unitary, random_algebra, random_unitary
 
 
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
-        pos += d
-    return out
-
-
-def _jordan_from_layout(
-    domain: AlgebraDescriptor,
-    layout: list[tuple[list[tuple[int, str]], int]],
-    weights: list[float],
-    unitaries: list[np.ndarray],
-    p: float,
-) -> LinearMap:
-    """J(x) = (+)_l u_l ( (+)_i phi_i(x_{k_i}) (+) 0_dead ) u_l*.
-
-    layout[l] = (parts, dead): the parts stacked inside codomain block l and
-    the dimension of its dead corner (outside the range of J).
-    """
-    dims = domain.dims
-    cod_blocks = []
-    for (parts, dead), w in zip(layout, weights):
-        size = sum(dims[k] for k, _ in parts) + dead
-        cod_blocks.append((size, w))
-    cod = AlgebraDescriptor(tuple(cod_blocks))
-
-    def fn(x: Element) -> Element:
-        out = []
-        for l, (parts, dead) in enumerate(layout):
-            mats = []
-            for k, kind in parts:
-                blk = x.blocks[k]
-                mats.append(blk.T if kind == "anti" else blk)
-            if dead:
-                mats.append(np.zeros((dead, dead), dtype=complex))
-            big = _block_diag(mats) if mats else np.zeros((dead, dead), dtype=complex)
-            u = unitaries[l]
-            out.append(u @ big @ u.conj().T)
-        return Element(cod, out)
-
-    return map_from_function(
-        domain, cod, fn, p,
-        {"kind": "jordan_layout", "layout": tuple((tuple(ps), dd) for ps, dd in layout),
-         "positive": True, "separating": True},
-    )
-
-
-def _random_layout(
-    rng: np.random.Generator, domain: AlgebraDescriptor
-) -> tuple[list[tuple[list[tuple[int, str]], int]], list[float], list[np.ndarray]]:
-    """Draw a parts layout, codomain weights and conjugating unitaries."""
+def _random_jordan(
+    rng: np.random.Generator, domain: AlgebraDescriptor, p: float
+) -> tuple[LinearMap, list[tuple[list[tuple[int, str]], int]], list[np.ndarray]]:
+    """Draw a parts layout, codomain weights and conjugating unitaries, and
+    return the Jordan homomorphism they define with its layout and unitaries."""
     n_dom = len(domain.dims)
     n_parts = int(rng.integers(1, 4))
     part_specs = [
@@ -104,7 +55,12 @@ def _random_layout(
     for parts, dead in layout:
         size = sum(domain.dims[k] for k, _ in parts) + dead
         unitaries.append(haar_unitary(rng, size))
-    return layout, weights, unitaries
+    J = _jordan_layout(
+        domain, layout, weights, unitaries, p,
+        {"kind": "jordan_layout", "layout": tuple((tuple(ps), dd) for ps, dd in layout),
+         "positive": True, "separating": True},
+    )
+    return J, layout, unitaries
 
 
 def random_jordan_map(
@@ -114,8 +70,7 @@ def random_jordan_map(
     domain blocks, conjugated by Haar unitaries, with optional dead corners."""
     if domain is None:
         domain = random_algebra(rng, max_blocks=2, max_dim=3)
-    layout, weights, unitaries = _random_layout(rng, domain)
-    return _jordan_from_layout(domain, layout, weights, unitaries, p)
+    return _random_jordan(rng, domain, p)[0]
 
 
 def random_yeadon_map(
@@ -129,11 +84,9 @@ def random_yeadon_map(
     in [0.4, 2.0]; w is either the range projection itself (giving a
     positive map) or a random unitary times it.
     """
-    domain = random_algebra(rng, max_blocks=2, max_dim=3)
-    layout, weights, unitaries = _random_layout(rng, domain)
-    J = _jordan_from_layout(domain, layout, weights, unitaries, p)
+    J, layout, unitaries = _random_jordan(rng, random_algebra(rng, max_blocks=2, max_dim=3), p)
     cod = J.codomain
-    dims = domain.dims
+    dims = J.domain.dims
     b_blocks, e_blocks = [], []
     for parts, dead in layout:
         scales: list[float] = []
@@ -164,15 +117,10 @@ def random_cp_contraction(
     vs = [Element(algebra, [ginibre(rng, d) for d in algebra.dims]) for _ in range(n_ops)]
     T = kraus_map(vs, p)
     one = identity(algebra)
-    lam = max(T(one).sup_norm(), 0.0)
-    from .maps import adjoint_map
-
-    lam = max(lam, adjoint_map(T, 1)(identity(algebra)).sup_norm())
+    lam = max(T(one).sup_norm(), adjoint_map(T, 1)(one).sup_norm())
     if lam <= 0:
         return depolarizing(algebra, 0.5, p)
-    T = scale_map(T, 1.0 / lam)
-    T.meta["cp"] = True
-    T.meta["positive"] = True
+    T = scale_map(T, 1.0 / lam)  # keeps the Kraus map's cp and positive flags
     T.meta["kind"] = "cp_contraction"
     if rng.random() < 0.3:
         T = add_maps(scale_map(T, 0.5), scale_map(depolarizing(algebra, 0.5, p), 0.5))
@@ -209,37 +157,25 @@ def random_l2_isometry(rng: np.random.Generator, index: int) -> LinearMap:
         return unitary_conjugation(random_unitary(alg, rng), 2.0)
     if kind == 1:
         alg = matrix_algebra(2)
-        u = random_unitary(alg, rng)
-        return map_from_function(alg, alg, lambda x: u * x, 2.0,
-                                 {"kind": "left_unitary", "separating": True})
+        u = random_unitary(alg, rng).blocks[0]
+        return LinearMap(alg, alg, np.kron(u, np.eye(2)), 2.0,
+                         {"kind": "left_unitary", "separating": True})
     if kind == 2:
         d = 2 + index % 2
         w = float(rng.uniform(0.5, 2.0))
         dom = matrix_algebra(d, w)
-        cod = AlgebraDescriptor(((d, w), (int(rng.integers(1, 3)), float(rng.uniform(0.5, 2.0)))))
-
-        def embed(x: Element) -> Element:
-            return Element(cod, [x.blocks[0].copy(), np.zeros((cod.dims[1], cod.dims[1]))])
-
-        J = map_from_function(dom, cod, embed, 2.0, {"kind": "block_embedding",
-                                                     "positive": True,
-                                                     "separating": True})
+        layout = [([(0, "hom")], 0), ([], int(rng.integers(1, 3)))]
+        J = _jordan_layout(dom, layout, [w, float(rng.uniform(0.5, 2.0))], None, 2.0,
+                           {"kind": "block_embedding", "positive": True, "separating": True})
         e = J(identity(dom))
         return yeadon_synthetic(e, e, J, 2.0)
     if kind == 3:
         w = float(rng.uniform(0.5, 2.0))
-        dom = matrix_algebra(2, w)
-        cod = AlgebraDescriptor(((2, w), (2, w)))
-
-        def twist(x: Element) -> Element:
-            return Element(cod, [x.blocks[0].copy(), x.blocks[0].T.copy()])
-
-        J = map_from_function(dom, cod, twist, 2.0, {"kind": "hom_anti_embedding",
-                                                     "positive": True,
-                                                     "separating": True})
-        one = identity(cod)
-        B = (1.0 / np.sqrt(2.0)) * one
-        return yeadon_synthetic(one, B, J, 2.0)
+        layout = [([(0, "hom")], 0), ([(0, "anti")], 0)]
+        J = _jordan_layout(matrix_algebra(2, w), layout, [w, w], None, 2.0,
+                           {"kind": "hom_anti_embedding", "positive": True, "separating": True})
+        one = identity(J.codomain)
+        return yeadon_synthetic(one, (1.0 / np.sqrt(2.0)) * one, J, 2.0)
     theta = float(rng.uniform(0.4, np.pi - 0.4))
     return rotation_mixing(theta, 2.0)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,3 +239,17 @@ def test_tolerance_config_validation():
                 ToleranceConfig(**{name: bad})
     with pytest.raises(StructuralError, match="weight"):
         AlgebraDescriptor(((2, float("inf")),))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**40])
+def test_tolerance_config_refuses_seeds_outside_the_honoured_range(seed):
+    with pytest.raises(StructuralError, match="seed"):
+        ToleranceConfig(seed=seed)
+    with pytest.raises(StructuralError, match="seed"):
+        replace(ToleranceConfig(), seed=seed)
+
+
+def test_tolerance_config_accepts_seed_range_endpoints():
+    for seed in (0, 2**32 - 1):
+        assert ToleranceConfig(seed=seed).seed == seed
+        assert replace(ToleranceConfig(seed=5), seed=seed).seed == seed

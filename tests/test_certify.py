@@ -267,3 +267,23 @@ def test_certified_routes_dominate_sampled_ratios():
         cert = certify_l1_norm(T, T.p, CFG, ratio_budget=15)
         assert not cert.alarm
         assert cert.value_interval.lower <= cert.value_interval.upper * (1 + 1e-7)
+
+
+def test_positive_route_runs_one_boyd_ascent(monkeypatch):
+    import nclp.certify
+
+    T = synth.random_positive_map(matrix_algebra(2), 3.0, rng_from(2))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("positive_certified"))
+        return op_norm(*args, **kwargs)
+
+    monkeypatch.setattr(nclp.certify, "op_norm", counted)
+    cert = certify_l1_norm(T, 3.0, CFG)
+    assert cert.route == ROUTE_POSITIVE
+    assert len(calls) == 1
+    # the enclosure the second op_norm call used to give
+    nvp = op_norm(T, 3.0, CFG, positive_certified=True)
+    assert cert.evidence["op_norm"] == (nvp.lower, nvp.upper)
+    assert cert.value_interval.upper == 4.0 * nvp.upper

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from nclp.algebra import matrix_algebra
 from nclp.cli import run_command
+from nclp.instances import parse_instance
+from nclp.maps import depolarizing, identity_map, rotation_mixing, transpose_map
 
 
 @pytest.fixture
@@ -282,3 +286,37 @@ def test_shared_parser_matches_a_fresh_one(capcli, monkeypatch):
     fresh = [capcli(argv, stdin_text=text) for argv, text in runs]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [1, 0, 3, 1]
+
+
+EXAMPLE_MAPS = {
+    "transpose": lambda: transpose_map(matrix_algebra(3), 3.0),
+    "identity": lambda: identity_map(matrix_algebra(3), 3.0),
+    "rotation": lambda: rotation_mixing(np.pi / 4, 3.0),
+    "depolarizing": lambda: depolarizing(matrix_algebra(3), 0.5, 3.0),
+    "unitary": None,
+    "yeadon": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXAMPLE_MAPS))
+def test_every_example_kind_emits_a_parseable_instance(capcli, kind):
+    code, out, err = capcli(["example", kind, "--p", "3", "--dim", "3"])
+    assert (code, err) == (0, "")
+    T = parse_instance(out).maps["T"]
+    assert T.p == 3.0
+    if EXAMPLE_MAPS[kind] is not None:
+        assert np.array_equal(T.action, EXAMPLE_MAPS[kind]().action)
+
+
+def test_unknown_example_kind_is_input_error(capcli):
+    code, out, err = capcli(["example", "sideways"])
+    assert code == 3 and out == "" and "unknown example kind" in err
+
+
+@pytest.mark.parametrize(
+    "kind", ["map", "separating-map", "cp-map", "positive-map", "isometry", "commutative-map"]
+)
+def test_every_gen_map_kind_emits_a_parseable_instance(capcli, kind):
+    code, out, err = capcli(["gen", "--kind", kind, "--dims", "2,1", "--weights", "0.5,2"])
+    assert (code, err) == (0, "")
+    assert set(parse_instance(out).maps) == {"T"}

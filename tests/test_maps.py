@@ -33,7 +33,6 @@ from nclp.maps import (
     is_completely_positive,
     jordan_direct_sum,
     kraus_map,
-    make_example,
     op_norm,
     positivity_tests,
     rotation_mixing,
@@ -394,7 +393,7 @@ def test_partial_transpose_expands_trace_norm():
 
 def test_transpose_on_e12():
     alg = matrix_algebra(2)
-    T = make_example("transpose", dim=2)
+    T = transpose_map(alg, 2.0)
     e12 = matrix_unit(alg, 0, 0, 1)
     e21 = matrix_unit(alg, 0, 1, 0)
     assert (T(e12) - e21).sup_norm() == 0.0

@@ -557,3 +557,22 @@ def test_stacked_descent_matches_per_item_reference(make, restart, p):
         for n in range(len(seq)):
             want = RA[n][k] @ RB[n][k]
             assert np.abs(products[n] - want).max() <= REF_RTOL * scale
+
+
+def test_polar_start_computed_once_per_call(monkeypatch):
+    import nclp.sequences
+
+    rng = rng_from(21)
+    seq = sequence([random_element(matrix_algebra(3), rng) for _ in range(3)])
+    want = l1_norm_bounds(seq, 3.0, CFG)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _polar_factors(*args)
+
+    monkeypatch.setattr(nclp.sequences, "_polar_factors", counted)
+    got = l1_norm_bounds(seq, 3.0, CFG)
+    assert len(got.meta["histories"]) == CFG.restarts > 1
+    assert len(calls) == 1
+    assert (got.lower, got.upper, got.meta["histories"]) == (want.lower, want.upper, want.meta["histories"])
