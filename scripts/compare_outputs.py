@@ -2,12 +2,16 @@
 """Compare the CLI outputs of two source trees on the benchmark's operations.
 
     python scripts/compare_outputs.py --base ../nclp-parent \\
-        --workload dinq seqnorm maps --seed 701 1000
+        --workload dinq seqnorm maps cli --seed 701 1000
 
 Every operation of each ``perfbench`` workload (inputs from this checkout's
 ``perfbench/gen.py``, written to a temporary directory) runs through
 ``nclp.cli.run_command`` in-process, once with the ``src`` of ``--base`` and
 once with the ``src`` of this checkout, each tree in its own subprocess.
+The ``cli`` workload is a fixed list of generator commands, which no
+benchmark operation replays: every ``nclp example`` kind with ``--dim 3``
+and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5``, each at
+``--seed``.
 Per workload and seed it prints the number of outputs that are not
 byte-identical (exit code, stdout, stderr), the operations
 whose exit code, verdict, route or ``certified_exact`` differ, and the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -32,6 +37,31 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DECISION_KEYS = ("verdict", "status", "route", "certified_exact")
 REL_TOL = 1e-12
+WORKLOADS = ("dinq", "seqnorm", "maps", "cli")
+EXAMPLE_KINDS = ("transpose", "identity", "rotation", "depolarizing", "unitary", "yeadon")
+GEN_KINDS = ("positive-seq", "seq", "disjoint-pair", "positive-disjoint-pair",
+             "nondisjoint-pair", "element", "positive-element", "map", "separating-map",
+             "cp-map", "positive-map", "isometry", "commutative-map")
+
+
+def cli_argvs(seed: int) -> list:
+    """The ``cli`` workload: every example and gen kind at ``seed``."""
+    tail = ["--seed", str(seed)]
+    return ([["example", kind, "--dim", "3", *tail] for kind in EXAMPLE_KINDS]
+            + [["gen", "--kind", kind, "--dims", "2,1", "--weights", "1,0.5", *tail]
+               for kind in GEN_KINDS])
+
+
+def _operations(workload: str, seed: int, tmp: str) -> tuple:
+    """(labels, argvs, inputs digest) of the workload's operations."""
+    if workload == "cli":
+        argvs = cli_argvs(seed)
+        digest = hashlib.sha256(json.dumps(argvs).encode()).hexdigest()[:16]
+        return [" ".join(argv) for argv in argvs], argvs, digest
+    import gen
+
+    ops, digest = gen.build(workload, seed, os.path.join(tmp, "ops"))
+    return [" ".join(op.argv()[:1] + op.flags) for op in ops], [op.argv() for op in ops], digest
 
 
 def run_worker(manifest: str, src: str) -> int:
@@ -131,24 +161,22 @@ def _number_diffs(a, b, path="$"):
 
 
 def compare(workload: str, seed: int, base: str) -> dict:
-    import gen
-
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
-        ops, digest = gen.build(workload, seed, os.path.join(tmp, "ops"))
+        labels, argvs, digest = _operations(workload, seed, tmp)
         manifest = os.path.join(tmp, "ops.json")
         with open(manifest, "w", encoding="utf-8") as fh:
-            json.dump([op.argv() for op in ops], fh)
+            json.dump(argvs, fh)
         procs = [_spawn(manifest, tree) for tree in (base, ROOT)]
         old, new = (_collect(p, t) for p, t in zip(procs, (base, ROOT)))
 
-    summary = {"workload": workload, "seed": seed, "inputs": digest, "ops": len(ops),
+    summary = {"workload": workload, "seed": seed, "inputs": digest, "ops": len(argvs),
                "byte_different": 0, "exit": [], "decision": [], "structure": [],
                "stderr": [], "max_rel": 0.0, "max_rel_at": None}
     for i, ((c0, o0, e0), (c1, o1, e1)) in enumerate(zip(old, new)):
         if [c0, o0, e0] == [c1, o1, e1]:
             continue
         summary["byte_different"] += 1
-        name = f"op{i:03d} ({' '.join(ops[i].argv()[:1] + ops[i].flags)})"
+        name = f"op{i:03d} ({labels[i]})"
         if c0 != c1:
             summary["exit"].append(f"{name}: {c0!r} -> {c1!r}")
         if e0 != e1:
@@ -168,7 +196,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="root of the checkout to compare against (required)")
     ap.add_argument("--workload", nargs="+", default=["dinq", "seqnorm", "maps"],
-                    choices=("dinq", "seqnorm", "maps"))
+                    choices=WORKLOADS)
     ap.add_argument("--seed", nargs="+", type=int, default=[701])
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     ap.add_argument("--src", help=argparse.SUPPRESS)

@@ -9,9 +9,11 @@ freely across threads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,10 +95,17 @@ class AlgebraDescriptor:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.blocks)
 
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Coordinate range of each block: row-major within a block, blocks
+        concatenated.  Every coordinate layout in the package reads it."""
+        ends = itertools.accumulate(d * d for d in self.dims)
+        return tuple(slice(end - d * d, end) for d, end in zip(self.dims, ends))
+
     @property
     def coord_dim(self) -> int:
         """Complex dimension of the underlying space, sum of d_k**2."""
-        return sum(d * d for d, _ in self.blocks)
+        return self.slices[-1].stop
 
     @property
     def trace_of_identity(self) -> float:
@@ -193,9 +202,6 @@ class Element:
         """Adjoint (blockwise conjugate transpose)."""
         return Element(self.algebra, [a.conj().T for a in self.blocks])
 
-    def adjoint(self) -> "Element":
-        return self.H
-
     def trace(self) -> complex:
         return sum(
             w * np.trace(blk) for (_, w), blk in zip(self.algebra.blocks, self.blocks)
@@ -205,13 +211,7 @@ class Element:
 
     def sup_norm(self) -> float:
         """Operator norm (largest singular value over all blocks)."""
-        return max(
-            float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
-            for b in self.blocks
-        )
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.sup_norm() <= tol
+        return float(_sup_norms(self.blocks))
 
     def __repr__(self) -> str:
         return f"Element({self.algebra!r}, sup={self.sup_norm():.3g})"
@@ -243,19 +243,52 @@ def hermitian_part(x: Element) -> Element:
     return 0.5 * (x + x.H)
 
 
+def _nearly_selfadjoint(x: Element, tol: float, norm: Optional[float] = None) -> bool:
+    """|x - x*| <= tol * max(|x|, 1) in operator norm; pass |x| as ``norm``
+    when it is already known."""
+    if norm is None:
+        norm = x.sup_norm()
+    return (x - x.H).sup_norm() <= tol * max(norm, 1.0)
+
+
 def is_selfadjoint(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    scale = max(x.sup_norm(), 1e-300)
-    return (x - x.H).sup_norm() <= cfg.algebraic_tol * max(scale, 1.0)
+    return _nearly_selfadjoint(x, cfg.algebraic_tol)
 
 
 # ---------------------------------------------------------------------------
-# Functional calculus
+# Block kernels: each acts on per-block arrays, batched over any leading axes
 # ---------------------------------------------------------------------------
 
 
-def _eigh_blocks(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:
+def _adjoint(s: np.ndarray) -> np.ndarray:
+    return s.conj().swapaxes(-1, -2)
+
+
+def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """vecs diag(f) vecs*, batched over the leading axes; f is shaped like vals."""
+    return (vecs * f[..., None, :]) @ _adjoint(vecs)
+
+
+def _sup_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Operator norms of the elements given blockwise as (..., d, d) stacks."""
+    return functools.reduce(np.maximum, [np.linalg.svd(S, compute_uv=False)[..., 0] for S in stacks])
+
+
+def _ranked_svd(
+    blocks: Sequence[np.ndarray], cfg: ToleranceConfig
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(U, s, Vh, keep) per block: the full SVD of each (..., d, d) stack
+    and the mask of singular values above the relative rank cutoff,
+    measured per item against its largest singular value over all blocks
+    (all False for a zero item)."""
+    svds = [np.linalg.svd(b) for b in blocks]
+    cut = cfg.rank_cutoff * functools.reduce(np.maximum, [s[..., 0] for _, s, _ in svds])
+    return [(U, s, Vh, s > cut[..., None]) for U, s, Vh in svds]
+
+
+def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
-    for blk in x.blocks:
+    for blk in blocks:
         try:
             vals, vecs = np.linalg.eigh(blk)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
@@ -264,16 +297,19 @@ def _eigh_blocks(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Functional calculus
+# ---------------------------------------------------------------------------
+
+
 def apply_spectral(
     x: Element, f: Callable[[np.ndarray], np.ndarray], cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> Element:
     """f(x) for self-adjoint x via blockwise eigendecomposition."""
     if not is_selfadjoint(x, cfg):
         raise DomainError("spectral function needs a self-adjoint element")
-    blocks = []
-    for vals, vecs in _eigh_blocks(hermitian_part(x)):
-        blocks.append((vecs * f(vals)[None, :]) @ vecs.conj().T)
-    return Element(x.algebra, blocks)
+    eig = _eigh_blocks(hermitian_part(x).blocks)
+    return Element(x.algebra, [_spectral(vals, vecs, f(vals)) for vals, vecs in eig])
 
 
 def spectral_projection(
@@ -294,19 +330,13 @@ def absolute(x: Element, power: float = 1.0) -> Element:
     """
     if power <= 0:
         raise DomainError("absolute: power must be > 0")
-    grams = []
-    top = 0.0
-    for blk in x.blocks:
-        gram = blk.conj().T @ blk
-        vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        grams.append((vals, vecs))
-        top = max(top, float(vals[-1]) if vals.size else 0.0)
-    noise = 64.0 * np.finfo(float).eps * top
-    blocks = []
-    for vals, vecs in grams:
-        vals = np.where(vals > noise, vals, 0.0)
-        blocks.append((vecs * (vals ** (power / 2.0))[None, :]) @ vecs.conj().T)
-    return Element(x.algebra, blocks)
+    grams = [_adjoint(b) @ b for b in x.blocks]
+    eig = _eigh_blocks([0.5 * (g + _adjoint(g)) for g in grams])
+    noise = 64.0 * np.finfo(float).eps * max(0.0, *(float(vals[-1]) for vals, _ in eig))
+    return Element(
+        x.algebra,
+        [_spectral(vals, vecs, np.where(vals > noise, vals, 0.0) ** (power / 2.0)) for vals, vecs in eig],
+    )
 
 
 def positive_sqrt(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:
@@ -314,17 +344,6 @@ def positive_sqrt(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:
     if not is_selfadjoint(x, cfg):
         raise DomainError("positive_sqrt needs a self-adjoint element")
     return apply_spectral(x, lambda v: np.sqrt(np.clip(v, 0.0, None)), cfg)
-
-
-def _ranked_svd(
-    blocks: Sequence[np.ndarray], cfg: ToleranceConfig
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(U, s, Vh, keep) per block: the full SVD and the mask of singular
-    values above the relative rank cutoff, measured against the largest
-    singular value over all blocks (all False when every block is zero)."""
-    svds = [np.linalg.svd(b) for b in blocks]
-    cut = cfg.rank_cutoff * max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
-    return [(U, s, Vh, s > cut) for U, s, Vh in svds]
 
 
 def pseudo_inverse(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:

@@ -136,12 +136,12 @@ def _config(args, inst: Optional[InstanceFile] = None) -> ToleranceConfig:
     seed = _env_seed() or 0
     if inst is not None and inst.seed is not None:
         seed = inst.seed
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         seed = args.seed
     cfg = replace(cfg, seed=seed)
     if args.tol is not None:
         cfg = replace(cfg, algebraic_tol=args.tol, opt_tol=max(args.tol, 1e-12))
-    if args.restarts is not None:
+    if getattr(args, "restarts", None) is not None:
         cfg = replace(cfg, restarts=args.restarts)
     return cfg
 
@@ -447,87 +447,71 @@ def _cmd_suite(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_NEGATIVE
 
 
+# every argument a subcommand may take; each subcommand takes only those it reads
+_FLAGS = {
+    "--p": dict(type=float, help="exponent (default: 2 or the map's own)"),
+    "--tol": dict(type=float, help="override tolerance"),
+    "--seed": dict(type=_seed, help="seed (default: NCLP_SEED or 0)"),
+    "--restarts": dict(type=int, help="optimizer restarts"),
+    "--budget": dict(type=int, help="sampling budget"),
+    "--el": dict(type=str),
+    "--seq": dict(type=str),
+    "--a": dict(type=str),
+    "--b": dict(type=str),
+    "--map": dict(type=str),
+    "--kind": dict(type=str, required=True),
+    "kind": dict(type=str),
+    "--n": dict(type=int),
+    "--dims": dict(type=str, help="comma-separated block dims"),
+    "--weights": dict(type=str, help="comma-separated block weights"),
+    "--theta": dict(type=float),
+    "--lam": dict(type=float),
+    "--dim": dict(type=int),
+    "--only": dict(type=str, help="filter property ids by substring"),
+    "--timings": dict(action="store_true", default=False, help="include wall times (breaks byte reproducibility)"),
+}
+
+# name: (help, handler, flags, reads an instance)
+_COMMANDS = {
+    "norm": ("p-norm of an element", _cmd_norm, "--p --el", True),
+    "seqnorm": ("ell1-valued sequence norm enclosure", _cmd_seqnorm,
+                "--p --tol --seed --restarts --seq", True),
+    "disjoint": ("algebraic disjointness of two elements", _cmd_disjoint, "--tol --a --b", True),
+    "dinq": ("two-term p=2 disjointness criterion", _cmd_dinq,
+             "--tol --seed --restarts --a --b", True),
+    "yeadon": ("extract the (w, B, J) factorization of a map", _cmd_yeadon,
+               "--tol --seed --map", True),
+    "separating": ("certify or falsify the separating property", _cmd_separating,
+                   "--tol --seed --budget --map", True),
+    "certify": ("certify the ell1-extension norm", _cmd_certify,
+                "--p --tol --seed --budget --map", True),
+    "classify-l2": ("classify an L2 isometry by factorizability", _cmd_classify_l2,
+                    "--tol --seed --restarts --budget --map", True),
+    "gen": ("generate a random instance file", _cmd_gen,
+            "--p --seed --kind --n --dims --weights", False),
+    "example": ("emit a named example map as an instance file", _cmd_example,
+                "kind --p --seed --theta --lam --dim", False),
+    "suite": ("run the property suite", _cmd_suite,
+              "--seed --restarts --budget --only --timings", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nclp",
         description="norms, factorizations and certificates on trace-weighted matrix-block L^p spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_input=True):
-        sp.add_argument("--p", type=float, default=None, help="exponent (default: 2 or the map's own)")
-        sp.add_argument("--tol", type=float, default=None, help="override tolerance")
-        sp.add_argument("--seed", type=_seed, default=None, help="seed (default: NCLP_SEED or 0)")
-        sp.add_argument("--restarts", type=int, default=None, help="optimizer restarts")
-        sp.add_argument("--budget", type=int, default=None, help="sampling budget")
+    for name, (help_text, fn, flags, needs_input) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument(flag, **{"default": None, **_FLAGS[flag]})
         sp.add_argument("--out", type=str, default=None, help="write result to a file instead of stdout")
         if needs_input:
             sp.add_argument("--in", dest="infile", type=str, default=None, help="instance file (default: stdin)")
-
-    sp = sub.add_parser("norm", help="p-norm of an element")
-    common(sp)
-    sp.add_argument("--el", type=str, default=None)
-    sp.set_defaults(fn=_cmd_norm, p=2.0)
-
-    sp = sub.add_parser("seqnorm", help="ell1-valued sequence norm enclosure")
-    common(sp)
-    sp.add_argument("--seq", type=str, default=None)
-    sp.set_defaults(fn=_cmd_seqnorm, p=2.0)
-
-    sp = sub.add_parser("disjoint", help="algebraic disjointness of two elements")
-    common(sp)
-    sp.add_argument("--a", type=str, default=None)
-    sp.add_argument("--b", type=str, default=None)
-    sp.set_defaults(fn=_cmd_disjoint)
-
-    sp = sub.add_parser("dinq", help="two-term p=2 disjointness criterion")
-    common(sp)
-    sp.add_argument("--a", type=str, default=None)
-    sp.add_argument("--b", type=str, default=None)
-    sp.set_defaults(fn=_cmd_dinq)
-
-    sp = sub.add_parser("yeadon", help="extract the (w, B, J) factorization of a map")
-    common(sp)
-    sp.add_argument("--map", type=str, default=None)
-    sp.set_defaults(fn=_cmd_yeadon)
-
-    sp = sub.add_parser("separating", help="certify or falsify the separating property")
-    common(sp)
-    sp.add_argument("--map", type=str, default=None)
-    sp.set_defaults(fn=_cmd_separating)
-
-    sp = sub.add_parser("certify", help="certify the ell1-extension norm")
-    common(sp)
-    sp.add_argument("--map", type=str, default=None)
-    sp.set_defaults(fn=_cmd_certify)
-
-    sp = sub.add_parser("classify-l2", help="classify an L2 isometry by factorizability")
-    common(sp)
-    sp.add_argument("--map", type=str, default=None)
-    sp.set_defaults(fn=_cmd_classify_l2)
-
-    sp = sub.add_parser("gen", help="generate a random instance file")
-    common(sp, needs_input=False)
-    sp.add_argument("--kind", type=str, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--dims", type=str, default=None, help="comma-separated block dims")
-    sp.add_argument("--weights", type=str, default=None, help="comma-separated block weights")
-    sp.set_defaults(fn=_cmd_gen)
-
-    sp = sub.add_parser("example", help="emit a named example map as an instance file")
-    common(sp, needs_input=False)
-    sp.add_argument("kind", type=str)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.set_defaults(fn=_cmd_example)
-
-    sp = sub.add_parser("suite", help="run the property suite")
-    common(sp, needs_input=False)
-    sp.add_argument("--only", type=str, default=None, help="filter property ids by substring")
-    sp.add_argument("--timings", action="store_true", help="include wall times (breaks byte reproducibility)")
-    sp.set_defaults(fn=_cmd_suite)
-
+        sp.set_defaults(fn=fn)
+        if name in ("norm", "seqnorm"):
+            sp.set_defaults(p=2.0)
     return parser
 
 

@@ -21,8 +21,9 @@ from .algebra import (
     Element,
     StructuralError,
     ToleranceConfig,
-    hermitian_part,
+    is_selfadjoint,
 )
+from .lp import is_positive
 from .maps import LinearMap
 from .sequences import ElementSequence, sequence
 
@@ -234,12 +235,9 @@ def parse_instance(text: str) -> InstanceFile:
             mats.append(_decode_matrix(raw[k], d, d, f"{path}.blocks[{k}]"))
         el = Element(alg, mats)
         if spec.get("positive"):
-            herm = (el - el.H).sup_norm()
-            scale = max(el.sup_norm(), 1e-300)
-            _expect(herm <= 1e-9 * max(scale, 1.0),
-                    "declared positive but not Hermitian", path)
-            low = min(float(np.linalg.eigvalsh(b).min()) for b in hermitian_part(el).blocks)
-            _expect(low >= -1e-9 * scale, "declared positive but has negative spectrum", path)
+            if not is_positive(el):
+                reason = "has negative spectrum" if is_selfadjoint(el) else "not Hermitian"
+                raise ParseError(f"declared positive but {reason}", path)
             inst.declared_positive.add(name)
         inst.elements[name] = el
         inst.element_refs[name] = ref

@@ -16,13 +16,9 @@ from .algebra import (
     Element,
     StructuralError,
     ToleranceConfig,
-    hermitian_part,
-    is_selfadjoint,
+    _adjoint,
+    _nearly_selfadjoint,
 )
-
-
-def singular_values(x: Element) -> list[np.ndarray]:
-    return [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
 
 
 def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float) -> float:
@@ -44,7 +40,7 @@ def schatten_quasi(x: Element, p: float) -> float:
     """
     if not p > 0:
         raise DomainError("exponent must be positive")
-    return _schatten(singular_values(x), x.algebra.weights, p)
+    return _schatten([np.linalg.svd(b, compute_uv=False) for b in x.blocks], x.algebra.weights, p)
 
 
 def lp_norm(x: Element, p: float) -> float:
@@ -76,17 +72,19 @@ def hs_inner(a: Element, b: Element) -> complex:
     return complex((a.H * b).trace())
 
 
+def _hermitian_spectrum(x: Element) -> np.ndarray:
+    """Eigenvalues of the Hermitian part (x + x*)/2 over all blocks, ascending."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (b + _adjoint(b))) for b in x.blocks]))
+
+
 def is_positive(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Self-adjoint with spectrum above -algebraic_tol * operator norm."""
     scale = x.sup_norm()
     if scale == 0.0:
         return True
-    if not is_selfadjoint(x, cfg):
+    if not _nearly_selfadjoint(x, cfg.algebraic_tol, scale):
         return False
-    lowest = min(
-        float(np.linalg.eigvalsh(b).min()) for b in hermitian_part(x).blocks
-    )
-    return lowest >= -cfg.algebraic_tol * scale
+    return float(_hermitian_spectrum(x)[0]) >= -cfg.algebraic_tol * scale
 
 
 def disjoint(a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:

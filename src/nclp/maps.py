@@ -25,14 +25,16 @@ from .algebra import (
     StructuralError,
     ToleranceConfig,
     _ranked_svd,
+    _sup_norms,
     amplify,
     basis,
     diagonal_algebra,
+    hermitian_part,
     identity,
     matrix_algebra,
     polar_support,
 )
-from .lp import _schatten, conjugate_exponent, is_positive, lp_norm
+from .lp import _hermitian_spectrum, _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
 from .sequences import NormInterval
 
@@ -44,36 +46,27 @@ def vec(x: Element) -> np.ndarray:
 def unvec(algebra: AlgebraDescriptor, v: np.ndarray) -> Element:
     if v.shape != (algebra.coord_dim,):
         raise StructuralError("coordinate vector has wrong length")
-    blocks, pos = [], 0
-    for d in algebra.dims:
-        blocks.append(v[pos : pos + d * d].reshape(d, d))
-        pos += d * d
-    return Element(algebra, blocks)
+    return Element(algebra, [v[s].reshape(d, d) for d, s in zip(algebra.dims, algebra.slices)])
 
 
 def coord_weights(algebra: AlgebraDescriptor) -> np.ndarray:
     """Trace weight attached to each coordinate (w_k repeated d_k^2 times)."""
-    return np.concatenate(
-        [np.full(d * d, w) for d, w in algebra.blocks]
-    )
+    out = np.empty(algebra.coord_dim)
+    for s, w in zip(algebra.slices, algebra.weights):
+        out[s] = w
+    return out
 
 
 def _transposed_coords(algebra: AlgebraDescriptor) -> np.ndarray:
     """Coordinate index of e_ji for each matrix unit e_ij (an involution)."""
-    out, pos = [], 0
-    for d in algebra.dims:
-        out.append(pos + np.arange(d * d).reshape(d, d).T.reshape(-1))
-        pos += d * d
-    return np.concatenate(out)
+    return np.concatenate(
+        [np.arange(s.start, s.stop).reshape(d, d).T.reshape(-1) for d, s in zip(algebra.dims, algebra.slices)]
+    )
 
 
 def _block_stacks(algebra: AlgebraDescriptor, rows: np.ndarray) -> list[np.ndarray]:
     """Split coordinate rows (m, coord_dim) into one (m, d, d) stack per block."""
-    out, pos = [], 0
-    for d in algebra.dims:
-        out.append(np.ascontiguousarray(rows[:, pos : pos + d * d]).reshape(-1, d, d))
-        pos += d * d
-    return out
+    return [np.ascontiguousarray(rows[:, s]).reshape(-1, d, d) for d, s in zip(algebra.dims, algebra.slices)]
 
 
 @dataclass
@@ -112,11 +105,6 @@ def _unit_images(T: LinearMap) -> list[np.ndarray]:
     """T(e_a) for every domain matrix unit e_a, as one (D, c_l, c_l) stack per
     codomain block l; column a of the action is vec(T(e_a))."""
     return _block_stacks(T.codomain, T.action.T)
-
-
-def _sup_norms(stacks: list[np.ndarray]) -> np.ndarray:
-    """Operator norms of the elements given blockwise as (..., d, d) stacks."""
-    return np.max([np.linalg.svd(S, compute_uv=False)[..., 0] for S in stacks], axis=0)
 
 
 def _map_from_images(
@@ -365,13 +353,12 @@ def choi_components(T: LinearMap) -> list[list[np.ndarray]]:
     """
     comps = []
     for S, c in zip(_unit_images(T), T.codomain.dims):
-        # S[pos + i d + j] = T(e_ij)_l sits at rows i c.., columns j c.. of C
-        row, pos = [], 0
-        for d in T.domain.dims:
-            C = S[pos : pos + d * d].reshape(d, d, c, c).transpose(0, 2, 1, 3)
-            row.append(C.reshape(d * c, d * c))
-            pos += d * d
-        comps.append(row)
+        # T(e_ij)_l, at index i d + j of block k's slice, sits at rows i c..,
+        # columns j c.. of C
+        comps.append([
+            S[s].reshape(d, d, c, c).transpose(0, 2, 1, 3).reshape(d * c, d * c)
+            for d, s in zip(T.domain.dims, T.domain.slices)
+        ])
     return comps
 
 
@@ -428,14 +415,6 @@ def _entangled_samples(base, n, rng, count):
     return out
 
 
-def _min_output_eig(T: LinearMap, x: Element) -> float:
-    y = T(x)
-    h = 0.5 * (y + y.H)
-    lo = min(float(np.linalg.eigvalsh(b).min()) for b in h.blocks)
-    defect = (y - h).sup_norm()
-    return min(lo, -defect) if defect > 0 else lo
-
-
 def positivity_tests(
     T: LinearMap,
     level: str,
@@ -473,8 +452,12 @@ def positivity_tests(
     floor = -cfg.algebraic_tol
     worst = np.inf
     for x in inputs:
-        lo = _min_output_eig(probe, x)
-        scale = max(probe(x).sup_norm(), 1.0)
+        y = probe(x)
+        lo = float(_hermitian_spectrum(y)[0])
+        defect = (y - hermitian_part(y)).sup_norm()
+        if defect > 0:
+            lo = min(lo, -defect)
+        scale = max(y.sup_norm(), 1.0)
         worst = min(worst, lo / scale)
         if lo < floor * scale:
             return PositivityVerdict(
@@ -508,19 +491,17 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
     # the big matrix unit E_rs (x) e_ab goes to E_rs (x) T(e_ab): the entry of
     # T_lk at (ij, ab) is copied to row (r i, s j), column (r a, s b)
     dom, cod = T.domain, T.codomain
-    dom_pos = np.cumsum([0] + [d * d for d in dom.dims])
-    rows, pos = [], 0
-    for c in cod.dims:
+    rows = []
+    for c, rs in zip(cod.dims, cod.slices):
         cols = []
-        for k, d in enumerate(dom.dims):
-            T_lk = T.action[pos : pos + c * c, dom_pos[k] : dom_pos[k + 1]]
+        for d, cs in zip(dom.dims, dom.slices):
+            T_lk = T.action[rs, cs]
             big = np.zeros((n, c, n, c, n, d, n, d), dtype=complex)
             for r in range(n):
                 for s in range(n):
                     big[r, :, s, :, r, :, s, :] = T_lk.reshape(c, c, d, d)
             cols.append(big.reshape((n * c) ** 2, (n * d) ** 2))
         rows.append(np.concatenate(cols, axis=1))
-        pos += c * c
     meta = {"kind": "amplified", "of": T.meta.get("kind"), "order": n}
     # complete positivity survives amplification; plain positivity and
     # every-exponent isometry do not (the partial transpose is the standard
@@ -541,11 +522,8 @@ def _conjugation_action(vs: list[Element]) -> np.ndarray:
     kron(v, conj v) vec(x), so block k carries sum_i kron(v_ik, conj v_ik)."""
     alg = vs[0].algebra
     out = np.zeros((alg.coord_dim, alg.coord_dim), dtype=complex)
-    pos = 0
-    for k, d in enumerate(alg.dims):
-        blk = slice(pos, pos + d * d)
-        out[blk, blk] = sum(np.kron(v.blocks[k], v.blocks[k].conj()) for v in vs)
-        pos += d * d
+    for k, s in enumerate(alg.slices):
+        out[s, s] = sum(np.kron(v.blocks[k], v.blocks[k].conj()) for v in vs)
     return out
 
 
@@ -574,7 +552,6 @@ def _jordan_layout(
             raise StructuralError(f"part {i}: no source block {k}")
         if kind not in ("hom", "anti"):
             raise StructuralError(f"part {i}: kind must be 'hom' or 'anti'")
-    starts = np.cumsum([0] + [d * d for d in dims])
     rows, cod_blocks = [], []
     for l, ((parts, dead), w) in enumerate(zip(layout, weights)):
         size = sum(dims[k] for k, _ in parts) + dead
@@ -583,7 +560,7 @@ def _jordan_layout(
         for k, kind in parts:
             d = dims[k]
             r, c = np.indices((d, d))
-            R[pos + r, pos + c, starts[k] + (c * d + r if kind == "anti" else r * d + c)] = 1.0
+            R[pos + r, pos + c, domain.slices[k].start + (c * d + r if kind == "anti" else r * d + c)] = 1.0
             pos += d
         R = R.reshape(size * size, -1)
         if unitaries is not None:
@@ -760,7 +737,7 @@ def yeadon_synthetic(
     )
     T.meta["w"], T.meta["B"], T.meta["J"] = w, B, J
     # a separating map built from a projection w is positive
-    if (w - w.H).sup_norm() <= tol and is_positive(w, cfg):
+    if is_positive(w, cfg):
         T.meta["positive"] = True
     return T
 

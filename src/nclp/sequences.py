@@ -50,7 +50,11 @@ from .algebra import (
     NumericError,
     StructuralError,
     ToleranceConfig,
-    amplify,
+    _adjoint,
+    _ranked_svd,
+    _spectral,
+    _sup_norms,
+    block_matrix,
     positive_sqrt,
     zero_element,
 )
@@ -143,27 +147,13 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
 def column_embed(seq: ElementSequence) -> Element:
     """The sequence as the first block column of M_n(algebra); its p-norm
     reproduces the column formula."""
-    n = len(seq)
-    alg = seq.algebra
-    big = []
-    for k, d in enumerate(alg.dims):
-        blk = np.zeros((n * d, n * d), dtype=complex)
-        for i, x in enumerate(seq):
-            blk[i * d : (i + 1) * d, 0:d] = x.blocks[k]
-        big.append(blk)
-    return Element(amplify(alg, n), big)
+    zero = zero_element(seq.algebra)
+    return block_matrix(seq.algebra, [[x] + [zero] * (len(seq) - 1) for x in seq])
 
 
 def row_embed(seq: ElementSequence) -> Element:
-    n = len(seq)
-    alg = seq.algebra
-    big = []
-    for k, d in enumerate(alg.dims):
-        blk = np.zeros((n * d, n * d), dtype=complex)
-        for j, x in enumerate(seq):
-            blk[0:d, j * d : (j + 1) * d] = x.blocks[k]
-        big.append(blk)
-    return Element(amplify(alg, n), big)
+    zero = zero_element(seq.algebra)
+    return block_matrix(seq.algebra, [list(seq)] + [[zero] * len(seq)] * (len(seq) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +190,16 @@ def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(x.blocks for x in items))]
 
 
-def _adjoint(s: np.ndarray) -> np.ndarray:
-    return s.conj().swapaxes(-1, -2)
-
-
-def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """vecs diag(f) vecs*, batched over the leading axes; f is shaped like vals."""
-    return (vecs * f[..., None, :]) @ _adjoint(vecs)
-
-
 def _polar_factors(
     seq: ElementSequence, cfg: ToleranceConfig
 ) -> tuple[Factors, Factors]:
     """a_n = u_n |x_n|^(1/2), b_n = |x_n|^(1/2) in compressed rectangular
-    form, from one batched SVD per block.  As in ``_ranked_svd``, each item
-    keeps the singular values above the cutoff relative to its own largest
-    one; the inner rank is padded with zeros to the block's largest rank."""
-    svds = [np.linalg.svd(x) for x in _stacks(seq)]
-    cut = cfg.rank_cutoff * np.max([s[:, 0] for _, s, _ in svds], axis=0)
+    form, from one batched ``_ranked_svd`` per block: each item keeps the
+    singular values above the cutoff relative to its own largest one; the
+    inner rank is padded with zeros to the block's largest rank."""
     A: Factors = []
     B: Factors = []
-    for U, s, Vh in svds:
-        keep = s > cut[:, None]
+    for U, s, Vh, keep in _ranked_svd(_stacks(seq), cfg):
         r = int(keep.sum(axis=1).max())
         root = np.sqrt(np.where(keep, s, 0.0))[:, :r]
         A.append(U[:, :, :r] * root[:, None, :])
@@ -291,10 +269,14 @@ def _gauge_descent(
     b_n by exp(-eta D_n / 2) on the left, so a_n b_n = x_n holds exactly
     throughout and the recorded objective history is strictly monotone.
     Stops early once the objective reaches ``target`` (a known lower bound)
-    within the gap tolerance, or when a step stops paying its way."""
+    within the gap tolerance, or when a step stops paying its way.  Raises
+    NumericError when the starting objective is not finite (a factor norm
+    overflowed); an accepted step only lowers it, so it stays finite."""
     alg = seq.algebra
     spectra, n1, n2 = _gram_spectra(alg, A, B, p)
     obj = float(np.sqrt(n1 * n2))
+    if not np.isfinite(obj):
+        raise NumericError("factor norms overflowed: the gauge objective is not finite")
     history = [obj]
     eta = 0.5
     floor_gap = 0.3 * cfg.opt_tol
@@ -340,15 +322,12 @@ def _feasibility_repair(
     pseudo-inverse); returns the number of repaired items.  Per block, one
     batched SVD gives the residuals' operator norms and the items' scales."""
     n = len(seq)
-    err = np.zeros(n)
-    scale = np.full(n, 1e-300)
-    for a, b, x in zip(A, B, _stacks(seq)):
-        residual = a @ b - x
-        if not np.isfinite(residual).all():
-            raise NumericError("factor products overflowed")
-        top = np.linalg.svd(np.concatenate([residual, x]), compute_uv=False)[:, 0]
-        err = np.maximum(err, top[:n])
-        scale = np.maximum(scale, top[n:])
+    stacks = _stacks(seq)
+    residuals = [a @ b - x for a, b, x in zip(A, B, stacks)]
+    if not all(np.isfinite(r).all() for r in residuals):
+        raise NumericError("factor products overflowed")
+    top = _sup_norms([np.concatenate(pair) for pair in zip(residuals, stacks)])
+    err, scale = top[:n], np.maximum(top[n:], 1e-300)
     bad = np.flatnonzero(err > 1e3 * cfg.rank_cutoff * scale)
     if bad.size:
         fresh = _polar_factors(sequence([seq.items[i] for i in bad]), cfg)

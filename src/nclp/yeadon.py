@@ -30,6 +30,8 @@ from .algebra import (
     Element,
     StructuralError,
     ToleranceConfig,
+    _nearly_selfadjoint,
+    _sup_norms,
     apply_spectral,
     hermitian_part,
     identity,
@@ -37,12 +39,11 @@ from .algebra import (
     pseudo_inverse,
     zero_element,
 )
-from .lp import is_positive
+from .lp import _hermitian_spectrum, is_positive
 from .maps import (
     LinearMap,
     _block_stacks,
     _map_from_images,
-    _sup_norms,
     _transposed_coords,
     _unit_images,
     amplified_map,
@@ -59,14 +60,11 @@ UNDETERMINED = "undetermined"
 
 def _unit_products(algebra) -> np.ndarray:
     """Index of e_a e_b in the matrix-unit basis, or -1 when the product is 0."""
-    sizes = [d * d for d in algebra.dims]
-    k = np.repeat(np.arange(len(sizes)), sizes)  # block of each unit
-    d = np.array(algebra.dims)[k]
-    start = np.cumsum([0] + sizes)[k]
-    i, j = divmod(np.arange(algebra.coord_dim) - start, d)  # e_a = e_ij
-    # e_ij e_i'j' is e_ij' when both sit in one block and j = i', else 0
-    nonzero = (k[:, None] == k[None, :]) & (j[:, None] == i[None, :])
-    return np.where(nonzero, (start + i * d)[:, None] + j[None, :], -1)
+    out = np.full((algebra.coord_dim,) * 2, -1)
+    for d, s in zip(algebra.dims, algebra.slices):
+        e = np.arange(s.start, s.stop).reshape(d, d)  # e[i, j]: index of e_ij
+        out[e[:, :, None], e[None, :, :]] = e[:, None, :]  # e_ij e_jl = e_il
+    return out
 
 
 def _product_table(domain, images) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -155,13 +153,12 @@ def _center_basis(N, rows: np.ndarray) -> list[Element]:
         P = np.matmul(S[:, None], S[None, :])
         comms.append((P - P.swapaxes(0, 1)).reshape(m, m, -1))
     C = np.concatenate(comms, axis=2).reshape(m, -1).T  # columns: span coefficients
-    _, s, vh = np.linalg.svd(C, full_matrices=True)
+    _, s, vh = np.linalg.svd(C, full_matrices=False)  # C is tall: m N x m
     # basis vectors are orthonormal, so genuine commutators are O(1);
     # the threshold must not scale down with an all-noise commutator matrix
     tol = 1e-10 * max(1.0, float(s[0]))
-    null_mask = np.concatenate([s <= tol, np.ones(vh.shape[0] - s.size, dtype=bool)])
     out = []
-    for c in vh.conj()[null_mask]:
+    for c in vh.conj()[s <= tol]:
         z = np.zeros(rows.shape[1], dtype=complex)
         for ci, base in zip(c, rows):
             z = z + complex(ci) * base
@@ -206,9 +203,7 @@ def central_decompose(
         t = zero_element(N)
         for h in herm:
             t = t + float(rng.uniform(0.5, 2.0)) * h
-        vals = np.sort(
-            np.concatenate([np.linalg.eigvalsh(b) for b in hermitian_part(t).blocks])
-        )
+        vals = _hermitian_spectrum(t)
         scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
         clusters: list[float] = []
         for v in vals:
@@ -344,7 +339,7 @@ def extract_yeadon(
 
     J1 = J(one)
     sup_res = (w.H * w - sB).sup_norm()
-    if _nearly_selfadjoint(J1, cfg):
+    if _nearly_selfadjoint(J1, max(1e-7, 100 * cfg.algebraic_tol)):
         rounded = _round_projection(J1, cfg)
         sup_res = max(sup_res, (rounded - sB).sup_norm(), (J1 - rounded).sup_norm())
     else:
@@ -374,12 +369,6 @@ def extract_yeadon(
 
     return YeadonTriple(
         w, B, J, True, dec.g, dec.f, dec.pi, dec.sigma, residuals
-    )
-
-
-def _nearly_selfadjoint(x: Element, cfg: ToleranceConfig) -> bool:
-    return (x - x.H).sup_norm() <= max(1e-7, 100 * cfg.algebraic_tol) * max(
-        1.0, x.sup_norm()
     )
 
 
@@ -435,7 +424,7 @@ def certify_separating(
     for s in range(witness_seeds):
         rng = rng_from(cfg.seed, 9300, s)
         h = random_selfadjoint(T.domain, rng)
-        vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in hermitian_part(h).blocks]))
+        vals = _hermitian_spectrum(h)
         if len(vals) < 2:
             continue
         for c in range(cuts_per_seed):
@@ -497,9 +486,7 @@ def structural_checks(
     inj_cross = _full_column_rank(T.action)
 
     w = triple.w
-    positive = (w - w.H).sup_norm() <= 1e-7 * max(1.0, w.sup_norm()) and is_positive(
-        hermitian_part(w), cfg
-    )
+    positive = _nearly_selfadjoint(w, 1e-7) and is_positive(hermitian_part(w), cfg)
     rng = rng_from(cfg.seed, 9400)
     pos_cross = True
     action_scale = max(float(np.abs(T.action).max()), 1e-300)

@@ -228,6 +228,8 @@ def test_out_flag_writes_file(capcli, tmp_path):
     assert json.loads(target.read_text())["value"] > 0
 
 
+# the overflow must surface as NumericError before any nan reaches sequences
+@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_non_finite_exact_enclosure_is_input_error(capcli):
     # the positive closed form overflows to inf; an exact [inf, inf] used to
     # be printed as certified
@@ -261,6 +263,8 @@ def test_seed_outside_honoured_range_is_input_error(capcli, monkeypatch, seed):
     assert err.startswith("error:") and "NCLP_SEED" in err
 
 
+# the overflow must surface as NumericError before any nan reaches sequences
+@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_factor_overflow_is_input_error(capcli):
     # the factor products of a non-positive pair near 1e300 overflow
     _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
@@ -320,3 +324,27 @@ def test_every_gen_map_kind_emits_a_parseable_instance(capcli, kind):
     code, out, err = capcli(["gen", "--kind", kind, "--dims", "2,1", "--weights", "0.5,2"])
     assert (code, err) == (0, "")
     assert set(parse_instance(out).maps) == {"T"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--tol", "1e-3"],
+        ["seqnorm", "--budget", "5"],
+        ["disjoint", "--seed", "1"],
+        ["dinq", "--p", "3"],
+        ["yeadon", "--restarts", "2"],
+        ["separating", "--p", "3"],
+        ["certify", "--restarts", "9"],
+        ["classify-l2", "--p", "3"],
+        ["gen", "--kind", "element", "--tol", "1e-3"],
+        ["example", "transpose", "--budget", "5"],
+        ["suite", "--p", "3"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capcli, argv):
+    # each subcommand takes only the flags that can change its output
+    _, pair, _ = capcli(["gen", "--kind", "nondisjoint-pair", "--dims", "2", "--seed", "4"])
+    code, out, err = capcli(argv, stdin_text=pair)
+    assert code == 3 and out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err

@@ -462,3 +462,32 @@ def test_compose_and_scale():
     S = LinearMap(alg, alg, ginibre(rng, 4), 2.0)
     x = random_element(alg, rng)
     assert (compose(S, T)(x) - S(T(x))).sup_norm() < 1e-12
+
+
+
+def test_positivity_sampling_applies_the_probe_once_per_sample(monkeypatch):
+    from nclp import synth
+    from nclp.maps import UNDETERMINED
+
+    T = synth.random_positive_map(matrix_algebra(2), 2.0, rng_from(2))
+    calls = []
+    apply = LinearMap.__call__
+    monkeypatch.setattr(LinearMap, "__call__", lambda self, x: calls.append(x) or apply(self, x))
+    assert positivity_tests(T, "positive", CFG).status == CERTIFIED  # by provenance
+    assert len(calls) == 49
+    # without the provenance flag the evidence is the worst sample, which
+    # must equal that of the loop that applied the probe twice per sample
+    del T.meta["positive"]
+    calls.clear()
+    verdict = positivity_tests(T, "positive", CFG)
+    assert len(calls) == 49
+    worst = np.inf
+    for x in calls:
+        y = apply(T, x)
+        h = 0.5 * (y + y.H)
+        lo = min(float(np.linalg.eigvalsh(b).min()) for b in h.blocks)
+        defect = (y - h).sup_norm()
+        lo = min(lo, -defect) if defect > 0 else lo
+        worst = min(worst, lo / max(apply(T, x).sup_norm(), 1.0))
+    assert verdict.status == UNDETERMINED
+    assert verdict.evidence == {"trials": 49, "worst_relative_eig": worst}

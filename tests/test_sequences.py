@@ -281,6 +281,8 @@ def test_norm_interval_validation():
     assert NormInterval(1.0, np.inf, False).upper == np.inf
 
 
+# the overflow must surface as NumericError before any nan reaches sequences
+@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_non_finite_exact_values_raise():
     # the closed forms overflow to inf at this scale
     alg = matrix_algebra(2)
@@ -293,6 +295,8 @@ def test_non_finite_exact_values_raise():
         dinq_disjoint_test(a, b, CFG)
 
 
+# the overflow must surface as NumericError before any nan reaches sequences
+@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_factor_product_overflow_raises_numeric_error():
     # the residual of a non-positive pair near 1e300 overflows; its operator
     # norm used to end in a raw LinAlgError from the SVD
