@@ -15,10 +15,14 @@ and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5``, each at
 Per workload and seed it prints the number of outputs that are not
 byte-identical (exit code, stdout, stderr), the operations
 whose exit code, verdict, route or ``certified_exact`` differ, and the
-largest relative difference between corresponding printed numbers.  The
-last line is a JSON summary.  Exit status 1 when any exit code, decision or
-output structure differs, or a number moves by more than 1e-12 relative.
-Nothing under ``perfbench/`` is changed.
+largest relative difference between corresponding printed numbers.  Two
+sound enclosures of one norm always intersect, so it also lists the
+operations whose printed ``interval`` in the two trees is disjoint beyond
+1e-9 relative, and counts those whose new interval is not inside the base
+one (a JSON null upper endpoint is +inf).  The last line is a JSON
+summary.  Exit status 1 when any exit code, decision or output structure
+differs, two intervals are disjoint, or a number moves by more than 1e-12
+relative.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DECISION_KEYS = ("verdict", "status", "route", "certified_exact")
 REL_TOL = 1e-12
+OVERLAP_TOL = 1e-9
 WORKLOADS = ("dinq", "seqnorm", "maps", "cli")
 EXAMPLE_KINDS = ("transpose", "identity", "rotation", "depolarizing", "unitary", "yeadon")
 GEN_KINDS = ("positive-seq", "seq", "disjoint-pair", "positive-disjoint-pair",
@@ -160,6 +165,20 @@ def _number_diffs(a, b, path="$"):
         yield path, None
 
 
+def _interval(doc):
+    """(lower, upper) of a document's interval, or None without one."""
+    iv = doc.get("interval") if isinstance(doc, dict) else None
+    if not isinstance(iv, dict) or not _is_number(iv.get("lower")):
+        return None
+    upper = iv.get("upper")
+    return float(iv["lower"]), math.inf if upper is None else float(upper)
+
+
+def _below(a: float, b: float) -> bool:
+    """a < b beyond OVERLAP_TOL relative."""
+    return a < b - OVERLAP_TOL * max(abs(a), abs(b) if math.isfinite(b) else 0.0, 1e-300)
+
+
 def compare(workload: str, seed: int, base: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         labels, argvs, digest = _operations(workload, seed, tmp)
@@ -171,7 +190,8 @@ def compare(workload: str, seed: int, base: str) -> dict:
 
     summary = {"workload": workload, "seed": seed, "inputs": digest, "ops": len(argvs),
                "byte_different": 0, "exit": [], "decision": [], "structure": [],
-               "stderr": [], "max_rel": 0.0, "max_rel_at": None}
+               "stderr": [], "disjoint": [], "not_inside": 0, "max_rel": 0.0,
+               "max_rel_at": None}
     for i, ((c0, o0, e0), (c1, o1, e1)) in enumerate(zip(old, new)):
         if [c0, o0, e0] == [c1, o1, e1]:
             continue
@@ -182,11 +202,17 @@ def compare(workload: str, seed: int, base: str) -> dict:
         if e0 != e1:
             summary["stderr"].append(name)
         d0, d1 = _parse(o0), _parse(o1)
+        i0, i1 = _interval(d0), _interval(d1)
+        if i0 is not None and i1 is not None:
+            if _below(i0[1], i1[0]) or _below(i1[1], i0[0]):
+                summary["disjoint"].append(f"{name}: {list(i0)} vs {list(i1)}")
+            summary["not_inside"] += _below(i1[0], i0[0]) or _below(i0[1], i1[1])
         if _decisions(d0) != _decisions(d1):
             summary["decision"].append(f"{name}: {_decisions(d0)} -> {_decisions(d1)}")
         for path, rel in _number_diffs(d0, d1):
             if rel is None:
-                summary["structure"].append(f"{name} at {path}")
+                if path.rsplit(".", 1)[-1] not in DECISION_KEYS:  # listed as decisions
+                    summary["structure"].append(f"{name} at {path}")
             elif rel > summary["max_rel"]:
                 summary["max_rel"], summary["max_rel_at"] = rel, f"{name} at {path}"
     return summary
@@ -215,12 +241,14 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: {s['byte_different']}/{s['ops']} outputs differ; "
                   f"exit {len(s['exit'])}, decision {len(s['decision'])}, "
                   f"structure {len(s['structure'])}, stderr {len(s['stderr'])}; "
+                  f"intervals disjoint {len(s['disjoint'])}, not inside {s['not_inside']}; "
                   f"max rel diff {s['max_rel']:.2g}"
                   + (f" ({s['max_rel_at']})" if s["max_rel_at"] else ""), flush=True)
-            for key in ("exit", "decision", "structure"):
+            for key in ("exit", "decision", "structure", "disjoint"):
                 for line in s[key]:
                     print(f"  {key}: {line}")
-            bad |= bool(s["exit"] or s["decision"] or s["structure"]) or s["max_rel"] > REL_TOL
+            bad |= (bool(s["exit"] or s["decision"] or s["structure"] or s["disjoint"])
+                    or s["max_rel"] > REL_TOL)
     print(json.dumps(results))
     return 1 if bad else 0
 

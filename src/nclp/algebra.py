@@ -41,14 +41,12 @@ class ToleranceConfig:
     algebraic_tol: relative tolerance for identity checks.
     opt_tol:       convergence / certification gap tolerance for optimizers.
     rank_cutoff:   relative singular-value cutoff for supports and pseudo-inverses.
-    restarts:      number of random restarts for nonconvex searches.
     seed:          root seed; all randomness is derived from it deterministically.
     """
 
     algebraic_tol: float = 1e-9
     opt_tol: float = 1e-7
     rank_cutoff: float = 1e-10
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -56,8 +54,6 @@ class ToleranceConfig:
             t = getattr(self, name)
             if not 0 < t < 1:  # also rejects nan
                 raise StructuralError(f"{name} must lie in (0, 1), got {t!r}")
-        if self.restarts < 1:
-            raise StructuralError("restarts must be >= 1")
         if not 0 <= self.seed < 2**32:
             raise StructuralError(f"seed must lie in [0, 2**32), got {self.seed!r}")
 
@@ -340,9 +336,8 @@ def absolute(x: Element, power: float = 1.0) -> Element:
 
 
 def positive_sqrt(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:
-    """Square root of a positive element (eigenvalues clipped at zero)."""
-    if not is_selfadjoint(x, cfg):
-        raise DomainError("positive_sqrt needs a self-adjoint element")
+    """Square root of a positive element (eigenvalues clipped at zero);
+    ``apply_spectral`` refuses an element that is not self-adjoint."""
     return apply_spectral(x, lambda v: np.sqrt(np.clip(v, 0.0, None)), cfg)
 
 

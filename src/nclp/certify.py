@@ -58,14 +58,12 @@ from .sequences import (
     DISJOINT,
     ElementSequence,
     NormInterval,
-    _closed_form,
-    _gram_spectra,
-    _objective,
-    _polar_factors,
+    _gram_norms,
+    _grams,
+    _sequence_bounds,
     _stacks,
     dinq_disjoint_test,
     l1_norm_bounds,
-    phase_lower_bound,
     sequence,
     sum_elements,
 )
@@ -84,20 +82,12 @@ ROUTE_POSITIVE = "positive_4x"
 ROUTE_SAMPLED = "sampled_only"
 
 
-def _sequence_lower(seq: ElementSequence, p: float, cfg: ToleranceConfig) -> float:
-    """Sound lower bound for the sequence norm without running the optimizer:
-    the closed form, else the scalar-phase sup."""
-    exact = _closed_form(seq, p, cfg)
-    return exact[0] if exact is not None else phase_lower_bound(seq, p, cfg)
-
-
-def _input_upper(seq: ElementSequence, p: float, cfg: ToleranceConfig) -> float:
-    """Valid upper bound for the input norm: the closed form, else the
-    objective of the polar factorization."""
-    exact = _closed_form(seq, p, cfg)
-    if exact is not None:
-        return exact[0]
-    return _objective(seq.algebra, *_polar_factors(seq, cfg), p)
+# Steps of the sequence-norm solver per sampled image sequence: every dual
+# iterate is a sound lower endpoint, and the first update (the dual of the
+# polar factorization) already beats the scalar-phase sup that the sampled
+# ratios used to read.  Inputs take the first step's upper endpoint, the
+# polar factorization.
+RATIO_STEPS = 1
 
 
 def map_sequence(T: LinearMap, seq: ElementSequence) -> ElementSequence:
@@ -128,10 +118,10 @@ def l1_ratio_lower(
 
     def consider(seq: ElementSequence) -> Optional[float]:
         nonlocal best, n_done
-        up = _input_upper(seq, p, cfg)
+        up = _sequence_bounds(seq, p, cfg, 0)[1]
         if up <= 1e-12:
             return None
-        lo = _sequence_lower(map_sequence(T, seq), p, cfg)
+        lo = _sequence_bounds(map_sequence(T, seq), p, cfg, RATIO_STEPS)[0]
         r = lo / up
         best = max(best, r)
         n_done += 1
@@ -417,7 +407,7 @@ def _normalized_factorization(
     if iv.witness is None:
         raise StructuralError("no factorization witness available")
     a_list, b_list = iv.witness
-    _, ra, cb = _gram_spectra(seq.algebra, _stacks(a_list), _stacks(b_list), p)
+    ra, cb = _gram_norms(*_grams(_stacks(a_list), _stacks(b_list)), seq.algebra.weights, p)
     margin = 1.0 + 1e-9
     sa = 1.0 / np.sqrt(ra * margin) if ra > 0 else 1.0
     sb = 1.0 / np.sqrt(cb * margin) if cb > 0 else 1.0

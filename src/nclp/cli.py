@@ -128,21 +128,19 @@ def _default_seed(args) -> int:
 
 
 def _config(args, inst: Optional[InstanceFile] = None) -> ToleranceConfig:
-    """Seed precedence: --seed flag, then the instance's own seed, then the
-    NCLP_SEED environment default, then 0."""
+    """Seed precedence, for the commands that take --seed: the flag, then the
+    instance's own seed, then the NCLP_SEED environment default, then 0.
+    The other commands read no seed source."""
     cfg = DEFAULT_CONFIG
     if inst is not None and inst.tolerances is not None:
         cfg = inst.tolerances
-    seed = _env_seed() or 0
-    if inst is not None and inst.seed is not None:
-        seed = inst.seed
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    cfg = replace(cfg, seed=seed)
+    if hasattr(args, "seed"):
+        seed = _default_seed(args)
+        if args.seed is None and inst is not None and inst.seed is not None:
+            seed = inst.seed
+        cfg = replace(cfg, seed=seed)
     if args.tol is not None:
         cfg = replace(cfg, algebraic_tol=args.tol, opt_tol=max(args.tol, 1e-12))
-    if getattr(args, "restarts", None) is not None:
-        cfg = replace(cfg, restarts=args.restarts)
     return cfg
 
 
@@ -439,8 +437,6 @@ def _cmd_example(args) -> int:
 def _cmd_suite(args) -> int:
     seed = _default_seed(args)
     cfg = replace(DEFAULT_CONFIG, seed=seed)
-    if args.restarts is not None:
-        cfg = replace(cfg, restarts=args.restarts)
     scale = args.budget / 100.0 if args.budget is not None else 1.0
     report = run_suite(cfg, only=args.only, budget_scale=scale)
     _emit(report.to_dict(timings=args.timings), args)
@@ -452,7 +448,6 @@ _FLAGS = {
     "--p": dict(type=float, help="exponent (default: 2 or the map's own)"),
     "--tol": dict(type=float, help="override tolerance"),
     "--seed": dict(type=_seed, help="seed (default: NCLP_SEED or 0)"),
-    "--restarts": dict(type=int, help="optimizer restarts"),
     "--budget": dict(type=int, help="sampling budget"),
     "--el": dict(type=str),
     "--seq": dict(type=str),
@@ -475,10 +470,10 @@ _FLAGS = {
 _COMMANDS = {
     "norm": ("p-norm of an element", _cmd_norm, "--p --el", True),
     "seqnorm": ("ell1-valued sequence norm enclosure", _cmd_seqnorm,
-                "--p --tol --seed --restarts --seq", True),
+                "--p --tol --seq", True),
     "disjoint": ("algebraic disjointness of two elements", _cmd_disjoint, "--tol --a --b", True),
     "dinq": ("two-term p=2 disjointness criterion", _cmd_dinq,
-             "--tol --seed --restarts --a --b", True),
+             "--tol --a --b", True),
     "yeadon": ("extract the (w, B, J) factorization of a map", _cmd_yeadon,
                "--tol --seed --map", True),
     "separating": ("certify or falsify the separating property", _cmd_separating,
@@ -486,13 +481,13 @@ _COMMANDS = {
     "certify": ("certify the ell1-extension norm", _cmd_certify,
                 "--p --tol --seed --budget --map", True),
     "classify-l2": ("classify an L2 isometry by factorizability", _cmd_classify_l2,
-                    "--tol --seed --restarts --budget --map", True),
+                    "--tol --seed --budget --map", True),
     "gen": ("generate a random instance file", _cmd_gen,
             "--p --seed --kind --n --dims --weights", False),
     "example": ("emit a named example map as an instance file", _cmd_example,
                 "kind --p --seed --theta --lam --dim", False),
     "suite": ("run the property suite", _cmd_suite,
-              "--seed --restarts --budget --only --timings", False),
+              "--seed --budget --only --timings", False),
 }
 
 

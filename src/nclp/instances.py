@@ -137,7 +137,6 @@ def instance_to_dict(inst: InstanceFile) -> dict:
             "algebraic_tol": t.algebraic_tol,
             "opt_tol": t.opt_tol,
             "rank_cutoff": t.rank_cutoff,
-            "restarts": t.restarts,
         }
     if inst.seed is not None:
         doc["seed"] = int(inst.seed)
@@ -283,11 +282,8 @@ def parse_instance(text: str) -> InstanceFile:
             _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
                     f"{name} must be a number", f"$.tolerances.{name}")
             values[name] = float(v)
-        restarts = tol.get("restarts", 3)
-        _expect(isinstance(restarts, int) and not isinstance(restarts, bool) and restarts >= 1,
-                "restarts must be an integer >= 1", "$.tolerances.restarts")
         try:
-            inst.tolerances = ToleranceConfig(**values, restarts=restarts, seed=seed or 0)
+            inst.tolerances = ToleranceConfig(**values, seed=seed or 0)
         except StructuralError as exc:
             raise ParseError(str(exc), "$.tolerances") from exc
     return inst

@@ -5,39 +5,38 @@ The ell^1-valued norm is an infimum over factorizations x_n = a_n b_n of
 
     |sum a_n a_n*|_p^(1/2) * |sum b_n* b_n|_p^(1/2).
 
-``l1_norm_bounds`` returns a two-sided enclosure.  The upper endpoint is
-the best factorization found by descending over the gauge freedom of the
-problem: replacing (a_n, b_n) by (a_n g_n^{-1}, g_n b_n) keeps the
-products fixed, and the objective depends on the gauges only through the
-positive matrices M_n = g_n* g_n, in which both factor norms are
-geodesically convex.  Gradient steps in that cone (with backtracking,
-balancing rescales, bounded rank augmentation and seeded restarts from
-the polar factorization) therefore converge to the factorization infimum
-rather than stalling at the start.  The lower endpoint is the best of the
-unimodular-scalar sup  sup_eps |sum eps_n x_n|_p  and  max_n |x_n|_p,
-both of which every factorization dominates.  Three input classes
-collapse to exact values: positive sequences (norm of the sum), single
-elements, and p = 1 (the ell^1 direct sum of the summands' norms).  One
-private helper, ``_closed_form``, holds these three, so the enclosure and
-the sampled ratios of ``certify`` apply them in the same order.
+``l1_norm_bounds`` returns a two-sided enclosure from one solver.
 
-A factorization is stored per block k as two stacks over the items,
-A_k of shape (n, d_k, r_k) and B_k of shape (n, r_k, d_k).  Items of lower
-inner rank are padded with zeros to the block's largest rank r_k: a zero
-column of a_n paired with a zero row of b_n changes no product and no Gram,
-and the gauge directions vanish on it, so every step keeps it zero.  Each
-descent step is one batched computation per block: one eigendecomposition
-of the stacked directions D_n serves every backtracking trial
-exp(+-eta D_n / 2), and its largest eigenvalue modulus is the flat-gradient
-test.  Each trial takes one eigendecomposition of the stacked Grams
-(Y1, Y2) = (sum a_n a_n*, sum b_n* b_n); the Grams are positive, so the
-eigenvalue moduli give both p-norms, and on acceptance the eigenvectors
-give the powers Y^(p-1) of the next gradient.
+*The block split.*  On M = sum_k M_{d_k} with weights w_k, rescaling block
+k of every a_n by t_k and of every b_n by 1/t_k and optimizing over t
+(Cauchy-Schwarz) shows  |x| = (sum_k w_k N_k^p)^(1/p),  where N_k is the
+norm of the k-th blocks on an unweighted M_{d_k}.  Per-block endpoints
+combine as l^p sums, which are monotone, so per-block enclosures give an
+enclosure of the whole.  A zero block contributes 0 and a 1 x 1 block its
+sum of moduli, both at the first step.
+
+*The ascent on one block.*  For |a|_r = |b|_r = 1, r = 2p/(p-1), every
+factorization dominates  sum_n |b x_n a|_1  (Cauchy-Schwarz and Hoelder;
+Pisier, Asterisque 247; Junge, J. reine angew. Math. 549).  One batched SVD
+b x_n a = U_n s_n V_n* per step gives this dual endpoint, sum_n tr s_n, and
+a primal factorization alpha_n = b+ U_n s_n^(1/2), beta_n = s_n^(1/2) V_n* a+
+whose objective plus sum_n |x_n - alpha_n beta_n|_p (the triangle
+inequality and the singleton route, so a pseudo-inverse cutoff never makes
+it too low) is the upper endpoint.  With z_n = V_n U_n*, the next step
+replaces a by the q-norming dual of sum z_n b x_n, q = 2p/(p+1), or on
+alternate steps b by that of sum x_n a z_n; neither lowers the dual.  The
+first step's primal is the polar factorization.  The ascent stops once the
+gap is below opt_tol / 2 relative, or at a step cap; it is deterministic.
+
+Three input classes collapse to exact values: positive sequences (norm of
+the sum), single elements, and p = 1 (the ell^1 direct sum of the
+summands' norms).  One private helper, ``_closed_form``, holds these three,
+so the enclosure and the sampled ratios of ``certify`` apply them in the
+same order; ``certify`` runs the solver with a smaller step cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,14 +51,11 @@ from .algebra import (
     ToleranceConfig,
     _adjoint,
     _ranked_svd,
-    _spectral,
-    _sup_norms,
     block_matrix,
     positive_sqrt,
     zero_element,
 )
-from .lp import _schatten, disjoint, hs_inner, is_positive, lp_norm
-from .sampling import ginibre, rng_from
+from .lp import _schatten, disjoint, is_positive, lp_norm
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     if side not in ("column", "row"):
         raise DomainError(f"side must be 'column' or 'row', got {side!r}")
     items = _stacks(seq)
-    _, row, column = _gram_spectra(seq.algebra, items, items, p / 2.0)
+    row, column = _gram_norms(*_grams(items, items), seq.algebra.weights, p / 2.0)
     return (column if side == "column" else row) ** 0.5
 
 
@@ -179,10 +175,15 @@ def l1_norm_positive(
 
 
 # ---------------------------------------------------------------------------
-# Factorizations: per block, the items' inner factors stacked and zero-padded
+# The solver: the block split and one primal-dual ascent per block
 # ---------------------------------------------------------------------------
 
-Factors = list[np.ndarray]  # per block: (n, d, r) for the a_n, (n, r, d) for the b_n
+MAX_STEPS = 200  # step cap of the ascent on one block in l1_norm_bounds
+# The ascent stops at a relative gap of STOP_GAP * opt_tol, well inside the
+# certification gap opt_tol: the gap shrinks linearly, so the extra digits
+# cost a few steps, and endpoints that sit at the edge of opt_tol would be
+# looser than a descent that happened to stop closer to the norm.
+STOP_GAP = 0.01
 
 
 def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
@@ -190,264 +191,124 @@ def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(x.blocks for x in items))]
 
 
-def _polar_factors(
-    seq: ElementSequence, cfg: ToleranceConfig
-) -> tuple[Factors, Factors]:
-    """a_n = u_n |x_n|^(1/2), b_n = |x_n|^(1/2) in compressed rectangular
-    form, from one batched ``_ranked_svd`` per block: each item keeps the
-    singular values above the cutoff relative to its own largest one; the
-    inner rank is padded with zeros to the block's largest rank."""
-    A: Factors = []
-    B: Factors = []
-    for U, s, Vh, keep in _ranked_svd(_stacks(seq), cfg):
-        r = int(keep.sum(axis=1).max())
-        root = np.sqrt(np.where(keep, s, 0.0))[:, :r]
-        A.append(U[:, :, :r] * root[:, None, :])
-        B.append(root[:, :, None] * Vh[:, :r, :])
-    return A, B
-
-
-def _padded(A: Factors, B: Factors, widths: Sequence[int]) -> tuple[Factors, Factors]:
-    """The stacks with their inner rank zero-padded to ``widths``, per block."""
-    return (
-        [np.pad(a, ((0, 0), (0, 0), (0, w - a.shape[2]))) for a, w in zip(A, widths)],
-        [np.pad(b, ((0, 0), (0, w - b.shape[1]), (0, 0))) for b, w in zip(B, widths)],
-    )
-
-
-def _grams(A: Factors, B: Factors) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _grams(A: list[np.ndarray], B: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per block, Y1 = sum_n a_n a_n* and Y2 = sum_n b_n* b_n."""
     return [(a @ _adjoint(a)).sum(axis=0) for a in A], [(_adjoint(b) @ b).sum(axis=0) for b in B]
 
 
-def _gram_spectra(alg, A: Factors, B: Factors, p: float):
-    """(spectra, |Y1|_p, |Y2|_p): per block the eigendecomposition of the
-    stacked pair (Y1, Y2), and both norms from its eigenvalue moduli, which
-    are the Grams' singular values.  The objective is sqrt(|Y1|_p |Y2|_p)."""
-    spectra = [np.linalg.eigh(np.stack(pair)) for pair in zip(*_grams(A, B))]
-    moduli = [np.abs(vals[:, ::-1]) for vals, _ in spectra]
-    n1, n2 = (_schatten([m[i] for m in moduli], alg.weights, p) for i in (0, 1))
-    return spectra, n1, n2
+def _gram_norms(Y1: list[np.ndarray], Y2: list[np.ndarray], weights, p: float) -> tuple[float, float]:
+    """(|Y1|_p, |Y2|_p) of per-block Grams from one eigendecomposition per
+    block of the stacked pair, whose eigenvalue moduli are their singular
+    values.  The objective of a factorization is sqrt(|Y1|_p |Y2|_p)."""
+    moduli = [np.abs(np.linalg.eigvalsh(np.stack(pair))[:, ::-1]) for pair in zip(Y1, Y2)]
+    return tuple(_schatten([m[i] for m in moduli], weights, p) for i in (0, 1))
 
 
-def _objective(alg, A: Factors, B: Factors, p: float) -> float:
-    _, n1, n2 = _gram_spectra(alg, A, B, p)
-    return float(np.sqrt(n1 * n2))
+def _dual_factor(G: np.ndarray, e: float, r: float, cfg: ToleranceConfig):
+    """(y, y+) from one SVD G = W s V*: y = V f W* with f proportional to s^e
+    over the singular values above the rank cutoff and |y|_r = 1, and its
+    pseudo-inverse.  With e = q - 1 (q conjugate to r) y is the norming
+    dual, tr(G y) = |G|_q; for a Gram G and e = (p - 1)/2 it is the dual
+    that meets the factorization in Hoelder's equality case."""
+    [(W, s, Vh, keep)] = _ranked_svd([G], cfg)
+    f = np.where(keep, s / s[0], 0.0) ** e
+    f = f / _schatten([f], (1.0,), r)
+    inv = np.where(keep, 1.0 / np.where(keep, f, 1.0), 0.0)
+    return (_adjoint(Vh) * f) @ _adjoint(W), (W * inv) @ Vh
 
 
-def _balance(A: Factors, B: Factors, n1: float, n2: float) -> None:
-    """Rescale (a_n) <- t a_n, (b_n) <- b_n / t so the two factor norms
-    |Y1|_p = n1 and |Y2|_p = n2 agree; the objective is invariant but
-    subsequent gauge steps behave better on a balanced pair."""
-    if n1 <= 0 or n2 <= 0:
-        return
-    t = (n2 / n1) ** 0.25
-    A[:] = [a * t for a in A]
-    B[:] = [b / t for b in B]
+def _ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int):
+    """(lower, upper, factors, history) of the sequence norm on one
+    unweighted matrix block, given as the (n, d, d) stack X of the items.
 
-
-def _gauge_descent(
-    seq: ElementSequence,
-    A: Factors,
-    B: Factors,
-    p: float,
-    cfg: ToleranceConfig,
-    max_iters: int,
-    target: float = 0.0,
-) -> list[float]:
-    """Backtracking gradient descent over the per-item gauge cone.
-
-    Replacing (a_n, b_n) by (a_n g_n^{-1}, g_n b_n) leaves the products
-    fixed and changes the objective only through M_n = g_n* g_n > 0, in
-    which both factor norms are geodesically convex.  With Y1 = sum a M^-1 a*
-    and Y2 = sum b* M b, the gradient of log F at M = 1 along a Hermitian
-    direction H_n is  <D_n, H_n>  with
-
-        D_n = w_k b_n Y2^(p-1) b_n* / tau(Y2^p) - w_k a_n* Y1^(p-1) a_n / tau(Y1^p).
-
-    Each accepted step multiplies a_n by exp(eta D_n / 2) on the right and
-    b_n by exp(-eta D_n / 2) on the left, so a_n b_n = x_n holds exactly
-    throughout and the recorded objective history is strictly monotone.
-    Stops early once the objective reaches ``target`` (a known lower bound)
-    within the gap tolerance, or when a step stops paying its way.  Raises
-    NumericError when the starting objective is not finite (a factor norm
-    overflowed); an accepted step only lowers it, so it stays finite."""
-    alg = seq.algebra
-    spectra, n1, n2 = _gram_spectra(alg, A, B, p)
-    obj = float(np.sqrt(n1 * n2))
-    if not np.isfinite(obj):
-        raise NumericError("factor norms overflowed: the gauge objective is not finite")
-    history = [obj]
-    eta = 0.5
-    floor_gap = 0.3 * cfg.opt_tol
-    step_gain = 0.02 * cfg.opt_tol
-    for _ in range(max_iters):
-        if obj <= target * (1.0 + floor_gap):
+    From a = b = 1/|1|_r, each step takes one batched SVD b x_n a = U s V*.
+    Its trace norms give the dual endpoint sum_n tr s_n (|a|_r = |b|_r = 1);
+    alpha_n = b+ U s^(1/2), beta_n = s^(1/2) V* a+ give the primal one,
+    sqrt(|sum alpha alpha*|_p |sum beta* beta|_p) + sum_n |x_n - alpha_n beta_n|_p,
+    with the Schatten norm of each residual bounded by d^max(0, 1/p - 1/2)
+    times its Frobenius norm.  The first step's primal is the polar
+    factorization, and the first update takes a and b from its Grams,
+    a a* ~ Y2^(p-1) and b* b ~ Y1^(p-1), which closes the gap at once when
+    the polar factorization is optimal (disjoint pairs).  Later updates
+    alternate: with z_n = V U*, a becomes the q-norming dual of
+    sum z_n b x_n, or b that of sum x_n a z_n; neither lowers the dual.
+    ``factors`` are (alpha, beta, |Y1|_p, |Y2|_p) of the best primal step and
+    ``history`` the upper endpoint after each step.  Stops once the gap is
+    below STOP_GAP * opt_tol relative, or after ``max_steps`` updates."""
+    d = X.shape[1]
+    q = 2.0 * p / (p + 1.0)
+    r = 2.0 * p / (p - 1.0) if p > 1 else np.inf
+    c = float(d) ** ((1.0 - p) / (2.0 * p))
+    a = b = c * np.eye(d)
+    ap = bp = np.eye(d) / c
+    slack = float(d) ** max(0.0, 1.0 / p - 0.5)
+    lower, upper, factors, history = 0.0, np.inf, None, []
+    for step in range(max_steps + 1):
+        U, s, Vh = np.linalg.svd(b @ X @ a)
+        lower = max(lower, float(s.sum()))
+        root = np.sqrt(s)
+        alpha = bp @ (U * root[:, None, :])
+        beta = (root[:, :, None] * Vh) @ ap
+        Y1, Y2 = _grams([alpha], [beta])
+        n1, n2 = _gram_norms(Y1, Y2, (1.0,), p)
+        residual = np.linalg.norm(X - alpha @ beta, axis=(1, 2)).sum()
+        value = float(np.sqrt(n1 * n2) + slack * residual)
+        if not np.isfinite([lower, value]).all():
+            raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {value}]")
+        if value < upper:
+            upper, factors = value, (alpha, beta, n1, n2)
+        history.append(upper)
+        if upper - lower <= STOP_GAP * cfg.opt_tol * upper or step == max_steps:
             break
-        v1, v2 = max(n1**p, 1e-300), max(n2**p, 1e-300)
-        steps = []
-        for (_, w), a, b, (vals, vecs) in zip(alg.blocks, A, B, spectra):
-            pw = _spectral(vals, vecs, np.clip(vals, 0.0, None) ** (p - 1.0))
-            g = w * (b @ pw[1] @ _adjoint(b)) / v2 - w * (_adjoint(a) @ pw[0] @ a) / v1
-            steps.append(np.linalg.eigh(0.5 * (g + _adjoint(g))))
-        gnorm = max(float(np.abs(vals).max(initial=0.0)) for vals, _ in steps)
-        if gnorm <= 1e-14:
-            break
-        accepted = False
-        while eta > 1e-8:
-            newA = [a @ _spectral(*e, np.exp(+0.5 * eta * e[0])) for a, e in zip(A, steps)]
-            newB = [_spectral(*e, np.exp(-0.5 * eta * e[0])) @ b for b, e in zip(B, steps)]
-            trial = _gram_spectra(alg, newA, newB, p)
-            new_obj = float(np.sqrt(trial[1] * trial[2]))
-            if new_obj < obj * (1 - 1e-14):
-                gain = obj - new_obj
-                A[:], B[:] = newA, newB
-                spectra, n1, n2 = trial
-                obj = new_obj
-                history.append(obj)
-                accepted = gain > step_gain * max(obj, 1e-300)
-                eta = min(eta * 1.6, 1.0)
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-    _balance(A, B, n1, n2)
-    return history
+        z = _adjoint(U @ Vh)
+        if step == 0:
+            a, ap = _dual_factor(Y2[0], (p - 1.0) / 2.0, r, cfg)
+            b, bp = _dual_factor(Y1[0], (p - 1.0) / 2.0, r, cfg)
+        elif step % 2:
+            a, ap = _dual_factor((z @ b @ X).sum(axis=0), q - 1.0, r, cfg)
+        else:
+            b, bp = _dual_factor((X @ a @ z).sum(axis=0), q - 1.0, r, cfg)
+    return lower, upper, factors, history
 
 
-def _feasibility_repair(
-    seq: ElementSequence, A: Factors, B: Factors, cfg: ToleranceConfig
-) -> int:
-    """Re-anchor items whose product drifted off x_n (rank collapse in a
-    pseudo-inverse); returns the number of repaired items.  Per block, one
-    batched SVD gives the residuals' operator norms and the items' scales."""
-    n = len(seq)
-    stacks = _stacks(seq)
-    residuals = [a @ b - x for a, b, x in zip(A, B, stacks)]
-    if not all(np.isfinite(r).all() for r in residuals):
-        raise NumericError("factor products overflowed")
-    top = _sup_norms([np.concatenate(pair) for pair in zip(residuals, stacks)])
-    err, scale = top[:n], np.maximum(top[n:], 1e-300)
-    bad = np.flatnonzero(err > 1e3 * cfg.rank_cutoff * scale)
-    if bad.size:
-        fresh = _polar_factors(sequence([seq.items[i] for i in bad]), cfg)
-        for a, b, fa, fb in zip(A, B, *_padded(*fresh, [a.shape[2] for a in A])):
-            a[bad], b[bad] = fa, fb
-    return int(bad.size)
+def _solve(seq: ElementSequence, p: float, cfg: ToleranceConfig, max_steps: int):
+    """(lower, upper, factors, history) of the whole sequence from the block
+    split |x| = (sum_k w_k N_k^p)^(1/p), N_k the value on block k at weight
+    one: per-block endpoints combine as l^p sums, and ``history`` is the
+    whole upper endpoint after each step."""
+    w = seq.algebra.weights
+    runs = [_ascent(X, p, cfg, max_steps) for X in _stacks(seq)]
+    lower, upper = (_schatten([np.array([run[i]]) for run in runs], w, p) for i in (0, 1))
+    history = [
+        _schatten([np.array([h[min(i, len(h) - 1)]]) for *_, h in runs], w, p)
+        for i in range(max(len(h) for *_, h in runs))
+    ]
+    if not np.isfinite(upper):
+        raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {upper}]")
+    return lower, upper, [run[2] for run in runs], history
 
 
-def _augment_and_gauge(
-    alg, A: Factors, B: Factors, extra: int, rng: np.random.Generator
-) -> None:
-    """Append ``extra`` zero inner dimensions, then mix with a random
-    invertible gauge g per item and block: (a g^{-1}) (g b) = a b exactly.
-    An item's inner rank is its count of nonzero columns, as the polar
-    factors leave them; gauges are drawn item by item, then block by block."""
-    ranks = [np.count_nonzero(np.any(a, axis=1), axis=1) for a in A]
-    widths = [int(np.minimum(r + extra, d).max()) for r, d in zip(ranks, alg.dims)]
-    newA, newB = _padded(A, B, widths)
-    for n in range(len(A[0])):
-        for k, d in enumerate(alg.dims):
-            r = min(int(ranks[k][n]) + extra, d)
-            if r == 0:
-                continue
-            g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
-            while np.linalg.cond(g) > 1e4:
-                g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
-            a, b = newA[k][n, :, :r], newB[k][n, :r, :]
-            newA[k][n, :, :r] = np.linalg.solve(g.T, a.T).T
-            newB[k][n, :r, :] = g @ b
-    A[:], B[:] = newA, newB
-    _, n1, n2 = _gram_spectra(alg, A, B, 2.0)
-    _balance(A, B, n1, n2)
-
-
-def _factors_to_elements(
-    alg, A: Factors, B: Factors
-) -> tuple[list[Element], list[Element]]:
-    """Zero-pad the stacked inner factors into genuine algebra elements."""
-    A, B = _padded(A, B, alg.dims)
+def _witness(alg, factors) -> tuple[list[Element], list[Element]]:
+    """The per-block factors as elements, block k of every alpha_n scaled by
+    t_k = (|Y2_k|_p / |Y1_k|_p)^(1/4) and of every beta_n by 1/t_k: the
+    balance at which the objective of the whole equals the l^p sum of the
+    blocks' objectives."""
+    A, B = [], []
+    for alpha, beta, n1, n2 in factors:
+        t = (n2 / n1) ** 0.25 if n1 > 0 and n2 > 0 else 1.0
+        A.append(alpha * t)
+        B.append(beta / t)
     return [Element(alg, list(x)) for x in zip(*A)], [Element(alg, list(x)) for x in zip(*B)]
 
 
-# ---------------------------------------------------------------------------
-# Lower bound: unimodular scalar combinations
-# ---------------------------------------------------------------------------
-
-
-def _phase_value(seq: ElementSequence, eps: np.ndarray, p: float) -> float:
-    """|sum eps_n x_n|_p."""
-    combo = [np.zeros((d, d), dtype=complex) for d in seq.algebra.dims]
-    for e, x in zip(eps, seq):
-        for k, blk in enumerate(x.blocks):
-            combo[k] = combo[k] + complex(e) * blk
-    return _schatten([np.linalg.svd(b, compute_uv=False) for b in combo], seq.algebra.weights, p)
-
-
-def _phase_sup_quadratic(gram: np.ndarray, starts: list[np.ndarray], sweeps: int = 40) -> float:
-    """max over unimodular eps of eps* G eps by coordinate ascent (p = 2)."""
-    n = gram.shape[0]
-    best = 0.0
-    for eps in starts:
-        eps = eps.astype(complex)
-        for _ in range(sweeps):
-            moved = False
-            for i in range(n):
-                c = gram[i] @ eps - gram[i, i] * eps[i]
-                if abs(c) > 1e-300:
-                    new = c / abs(c)
-                    if abs(new - eps[i]) > 1e-14:
-                        eps[i] = new
-                        moved = True
-            if not moved:
-                break
-        best = max(best, float(np.real(eps.conj() @ gram @ eps)))
-    return max(best, 0.0)
-
-
-def phase_lower_bound(
-    seq: ElementSequence, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> float:
-    """sup over unimodular scalars of |sum eps_n x_n|_p, approximated from
-    below (grid of 16 phases per coordinate up to length 4, coordinate
-    ascent beyond), combined with max_n |x_n|_p."""
-    items = list(seq)
-    n = len(items)
-    floor = max(lp_norm(x, p) for x in items)
-    if n == 1:
-        return floor
-    if p == 2:
-        gram = np.array(
-            [[hs_inner(a, b) for b in items] for a in items], dtype=complex
-        )
-        if n == 2:
-            val = gram[0, 0].real + gram[1, 1].real + 2.0 * abs(gram[0, 1])
-            return max(float(np.sqrt(max(val, 0.0))), floor)
-        rng = rng_from(cfg.seed, 7001)
-        starts = [np.ones(n, dtype=complex)] + [
-            np.exp(2j * np.pi * rng.random(n)) for _ in range(5)
-        ]
-        return max(float(np.sqrt(_phase_sup_quadratic(gram, starts))), floor)
-    phases = np.exp(2j * np.pi * np.arange(16) / 16.0)
-    best = floor
-    if n <= 4:
-        for combo in itertools.product(phases, repeat=n - 1):
-            eps = np.concatenate([[1.0 + 0j], np.array(combo)])
-            best = max(best, _phase_value(seq, eps, p))
-        return best
-    rng = rng_from(cfg.seed, 7002)
-    for _ in range(3):
-        eps = np.exp(2j * np.pi * rng.random(n))
-        for _ in range(3):
-            for i in range(n):
-                vals = []
-                for ph in phases:
-                    trial = eps.copy()
-                    trial[i] = ph
-                    vals.append(_phase_value(seq, trial, p))
-                eps[i] = phases[int(np.argmax(vals))]
-        best = max(best, _phase_value(seq, eps, p))
-    return best
+def _sequence_bounds(
+    seq: ElementSequence, p: float, cfg: ToleranceConfig, max_steps: int
+) -> tuple[float, float]:
+    """(lower, upper): the closed form, else ``max_steps`` steps of the solver."""
+    exact = _closed_form(seq, p, cfg)
+    if exact is not None:
+        return exact[0], exact[0]
+    return _solve(seq, p, cfg, max_steps)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +343,9 @@ def l1_norm_bounds(
     Exact shortcuts, in this order: all-positive entries (norm of the sum,
     witnessed by the square roots), single entries and p = 1 (sum of the
     entries' norms; the polar factorization attains both).  Otherwise the
-    gauge descent (up to 48 steps from each of cfg.restarts starts)
-    supplies the upper endpoint and the scalar-phase sup the lower one; the
-    optimizer never fails hard, a stuck search simply leaves
-    certified_exact False.
+    block split with one primal-dual ascent per block (up to MAX_STEPS
+    steps) supplies both endpoints and the witness; an ascent that has not
+    closed its gap simply leaves certified_exact False.
     """
     if p == np.inf:
         raise DomainError("sequence norms are defined for finite exponents")
@@ -500,48 +360,17 @@ def l1_norm_bounds(
             roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in seq]
             witness = (roots, roots)
         else:
-            witness = _factors_to_elements(alg, *_polar_factors(seq, cfg))
+            witness = _witness(alg, _solve(seq, p, cfg, 0)[2])
         return NormInterval(value, value, True, witness=witness, meta={"route": route})
 
-    lower = phase_lower_bound(seq, p, cfg)
-
-    best_val = np.inf
-    best_factors = None
-    histories: list[list[float]] = []
-    init_upper = None
-    repairs = 0
-    A0, B0 = _polar_factors(seq, cfg)
-    for restart in range(cfg.restarts):
-        A, B = [a.copy() for a in A0], [b.copy() for b in B0]
-        if restart > 0:
-            rng = rng_from(cfg.seed, 7100, restart)
-            _augment_and_gauge(alg, A, B, extra=restart, rng=rng)
-        history = _gauge_descent(seq, A, B, p, cfg, max_iters=48, target=lower)
-        repairs += _feasibility_repair(seq, A, B, cfg)
-        if init_upper is None:
-            init_upper = history[0]
-        histories.append(history)
-        final = min(history)
-        if final < best_val - 1e-15:
-            best_val = final
-            best_factors = _factors_to_elements(alg, A, B)
-        if best_val <= lower * (1.0 + 0.5 * cfg.opt_tol):
-            break  # the enclosure is already as tight as certification needs
-
-    upper = float(best_val)
-    lower = min(lower, upper)
+    lower, upper, factors, history = _solve(seq, p, cfg, MAX_STEPS)
     certified = (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
     return NormInterval(
         lower,
         upper,
         certified,
-        witness=best_factors,
-        meta={
-            "route": "optimizer",
-            "init_upper": init_upper,
-            "histories": histories,
-            "repairs": repairs,
-        },
+        witness=_witness(alg, factors),
+        meta={"route": "optimizer", "init_upper": history[0], "histories": [history]},
     )
 
 

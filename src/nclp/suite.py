@@ -18,6 +18,8 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_CONFIG,
+    AlgebraDescriptor,
+    Element,
     ToleranceConfig,
     absolute,
     identity,
@@ -52,7 +54,15 @@ from .sampling import (
 )
 from .sequences import (
     DISJOINT,
+    MAX_STEPS,
     UNDETERMINED,
+    NormInterval,
+    _ascent,
+    _gram_norms,
+    _grams,
+    _solve,
+    _stacks,
+    _witness,
     dinq_disjoint_test,
     l1_norm_bounds,
     l1_norm_positive,
@@ -308,16 +318,14 @@ def _prop_positive_sum_rule(cfg: ToleranceConfig, n: int) -> _Tally:
         res = max(abs(iv.upper - target), abs(target - iv.lower)) / max(target, 1e-300)
         ok = iv.certified_exact and res <= 1e-6
         if i % 4 == 0:
-            # run the gauge descent from the polar factorization, bypassing
-            # the shortcut: its start, its best value and its final factors
-            # must match the closed form, pinning the search to the rule
-            from .sequences import _gauge_descent, _objective, _polar_factors
-
-            A, B = _polar_factors(seq, cfg)
-            history = _gauge_descent(seq, A, B, p, cfg, max_iters=48)
-            after = _objective(seq.algebra, A, B, p)
+            # run the ascent past the shortcut: its polar start, both of its
+            # endpoints and the objective of its witness must match the
+            # closed form, pinning the solver to the rule
+            lower, upper, factors, history = _solve(seq, p, cfg, MAX_STEPS)
+            wa, wb = _witness(alg, factors)
+            after = np.sqrt(np.prod(_gram_norms(*_grams(_stacks(wa), _stacks(wb)), alg.weights, p)))
             opt_res = max(
-                abs(v - target) for v in (history[0], min(history), after)
+                abs(v - target) for v in (history[0], lower, upper, after)
             ) / max(target, 1e-300)
             res = max(res, opt_res)
             ok = ok and opt_res <= 1e-6
@@ -357,8 +365,8 @@ def _prop_permutation_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
         ivp = l1_norm_bounds(perm, p, cfg)
         scale = max(iv.upper, 1e-300)
         # the norm itself is permutation invariant, so the two enclosures
-        # must overlap exactly; the best-found endpoints agree only up to
-        # the scatter of the seeded restarts
+        # must overlap exactly; the deterministic ascent makes the same
+        # steps on both, so the endpoints agree up to rounding
         overlap = iv.lower <= ivp.upper * (1 + 1e-9) and ivp.lower <= iv.upper * (1 + 1e-9)
         perm_res = max(abs(iv.upper - ivp.upper), abs(iv.lower - ivp.lower)) / scale
         c = 0.25 + float(rng.random())
@@ -367,6 +375,55 @@ def _prop_permutation_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
         t.check(overlap and perm_res <= 1e-3 and hom_res <= 1e-7,
                 max(perm_res, hom_res))
     return t
+
+
+def _prop_ascent_duality(cfg: ToleranceConfig, n: int) -> _Tally:
+    rng = rng_from(cfg.seed, 305)
+    t = _Tally()
+    for i in range(n):
+        alg = random_algebra(rng, max_blocks=2, max_dim=4)
+        p = (1.5, 2.0, 3.0)[i % 3]
+        items = [random_element(alg, rng) for _ in range(2 + i % 3)]
+        if i % 4 == 1:  # rank-one items
+            items = [Element(alg, [b[:, :1] @ b[:1, :] for b in x.blocks]) for x in items]
+        if i % 4 == 3:  # a zero block in every item
+            items = [Element(alg, [b if k else 0 * b for k, b in enumerate(x.blocks)]) for x in items]
+        for X in _stacks(sequence(items)):
+            # the endpoints after k steps, for every k up to the stopping step
+            runs = [_ascent(X, p, cfg, k) for k in range(len(_ascent(X, p, cfg, MAX_STEPS)[3]))]
+            lows, ups = [run[0] for run in runs], [run[1] for run in runs]
+            excess = max(lo - up for lo, up in zip(lows, ups)) / max(ups[-1], 1e-300)
+            t.check(excess <= 1e-12 and lows == sorted(lows) and ups == sorted(ups, reverse=True),
+                    max(excess, 0.0))
+    return t
+
+
+def _prop_block_split(cfg: ToleranceConfig, n: int) -> _Tally:
+    rng = rng_from(cfg.seed, 306)
+    t = _Tally()
+    for i in range(n):
+        p = (1.5, 2.0, 3.0)[i % 3]
+        dims = [int(d) for d in rng.integers(1, 4, size=2 + i % 2)]
+        if i % 2:
+            # unit weights: the same items, block-diagonal in one M_{sum d}
+            alg = AlgebraDescriptor(tuple((d, 1.0) for d in dims))
+            seq = sequence([random_element(alg, rng) for _ in range(3)])
+            big = [np.block([[b if j == k else np.zeros((len(b), len(c))) for k, c in enumerate(x.blocks)]
+                             for j, b in enumerate(x.blocks)]) for x in seq]
+            want = l1_norm_bounds(sequence([Element(matrix_algebra(sum(dims)), [b]) for b in big]), p, cfg)
+        else:
+            # 1 x 1 blocks with random weights against the closed form
+            alg = AlgebraDescriptor(tuple((1, float(w)) for w in rng.uniform(0.5, 2.0, size=sum(dims))))
+            seq = sequence([random_element(alg, rng) for _ in range(3)])
+            moduli = np.abs([[b[0, 0] for b in x.blocks] for x in seq]).sum(axis=0)
+            value = float(np.sum(np.array(alg.weights) * moduli**p) ** (1 / p))
+            want = NormInterval(value, value, True)
+        iv = l1_norm_bounds(seq, p, cfg)
+        res = abs(iv.upper - want.upper) / max(want.upper, 1e-300)
+        overlap = iv.lower <= want.upper * (1 + 1e-9) and want.lower <= iv.upper * (1 + 1e-9)
+        t.check(iv.certified_exact and want.certified_exact and overlap and res <= cfg.opt_tol, res)
+    return t
+
 
 
 def _prop_dinq_agreement(cfg: ToleranceConfig, n: int) -> _Tally:
@@ -619,6 +676,8 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("positive-sequence-sum-rule", "positive sequences have ell1 norm equal to the norm of their sum", 120, _prop_positive_sum_rule),
     SuiteProperty("factorization-floor-descent", "every visited factorization dominates the norm of the sum and sweeps never increase it", 48, _prop_optimizer_holder),
     SuiteProperty("sequence-symmetries", "sequence-norm endpoints are permutation invariant and absolutely homogeneous", 32, _prop_permutation_homogeneity),
+    SuiteProperty("ascent-duality", "every dual iterate of the sequence-norm ascent stays below every primal one", 24, _prop_ascent_duality),
+    SuiteProperty("block-split", "the sequence norm splits over blocks: unit-weight blocks agree with their block-diagonal embedding, and 1 x 1 blocks with their closed form", 30, _prop_block_split),
     SuiteProperty("dinq-two-term-agreement", "the two-term p=2 criterion agrees with the algebraic disjointness test", 500, _prop_dinq_agreement),
     SuiteProperty("adjoint-involution", "the trace adjoint satisfies the pairing identity and is an involution", 60, _prop_adjoint_involution),
     SuiteProperty("cp-constructor-certification", "completely positive constructors certify at all three positivity levels", 24, _prop_cp_constructors),

@@ -20,7 +20,7 @@ by the range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -490,10 +490,7 @@ def structural_checks(
     rng = rng_from(cfg.seed, 9400)
     pos_cross = True
     action_scale = max(float(np.abs(T.action).max()), 1e-300)
-    loose = ToleranceConfig(
-        algebraic_tol=1e-7, opt_tol=cfg.opt_tol, rank_cutoff=cfg.rank_cutoff,
-        restarts=cfg.restarts, seed=cfg.seed,
-    )
+    loose = replace(cfg, algebraic_tol=1e-7)
     for _ in range(samples):
         x = random_positive(T.domain, rng)
         y = T(x)

@@ -193,6 +193,25 @@ def test_positive_sqrt_squares_back():
     assert (r * r - pos).sup_norm() < 1e-10 * max(pos.sup_norm(), 1.0)
 
 
+def test_positive_sqrt_tests_selfadjointness_once(monkeypatch):
+    import nclp.algebra as algebra
+
+    calls = []
+    real = algebra._nearly_selfadjoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_nearly_selfadjoint", counted)
+    rng = rng_from(27)
+    g = random_element(matrix_algebra(3), rng)
+    positive_sqrt(g * g.H)
+    assert len(calls) == 1
+    with pytest.raises(DomainError):
+        positive_sqrt(g)
+
+
 def test_amplify_descriptor():
     alg = matrix_algebra(2, 1.0)
     amp = amplify(alg, 2)
@@ -231,8 +250,8 @@ def test_faithfulness():
 def test_tolerance_config_validation():
     with pytest.raises(StructuralError):
         ToleranceConfig(algebraic_tol=-1.0)
-    with pytest.raises(StructuralError):
-        ToleranceConfig(restarts=0)
+    with pytest.raises(TypeError):
+        ToleranceConfig(restarts=3)  # the field went with the gauge descent's restarts
     for name in ("algebraic_tol", "opt_tol", "rank_cutoff"):
         for bad in (0.0, 1.0, 1e300, float("inf"), float("nan")):
             with pytest.raises(StructuralError, match=name):

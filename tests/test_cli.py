@@ -180,16 +180,12 @@ def test_non_finite_instance_values_are_input_errors(capcli):
     def inf_weight(doc):
         doc["algebras"]["M"]["blocks"][1]["weight"] = float("inf")
 
-    def inf_restarts(doc):
-        doc["tolerances"] = {"restarts": float("inf")}
-
     def inf_seed(doc):
         doc["tolerances"] = {}
         doc["seed"] = float("inf")
 
     cases = [
         (seq, ["seqnorm", "--p", "3"], opt_tol, "opt_tol"),
-        (seq, ["seqnorm", "--p", "3"], inf_restarts, "$.tolerances.restarts"),
         (pair, ["dinq"], inf_seed, "$.seed"),
         (seq, ["seqnorm", "--p", "3"], nan_entry, "$.elements.x0.blocks[0][1][0]"),
         (pair, ["dinq"], inf_weight, "$.algebras.M.blocks[1]"),
@@ -254,13 +250,29 @@ def test_non_finite_exact_enclosure_is_input_error(capcli):
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32), str(2**40)])
 def test_seed_outside_honoured_range_is_input_error(capcli, monkeypatch, seed):
-    _, pair, _ = capcli(["gen", "--kind", "nondisjoint-pair", "--dims", "2", "--seed", "4"])
-    code, out, err = capcli(["dinq", "--seed", seed], stdin_text=pair)
+    _, inst, _ = capcli(["example", "identity", "--dim", "2"])
+    code, out, err = capcli(["certify", "--seed", seed], stdin_text=inst)
     assert code == 3 and out == "" and "--seed" in err
     monkeypatch.setenv("NCLP_SEED", seed)
-    code, out, err = capcli(["dinq"], stdin_text=pair)
+    code, out, err = capcli(["certify"], stdin_text=inst)
     assert code == 3 and out == ""
     assert err.startswith("error:") and "NCLP_SEED" in err
+
+
+def test_seed_is_read_only_by_commands_that_use_one(capcli, monkeypatch):
+    # no verdict of norm, disjoint, seqnorm or dinq depends on a seed, so a
+    # bad NCLP_SEED cannot stop them; certify still refuses it
+    _, pair, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--seed", "3"])
+    _, seq, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
+    _, el, _ = capcli(["gen", "--kind", "element", "--dims", "2", "--seed", "3"])
+    _, inst, _ = capcli(["example", "identity", "--dim", "2"])
+    runs = [(["norm"], el), (["disjoint"], pair), (["seqnorm", "--p", "3"], seq), (["dinq"], pair)]
+    want = [capcli(argv, stdin_text=text) for argv, text in runs]
+    monkeypatch.setenv("NCLP_SEED", "-1")
+    got = [capcli(argv, stdin_text=text) for argv, text in runs]
+    assert got == want and [code for code, _, _ in got] == [0, 0, 0, 0]
+    code, out, err = capcli(["certify"], stdin_text=inst)
+    assert code == 3 and out == "" and "NCLP_SEED" in err
 
 
 # the overflow must surface as NumericError before any nan reaches sequences
@@ -340,6 +352,13 @@ def test_every_gen_map_kind_emits_a_parseable_instance(capcli, kind):
         ["gen", "--kind", "element", "--tol", "1e-3"],
         ["example", "transpose", "--budget", "5"],
         ["suite", "--p", "3"],
+        # the sequence-norm solver reads neither restarts nor a seed
+        ["seqnorm", "--restarts", "2"],
+        ["seqnorm", "--seed", "1"],
+        ["dinq", "--restarts", "2"],
+        ["dinq", "--seed", "1"],
+        ["classify-l2", "--restarts", "2"],
+        ["suite", "--restarts", "2"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(capcli, argv):

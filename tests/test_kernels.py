@@ -44,7 +44,7 @@ from nclp.sampling import (
     random_selfadjoint,
     rng_from,
 )
-from nclp.sequences import _polar_factors, column_embed, row_embed, sequence
+from nclp.sequences import column_embed, row_embed, sequence
 from nclp.yeadon import _center_basis, _generated_algebra, _unit_products
 
 ALG = AlgebraDescriptor(((2, 0.5), (3, 1.7), (1, 2.3)))
@@ -178,19 +178,6 @@ def _ref_ranked_svd(blocks, cfg):
     svds = [np.linalg.svd(b) for b in blocks]
     cut = cfg.rank_cutoff * max((float(s[0]) if s.size else 0.0) for _, s, _ in svds)
     return [(U, s, Vh, s > cut) for U, s, Vh in svds]
-
-
-def _ref_polar_factors(seq, cfg):
-    svds = [np.linalg.svd(np.stack(blocks)) for blocks in zip(*(x.blocks for x in seq))]
-    cut = cfg.rank_cutoff * np.max([s[:, 0] for _, s, _ in svds], axis=0)
-    A, B = [], []
-    for U, s, Vh in svds:
-        keep = s > cut[:, None]
-        r = int(keep.sum(axis=1).max())
-        root = np.sqrt(np.where(keep, s, 0.0))[:, :r]
-        A.append(U[:, :, :r] * root[:, None, :])
-        B.append(root[:, :, None] * Vh[:, :r, :])
-    return A, B
 
 
 def _ref_is_selfadjoint(x, cfg):
@@ -356,18 +343,6 @@ def test_ranked_svd_on_stacks_cuts_each_item_against_itself():
         for got, want in zip(single, _ref_ranked_svd(x.blocks, CFG), strict=True):
             for g, w in zip(got, want):
                 _same(g, w)
-
-
-def test_polar_factors_match_their_own_cutoff_copy():
-    rng = rng_from(36)
-    items = [random_element(ALG, rng), 1e-13 * random_positive(ALG, rng), zero_element(ALG)]
-    items.append(Element(ALG, [b[:, :1] @ b[:1, :] for b in items[0].blocks]))
-    seq = sequence(items)
-    for cfg in (CFG, ToleranceConfig(rank_cutoff=1e-3)):
-        A, B = _polar_factors(seq, cfg)
-        refA, refB = _ref_polar_factors(seq, cfg)
-        for got, want in zip(A + B, refA + refB, strict=True):
-            _same(got, want)
 
 
 def test_spectral_synthesis_matches_the_copies():

@@ -33,3 +33,15 @@ def test_compare_outputs_cli_workload(capsys):
     root = os.path.join(SCRIPTS, "..")
     assert compare_outputs.main(["--base", root, "--workload", "cli", "--seed", "5"]) == 0
     assert "cli seed 5: 0/19 outputs differ" in capsys.readouterr().out
+
+
+def test_compare_outputs_flags_disjoint_intervals():
+    # two sound enclosures of one norm intersect; rounding-level gaps pass
+    compare_outputs = _load("compare_outputs")
+    iv = compare_outputs._interval
+    assert iv({"interval": {"lower": 1.0, "upper": None}}) == (1.0, float("inf"))
+    assert iv({"verdict": "ytf"}) is None and iv("not json") is None
+    below = compare_outputs._below
+    assert below(1.0, 1.0 + 1e-6) and not below(1.0, 1.0 + 1e-12)
+    # an unbounded upper endpoint is above every finite one, and not above itself
+    assert below(2.0, float("inf")) and not below(float("inf"), float("inf"))

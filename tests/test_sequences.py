@@ -26,13 +26,9 @@ from nclp.sequences import (
     DISJOINT,
     NOT_DISJOINT,
     NormInterval,
-    _augment_and_gauge,
-    _feasibility_repair,
-    _gauge_descent,
-    _gram_spectra,
+    _ascent,
+    _gram_norms,
     _grams,
-    _objective,
-    _polar_factors,
     _stacks,
     column_embed,
     column_row_norm,
@@ -40,7 +36,6 @@ from nclp.sequences import (
     l12_norm,
     l1_norm_bounds,
     l1_norm_positive,
-    phase_lower_bound,
     row_embed,
     sequence,
     sum_elements,
@@ -230,21 +225,14 @@ def test_scalar_homogeneity(seed):
 
 
 def test_permutation_invariance_polar_only():
+    # the ascent makes the same steps on any order of the items
     rng = rng_from(13)
     alg = matrix_algebra(3)
     items = [random_element(alg, rng) for _ in range(3)]
-    cfg1 = ToleranceConfig(seed=77, restarts=1)
-    iv = l1_norm_bounds(sequence(items), 2.0, cfg1)
-    ivp = l1_norm_bounds(sequence(items[::-1]), 2.0, cfg1)
+    iv = l1_norm_bounds(sequence(items), 2.0, CFG)
+    ivp = l1_norm_bounds(sequence(items[::-1]), 2.0, CFG)
     assert iv.upper == pytest.approx(ivp.upper, rel=1e-10)
     assert iv.lower == pytest.approx(ivp.lower, rel=1e-10)
-
-
-def test_phase_lower_bound_simple():
-    alg = matrix_algebra(2)
-    e11 = matrix_unit(alg, 0, 0, 0)
-    # aligned copies add up: sup over phases of |e11 + eps e11| = 2
-    assert phase_lower_bound(sequence([e11, e11]), 2.0, CFG) == pytest.approx(2.0)
 
 
 def test_dinq_verdicts():
@@ -317,24 +305,6 @@ def test_column_row_norm_at_infinity(side):
     assert column_row_norm(seq, np.inf, side) == pytest.approx(embed.sup_norm(), rel=1e-12)
 
 
-def test_feasibility_repair_reanchors_drifted_items():
-    # item 1 drifts off x_1 on one block; the repair restores its polar
-    # factors inside the padded stacks and leaves the other items alone
-    seq = _rank_deficient_sequence()
-    A, B = _polar_factors(seq, CFG)
-    _augment_and_gauge(seq.algebra, A, B, extra=1, rng=rng_from(CFG.seed, 7100, 1))
-    kept = [a[[0, 2]].copy() for a in A]
-    B[1][1] *= 1.5
-    assert _feasibility_repair(seq, A, B, CFG) == 1
-    polar_a, polar_b = _polar_factors(sequence([seq.items[1]]), CFG)
-    for k, x in enumerate(_stacks(seq)):
-        assert np.allclose(A[k] @ B[k], x, rtol=0.0, atol=1e-12)
-        assert np.array_equal(A[k][[0, 2]], kept[k])
-        r = polar_a[k].shape[2]
-        assert np.array_equal(A[k][1, :, :r], polar_a[k][0])
-        assert not A[k][1, :, r:].any() and not B[k][1, r:, :].any()
-
-
 def test_grams_match_element_products():
     # the block-array Grams equal the Element sums they replace, bit for bit
     rng = rng_from(15)
@@ -355,19 +325,22 @@ def test_grams_match_element_products():
 @pytest.mark.parametrize(
     "alg", [matrix_algebra(3), AlgebraDescriptor(((1, 0.5), (2, 0.5)))]
 )
-def test_gauge_descent_on_nonpositive_sequence(alg, p):
+def test_ascent_on_nonpositive_sequence(alg, p):
     rng = rng_from(16)
     seq = sequence([random_element(alg, rng) for _ in range(3)])
-    A, B = _polar_factors(seq, CFG)
-    history = _gauge_descent(seq, A, B, p, CFG, max_iters=48)
-    assert len(history) > 1
-    assert all(b < a for a, b in zip(history, history[1:]))
+    iv = l1_norm_bounds(seq, p, CFG)
+    [history] = iv.meta["histories"]
+    assert len(history) > 1 and iv.certified_exact
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert iv.upper == history[-1] and iv.meta["init_upper"] == history[0]
     scale = max(x.sup_norm() for x in seq)
-    for a, b, x in zip(A, B, _stacks(seq)):
-        assert np.linalg.norm(a @ b - x, 2, axis=(1, 2)).max() <= 1e-10 * scale
-    assert _objective(alg, A, B, p) == pytest.approx(min(history), rel=1e-12)
-    _, n1, n2 = _gram_spectra(alg, A, B, p)
+    wa, wb = iv.witness
+    for a, b, x in zip(wa, wb, seq):
+        assert (a * b - x).sup_norm() <= 1e-10 * scale
+    # the witness is balanced across blocks and attains the upper endpoint
+    n1, n2 = _gram_norms(*_grams(_stacks(wa), _stacks(wb)), alg.weights, p)
     assert n1 == pytest.approx(n2, rel=1e-12)
+    assert np.sqrt(n1 * n2) == pytest.approx(iv.upper, rel=1e-12)
 
 
 def test_sequence_rejects_quasi_norm_exponent():
@@ -377,154 +350,13 @@ def test_sequence_rejects_quasi_norm_exponent():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-item gauge descent on lists of per-block factors
+# The solver: dual below primal, the block split, closed forms, corners
 # ---------------------------------------------------------------------------
-# A copy of the loop version that the per-block stacks replaced: factors are
-# [item][block] arrays of shapes (d, r_n) and (r_n, d) with each item's own
-# inner rank r_n, and every eigendecomposition and exponential is taken one
-# item at a time.  The stacked descent must reproduce its history and its
-# factor products.
-
-REF_RTOL = 1e-12
-
-
-def _ref_polar_factors(seq, cfg):
-    from nclp.algebra import _ranked_svd
-
-    A, B = [], []
-    for x in seq:
-        an, bn = [], []
-        for U, s, Vh, keep in _ranked_svd(x.blocks, cfg):
-            root = np.sqrt(s[keep])
-            an.append(U[:, keep] * root[None, :])
-            bn.append(root[:, None] * Vh[keep, :])
-        A.append(an)
-        B.append(bn)
-    return A, B
-
-
-def _ref_gram_norms(alg, A, B, p):
-    from nclp.lp import _schatten
-
-    Y1 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    Y2 = [np.zeros((d, d), dtype=complex) for d in alg.dims]
-    for an, bn in zip(A, B):
-        for k, (a, b) in enumerate(zip(an, bn)):
-            Y1[k] += a @ a.conj().T
-            Y2[k] += b.conj().T @ b
-
-    def norm(blocks):
-        return _schatten([np.linalg.svd(y, compute_uv=False) for y in blocks], alg.weights, p)
-
-    return Y1, Y2, norm(Y1), norm(Y2)
-
-
-def _ref_balance(A, B, n1, n2):
-    if n1 <= 0 or n2 <= 0:
-        return
-    t = (n2 / n1) ** 0.25
-    for an, bn in zip(A, B):
-        an[:] = [a * t for a in an]
-        bn[:] = [b / t for b in bn]
-
-
-def _ref_psd_power(y, t):
-    vals, vecs = np.linalg.eigh(0.5 * (y + y.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * (vals**t)[None, :]) @ vecs.conj().T
-
-
-def _ref_gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p):
-    v1, v2 = n1**p, n2**p
-    pw1 = [_ref_psd_power(y, p - 1.0) for y in Y1]
-    pw2 = [_ref_psd_power(y, p - 1.0) for y in Y2]
-    grads = []
-    for an, bn in zip(A, B):
-        gn = []
-        for k, (d, w) in enumerate(alg.blocks):
-            a, b = an[k], bn[k]
-            Ak = w * (a.conj().T @ pw1[k] @ a) / max(v1, 1e-300)
-            Bk = w * (b @ pw2[k] @ b.conj().T) / max(v2, 1e-300)
-            gn.append(Bk - Ak)
-        grads.append(gn)
-    return grads
-
-
-def _ref_exp_step(vals, vecs, t):
-    return (vecs * np.exp(t * vals)[None, :]) @ vecs.conj().T
-
-
-def _ref_gauge_descent(seq, A, B, p, cfg, max_iters, target=0.0):
-    alg = seq.algebra
-    Y1, Y2, n1, n2 = _ref_gram_norms(alg, A, B, p)
-    obj = float(np.sqrt(n1 * n2))
-    history = [obj]
-    eta = 0.5
-    floor_gap = 0.3 * cfg.opt_tol
-    step_gain = 0.02 * cfg.opt_tol
-    for _ in range(max_iters):
-        if obj <= target * (1.0 + floor_gap):
-            break
-        grads = _ref_gauge_gradients(alg, A, B, Y1, Y2, n1, n2, p)
-        eigs = [[np.linalg.eigh(0.5 * (g + g.conj().T)) for g in gn] for gn in grads]
-        gnorm = max(float(np.abs(vals).max(initial=0.0)) for en in eigs for vals, _ in en)
-        if gnorm <= 1e-14:
-            break
-        accepted = False
-        while eta > 1e-8:
-            newA = [
-                [a @ _ref_exp_step(*e, +0.5 * eta) for a, e in zip(an, en)]
-                for an, en in zip(A, eigs)
-            ]
-            newB = [
-                [_ref_exp_step(*e, -0.5 * eta) @ b for b, e in zip(bn, en)]
-                for bn, en in zip(B, eigs)
-            ]
-            trial = _ref_gram_norms(alg, newA, newB, p)
-            new_obj = float(np.sqrt(trial[2] * trial[3]))
-            if new_obj < obj * (1 - 1e-14):
-                gain = obj - new_obj
-                A[:], B[:] = newA, newB
-                Y1, Y2, n1, n2 = trial
-                obj = new_obj
-                history.append(obj)
-                accepted = gain > step_gain * max(obj, 1e-300)
-                eta = min(eta * 1.6, 1.0)
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-    _ref_balance(A, B, n1, n2)
-    return history
-
-
-def _ref_augment_and_gauge(alg, A, B, extra, rng):
-    from nclp.sampling import ginibre
-
-    for n in range(len(A)):
-        for k, d in enumerate(alg.dims):
-            a, b = A[n][k], B[n][k]
-            r = a.shape[1]
-            add = min(extra, max(d - r, 0))
-            if add:
-                a = np.concatenate([a, np.zeros((d, add), dtype=complex)], axis=1)
-                b = np.concatenate([b, np.zeros((add, d), dtype=complex)], axis=0)
-                r += add
-            if r == 0:
-                A[n][k], B[n][k] = a, b
-                continue
-            g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
-            while np.linalg.cond(g) > 1e4:
-                g = np.eye(r, dtype=complex) + 0.35 * ginibre(rng, r)
-            A[n][k] = np.linalg.solve(g.T, a.T).T
-            B[n][k] = g @ b
-    _, _, n1, n2 = _ref_gram_norms(alg, A, B, 2.0)
-    _ref_balance(A, B, n1, n2)
 
 
 def _rank_deficient_sequence():
     # M_1 + M_2 with weights 1/2; the last item vanishes on M_1 and has rank
-    # one on M_2, so its factors are padded to the others' inner ranks
+    # one on M_2
     alg = AlgebraDescriptor(((1, 0.5), (2, 0.5)))
     rng = rng_from(17)
     items = [random_element(alg, rng) for _ in range(2)]
@@ -538,45 +370,119 @@ def _generic_sequence():
     return sequence([random_element(matrix_algebra(3), rng) for _ in range(3)])
 
 
+def _rank_one_sequence():
+    rng = rng_from(22)
+    g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return sequence([Element(matrix_algebra(3), [g(3, 1) @ g(1, 3)]) for _ in range(3)])
+
+
+def _zero_block_sequence():
+    # the second block of every item vanishes, as for pairs disjoint across blocks
+    alg = AlgebraDescriptor(((2, 1.0), (3, 0.7)))
+    rng = rng_from(23)
+    items = [random_element(alg, rng) for _ in range(2)]
+    return sequence([Element(alg, [x.blocks[0], np.zeros((3, 3))]) for x in items])
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("restart", [0, 2])
-@pytest.mark.parametrize("make", [_generic_sequence, _rank_deficient_sequence])
-def test_stacked_descent_matches_per_item_reference(make, restart, p):
-    seq = make()
-    alg = seq.algebra
-    A, B = _polar_factors(seq, CFG)
-    RA, RB = _ref_polar_factors(seq, CFG)
-    if restart:
-        # both draw from the same stream, item by item and block by block
-        _augment_and_gauge(alg, A, B, extra=restart, rng=rng_from(CFG.seed, 7100, restart))
-        _ref_augment_and_gauge(alg, RA, RB, extra=restart, rng=rng_from(CFG.seed, 7100, restart))
-    history = _gauge_descent(seq, A, B, p, CFG, max_iters=48)
-    ref = _ref_gauge_descent(seq, RA, RB, p, CFG, max_iters=48)
-    assert len(ref) > 1
-    assert len(history) == len(ref)
-    assert np.allclose(history, ref, rtol=REF_RTOL, atol=0.0)
-    scale = max(x.sup_norm() for x in seq)
-    for k in range(len(alg.blocks)):
-        products = A[k] @ B[k]
-        for n in range(len(seq)):
-            want = RA[n][k] @ RB[n][k]
-            assert np.abs(products[n] - want).max() <= REF_RTOL * scale
+@pytest.mark.parametrize(
+    "make", [_generic_sequence, _rank_deficient_sequence, _rank_one_sequence, _zero_block_sequence]
+)
+def test_dual_below_primal_at_every_step(make, p):
+    # every dual iterate is a lower bound and every primal one an upper
+    # bound, so after any number of steps the best of each are in order
+    for X in _stacks(make()):
+        lower, upper, _, history = _ascent(X, p, CFG, 200)
+        steps = len(history)
+        previous = (0.0, np.inf)
+        for k in range(steps):
+            lo, up, _, _ = _ascent(X, p, CFG, k)
+            assert lo <= up * (1 + 1e-12)
+            assert lo >= previous[0] and up <= previous[1]
+            previous = (lo, up)
+        assert previous == (lower, upper)
+        assert upper - lower <= 0.01 * CFG.opt_tol * upper
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_block_split_matches_block_diagonal_embedding(p):
+    # with weight one on every block, M_2 + M_3 sits inside M_5 with the
+    # same trace, and the sequence norm does not see the difference
+    alg = AlgebraDescriptor(((2, 1.0), (3, 1.0)))
+    rng = rng_from(24)
+    seq = sequence([random_element(alg, rng) for _ in range(3)])
+    big = sequence([
+        Element(matrix_algebra(5), [np.block([[x.blocks[0], np.zeros((2, 3))],
+                                              [np.zeros((3, 2)), x.blocks[1]]])])
+        for x in seq
+    ])
+    iv, ivb = l1_norm_bounds(seq, p, CFG), l1_norm_bounds(big, p, CFG)
+    assert iv.certified_exact and ivb.certified_exact
+    assert iv.upper == pytest.approx(ivb.upper, rel=CFG.opt_tol)
+    assert iv.lower <= ivb.upper * (1 + 1e-12) and ivb.lower <= iv.upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_diagonal_algebra_is_exact(p):
+    # on 1 x 1 blocks the norm is (sum_k w_k (sum_n |x_nk|)^p)^(1/p); with
+    # unit weights it equals the value of the same items as diagonal matrices
+    rng = rng_from(25)
+    vals = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    for weights in ((1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 1.0, 0.3)):
+        alg = diagonal_algebra(weights)
+        seq = sequence([Element(alg, [[[v]] for v in row]) for row in vals])
+        want = float(np.sum(np.array(weights) * np.abs(vals).sum(axis=0) ** p) ** (1 / p))
+        iv = l1_norm_bounds(seq, p, CFG)
+        assert iv.certified_exact and len(iv.meta["histories"][0]) == 1
+        assert iv.lower == pytest.approx(want, rel=1e-12)
+        assert iv.upper == pytest.approx(want, rel=1e-12)
+    diag = sequence([Element(matrix_algebra(4), [np.diag(row)]) for row in vals])
+    ivd = l1_norm_bounds(diag, p, CFG)
+    assert ivd.certified_exact
+    assert ivd.upper == pytest.approx(float(np.sum(np.abs(vals).sum(axis=0) ** p) ** (1 / p)),
+                                      rel=CFG.opt_tol)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_corner_items_give_the_corner_value(p):
+    # items on a 2-dim corner of M_3: the optimal a and b are singular there
+    rng = rng_from(26)
+    small = [random_element(matrix_algebra(2), rng) for _ in range(3)]
+    corner = [np.pad(x.blocks[0], ((0, 1), (0, 1))) for x in small]
+    iv2 = l1_norm_bounds(sequence(small), p, CFG)
+    iv3 = l1_norm_bounds(sequence([Element(matrix_algebra(3), [b]) for b in corner]), p, CFG)
+    assert iv3.certified_exact
+    assert iv3.upper == pytest.approx(iv2.upper, rel=CFG.opt_tol)
+    assert iv3.lower <= iv2.upper * (1 + 1e-12) and iv2.lower <= iv3.upper * (1 + 1e-12)
+
+
+def test_upper_endpoint_counts_the_factor_residual():
+    # a rank cutoff that drops real singular values makes the pseudo-inverse
+    # factorizations miss x_n; their residual keeps the upper endpoint sound
+    seq = _generic_sequence()
+    exact = l1_norm_bounds(seq, 3.0, CFG)
+    for X in _stacks(seq):
+        lower, upper, _, _ = _ascent(X, 3.0, ToleranceConfig(rank_cutoff=0.6), 40)
+        assert lower <= exact.upper * (1 + 1e-12)
+        assert upper >= exact.lower * (1 - 1e-12)
 
 
 def test_polar_start_computed_once_per_call(monkeypatch):
+    # one ascent per block, whose first step is the polar factorization,
+    # and no restarts: a second call repeats the first exactly
     import nclp.sequences
 
     rng = rng_from(21)
-    seq = sequence([random_element(matrix_algebra(3), rng) for _ in range(3)])
+    seq = sequence([random_element(AlgebraDescriptor(((2, 1.0), (3, 0.7))), rng) for _ in range(3)])
     want = l1_norm_bounds(seq, 3.0, CFG)
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return _polar_factors(*args)
+        return _ascent(*args)
 
-    monkeypatch.setattr(nclp.sequences, "_polar_factors", counted)
+    monkeypatch.setattr(nclp.sequences, "_ascent", counted)
     got = l1_norm_bounds(seq, 3.0, CFG)
-    assert len(got.meta["histories"]) == CFG.restarts > 1
-    assert len(calls) == 1
+    assert len(got.meta["histories"]) == 1
+    assert len(calls) == 2
     assert (got.lower, got.upper, got.meta["histories"]) == (want.lower, want.upper, want.meta["histories"])
