@@ -14,7 +14,8 @@ and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5``, each at
 ``--seed``.
 Per workload and seed it prints the number of outputs that are not
 byte-identical (exit code, stdout, stderr), the operations
-whose exit code, verdict, route or ``certified_exact`` differ, and the
+whose exit code, verdict, route, ``certified_exact`` or counts of pair
+statuses differ, and the
 largest relative difference between corresponding printed numbers.  Two
 sound enclosures of one norm always intersect, so it also lists the
 operations whose printed ``interval`` in the two trees is disjoint beyond
@@ -40,6 +41,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DECISION_KEYS = ("verdict", "status", "route", "certified_exact")
+# decisions counted by value, such as classify-l2's evidence.pair_statuses
+# ({"undetermined": 18} -> {"not_disjoint": 18}): a changed key or count is
+# a changed decision, not a change of structure or a drifting number
+DECISION_COUNTS = ("pair_statuses",)
 REL_TOL = 1e-12
 OVERLAP_TOL = 1e-9
 WORKLOADS = ("dinq", "seqnorm", "maps", "cli")
@@ -123,9 +128,10 @@ def _decisions(doc, path="$") -> list:
     if isinstance(doc, dict):
         for key, value in doc.items():
             sub = f"{path}.{key}"
-            if key in DECISION_KEYS and not isinstance(value, (dict, list)):
+            if key in DECISION_COUNTS or (key in DECISION_KEYS and not isinstance(value, (dict, list))):
                 found.append((sub, value))
-            found.extend(_decisions(value, sub))
+            if key not in DECISION_COUNTS:
+                found.extend(_decisions(value, sub))
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
             found.extend(_decisions(value, f"{path}[{i}]"))
@@ -146,7 +152,8 @@ def _rel(a: float, b: float) -> float:
 
 def _number_diffs(a, b, path="$"):
     """Yield (path, relative difference) for every pair of numbers at the
-    same place; (path, None) where the two documents differ otherwise."""
+    same place; (path, None) where the two documents differ otherwise.
+    Decision counts are left to ``_decisions``."""
     if _is_number(a) and _is_number(b):
         yield path, _rel(float(a), float(b))
     elif isinstance(a, dict) and isinstance(b, dict):
@@ -154,7 +161,8 @@ def _number_diffs(a, b, path="$"):
             yield path, None
             return
         for key in a:
-            yield from _number_diffs(a[key], b[key], f"{path}.{key}")
+            if key not in DECISION_COUNTS:
+                yield from _number_diffs(a[key], b[key], f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             yield path, None
@@ -188,11 +196,17 @@ def compare(workload: str, seed: int, base: str) -> dict:
         procs = [_spawn(manifest, tree) for tree in (base, ROOT)]
         old, new = (_collect(p, t) for p, t in zip(procs, (base, ROOT)))
 
-    summary = {"workload": workload, "seed": seed, "inputs": digest, "ops": len(argvs),
-               "byte_different": 0, "exit": [], "decision": [], "structure": [],
+    return {"workload": workload, "seed": seed, "inputs": digest, "ops": len(argvs),
+            **_tally(zip(old, new), labels)}
+
+
+def _tally(pairs, labels) -> dict:
+    """The differences between corresponding outputs [exit code, stdout,
+    stderr] of the two trees, one pair per operation."""
+    summary = {"byte_different": 0, "exit": [], "decision": [], "structure": [],
                "stderr": [], "disjoint": [], "not_inside": 0, "max_rel": 0.0,
                "max_rel_at": None}
-    for i, ((c0, o0, e0), (c1, o1, e1)) in enumerate(zip(old, new)):
+    for i, ((c0, o0, e0), (c1, o1, e1)) in enumerate(pairs):
         if [c0, o0, e0] == [c1, o1, e1]:
             continue
         summary["byte_different"] += 1

@@ -8,6 +8,8 @@ for p < 2) and are not accepted on the public boundary.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import (
@@ -21,16 +23,19 @@ from .algebra import (
 )
 
 
-def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float) -> float:
+def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     """(sum_k w_k sum_i s_ki^p)^(1/p) from the singular values s_k of each
-    block and the block weights w_k, or max_k s_k0 for p = inf.  Every
-    weighted Schatten value in the package is summed here."""
+    block, (..., d_k) in descending order, and the block weights w_k, or
+    max_k s_k0 for p = inf: a float for 1-D s_k, else an array over their
+    leading axes, each root Python's pow (numpy's can differ in the last
+    bit).  Every weighted Schatten value in the package is summed here."""
     if p == np.inf:
-        return max((float(s[0]) if s.size else 0.0) for s in svals)
-    total = 0.0
-    for w, s in zip(weights, svals):
-        total += w * float(np.sum(s**p))
-    return total ** (1.0 / p)
+        total, root = functools.reduce(np.maximum, [s[..., 0] for s in svals]), 1.0
+    else:
+        total, root = sum(w * (s**p).sum(-1) for w, s in zip(weights, svals)), 1.0 / p
+    if np.ndim(total) == 0:
+        return float(total) ** root
+    return np.reshape([t**root for t in total.ravel().tolist()], total.shape)
 
 
 def schatten_quasi(x: Element, p: float) -> float:
@@ -45,8 +50,8 @@ def schatten_quasi(x: Element, p: float) -> float:
 
 def lp_norm(x: Element, p: float) -> float:
     """The p-norm of x for p in [1, inf]."""
-    if p != np.inf and p < 1:
-        raise DomainError("lp_norm requires p >= 1 (quasi-norms are internal only)")
+    if not p >= 1:  # also rejects nan
+        raise DomainError(f"lp_norm requires p >= 1 (quasi-norms are internal only), got p = {p}")
     return schatten_quasi(x, p)
 
 

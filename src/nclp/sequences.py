@@ -26,7 +26,8 @@ it too low) is the upper endpoint.  With z_n = V_n U_n*, the next step
 replaces a by the q-norming dual of sum z_n b x_n, q = 2p/(p+1), or on
 alternate steps b by that of sum x_n a z_n; neither lowers the dual.  The
 first step's primal is the polar factorization.  The ascent stops once the
-gap is below opt_tol / 2 relative, or at a step cap; it is deterministic.
+gap is below STOP_GAP * opt_tol = opt_tol / 100 relative, or at a step
+cap; it is deterministic.
 
 Three input classes collapse to exact values: positive sequences (norm of
 the sum), single elements, and p = 1 (the ell^1 direct sum of the
@@ -131,8 +132,8 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     The p/2 entry is a quasi-norm when p < 2; that is fine here because the
     composite expression is the genuine sequence-space norm.
     """
-    if p != np.inf and p < 1:
-        raise DomainError("column/row norms need p >= 1")
+    if not p >= 1:  # also rejects nan
+        raise DomainError(f"column/row norms need p >= 1, got p = {p}")
     if side not in ("column", "row"):
         raise DomainError(f"side must be 'column' or 'row', got {side!r}")
     items = _stacks(seq)
@@ -201,7 +202,7 @@ def _gram_norms(Y1: list[np.ndarray], Y2: list[np.ndarray], weights, p: float) -
     block of the stacked pair, whose eigenvalue moduli are their singular
     values.  The objective of a factorization is sqrt(|Y1|_p |Y2|_p)."""
     moduli = [np.abs(np.linalg.eigvalsh(np.stack(pair))[:, ::-1]) for pair in zip(Y1, Y2)]
-    return tuple(_schatten([m[i] for m in moduli], weights, p) for i in (0, 1))
+    return tuple(_schatten(moduli, weights, p).tolist())
 
 
 def _dual_factor(G: np.ndarray, e: float, r: float, cfg: ToleranceConfig):
@@ -278,11 +279,10 @@ def _solve(seq: ElementSequence, p: float, cfg: ToleranceConfig, max_steps: int)
     whole upper endpoint after each step."""
     w = seq.algebra.weights
     runs = [_ascent(X, p, cfg, max_steps) for X in _stacks(seq)]
-    lower, upper = (_schatten([np.array([run[i]]) for run in runs], w, p) for i in (0, 1))
-    history = [
-        _schatten([np.array([h[min(i, len(h) - 1)]]) for *_, h in runs], w, p)
-        for i in range(max(len(h) for *_, h in runs))
-    ]
+    steps = max(len(h) for *_, h in runs)
+    # per block: its two endpoints, then its upper endpoint after each step
+    ends = [np.array([lo, up] + h + h[-1:] * (steps - len(h)))[:, None] for lo, up, _, h in runs]
+    lower, upper, *history = _schatten(ends, w, p).tolist()
     if not np.isfinite(upper):
         raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {upper}]")
     return lower, upper, [run[2] for run in runs], history
@@ -347,10 +347,8 @@ def l1_norm_bounds(
     steps) supplies both endpoints and the witness; an ascent that has not
     closed its gap simply leaves certified_exact False.
     """
-    if p == np.inf:
-        raise DomainError("sequence norms are defined for finite exponents")
-    if p < 1:
-        raise DomainError("sequence norms need p >= 1")
+    if not 1 <= p < np.inf:  # also rejects nan
+        raise DomainError(f"sequence norms need a finite p >= 1, got p = {p}")
     alg = seq.algebra
 
     exact = _closed_form(seq, p, cfg)

@@ -140,6 +140,20 @@ def test_regular_norm_identity():
     assert regular_norm_commutative(M, 2.0, CFG) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+def test_ratio_lower_and_certificate_refuse_exponents_outside_one_to_inf(p):
+    T = rotation_mixing(0.3, 2.0)
+    with pytest.raises(DomainError, match=f"p = {p}"):
+        l1_ratio_lower(T, p, CFG)
+    with pytest.raises(DomainError, match=f"p = {p}"):
+        certify_l1_norm(T, p, CFG)
+
+
+def test_op_norm_refuses_nan_exponent():
+    with pytest.raises(DomainError, match="p = nan"):
+        op_norm(rotation_mixing(0.3, 2.0), np.nan, CFG)
+
+
 def test_regular_norm_rejects_matrix_blocks():
     with pytest.raises(DomainError):
         regular_norm_commutative(transpose_map(matrix_algebra(2), 2.0), 2.0, CFG)

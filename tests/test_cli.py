@@ -160,6 +160,22 @@ def test_tolerance_flag_outside_unit_interval_is_input_error(capcli, tol):
     assert err.startswith("error:") and "algebraic_tol" in err
 
 
+@pytest.mark.parametrize(
+    "gen, cmd",
+    [
+        (["example", "rotation"], ["certify", "--p", "inf"]),
+        (["example", "rotation"], ["certify", "--p", "nan"]),
+        (["gen", "--kind", "seq", "--dims", "2"], ["seqnorm", "--p", "nan"]),
+    ],
+)
+def test_exponent_outside_the_sequence_range_is_input_error(capcli, gen, cmd):
+    # these used to reach LAPACK and print "error: SVD did not converge"
+    _, inst, _ = capcli(gen)
+    code, out, err = capcli(cmd, stdin_text=inst)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and f"p = {cmd[-1]}" in err, err
+
+
 def _edited_instance(capcli, argv, edit):
     _, text, _ = capcli(argv)
     doc = json.loads(text)

@@ -10,6 +10,7 @@ from nclp.algebra import (
     identity,
     matrix_algebra,
     matrix_unit,
+    zero_element,
 )
 from nclp.lp import (
     _schatten,
@@ -57,13 +58,30 @@ def test_schatten_kernel_matches_blockwise_sum(p):
             total += w * float(np.sum(s**p))
         want = total ** (1.0 / p)
     assert _schatten(svals, alg.weights, p) == want
+    assert type(_schatten(svals, alg.weights, p)) is float
     assert schatten_quasi(x, p) == want
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, np.inf])
+def test_batched_schatten_equals_per_item_values_bit_for_bit(p):
+    rng = rng_from(18)
+    alg = AlgebraDescriptor(((1, 0.4), (2, 1.0), (3, 2.5), (9, 0.7)))
+    xs = [random_element(alg, rng) for _ in range(40)] + [zero_element(alg)]
+    svals = [np.linalg.svd(np.stack(blocks), compute_uv=False) for blocks in zip(*(x.blocks for x in xs))]
+    batched = _schatten(svals, alg.weights, p)
+    assert batched.shape == (len(xs),)
+    for i in range(len(xs)):
+        assert batched[i] == _schatten([s[i] for s in svals], alg.weights, p)
+    # two leading axes give the same values
+    grid = _schatten([np.stack([s, s]) for s in svals], alg.weights, p)
+    assert grid.shape == (2, len(xs)) and (grid == batched).all()
 
 
 def test_public_boundary_rejects_quasi_norm():
     alg = matrix_algebra(2)
-    with pytest.raises(DomainError):
-        lp_norm(identity(alg), 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(DomainError):
+            lp_norm(identity(alg), p)
     # internal entry accepts it
     assert schatten_quasi(identity(alg), 0.5) == pytest.approx(2.0 ** 2)
 

@@ -21,7 +21,7 @@ from nclp.maps import (
     FALSIFIED,
     LinearMap,
     _boyd_ascent,
-    _norming_dual,
+    _norming_duals,
     adjoint_map,
     amplified_map,
     apply_map,
@@ -209,8 +209,11 @@ def _polar_chain_dual(y, p, cfg):
 @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
 @pytest.mark.parametrize("p", KERNEL_PS)
 def test_norming_dual_kernel(alg, p):
-    for y in _kernel_inputs(alg, 31):
-        ny, z = _norming_dual(y, p, CFG)
+    ys = _kernel_inputs(alg, 31)
+    norms, Z = _norming_duals(alg, np.stack([vec(y) for y in ys]), p, CFG)
+    assert Z.shape == (len(ys), alg.coord_dim)
+    for y, ny, row in zip(ys, norms, Z):
+        z = unvec(alg, row)
         ref = lp_norm(y, p)
         assert abs(ny - ref) <= 1e-12 * ref
         if ref == 0:
@@ -227,10 +230,19 @@ def test_norming_dual_kernel(alg, p):
 def test_boyd_ascent_reports_realised_ratios(alg, p):
     rng = rng_from(32)
     T = LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p)
-    best, arg = _boyd_ascent(T, p, CFG, 8, random_element(alg, rng))
-    assert best > 0
-    assert abs(best - lp_norm(T(arg), p)) <= 1e-12 * best
-    assert lp_norm(arg, p) == pytest.approx(1.0, abs=1e-12)
+    X0 = np.stack([vec(random_element(alg, rng)), np.zeros(alg.coord_dim), vec(random_element(alg, rng))])
+    best, args = _boyd_ascent(T, p, CFG, 8, X0)
+    assert best[1] == 0.0 and not args[1].any()
+    for i in (0, 2):
+        arg = unvec(alg, args[i])
+        assert best[i] > 0
+        assert abs(best[i] - lp_norm(T(arg), p)) <= 1e-12 * best[i]
+        assert lp_norm(arg, p) == pytest.approx(1.0, abs=1e-12)
+    # the stacked run agrees with one run per start
+    for i, x0 in enumerate(X0):
+        single, single_arg = _boyd_ascent(T, p, CFG, 8, x0[None, :])
+        assert abs(best[i] - single[0]) <= 1e-12 * best[i]
+        assert np.abs(args[i] - single_arg[0]).max() <= 1e-12
 
 
 def test_transpose_positivity_hierarchy():

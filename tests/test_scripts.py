@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under ``scripts/`` that no other test runs."""
 
 import importlib.util
+import json
 import os
 import re
 
@@ -45,3 +46,24 @@ def test_compare_outputs_flags_disjoint_intervals():
     assert below(1.0, 1.0 + 1e-6) and not below(1.0, 1.0 + 1e-12)
     # an unbounded upper endpoint is above every finite one, and not above itself
     assert below(2.0, float("inf")) and not below(float("inf"), float("inf"))
+
+
+def test_compare_outputs_counts_changed_pair_statuses_as_decisions():
+    compare_outputs = _load("compare_outputs")
+
+    def output(statuses, ratio=1.0):
+        doc = {"verdict": "undetermined", "evidence": {"pair_statuses": statuses, "max_l12_ratio": ratio}}
+        return [2, json.dumps(doc), ""]
+
+    def tally(old, new):
+        return compare_outputs._tally([(old, new)], ["classify-l2"])
+
+    changed = tally(output({"undetermined": 18}), output({"not_disjoint": 18}))
+    assert len(changed["decision"]) == 1 and "pair_statuses" in changed["decision"][0]
+    assert changed["structure"] == [] and changed["max_rel"] == 0.0
+    recounted = tally(output({"disjoint": 8, "undetermined": 10}), output({"disjoint": 9, "undetermined": 9}))
+    assert len(recounted["decision"]) == 1 and recounted["max_rel"] == 0.0
+    # equal counts leave only the numbers to compare
+    drift = tally(output({"disjoint": 18}), output({"disjoint": 18}, 1.0 + 1e-9))
+    assert drift["decision"] == [] and drift["structure"] == []
+    assert drift["max_rel"] > 0 and drift["max_rel_at"].endswith("max_l12_ratio")

@@ -349,6 +349,13 @@ def test_sequence_rejects_quasi_norm_exponent():
         l1_norm_bounds(sequence([identity(alg)]), 0.5, CFG)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_sequence_rejects_infinite_and_nan_exponents(p):
+    alg = matrix_algebra(2)
+    with pytest.raises(DomainError, match=f"p = {p}"):
+        l1_norm_bounds(sequence([identity(alg)]), p, CFG)
+
+
 # ---------------------------------------------------------------------------
 # The solver: dual below primal, the block split, closed forms, corners
 # ---------------------------------------------------------------------------
