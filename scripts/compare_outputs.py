@@ -8,10 +8,12 @@ Every operation of each ``perfbench`` workload (inputs from this checkout's
 ``perfbench/gen.py``, written to a temporary directory) runs through
 ``nclp.cli.run_command`` in-process, once with the ``src`` of ``--base`` and
 once with the ``src`` of this checkout, each tree in its own subprocess.
-The ``cli`` workload is a fixed list of generator commands, which no
+The ``cli`` workload is a fixed list of commands, most of which no
 benchmark operation replays: every ``nclp example`` kind with ``--dim 3``
 and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5``, each at
-``--seed``.
+``--seed``, then every command that reads an instance, each through
+``--in`` on files that this checkout's generators write from those
+commands, and a small ``nclp suite`` run.
 Per workload and seed it prints the number of outputs that are not
 byte-identical (exit code, stdout, stderr), the operations
 whose exit code, verdict, route, ``certified_exact`` or counts of pair
@@ -52,22 +54,65 @@ EXAMPLE_KINDS = ("transpose", "identity", "rotation", "depolarizing", "unitary",
 GEN_KINDS = ("positive-seq", "seq", "disjoint-pair", "positive-disjoint-pair",
              "nondisjoint-pair", "element", "positive-element", "map", "separating-map",
              "cp-map", "positive-map", "isometry", "commutative-map")
+# (command and flags, example or gen kind of the instance it reads); at seeds
+# 5, 701 and 1000 these reach exit codes 0 and 1 of every command that prints
+# a verdict, though none of them is undetermined (exit 2)
+READERS = (
+    (["norm", "--p", "3"], "element"),
+    (["seqnorm", "--p", "3"], "seq"),
+    (["seqnorm"], "positive-seq"),
+    (["disjoint"], "disjoint-pair"),
+    (["disjoint"], "nondisjoint-pair"),
+    (["dinq"], "positive-disjoint-pair"),
+    (["dinq"], "nondisjoint-pair"),
+    (["yeadon"], "separating-map"),
+    (["yeadon"], "rotation"),
+    (["separating"], "separating-map"),
+    (["separating", "--budget", "8"], "map"),
+    (["certify"], "cp-map"),
+    (["certify", "--p", "3", "--budget", "5"], "transpose"),
+    (["certify", "--budget", "5"], "positive-map"),
+    (["classify-l2"], "isometry"),
+    (["classify-l2", "--budget", "6"], "transpose"),
+    (["classify-l2", "--budget", "6"], "rotation"),
+)
 
 
-def cli_argvs(seed: int) -> list:
-    """The ``cli`` workload: every example and gen kind at ``seed``."""
+def cli_argvs(seed: int, tmp: str | None = None) -> list:
+    """The ``cli`` workload: every example and gen kind at ``seed`` and,
+    given a directory ``tmp``, the ``READERS`` on instance files that this
+    checkout's generators write into it, and a ``suite`` run."""
     tail = ["--seed", str(seed)]
-    return ([["example", kind, "--dim", "3", *tail] for kind in EXAMPLE_KINDS]
-            + [["gen", "--kind", kind, "--dims", "2,1", "--weights", "1,0.5", *tail]
-               for kind in GEN_KINDS])
+    makers = {kind: ["example", kind, "--dim", "3", *tail] for kind in EXAMPLE_KINDS}
+    makers.update((kind, ["gen", "--kind", kind, "--dims", "2,1", "--weights", "1,0.5", *tail])
+                  for kind in GEN_KINDS)
+    argvs = list(makers.values())
+    if tmp is None:
+        return argvs
+    if os.path.join(ROOT, "src") not in sys.path:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+    from nclp.cli import run_command
+
+    for flags, kind in READERS:
+        path = os.path.join(tmp, f"{kind}.json")
+        if not os.path.exists(path) and run_command([*makers[kind], "--out", path]) != 0:
+            raise SystemExit(f"could not write the {kind} instance")
+        argvs.append([*flags, "--in", path])
+    return argvs + [["suite", "--only", "polar", "--budget", "10", *tail]]
 
 
 def _operations(workload: str, seed: int, tmp: str) -> tuple:
     """(labels, argvs, inputs digest) of the workload's operations."""
     if workload == "cli":
-        argvs = cli_argvs(seed)
-        digest = hashlib.sha256(json.dumps(argvs).encode()).hexdigest()[:16]
-        return [" ".join(argv) for argv in argvs], argvs, digest
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        argvs = cli_argvs(seed, inputs)
+        digest = hashlib.sha256(json.dumps(argvs).replace(inputs, "").encode())
+        for name in sorted(os.listdir(inputs)):
+            with open(os.path.join(inputs, name), "rb") as fh:
+                digest.update(fh.read())
+        labels = [" ".join(argv).replace(inputs + os.sep, "") for argv in argvs]
+        return labels, argvs, digest.hexdigest()[:16]
     import gen
 
     ops, digest = gen.build(workload, seed, os.path.join(tmp, "ops"))

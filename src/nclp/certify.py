@@ -186,7 +186,7 @@ def _regular_norm_interval(
         T.codomain,
         np.abs(T.action),
         p,
-        {"kind": "entrywise_modulus", "positive": True, "cp": True},
+        {"kind": "entrywise_modulus", "positive": True},
     )
     return op_norm(abs_map, p, cfg, positive_certified=True)
 

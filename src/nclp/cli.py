@@ -41,6 +41,8 @@ from .certify import (
 from .instances import InstanceFile, ParseError, make_instance, parse_instance, serialize_instance, canonical_json
 from .lp import disjoint, lp_norm
 from .maps import (
+    CERTIFIED,
+    FALSIFIED,
     LinearMap,
     depolarizing,
     identity_map,
@@ -56,15 +58,27 @@ from .sampling import (
     random_unitary,
     rng_from,
 )
-from .sequences import DISJOINT, NOT_DISJOINT, dinq_disjoint_test, l1_norm_bounds
+from .sequences import DISJOINT, NOT_DISJOINT, UNDETERMINED, dinq_disjoint_test, l1_norm_bounds
 from .suite import run_suite
-from .yeadon import CERTIFIED, FALSIFIED, YeadonTriple, certify_separating, extract_yeadon
+from .yeadon import YeadonTriple, certify_separating, extract_yeadon
 from . import synth
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT = 3
+
+FACTORIZED = "factorized"
+NO_FACTORIZATION = "no_factorization"
+
+# the exit code of every verdict a command prints; a document without a
+# verdict exits 0, except the suite report, which exits 1 unless it passed
+_VERDICT_EXIT = {
+    DISJOINT: EXIT_OK, CERTIFIED: EXIT_OK, FACTORIZED: EXIT_OK, YTF: EXIT_OK,
+    NOT_DISJOINT: EXIT_NEGATIVE, FALSIFIED: EXIT_NEGATIVE, NO_FACTORIZATION: EXIT_NEGATIVE,
+    NO_YTF: EXIT_NEGATIVE, NOT_ISOMETRY: EXIT_NEGATIVE,
+    UNDETERMINED: EXIT_UNDETERMINED,
+}
 
 
 class CliError(Exception):
@@ -98,6 +112,14 @@ def _emit(doc: dict | InstanceFile, args) -> None:
         sys.stdout.write(text)
 
 
+def _exit_code(doc: dict | InstanceFile) -> int:
+    if isinstance(doc, InstanceFile):
+        return EXIT_OK
+    if "overall_pass" in doc:
+        return EXIT_OK if doc["overall_pass"] else EXIT_NEGATIVE
+    return _VERDICT_EXIT[doc["verdict"]] if "verdict" in doc else EXIT_OK
+
+
 def _seed(text: str) -> int:
     """A seed from --seed or NCLP_SEED: an integer in [0, 2**32), the range
     that ``rng_from`` honours."""
@@ -108,6 +130,17 @@ def _seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**32), got {text!r}")
+
+
+def _count(text: str) -> int:
+    """A --budget, --n or --dim value: an integer of at least 1."""
+    try:
+        count = int(text)
+        if count >= 1:
+            return count
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _env_seed() -> Optional[int]:
@@ -139,13 +172,13 @@ def _config(args, inst: Optional[InstanceFile] = None) -> ToleranceConfig:
         if args.seed is None and inst is not None and inst.seed is not None:
             seed = inst.seed
         cfg = replace(cfg, seed=seed)
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         cfg = replace(cfg, algebraic_tol=args.tol, opt_tol=max(args.tol, 1e-12))
     return cfg
 
 
 def _read_instance(args) -> InstanceFile:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -171,12 +204,11 @@ def _pick(kind: str, table: dict, requested: Optional[str]):
 
 
 def _pick_pair(inst: InstanceFile, args):
-    names = sorted(inst.elements)
-    a_name = args.a or ("a" if "a" in inst.elements else None)
-    b_name = args.b or ("b" if "b" in inst.elements else None)
+    a_name, b_name = (flag if flag is not None else (own if own in inst.elements else None)
+                      for flag, own in ((args.a, "a"), (args.b, "b")))
     if a_name is None or b_name is None:
-        if len(names) == 2:
-            a_name, b_name = names
+        if len(inst.elements) == 2:
+            a_name, b_name = sorted(inst.elements)
         else:
             raise CliError("specify --a and --b element names")
     for n in (a_name, b_name):
@@ -193,66 +225,6 @@ def _interval_doc(iv) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_norm(args) -> int:
-    inst = _read_instance(args)
-    _, el = _pick("element", inst.elements, args.el)
-    value = lp_norm(el, args.p)
-    _emit({"value": value, "p": args.p}, args)
-    return EXIT_OK
-
-
-def _cmd_seqnorm(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
-    name, seq = _pick("sequence", inst.sequences, args.seq)
-    iv = l1_norm_bounds(seq, args.p, cfg)
-    _emit(
-        {
-            "sequence": name,
-            "p": args.p,
-            "interval": _interval_doc(iv),
-            "value": iv.upper,
-        },
-        args,
-    )
-    return EXIT_OK
-
-
-def _cmd_disjoint(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
-    a, b = _pick_pair(inst, args)
-    verdict = disjoint(a, b, cfg)
-    _emit({"verdict": "disjoint" if verdict else "not_disjoint"}, args)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
-
-
-def _cmd_dinq(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
-    a, b = _pick_pair(inst, args)
-    v = dinq_disjoint_test(a, b, cfg)
-    _emit(
-        {
-            "verdict": v.status,
-            "interval": _interval_doc(v.interval),
-            "threshold": v.threshold,
-            "evidence": {"algebraic": v.algebraic, "consistent": v.consistent},
-        },
-        args,
-    )
-    if v.status == DISJOINT:
-        return EXIT_OK
-    if v.status == NOT_DISJOINT:
-        return EXIT_NEGATIVE
-    return EXIT_UNDETERMINED
-
-
 def _triple_doc(tri: YeadonTriple) -> dict:
     return {
         "residuals": tri.residuals,
@@ -264,88 +236,94 @@ def _triple_doc(tri: YeadonTriple) -> dict:
     }
 
 
-def _cmd_yeadon(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
+def _witness_doc(witness) -> dict:
+    a, b = witness
+    return {"a_sup": a.sup_norm(), "b_sup": b.sup_norm()}
+
+
+# ---------------------------------------------------------------------------
+# commands: each maps (args, instance or None, config) to the document it
+# prints; run_command emits it and reads the exit code off its verdict
+# ---------------------------------------------------------------------------
+
+
+def _cmd_norm(args, inst, cfg) -> dict:
+    _, el = _pick("element", inst.elements, args.el)
+    return {"value": lp_norm(el, args.p), "p": args.p}
+
+
+def _cmd_seqnorm(args, inst, cfg) -> dict:
+    name, seq = _pick("sequence", inst.sequences, args.seq)
+    iv = l1_norm_bounds(seq, args.p, cfg)
+    return {"sequence": name, "p": args.p, "interval": _interval_doc(iv), "value": iv.upper}
+
+
+def _cmd_disjoint(args, inst, cfg) -> dict:
+    a, b = _pick_pair(inst, args)
+    return {"verdict": DISJOINT if disjoint(a, b, cfg) else NOT_DISJOINT}
+
+
+def _cmd_dinq(args, inst, cfg) -> dict:
+    a, b = _pick_pair(inst, args)
+    v = dinq_disjoint_test(a, b, cfg)
+    return {
+        "verdict": v.status,
+        "interval": _interval_doc(v.interval),
+        "threshold": v.threshold,
+        "evidence": {"algebraic": v.algebraic, "consistent": v.consistent},
+    }
+
+
+def _cmd_yeadon(args, inst, cfg) -> dict:
     name, T = _pick("map", inst.maps, args.map)
     res = extract_yeadon(T, cfg)
     if isinstance(res, YeadonTriple):
-        _emit({"verdict": "factorized", "map": name, "evidence": _triple_doc(res)}, args)
-        return EXIT_OK
-    _emit(
-        {"verdict": "no_factorization", "map": name,
-         "evidence": {"reason": res.reason, "all_reasons": res.all_reasons,
-                      "residual": res.residual}},
-        args,
-    )
-    return EXIT_NEGATIVE
+        return {"verdict": FACTORIZED, "map": name, "evidence": _triple_doc(res)}
+    return {"verdict": NO_FACTORIZATION, "map": name,
+            "evidence": {"reason": res.reason, "all_reasons": res.all_reasons,
+                         "residual": res.residual}}
 
 
-def _cmd_separating(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
+def _cmd_separating(args, inst, cfg) -> dict:
     name, T = _pick("map", inst.maps, args.map)
-    v = certify_separating(T, cfg, witness_seeds=args.budget or 64)
-    doc = {"verdict": v.status, "map": name, "evidence": _jsonable(v.evidence)}
-    if v.status == CERTIFIED:
-        doc["evidence"] = _triple_doc(v.triple)
-        _emit(doc, args)
-        return EXIT_OK
-    if v.status == FALSIFIED:
-        a, b = v.witness
-        doc["witness"] = {"a_sup": a.sup_norm(), "b_sup": b.sup_norm()}
-        _emit(doc, args)
-        return EXIT_NEGATIVE
-    _emit(doc, args)
-    return EXIT_UNDETERMINED
+    v = certify_separating(T, cfg, witness_seeds=args.budget)
+    doc = {"verdict": v.status, "map": name,
+           "evidence": v.evidence if v.triple is None else _triple_doc(v.triple)}
+    if v.witness is not None:
+        doc["witness"] = _witness_doc(v.witness)
+    return doc
 
 
-def _cmd_certify(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
+def _cmd_certify(args, inst, cfg) -> dict:
     name, T = _pick("map", inst.maps, args.map)
     p = args.p if args.p is not None else T.p
-    cert = certify_l1_norm(T, p, cfg, ratio_budget=args.budget or 25)
-    _emit(
-        {
-            "map": name,
-            "p": p,
-            "route": cert.route,
-            "interval": _interval_doc(cert.value_interval),
-            "alarm": cert.alarm,
-            "evidence": _jsonable(cert.evidence),
-        },
-        args,
-    )
+    cert = certify_l1_norm(T, p, cfg, ratio_budget=args.budget)
     if cert.alarm:
         print("inconsistency alarm: sampled lower bound beats certified upper",
               file=sys.stderr)
-    return EXIT_OK
+    return {
+        "map": name,
+        "p": p,
+        "route": cert.route,
+        "interval": _interval_doc(cert.value_interval),
+        "alarm": cert.alarm,
+        "evidence": cert.evidence,
+    }
 
 
-def _cmd_classify_l2(args) -> int:
-    inst = _read_instance(args)
-    cfg = _config(args, inst)
+def _cmd_classify_l2(args, inst, cfg) -> dict:
     name, T = _pick("map", inst.maps, args.map)
-    cls = classify_l2_isometry(T, cfg, pairs=args.budget or 18)
-    doc = {"verdict": cls.status, "map": name, "alarm": cls.alarm,
-           "evidence": _jsonable(cls.evidence)}
-    if cls.status == YTF:
-        doc["evidence"]["triple"] = _jsonable(_triple_doc(cls.triple))
-        _emit(doc, args)
-        return EXIT_OK
-    if cls.status in (NO_YTF, NOT_ISOMETRY):
-        if cls.witness is not None:
-            a, b = cls.witness
-            doc["witness"] = {"a_sup": a.sup_norm(), "b_sup": b.sup_norm()}
-        _emit(doc, args)
-        return EXIT_NEGATIVE
-    _emit(doc, args)
-    return EXIT_UNDETERMINED
+    cls = classify_l2_isometry(T, cfg, pairs=args.budget)
+    doc = {"verdict": cls.status, "map": name, "alarm": cls.alarm, "evidence": cls.evidence}
+    if cls.triple is not None:
+        doc["evidence"] = {**cls.evidence, "triple": _triple_doc(cls.triple)}
+    if cls.witness is not None:
+        doc["witness"] = _witness_doc(cls.witness)
+    return doc
 
 
 def _parse_algebra(args) -> AlgebraDescriptor:
-    dims = [int(d) for d in (args.dims or "2").split(",")]
+    dims = [int(d) for d in args.dims.split(",")]
     if args.weights:
         weights = [float(w) for w in args.weights.split(",")]
         if len(weights) != len(dims):
@@ -363,84 +341,76 @@ def _map_instance(T: LinearMap, seed: int) -> InstanceFile:
     return make_instance(algebras, maps={"T": T}, seed=seed)
 
 
-def _cmd_gen(args) -> int:
-    seed = _default_seed(args)
-    rng = rng_from(seed, 12000)
+def _builder(table: dict, label: str, args):
+    """The builder of --kind in ``table``, once --p is known to be an
+    exponent that an instance file can hold."""
+    if args.kind not in table:
+        raise CliError(f"unknown {label} kind {args.kind!r}")
+    if not args.p >= 1:  # also rejects nan
+        raise CliError(f"--p must be >= 1, got p = {args.p}")
+    return table[args.kind]
+
+
+def _gen_seq(draw, positive: bool = False):
+    def build(alg, rng, args) -> dict:
+        names = [f"x{i}" for i in range(args.n)]
+        return {"elements": {name: draw(alg, rng) for name in names},
+                "sequences": {"seq": names}, "positive": set(names) if positive else None}
+    return build
+
+
+def _gen_pair(draw):
+    return lambda alg, rng, args: {"elements": dict(zip("ab", draw(alg, rng)))}
+
+
+# kind: (algebra from --dims/--weights, rng, args) -> a map, or the elements,
+# sequences and positive declarations of an instance on that algebra
+_GEN_KINDS = {
+    "positive-seq": _gen_seq(random_positive, positive=True),
+    "seq": _gen_seq(random_element),
+    "disjoint-pair": _gen_pair(random_disjoint_pair),
+    "positive-disjoint-pair": _gen_pair(functools.partial(random_disjoint_pair, positive=True)),
+    "nondisjoint-pair": _gen_pair(lambda alg, rng: (random_element(alg, rng), random_element(alg, rng))),
+    "element": lambda alg, rng, args: {"elements": {"x": random_element(alg, rng)}},
+    "positive-element": lambda alg, rng, args: {"elements": {"x": random_positive(alg, rng)},
+                                                "positive": {"x"}},
+    "map": lambda alg, rng, args: LinearMap(alg, alg, ginibre(rng, alg.coord_dim), args.p),
+    "separating-map": lambda alg, rng, args: synth.random_yeadon_map(rng, p=args.p)[0],
+    "cp-map": lambda alg, rng, args: synth.random_cp_contraction(alg, args.p, rng),
+    "positive-map": lambda alg, rng, args: synth.random_positive_map(alg, args.p, rng),
+    "isometry": lambda alg, rng, args: synth.random_l2_isometry(rng, int(rng.integers(0, 5))),
+    "commutative-map": lambda alg, rng, args: synth.random_commutative_map(rng, args.n, args.n, args.p),
+}
+
+
+def _cmd_gen(args, inst, cfg) -> InstanceFile:
+    rng = rng_from(cfg.seed, 12000)
     alg = _parse_algebra(args)
-    kind = args.kind
-    p = args.p if args.p is not None else 2.0
-    if kind in ("positive-seq", "seq"):
-        n = args.n or 3
-        items = {}
-        names = []
-        for i in range(n):
-            el = random_positive(alg, rng) if kind == "positive-seq" else random_element(alg, rng)
-            items[f"x{i}"] = el
-            names.append(f"x{i}")
-        inst = make_instance({"M": alg}, items, {"seq": names},
-                             positive=set(names) if kind == "positive-seq" else None,
-                             seed=seed)
-    elif kind in ("disjoint-pair", "positive-disjoint-pair", "nondisjoint-pair"):
-        if kind == "nondisjoint-pair":
-            a, b = random_element(alg, rng), random_element(alg, rng)
-        else:
-            a, b = random_disjoint_pair(alg, rng, positive=kind.startswith("positive"))
-        inst = make_instance({"M": alg}, {"a": a, "b": b}, seed=seed)
-    elif kind == "element":
-        inst = make_instance({"M": alg}, {"x": random_element(alg, rng)}, seed=seed)
-    elif kind == "positive-element":
-        inst = make_instance({"M": alg}, {"x": random_positive(alg, rng)},
-                             positive={"x"}, seed=seed)
-    elif kind == "map":
-        inst = _map_instance(LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p), seed)
-    elif kind == "separating-map":
-        inst = _map_instance(synth.random_yeadon_map(rng, p=p)[0], seed)
-    elif kind == "cp-map":
-        inst = _map_instance(synth.random_cp_contraction(alg, p, rng), seed)
-    elif kind == "positive-map":
-        inst = _map_instance(synth.random_positive_map(alg, p, rng), seed)
-    elif kind == "isometry":
-        inst = _map_instance(synth.random_l2_isometry(rng, int(rng.integers(0, 5))), seed)
-    elif kind == "commutative-map":
-        n = args.n or 3
-        inst = _map_instance(synth.random_commutative_map(rng, n, n, p), seed)
-    else:
-        raise CliError(f"unknown generator kind {args.kind!r}")
-    _emit(inst, args)
-    return EXIT_OK
+    made = _builder(_GEN_KINDS, "generator", args)(alg, rng, args)
+    if isinstance(made, LinearMap):
+        return _map_instance(made, cfg.seed)
+    return make_instance({"M": alg}, **made, seed=cfg.seed)
 
 
-def _cmd_example(args) -> int:
-    seed = _default_seed(args)
-    rng = rng_from(seed, 13000)
-    kind = args.kind
-    p = args.p if args.p is not None else 2.0
-    dim = args.dim or 2
-    if kind == "transpose":
-        T = transpose_map(matrix_algebra(dim), p)
-    elif kind == "identity":
-        T = identity_map(matrix_algebra(dim), p)
-    elif kind == "rotation":
-        T = rotation_mixing(args.theta if args.theta is not None else np.pi / 4, p)
-    elif kind == "depolarizing":
-        T = depolarizing(matrix_algebra(dim), args.lam if args.lam is not None else 0.5, p)
-    elif kind == "unitary":
-        T = unitary_conjugation(random_unitary(matrix_algebra(dim), rng), p)
-    elif kind == "yeadon":
-        T, _, _, _ = synth.random_yeadon_map(rng, p=p)
-    else:
-        raise CliError(f"unknown example kind {args.kind!r}")
-    _emit(_map_instance(T, seed), args)
-    return EXIT_OK
+# kind: (rng, args) -> the example map
+_EXAMPLE_KINDS = {
+    "transpose": lambda rng, args: transpose_map(matrix_algebra(args.dim), args.p),
+    "identity": lambda rng, args: identity_map(matrix_algebra(args.dim), args.p),
+    "rotation": lambda rng, args: rotation_mixing(args.theta, args.p),
+    "depolarizing": lambda rng, args: depolarizing(matrix_algebra(args.dim), args.lam, args.p),
+    "unitary": lambda rng, args: unitary_conjugation(random_unitary(matrix_algebra(args.dim), rng), args.p),
+    "yeadon": lambda rng, args: synth.random_yeadon_map(rng, p=args.p)[0],
+}
 
 
-def _cmd_suite(args) -> int:
-    seed = _default_seed(args)
-    cfg = replace(DEFAULT_CONFIG, seed=seed)
-    scale = args.budget / 100.0 if args.budget is not None else 1.0
-    report = run_suite(cfg, only=args.only, budget_scale=scale)
-    _emit(report.to_dict(timings=args.timings), args)
-    return EXIT_OK if report.overall_pass else EXIT_NEGATIVE
+def _cmd_example(args, inst, cfg) -> InstanceFile:
+    rng = rng_from(cfg.seed, 13000)
+    return _map_instance(_builder(_EXAMPLE_KINDS, "example", args)(rng, args), cfg.seed)
+
+
+def _cmd_suite(args, inst, cfg) -> dict:
+    report = run_suite(cfg, only=args.only, budget_scale=args.budget / 100.0)
+    return report.to_dict(timings=args.timings)
 
 
 # every argument a subcommand may take; each subcommand takes only those it reads
@@ -448,7 +418,7 @@ _FLAGS = {
     "--p": dict(type=float, help="exponent (default: 2 or the map's own)"),
     "--tol": dict(type=float, help="override tolerance"),
     "--seed": dict(type=_seed, help="seed (default: NCLP_SEED or 0)"),
-    "--budget": dict(type=int, help="sampling budget"),
+    "--budget": dict(type=_count, help="sampling budget"),
     "--el": dict(type=str),
     "--seq": dict(type=str),
     "--a": dict(type=str),
@@ -456,38 +426,39 @@ _FLAGS = {
     "--map": dict(type=str),
     "--kind": dict(type=str, required=True),
     "kind": dict(type=str),
-    "--n": dict(type=int),
+    "--n": dict(type=_count),
     "--dims": dict(type=str, help="comma-separated block dims"),
     "--weights": dict(type=str, help="comma-separated block weights"),
     "--theta": dict(type=float),
     "--lam": dict(type=float),
-    "--dim": dict(type=int),
+    "--dim": dict(type=_count),
     "--only": dict(type=str, help="filter property ids by substring"),
     "--timings": dict(action="store_true", default=False, help="include wall times (breaks byte reproducibility)"),
 }
 
-# name: (help, handler, flags, reads an instance)
+# name: (help, handler, flags with their defaults, reads an instance); a flag
+# without "=default" defaults to None (certify's --p: the map's own exponent)
 _COMMANDS = {
-    "norm": ("p-norm of an element", _cmd_norm, "--p --el", True),
+    "norm": ("p-norm of an element", _cmd_norm, "--p=2 --el", True),
     "seqnorm": ("ell1-valued sequence norm enclosure", _cmd_seqnorm,
-                "--p --tol --seq", True),
+                "--p=2 --tol --seq", True),
     "disjoint": ("algebraic disjointness of two elements", _cmd_disjoint, "--tol --a --b", True),
     "dinq": ("two-term p=2 disjointness criterion", _cmd_dinq,
              "--tol --a --b", True),
     "yeadon": ("extract the (w, B, J) factorization of a map", _cmd_yeadon,
                "--tol --seed --map", True),
     "separating": ("certify or falsify the separating property", _cmd_separating,
-                   "--tol --seed --budget --map", True),
+                   "--tol --seed --budget=64 --map", True),
     "certify": ("certify the ell1-extension norm", _cmd_certify,
-                "--p --tol --seed --budget --map", True),
+                "--p --tol --seed --budget=25 --map", True),
     "classify-l2": ("classify an L2 isometry by factorizability", _cmd_classify_l2,
-                    "--tol --seed --budget --map", True),
+                    "--tol --seed --budget=18 --map", True),
     "gen": ("generate a random instance file", _cmd_gen,
-            "--p --seed --kind --n --dims --weights", False),
+            "--p=2 --seed --kind --n=3 --dims=2 --weights", False),
     "example": ("emit a named example map as an instance file", _cmd_example,
-                "kind --p --seed --theta --lam --dim", False),
+                f"kind --p=2 --seed --theta={np.pi / 4} --lam=0.5 --dim=2", False),
     "suite": ("run the property suite", _cmd_suite,
-              "--seed --budget --only --timings", False),
+              "--seed --budget=100 --only --timings", False),
 }
 
 
@@ -497,16 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="norms, factorizations and certificates on trace-weighted matrix-block L^p spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fn, flags, needs_input) in _COMMANDS.items():
+    for name, (help_text, _, flags, needs_input) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag in flags.split():
-            sp.add_argument(flag, **{"default": None, **_FLAGS[flag]})
+        for token in flags.split():
+            flag, _, default = token.partition("=")
+            spec = {"default": None, **_FLAGS[flag]}
+            if default:
+                spec["default"] = spec["type"](default)
+            sp.add_argument(flag, **spec)
         sp.add_argument("--out", type=str, default=None, help="write result to a file instead of stdout")
         if needs_input:
             sp.add_argument("--in", dest="infile", type=str, default=None, help="instance file (default: stdin)")
-        sp.set_defaults(fn=fn)
-        if name in ("norm", "seqnorm"):
-            sp.set_defaults(p=2.0)
     return parser
 
 
@@ -517,15 +489,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
+    """Parse argv, read the instance of a command that takes one, run the
+    command, print its document and return the exit code of its verdict."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    _, fn, _, needs_input = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        inst = _read_instance(args) if needs_input else None
+        doc = fn(args, inst, _config(args, inst))
+        _emit(doc, args)
     except (CliError, ParseError, AlgebraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return _exit_code(doc)
 
 
 def main() -> None:

@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .lp import _hermitian_spectrum, _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
-from .sequences import NormInterval
+from .sequences import UNDETERMINED, NormInterval
 
 
 def vec(x: Element) -> np.ndarray:
@@ -141,7 +141,7 @@ def identity_map(algebra: AlgebraDescriptor, p: float = 2.0) -> LinearMap:
         algebra,
         np.eye(algebra.coord_dim),
         p,
-        {"kind": "identity", "positive": True, "cp": True, "isometry_all_p": True},
+        {"kind": "identity", "positive": True, "isometry_all_p": True},
     )
 
 
@@ -156,7 +156,6 @@ def scale_map(T: LinearMap, c: float) -> LinearMap:
     meta.pop("isometry_all_p", None)
     if c < 0:
         meta.pop("positive", None)
-        meta.pop("cp", None)
     return LinearMap(T.domain, T.codomain, c * T.action, T.p, meta)
 
 
@@ -166,8 +165,6 @@ def add_maps(S: LinearMap, T: LinearMap) -> LinearMap:
     meta = {}
     if S.meta.get("positive") and T.meta.get("positive"):
         meta["positive"] = True
-    if S.meta.get("cp") and T.meta.get("cp"):
-        meta["cp"] = True
     return LinearMap(S.domain, S.codomain, S.action + T.action, T.p, meta)
 
 
@@ -184,10 +181,7 @@ def adjoint_map(T: LinearMap, p: Optional[float] = None) -> LinearMap:
     At = T.action[_transposed_coords(T.codomain)][:, _transposed_coords(T.domain)].T
     A_star = (At * coord_weights(T.codomain)[None, :]) / coord_weights(T.domain)[:, None]
     meta = {"kind": "adjoint", "of": T.meta.get("kind")}
-    if T.meta.get("cp"):
-        meta["cp"] = True
-        meta["positive"] = True
-    elif T.meta.get("positive"):
+    if T.meta.get("positive"):
         meta["positive"] = True
     return LinearMap(T.codomain, T.domain, A_star, conjugate_exponent(p), meta)
 
@@ -312,7 +306,7 @@ def op_norm(
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
     if positive_certified is None:
-        positive_certified = bool(T.meta.get("positive") or T.meta.get("cp"))
+        positive_certified = bool(T.meta.get("positive"))
 
     upper, method = _op_norm_upper(T, p, positive_certified)
     if method in ("weighted_svd", "constructor_isometry"):
@@ -334,7 +328,6 @@ def op_norm(
 
 CERTIFIED = "certified"
 FALSIFIED = "falsified"
-UNDETERMINED = "undetermined"
 
 
 @dataclass
@@ -466,10 +459,6 @@ def positivity_tests(
         return PositivityVerdict(
             CERTIFIED, evidence={"route": "provenance", "trials": len(inputs)}
         )
-    if T.meta.get("two_positive") and level == "two_positive":
-        return PositivityVerdict(
-            CERTIFIED, evidence={"route": "provenance", "trials": len(inputs)}
-        )
     return PositivityVerdict(
         UNDETERMINED, evidence={"trials": len(inputs), "worst_relative_eig": worst}
     )
@@ -500,13 +489,11 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
                     big[r, :, s, :, r, :, s, :] = T_lk.reshape(c, c, d, d)
             cols.append(big.reshape((n * c) ** 2, (n * d) ** 2))
         rows.append(np.concatenate(cols, axis=1))
+    # plain positivity and every-exponent isometry do not survive
+    # amplification (the partial transpose is the standard counterexample for
+    # both), so neither flag is carried over; the Choi test still certifies
+    # the amplification of a completely positive map
     meta = {"kind": "amplified", "of": T.meta.get("kind"), "order": n}
-    # complete positivity survives amplification; plain positivity and
-    # every-exponent isometry do not (the partial transpose is the standard
-    # counterexample for both), so neither flag is carried over
-    if T.meta.get("cp"):
-        meta["cp"] = True
-        meta["positive"] = True
     return LinearMap(amplify(dom, n), amplify(cod, n), np.concatenate(rows), T.p, meta)
 
 
@@ -577,8 +564,7 @@ def transpose_map(algebra: AlgebraDescriptor, p: float = 2.0) -> LinearMap:
         algebra,
         np.eye(algebra.coord_dim)[_transposed_coords(algebra)],
         p,
-        {"kind": "transpose", "positive": True, "isometry_all_p": True,
-         "separating": True},
+        {"kind": "transpose", "positive": True, "isometry_all_p": True},
     )
 
 
@@ -592,8 +578,7 @@ def unitary_conjugation(u: Element, p: float = 2.0) -> LinearMap:
         u.algebra,
         _conjugation_action([u]),
         p,
-        {"kind": "unitary_conjugation", "positive": True, "cp": True,
-         "two_positive": True, "isometry_all_p": True, "separating": True},
+        {"kind": "unitary_conjugation", "positive": True, "isometry_all_p": True},
     )
 
 
@@ -623,7 +608,6 @@ def commutative_matrix(
     meta = {"kind": "commutative"}
     if np.all(entries.real >= 0) and np.all(np.abs(entries.imag) == 0):
         meta["positive"] = True
-        meta["cp"] = True
     return LinearMap(dom, cod, entries, p, meta)
 
 
@@ -638,7 +622,7 @@ def depolarizing(algebra: AlgebraDescriptor, lam: float, p: float = 2.0) -> Line
     )
     return LinearMap(
         algebra, algebra, action, p,
-        {"kind": "depolarizing", "positive": True, "cp": True, "lam": lam},
+        {"kind": "depolarizing", "positive": True, "lam": lam},
     )
 
 
@@ -648,14 +632,10 @@ def kraus_map(vs: list[Element], p: float = 2.0, transposed: bool = False) -> Li
     if not vs:
         raise StructuralError("need at least one Kraus element")
     action = _conjugation_action(vs)
-    meta = {"kind": "kraus", "positive": True}
     if transposed:
         # x -> x^T permutes the coordinates, so it permutes the columns
         action = action[:, _transposed_coords(vs[0].algebra)]
-        meta["co_cp"] = True
-        meta["kind"] = "kraus_transposed"
-    else:
-        meta["cp"] = True
+    meta = {"kind": "kraus_transposed" if transposed else "kraus", "positive": True}
     return LinearMap(vs[0].algebra, vs[0].algebra, action, p, meta)
 
 
@@ -676,8 +656,7 @@ def jordan_direct_sum(
         [1.0] * len(parts) if weights is None else weights,
         None,
         p,
-        {"kind": "jordan_direct_sum", "parts": tuple(parts), "positive": True,
-         "separating": True},
+        {"kind": "jordan_direct_sum", "parts": tuple(parts), "positive": True},
     )
 
 
@@ -731,9 +710,8 @@ def yeadon_synthetic(
         N,
         [np.matmul(b, S) for b, S in zip(wB.blocks, images)],
         p,
-        {"kind": "yeadon_synthetic", "separating": True},
+        {"kind": "yeadon_synthetic"},
     )
-    T.meta["w"], T.meta["B"], T.meta["J"] = w, B, J
     # a separating map built from a projection w is positive
     if is_positive(w, cfg):
         T.meta["positive"] = True

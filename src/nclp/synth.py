@@ -58,7 +58,7 @@ def _random_jordan(
     J = _jordan_layout(
         domain, layout, weights, unitaries, p,
         {"kind": "jordan_layout", "layout": tuple((tuple(ps), dd) for ps, dd in layout),
-         "positive": True, "separating": True},
+         "positive": True},
     )
     return J, layout, unitaries
 
@@ -120,7 +120,7 @@ def random_cp_contraction(
     lam = max(T(one).sup_norm(), adjoint_map(T, 1)(one).sup_norm())
     if lam <= 0:
         return depolarizing(algebra, 0.5, p)
-    T = scale_map(T, 1.0 / lam)  # keeps the Kraus map's cp and positive flags
+    T = scale_map(T, 1.0 / lam)  # keeps the Kraus map's positive flag
     T.meta["kind"] = "cp_contraction"
     if rng.random() < 0.3:
         T = add_maps(scale_map(T, 0.5), scale_map(depolarizing(algebra, 0.5, p), 0.5))
@@ -159,21 +159,21 @@ def random_l2_isometry(rng: np.random.Generator, index: int) -> LinearMap:
         alg = matrix_algebra(2)
         u = random_unitary(alg, rng).blocks[0]
         return LinearMap(alg, alg, np.kron(u, np.eye(2)), 2.0,
-                         {"kind": "left_unitary", "separating": True})
+                         {"kind": "left_unitary"})
     if kind == 2:
         d = 2 + index % 2
         w = float(rng.uniform(0.5, 2.0))
         dom = matrix_algebra(d, w)
         layout = [([(0, "hom")], 0), ([], int(rng.integers(1, 3)))]
         J = _jordan_layout(dom, layout, [w, float(rng.uniform(0.5, 2.0))], None, 2.0,
-                           {"kind": "block_embedding", "positive": True, "separating": True})
+                           {"kind": "block_embedding", "positive": True})
         e = J(identity(dom))
         return yeadon_synthetic(e, e, J, 2.0)
     if kind == 3:
         w = float(rng.uniform(0.5, 2.0))
         layout = [([(0, "hom")], 0), ([(0, "anti")], 0)]
         J = _jordan_layout(matrix_algebra(2, w), layout, [w, w], None, 2.0,
-                           {"kind": "hom_anti_embedding", "positive": True, "separating": True})
+                           {"kind": "hom_anti_embedding", "positive": True})
         one = identity(J.codomain)
         return yeadon_synthetic(one, (1.0 / np.sqrt(2.0)) * one, J, 2.0)
     theta = float(rng.uniform(0.4, np.pi - 0.4))

@@ -41,6 +41,9 @@ from .algebra import (
 )
 from .lp import _hermitian_spectrum, is_positive
 from .maps import (
+    CERTIFIED,
+    FALSIFIED,
+    UNDETERMINED,
     LinearMap,
     _block_stacks,
     _map_from_images,
@@ -52,10 +55,6 @@ from .maps import (
     vec,
 )
 from .sampling import random_positive, random_selfadjoint, rng_from
-
-CERTIFIED = "certified"
-FALSIFIED = "falsified"
-UNDETERMINED = "undetermined"
 
 
 def _unit_products(algebra) -> np.ndarray:

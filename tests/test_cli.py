@@ -383,3 +383,35 @@ def test_flags_a_command_does_not_read_are_rejected(capcli, argv):
     code, out, err = capcli(argv, stdin_text=pair)
     assert code == 3 and out == ""
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["certify", "--budget", "0"], "--budget"),
+        (["classify-l2", "--budget", "-3"], "--budget"),
+        (["separating", "--budget", "-3"], "--budget"),
+        (["suite", "--budget", "-5"], "--budget"),
+        (["example", "transpose", "--dim", "0"], "--dim"),
+        (["gen", "--kind", "seq", "--n", "0"], "--n"),
+        (["gen", "--kind", "commutative-map", "--n", "two"], "--n"),
+    ],
+)
+def test_counts_below_one_are_input_errors(capcli, argv, flag):
+    # a zero used to mean "the default" and a negative budget ran no samples
+    _, inst, _ = capcli(["example", "rotation"])
+    code, out, err = capcli(argv, stdin_text=inst)
+    assert code == 3 and out == ""
+    assert f"argument {flag}: must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("gen", [["example", "rotation"], ["gen", "--kind", "map"], ["gen", "--kind", "seq"]])
+@pytest.mark.parametrize("p", ["0.5", "nan", "-1.5"])
+def test_generators_refuse_exponents_below_one(capcli, gen, p):
+    # these used to write an instance that certify refused, or die in JSON
+    # serialization with a message that did not name the exponent
+    code, out, err = capcli([*gen, "--p", p])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and f"p = {p}" in err
+    code, out, _ = capcli([*gen, "--p", "inf"])
+    assert code == 0 and parse_instance(out)

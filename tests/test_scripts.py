@@ -33,7 +33,17 @@ def test_compare_outputs_cli_workload(capsys):
     capsys.readouterr()
     root = os.path.join(SCRIPTS, "..")
     assert compare_outputs.main(["--base", root, "--workload", "cli", "--seed", "5"]) == 0
-    assert "cli seed 5: 0/19 outputs differ" in capsys.readouterr().out
+    assert "cli seed 5: 0/37 outputs differ" in capsys.readouterr().out
+
+
+def test_compare_outputs_cli_workload_runs_every_command(tmp_path):
+    from nclp.cli import _COMMANDS
+
+    argvs = _load("compare_outputs").cli_argvs(5, str(tmp_path))
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    # the reading commands take their instances from files in the directory
+    assert all(argv[-2:] == ["--in", str(tmp_path / argv[-1].rsplit(os.sep, 1)[-1])]
+               for argv in argvs if argv[0] not in ("gen", "example", "suite"))
 
 
 def test_compare_outputs_flags_disjoint_intervals():
