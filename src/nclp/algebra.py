@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -239,12 +239,9 @@ def hermitian_part(x: Element) -> Element:
     return 0.5 * (x + x.H)
 
 
-def _nearly_selfadjoint(x: Element, tol: float, norm: Optional[float] = None) -> bool:
-    """|x - x*| <= tol * max(|x|, 1) in operator norm; pass |x| as ``norm``
-    when it is already known."""
-    if norm is None:
-        norm = x.sup_norm()
-    return (x - x.H).sup_norm() <= tol * max(norm, 1.0)
+def _nearly_selfadjoint(x: Element, tol: float) -> bool:
+    """|x - x*| <= tol * max(|x|, 1) in operator norm."""
+    return bool(_selfadjoint(x.blocks, tol, _sup_norms(x.blocks)))
 
 
 def is_selfadjoint(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
@@ -268,6 +265,12 @@ def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _sup_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Operator norms of the elements given blockwise as (..., d, d) stacks."""
     return functools.reduce(np.maximum, [np.linalg.svd(S, compute_uv=False)[..., 0] for S in stacks])
+
+
+def _selfadjoint(stacks: Sequence[np.ndarray], tol: float, scale: np.ndarray) -> np.ndarray:
+    """|x - x*| <= tol * max(|x|, 1) in operator norm for each element given
+    blockwise as (..., d, d) stacks, whose operator norms |x| are ``scale``."""
+    return _sup_norms([S - _adjoint(S) for S in stacks]) <= tol * np.maximum(scale, 1.0)
 
 
 def _ranked_svd(

@@ -45,6 +45,7 @@ from .maps import (
     CERTIFIED,
     UNDETERMINED,
     LinearMap,
+    _block_stacks,
     _boyd_ascent,
     _op_norm_upper,
     _transposed_coords,
@@ -60,11 +61,13 @@ from .sequences import (
     DISJOINT,
     ElementSequence,
     NormInterval,
+    _dinq_verdicts,
     _gram_norms,
     _grams,
-    _sequence_bounds,
+    _intervals,
+    _rows,
+    _solve,
     _stacks,
-    dinq_disjoint_test,
     l1_norm_bounds,
     sequence,
     sum_elements,
@@ -92,10 +95,6 @@ ROUTE_SAMPLED = "sampled_only"
 RATIO_STEPS = 1
 
 
-def map_sequence(T: LinearMap, seq: ElementSequence) -> ElementSequence:
-    return sequence([T(x) for x in seq])
-
-
 def l1_ratio_lower(
     T: LinearMap,
     p: float,
@@ -107,61 +106,62 @@ def l1_ratio_lower(
     exact (positive sequences, singletons, disjoint pairs at p = 2) carry
     the most information.  One stacked nonlinear power iteration (25 steps)
     from the identity, a random element and a random positive sharpens the
-    singletons: each start's best iterate and its absolute value (tracked as
-    positive singletons) are evaluated in start order.  Exponents outside
+    singletons: each start's best iterate and its absolute value (counted
+    as positive singletons) are sampled too.  The samples of each length
+    take one sequence-norm solve for their inputs (closed form, else polar
+    step) and one for their images (``RATIO_STEPS``).  Exponents outside
     [1, inf), nan included, raise DomainError."""
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
-    rng = rng_from(cfg.seed, 9600)
-    dom = T.domain
-    best = 0.0
-    singleton_best = 0.0
-    positive_singleton_best = 0.0
-    n_done = 0
     if budget <= 0:
         return 0.0, {"best": 0.0, "singleton": 0.0, "positive_singleton": 0.0,
                      "samples": 0}
-
-    def consider(seq: ElementSequence) -> Optional[float]:
-        nonlocal best, n_done
-        up = _sequence_bounds(seq, p, cfg, 0)[1]
-        if up <= 1e-12:
-            return None
-        lo = _sequence_bounds(map_sequence(T, seq), p, cfg, RATIO_STEPS)[0]
-        r = lo / up
-        best = max(best, r)
-        n_done += 1
-        return r
-
-    def singleton(x: Element, positive: bool) -> None:
-        nonlocal singleton_best, positive_singleton_best
-        r = consider(sequence([x]))
-        if r is None:
-            return
-        singleton_best = max(singleton_best, r)
-        if positive:
-            positive_singleton_best = max(positive_singleton_best, r)
-
+    rng = rng_from(cfg.seed, 9600)
+    dom = T.domain
+    # (items, counted as a positive singleton), in the order of the draws
+    samples: list[tuple[list[Element], bool]] = []
     per_class = max(3, budget // 5)
     for i in range(per_class):
-        consider(sequence([random_positive(dom, rng) for _ in range(2 + i % 2)]))
+        samples.append(([random_positive(dom, rng) for _ in range(2 + i % 2)], False))
     for _ in range(per_class):
-        singleton(random_element(dom, rng), positive=False)
-        singleton(random_positive(dom, rng), positive=True)
+        samples.append(([random_element(dom, rng)], False))
+        samples.append(([random_positive(dom, rng)], True))
     if p == 2 and dom.coord_dim >= 2:
         for i in range(per_class):
-            a, b = random_disjoint_pair(dom, rng, positive=(i % 2 == 0))
-            consider(sequence([a, b]))
+            samples.append((list(random_disjoint_pair(dom, rng, positive=(i % 2 == 0))), False))
     for _ in range(per_class):
-        consider(sequence([random_element(dom, rng), random_element(dom, rng)]))
+        samples.append(([random_element(dom, rng), random_element(dom, rng)], False))
 
     starts = [identity(dom), random_element(dom, rng), random_positive(dom, rng)]
     values, args = _boyd_ascent(T, p, cfg, 25, np.stack([vec(x) for x in starts]))
     for value, row in zip(values, args):
         if value > 0:
             arg = unvec(dom, row)
-            singleton(arg, positive=is_positive(arg, cfg))
-            singleton(absolute(arg), positive=True)
+            samples.append(([arg], is_positive(arg, cfg)))
+            samples.append(([absolute(arg)], True))
+
+    best = singleton_best = positive_singleton_best = 0.0
+    n_done = 0
+    for n in dict.fromkeys(len(items) for items, _ in samples):
+        group = [sample for sample in samples if len(sample[0]) == n]
+        X = _rows([items for items, _ in group])
+        up = _solve(X, dom.weights, p, cfg, 0)[1]
+        # T on each item's coordinates, one matrix-vector product per item as
+        # in T(x): a matrix-matrix product rounds differently
+        coords = np.concatenate([S.reshape(len(group) * n, -1) for S in X], axis=1)
+        images = np.stack([T.action @ v for v in coords])
+        TX = [S.reshape(len(group), n, *S.shape[1:]) for S in _block_stacks(T.codomain, images)]
+        lo = _solve(TX, T.codomain.weights, p, cfg, RATIO_STEPS)[0]
+        for (_, positive), lo_i, up_i in zip(group, lo, up):
+            if up_i <= 1e-12:
+                continue
+            r = lo_i / up_i
+            best = max(best, r)
+            n_done += 1
+            if n == 1:
+                singleton_best = max(singleton_best, r)
+                if positive:
+                    positive_singleton_best = max(positive_singleton_best, r)
 
     info = {
         "best": best,
@@ -326,10 +326,11 @@ def classify_l2_isometry(
 
     Route one extracts the factorization directly; route two sends sampled
     disjoint pairs through T and applies the two-term p = 2 criterion to the
-    images.  The two must agree: a certified factorization together with a
-    non-disjoint image pair (or a certified-positive isometry that fails
-    extraction) raises the inconsistency alarm, because both implications
-    are unconditional theorems.
+    images, all pairs in one sequence-norm solve.  The two must agree: a
+    certified factorization together with a non-disjoint image pair (or a
+    certified-positive isometry that fails extraction) raises the
+    inconsistency alarm, because both implications are unconditional
+    theorems.
     """
     if not is_l2_isometry(T, cfg):
         return IsometryClassification(NOT_ISOMETRY)
@@ -340,10 +341,14 @@ def classify_l2_isometry(
     witness = None
     statuses = []
     l12_ratios = []
-    for i in range(pairs):
-        rng = rng_from(cfg.seed, 9700, i)
-        a, b = random_disjoint_pair(T.domain, rng, positive=(i % 3 == 0))
-        verdict = dinq_disjoint_test(T(a), T(b), cfg)
+    draws = [random_disjoint_pair(T.domain, rng_from(cfg.seed, 9700, i), positive=(i % 3 == 0))
+             for i in range(pairs)]
+    images = [(T(a), T(b)) for a, b in draws]
+    verdicts = []
+    if images:  # every image pair in one solve
+        X = _rows([sequence(pair) for pair in images])
+        verdicts = _dinq_verdicts(images, _intervals(X, T.codomain, 2.0, cfg), cfg)
+    for (a, b), verdict in zip(draws, verdicts):
         statuses.append(verdict.status)
         # an image pair fails route (ii) if it does not certify disjoint and
         # the algebraic cross-check confirms the cross products are nonzero
@@ -408,7 +413,7 @@ def _normalized_factorization(
     if iv.witness is None:
         raise StructuralError("no factorization witness available")
     a_list, b_list = iv.witness
-    ra, cb = _gram_norms(*_grams(_stacks(a_list), _stacks(b_list)), seq.algebra.weights, p)
+    ra, cb = _gram_norms(*_grams(_stacks(a_list), _stacks(b_list)), seq.algebra.weights, p).tolist()
     margin = 1.0 + 1e-9
     sa = 1.0 / np.sqrt(ra * margin) if ra > 0 else 1.0
     sb = 1.0 / np.sqrt(cb * margin) if cb > 0 else 1.0
@@ -450,7 +455,7 @@ def constructive_witnesses(
             comp = sequence(ys)
             components.append(comp)
             sums.append(lp_norm(sum_elements(comp), p))
-            image_sums.append(lp_norm(sum_elements(map_sequence(T, comp)), p))
+            image_sums.append(lp_norm(sum_elements(sequence([T(x) for x in comp])), p))
         # the combination reconstructs the normalized products a_n b_n
         recon = 0.0
         for n in range(len(seq.items)):

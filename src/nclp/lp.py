@@ -19,7 +19,8 @@ from .algebra import (
     StructuralError,
     ToleranceConfig,
     _adjoint,
-    _nearly_selfadjoint,
+    _selfadjoint,
+    _sup_norms,
 )
 
 
@@ -32,10 +33,15 @@ def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     if p == np.inf:
         total, root = functools.reduce(np.maximum, [s[..., 0] for s in svals]), 1.0
     else:
-        total, root = sum(w * (s**p).sum(-1) for w, s in zip(weights, svals)), 1.0 / p
-    if np.ndim(total) == 0:
+        total, root = functools.reduce(np.add, [w * (s**p).sum(-1) for w, s in zip(weights, svals)]), 1.0 / p
+    if total.ndim == 0:
         return float(total) ** root
-    return np.reshape([t**root for t in total.ravel().tolist()], total.shape)
+    return np.array([t**root for t in total.ravel().tolist()]).reshape(total.shape)
+
+
+def _norms(stacks: list[np.ndarray], weights: tuple[float, ...], p: float):
+    """``schatten_quasi`` of each element given blockwise as (..., d_k, d_k) stacks."""
+    return _schatten([np.linalg.svd(S, compute_uv=False) for S in stacks], weights, p)
 
 
 def schatten_quasi(x: Element, p: float) -> float:
@@ -45,7 +51,7 @@ def schatten_quasi(x: Element, p: float) -> float:
     """
     if not p > 0:
         raise DomainError("exponent must be positive")
-    return _schatten([np.linalg.svd(b, compute_uv=False) for b in x.blocks], x.algebra.weights, p)
+    return _norms(x.blocks, x.algebra.weights, p)
 
 
 def lp_norm(x: Element, p: float) -> float:
@@ -82,14 +88,30 @@ def _hermitian_spectrum(x: Element) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (b + _adjoint(b))) for b in x.blocks]))
 
 
+def _positive(stacks: list[np.ndarray], cfg: ToleranceConfig) -> np.ndarray:
+    """``is_positive`` of each element given blockwise as (..., d_k, d_k)
+    stacks: |x - x*| <= tol * max(|x|, 1), then (only if some element
+    passes) the Hermitian part's lowest eigenvalue >= -tol * |x|."""
+    scale = _sup_norms(stacks)
+    ok = _selfadjoint(stacks, cfg.algebraic_tol, scale)
+    if ok.any():
+        spectra = [np.linalg.eigvalsh(0.5 * (S + _adjoint(S)))[..., 0] for S in stacks]
+        ok &= functools.reduce(np.minimum, spectra) >= -cfg.algebraic_tol * scale
+    return ok
+
+
 def is_positive(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Self-adjoint with spectrum above -algebraic_tol * operator norm."""
-    scale = x.sup_norm()
-    if scale == 0.0:
-        return True
-    if not _nearly_selfadjoint(x, cfg.algebraic_tol, scale):
-        return False
-    return float(_hermitian_spectrum(x)[0]) >= -cfg.algebraic_tol * scale
+    return bool(_positive(x.blocks, cfg))
+
+
+def _disjoint(A: list[np.ndarray], B: list[np.ndarray], cfg: ToleranceConfig) -> np.ndarray:
+    """``disjoint`` of each pair of elements given blockwise as (..., d_k, d_k)
+    stacks A and B, batched over the leading axes."""
+    na, nb = _sup_norms(A), _sup_norms(B)
+    cross = np.maximum(_sup_norms([_adjoint(a) @ b for a, b in zip(A, B)]),
+                       _sup_norms([a @ _adjoint(b) for a, b in zip(A, B)]))
+    return (cross <= cfg.algebraic_tol * na * nb) | (na == 0.0) | (nb == 0.0)
 
 
 def disjoint(a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
@@ -101,8 +123,4 @@ def disjoint(a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> b
     """
     if a.algebra != b.algebra:
         raise StructuralError("disjointness needs elements of one algebra")
-    na, nb = a.sup_norm(), b.sup_norm()
-    if na == 0.0 or nb == 0.0:
-        return True
-    cross = max((a.H * b).sup_norm(), (a * b.H).sup_norm())
-    return cross <= cfg.algebraic_tol * na * nb
+    return bool(_disjoint(a.blocks, b.blocks, cfg))

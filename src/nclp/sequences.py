@@ -5,7 +5,9 @@ The ell^1-valued norm is an infimum over factorizations x_n = a_n b_n of
 
     |sum a_n a_n*|_p^(1/2) * |sum b_n* b_n|_p^(1/2).
 
-``l1_norm_bounds`` returns a two-sided enclosure from one solver.
+``l1_norm_bounds`` returns a two-sided enclosure from one solver,
+``_solve``, which takes a stack of equal-length sequences over one algebra
+(per block an (m, n, d, d) array) and solves every row at once.
 
 *The block split.*  On M = sum_k M_{d_k} with weights w_k, rescaling block
 k of every a_n by t_k and of every b_n by 1/t_k and optimizing over t
@@ -29,15 +31,24 @@ first step's primal is the polar factorization.  The ascent stops once the
 gap is below STOP_GAP * opt_tol = opt_tol / 100 relative, or at a step
 cap; it is deterministic.
 
-Three input classes collapse to exact values: positive sequences (norm of
-the sum), single elements, and p = 1 (the ell^1 direct sum of the
-summands' norms).  One private helper, ``_closed_form``, holds these three,
-so the enclosure and the sampled ratios of ``certify`` apply them in the
-same order; ``certify`` runs the solver with a smaller step cap.
+*The stack.*  The blocks of one dimension, of every row, ascend together:
+each step is one batched SVD, one Gram ``eigvalsh`` and one dual SVD for
+all of them.  A (row, block) pair leaves the stack when its own gap
+closes, so its endpoints, factors and history are bit for bit those of
+solving it alone.
+
+Three input classes collapse to exact values, decided per row from the
+batched sup-norm, self-adjointness and spectrum kernels of ``lp``:
+positive sequences (norm of the sum), single elements, and p = 1 (the
+ell^1 direct sum of the summands' norms).  ``l1_norm_bounds`` and
+``dinq_disjoint_test`` are one-row stacks; ``certify`` solves its sampled
+ratios with one stack per sequence length and side (``RATIO_STEPS``
+steps for the images) and ``classify_l2_isometry`` its image pairs in one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -56,7 +67,7 @@ from .algebra import (
     positive_sqrt,
     zero_element,
 )
-from .lp import _schatten, disjoint, is_positive, lp_norm
+from .lp import _disjoint, _norms, _positive, _schatten, is_positive, lp_norm
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,7 @@ def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     if side not in ("column", "row"):
         raise DomainError(f"side must be 'column' or 'row', got {side!r}")
     items = _stacks(seq)
-    row, column = _gram_norms(*_grams(items, items), seq.algebra.weights, p / 2.0)
+    row, column = _gram_norms(*_grams(items, items), seq.algebra.weights, p / 2.0).tolist()
     return (column if side == "column" else row) ** 0.5
 
 
@@ -176,7 +187,8 @@ def l1_norm_positive(
 
 
 # ---------------------------------------------------------------------------
-# The solver: the block split and one primal-dual ascent per block
+# The solver: closed forms, the block split and one primal-dual ascent per
+# block, over a stack of equal-length sequences
 # ---------------------------------------------------------------------------
 
 MAX_STEPS = 200  # step cap of the ascent on one block in l1_norm_bounds
@@ -192,100 +204,162 @@ def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(x.blocks for x in items))]
 
 
+def _rows(seqs: Sequence[Sequence[Element]]) -> list[np.ndarray]:
+    """Per block, the (m, n, d, d) stack of m sequences of n items each."""
+    return [np.array(blocks).reshape(len(seqs), -1, *blocks[0].shape)
+            for blocks in zip(*(x.blocks for seq in seqs for x in seq))]
+
+
 def _grams(A: list[np.ndarray], B: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per block, Y1 = sum_n a_n a_n* and Y2 = sum_n b_n* b_n."""
-    return [(a @ _adjoint(a)).sum(axis=0) for a in A], [(_adjoint(b) @ b).sum(axis=0) for b in B]
+    """Per block, Y1 = sum_n a_n a_n* and Y2 = sum_n b_n* b_n of the (..., n, d, d) stacks."""
+    return ([(a @ _adjoint(a)).sum(axis=-3) for a in A],
+            [(_adjoint(b) @ b).sum(axis=-3) for b in B])
 
 
-def _gram_norms(Y1: list[np.ndarray], Y2: list[np.ndarray], weights, p: float) -> tuple[float, float]:
-    """(|Y1|_p, |Y2|_p) of per-block Grams from one eigendecomposition per
-    block of the stacked pair, whose eigenvalue moduli are their singular
-    values.  The objective of a factorization is sqrt(|Y1|_p |Y2|_p)."""
-    moduli = [np.abs(np.linalg.eigvalsh(np.stack(pair))[:, ::-1]) for pair in zip(Y1, Y2)]
-    return tuple(_schatten(moduli, weights, p).tolist())
+def _gram_norms(Y1: list[np.ndarray], Y2: list[np.ndarray], weights, p: float) -> np.ndarray:
+    """(|Y1|_p, |Y2|_p), stacked first, of per-block Grams from one
+    eigendecomposition per block of the stacked pair, whose eigenvalue
+    moduli are their singular values.  The objective of a factorization is
+    sqrt(|Y1|_p |Y2|_p)."""
+    moduli = [np.abs(np.linalg.eigvalsh(np.array(pair))[..., ::-1]) for pair in zip(Y1, Y2)]
+    return _schatten(moduli, weights, p)
 
 
-def _dual_factor(G: np.ndarray, e: float, r: float, cfg: ToleranceConfig):
-    """(y, y+) from one SVD G = W s V*: y = V f W* with f proportional to s^e
-    over the singular values above the rank cutoff and |y|_r = 1, and its
-    pseudo-inverse.  With e = q - 1 (q conjugate to r) y is the norming
-    dual, tr(G y) = |G|_q; for a Gram G and e = (p - 1)/2 it is the dual
-    that meets the factorization in Hoelder's equality case."""
+def _dual_factors(G: np.ndarray, e: float, r: float, cfg: ToleranceConfig):
+    """(y, y+) for each matrix of the (..., d, d) stack G, from one batched
+    SVD G = W s V*: y = V f W* with f proportional to s^e over the singular
+    values above the rank cutoff and |y|_r = 1, and its pseudo-inverse.
+    With e = q - 1 (q conjugate to r) y is the norming dual, tr(G y) =
+    |G|_q; for a Gram G and e = (p - 1)/2 it is the dual that meets the
+    factorization in Hoelder's equality case."""
     [(W, s, Vh, keep)] = _ranked_svd([G], cfg)
-    f = np.where(keep, s / s[0], 0.0) ** e
-    f = f / _schatten([f], (1.0,), r)
+    f = np.where(keep, s / s[..., :1], 0.0) ** e
+    f = f / _schatten([f], (1.0,), r)[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, f, 1.0), 0.0)
-    return (_adjoint(Vh) * f) @ _adjoint(W), (W * inv) @ Vh
+    return (_adjoint(Vh) * f[..., None, :]) @ _adjoint(W), (W * inv[..., None, :]) @ Vh
 
 
-def _ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int):
-    """(lower, upper, factors, history) of the sequence norm on one
-    unweighted matrix block, given as the (n, d, d) stack X of the items.
-
-    From a = b = 1/|1|_r, each step takes one batched SVD b x_n a = U s V*.
-    Its trace norms give the dual endpoint sum_n tr s_n (|a|_r = |b|_r = 1);
-    alpha_n = b+ U s^(1/2), beta_n = s^(1/2) V* a+ give the primal one,
-    sqrt(|sum alpha alpha*|_p |sum beta* beta|_p) + sum_n |x_n - alpha_n beta_n|_p,
-    with the Schatten norm of each residual bounded by d^max(0, 1/p - 1/2)
-    times its Frobenius norm.  The first step's primal is the polar
-    factorization, and the first update takes a and b from its Grams,
-    a a* ~ Y2^(p-1) and b* b ~ Y1^(p-1), which closes the gap at once when
-    the polar factorization is optimal (disjoint pairs).  Later updates
-    alternate: with z_n = V U*, a becomes the q-norming dual of
-    sum z_n b x_n, or b that of sum x_n a z_n; neither lowers the dual.
-    ``factors`` are (alpha, beta, |Y1|_p, |Y2|_p) of the best primal step and
-    ``history`` the upper endpoint after each step.  Stops once the gap is
-    below STOP_GAP * opt_tol relative, or after ``max_steps`` updates."""
-    d = X.shape[1]
+def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int):
+    """The ascent of the module docstring for each row of the (m, n, d, d)
+    stack X, a sequence of n items on an unweighted M_d: (trace, alpha,
+    beta, norms, steps) over the rows.  A row of ``trace`` holds the lower
+    and the upper endpoint, then the upper endpoint after each step,
+    repeated after the row's last step; (alpha, beta, norms) are the best
+    primal step's factors and their (|Y1|_p, |Y2|_p).  A row leaves the
+    stack once its gap is below STOP_GAP * opt_tol relative, so the rows
+    that go on take the same steps as they would alone."""
+    m, n, d = X.shape[:3]
     q = 2.0 * p / (p + 1.0)
     r = 2.0 * p / (p - 1.0) if p > 1 else np.inf
     c = float(d) ** ((1.0 - p) / (2.0 * p))
-    a = b = c * np.eye(d)
-    ap = bp = np.eye(d) / c
+    # one start for every row; each update gives every row its own (k, 1, d, d)
+    a = b = c * np.eye(d, dtype=complex)
+    ap = bp = np.eye(d, dtype=complex) / c
     slack = float(d) ** max(0.0, 1.0 / p - 0.5)
-    lower, upper, factors, history = 0.0, np.inf, None, []
+    rows, lower, upper = np.arange(m), np.zeros(m), np.full(m, np.inf)  # rows still in the stack
+    trace = np.empty((m, max_steps + 3))
+    out = [np.empty_like(X), np.empty_like(X), np.empty((m, 2)), np.empty(m, int)]
     for step in range(max_steps + 1):
         U, s, Vh = np.linalg.svd(b @ X @ a)
-        lower = max(lower, float(s.sum()))
+        lower = np.fmax(lower, s.reshape(len(s), -1).sum(-1))
         root = np.sqrt(s)
-        alpha = bp @ (U * root[:, None, :])
-        beta = (root[:, :, None] * Vh) @ ap
-        Y1, Y2 = _grams([alpha], [beta])
-        n1, n2 = _gram_norms(Y1, Y2, (1.0,), p)
-        residual = np.linalg.norm(X - alpha @ beta, axis=(1, 2)).sum()
-        value = float(np.sqrt(n1 * n2) + slack * residual)
-        if not np.isfinite([lower, value]).all():
-            raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {value}]")
-        if value < upper:
-            upper, factors = value, (alpha, beta, n1, n2)
-        history.append(upper)
-        if upper - lower <= STOP_GAP * cfg.opt_tol * upper or step == max_steps:
-            break
+        alpha = bp @ (U * root[..., None, :])
+        beta = (root[..., None] * Vh) @ ap
+        [Y1], [Y2] = _grams([alpha], [beta])
+        norms = _gram_norms([Y1], [Y2], (1.0,), p).T
+        residual = np.linalg.norm(X - alpha @ beta, axis=(-2, -1)).sum(-1)
+        value = np.sqrt(norms[:, 0] * norms[:, 1]) + slack * residual
+        if not (np.isfinite(lower).all() and np.isfinite(value).all()):
+            i = int(np.argmin(np.isfinite(lower) & np.isfinite(value)))
+            raise NumericError(f"sequence norm overflowed: endpoints [{float(lower[i])}, {float(value[i])}]")
+        better = value < upper
+        n_better = np.count_nonzero(better)
+        if n_better == len(better):
+            upper, best = value, [alpha, beta, norms]
+        elif n_better:
+            upper = np.where(better, value, upper)
+            best = [np.where(better.reshape(-1, *[1] * (v.ndim - 1)), v, w)
+                    for v, w in zip((alpha, beta, norms), best)]
+        full = len(rows) == m  # no row has stopped yet: write through slices
+        trace[slice(None) if full else rows, 2 + step] = upper
+        done = upper - lower <= STOP_GAP * cfg.opt_tol * upper
+        n_done = np.count_nonzero(done)
+        if step == max_steps or n_done == len(done):
+            done, n_done = slice(None), len(done)  # every row left stops here
+        if n_done:
+            i = done if full else rows[done]
+            trace[i, 0], trace[i, 1], trace[i, 3 + step:] = lower[done], upper[done], upper[done, None]
+            for o, v in zip(out, best):
+                o[i] = v[done]
+            out[3][i] = step + 1
+            if n_done == len(upper):
+                return (trace, *out)
+            keep = ~done
+            rows, X, lower, upper, U, Vh, Y1, Y2 = (v[keep] for v in (rows, X, lower, upper, U, Vh, Y1, Y2))
+            best = [v[keep] for v in best]
+            if step:
+                a, ap, b, bp = (v[keep] for v in (a, ap, b, bp))
         z = _adjoint(U @ Vh)
         if step == 0:
-            a, ap = _dual_factor(Y2[0], (p - 1.0) / 2.0, r, cfg)
-            b, bp = _dual_factor(Y1[0], (p - 1.0) / 2.0, r, cfg)
+            a, ap = _dual_factors(Y2[:, None], (p - 1.0) / 2.0, r, cfg)
+            b, bp = _dual_factors(Y1[:, None], (p - 1.0) / 2.0, r, cfg)
         elif step % 2:
-            a, ap = _dual_factor((z @ b @ X).sum(axis=0), q - 1.0, r, cfg)
+            a, ap = _dual_factors((z @ b @ X).sum(axis=1, keepdims=True), q - 1.0, r, cfg)
         else:
-            b, bp = _dual_factor((X @ a @ z).sum(axis=0), q - 1.0, r, cfg)
-    return lower, upper, factors, history
+            b, bp = _dual_factors((X @ a @ z).sum(axis=1, keepdims=True), q - 1.0, r, cfg)
 
 
-def _solve(seq: ElementSequence, p: float, cfg: ToleranceConfig, max_steps: int):
-    """(lower, upper, factors, history) of the whole sequence from the block
-    split |x| = (sum_k w_k N_k^p)^(1/p), N_k the value on block k at weight
-    one: per-block endpoints combine as l^p sums, and ``history`` is the
-    whole upper endpoint after each step."""
-    w = seq.algebra.weights
-    runs = [_ascent(X, p, cfg, max_steps) for X in _stacks(seq)]
-    steps = max(len(h) for *_, h in runs)
-    # per block: its two endpoints, then its upper endpoint after each step
-    ends = [np.array([lo, up] + h + h[-1:] * (steps - len(h)))[:, None] for lo, up, _, h in runs]
-    lower, upper, *history = _schatten(ends, w, p).tolist()
-    if not np.isfinite(upper):
+def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
+    """(lower, upper, factors, histories) per row of the stack X (per block
+    an (m, n, d, d) array) from the block split, all blocks of one
+    dimension in one ``_stack_ascent``: ``factors`` lists (alpha, beta,
+    |Y1|_p, |Y2|_p) per block, ``histories`` the whole upper endpoint after
+    each step of the row's longest ascent."""
+    m = len(X[0])
+    dims = [S.shape[-1] for S in X]
+    runs = [None] * len(X)
+    for d in dict.fromkeys(dims):
+        ks = [k for k, e in enumerate(dims) if e == d]
+        run = _stack_ascent(np.concatenate([X[k] for k in ks]), p, cfg, max_steps)
+        for j, k in enumerate(ks):
+            runs[k] = [v[j * m:(j + 1) * m] for v in run]
+    steps = functools.reduce(np.maximum, [run[4] for run in runs])
+    width = 2 + int(steps.max())
+    totals = _schatten([np.ascontiguousarray(run[0][:, :width])[..., None] for run in runs], weights, p)
+    if not np.isfinite(totals[:, 1]).all():
+        lower, upper = totals[np.argmin(np.isfinite(totals[:, 1])), :2].tolist()
         raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {upper}]")
-    return lower, upper, [run[2] for run in runs], history
+    factors = [[(run[1][i], run[2][i], *run[3][i].tolist()) for run in runs] for i in range(m)]
+    histories = [totals[i, 2:2 + steps[i]].tolist() for i in range(m)]
+    return totals[:, 0].tolist(), totals[:, 1].tolist(), factors, histories
+
+
+def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
+    """(lower, upper, routes, factors, histories) per row of the stack X (per
+    block an (m, n, d, d) array: m sequences of n items over one algebra
+    with block weights ``weights``): the closed form of the module
+    docstring where one applies (no factors, empty history), else
+    ``max_steps`` steps of the block split (route "optimizer")."""
+    m, n = X[0].shape[:2]
+    positive = _positive(X, cfg).all(axis=-1)
+    other = "singleton" if n == 1 else "p1_direct_sum" if p == 1 else "optimizer"
+    routes = ["positive" if pos else other for pos in positive.tolist()]
+    lower = np.full(m, np.nan)
+    if positive.any():
+        rows = np.flatnonzero(positive)
+        # the sum accumulated as 0 + x_1 + ... + x_n, as sum_elements does
+        lower[rows] = _norms([sum(S[rows, k] for k in range(n)) for S in X], weights, p)
+    rows = np.flatnonzero(~positive)
+    if len(rows) and other != "optimizer":
+        norms = _norms([S[rows].reshape(-1, *S.shape[2:]) for S in X], weights, p).reshape(len(rows), n)
+        lower[rows] = sum(norms[:, k] for k in range(n))
+    lower = lower.tolist()
+    upper, factors, histories = list(lower), [None] * m, [[] for _ in range(m)]
+    if len(rows) and other == "optimizer":
+        sub = X if len(rows) == m else [S[rows] for S in X]
+        for i, lo, up, f, h in zip(rows.tolist(), *_block_split(sub, weights, p, cfg, max_steps)):
+            lower[i], upper[i], factors[i], histories[i] = lo, up, f, h
+    return lower, upper, routes, factors, histories
 
 
 def _witness(alg, factors) -> tuple[list[Element], list[Element]]:
@@ -301,36 +375,33 @@ def _witness(alg, factors) -> tuple[list[Element], list[Element]]:
     return [Element(alg, list(x)) for x in zip(*A)], [Element(alg, list(x)) for x in zip(*B)]
 
 
-def _sequence_bounds(
-    seq: ElementSequence, p: float, cfg: ToleranceConfig, max_steps: int
-) -> tuple[float, float]:
-    """(lower, upper): the closed form, else ``max_steps`` steps of the solver."""
-    exact = _closed_form(seq, p, cfg)
-    if exact is not None:
-        return exact[0], exact[0]
-    return _solve(seq, p, cfg, max_steps)[:2]
-
-
 # ---------------------------------------------------------------------------
 # The enclosure
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(
-    seq: ElementSequence, p: float, cfg: ToleranceConfig
-) -> Optional[tuple[float, str]]:
-    """(value, route) of the exact routes, tried in order: all-positive
-    entries (norm of the sum), a single entry (its norm), and p = 1 (sum of
-    the entries' norms; the polar factorization attains it).  None when no
-    route applies."""
-    items = list(seq)
-    if all(is_positive(x, cfg) for x in items):
-        return lp_norm(sum_elements(seq), p), "positive"
-    if len(items) == 1:
-        return lp_norm(items[0], p), "singleton"
-    if p == 1:
-        return float(sum(lp_norm(x, 1) for x in items)), "p1_direct_sum"
-    return None
+def _intervals(X: list[np.ndarray], alg, p: float, cfg: ToleranceConfig) -> list[NormInterval]:
+    """``l1_norm_bounds`` of each row of the stack X over ``alg``: one
+    ``_solve``, and one polar step for the singleton and p = 1 witnesses."""
+    lower, upper, routes, factors, histories = _solve(X, alg.weights, p, cfg, MAX_STEPS)
+    polar = [i for i, route in enumerate(routes) if route in ("singleton", "p1_direct_sum")]
+    if polar:
+        sub = X if len(polar) == len(routes) else [S[polar] for S in X]
+        for i, f in zip(polar, _block_split(sub, alg.weights, p, cfg, 0)[2]):
+            factors[i] = f
+    out = []
+    for i, (lo, up, route, f, history) in enumerate(zip(lower, upper, routes, factors, histories)):
+        if route == "optimizer":
+            certified = (up - lo) <= cfg.opt_tol * max(up, 1e-300)
+            meta = {"route": route, "init_upper": history[0], "histories": [history]}
+            out.append(NormInterval(lo, up, certified, witness=_witness(alg, f), meta=meta))
+        elif route == "positive":
+            items = [Element(alg, [S[i, k] for S in X]) for k in range(X[0].shape[1])]
+            roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in items]
+            out.append(NormInterval(up, up, True, witness=(roots, roots), meta={"route": route}))
+        else:
+            out.append(NormInterval(up, up, True, witness=_witness(alg, f), meta={"route": route}))
+    return out
 
 
 def l1_norm_bounds(
@@ -338,38 +409,13 @@ def l1_norm_bounds(
     p: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
 ) -> NormInterval:
-    """Two-sided enclosure of the ell^1-valued sequence norm.
-
-    Exact shortcuts, in this order: all-positive entries (norm of the sum,
-    witnessed by the square roots), single entries and p = 1 (sum of the
-    entries' norms; the polar factorization attains both).  Otherwise the
-    block split with one primal-dual ascent per block (up to MAX_STEPS
-    steps) supplies both endpoints and the witness; an ascent that has not
-    closed its gap simply leaves certified_exact False.
-    """
+    """Two-sided enclosure of the ell^1-valued sequence norm: the closed
+    form (witnessed by the square roots of positive entries, else by the
+    polar factorization), or up to MAX_STEPS steps of the ascent, whose
+    open gap leaves certified_exact False.  A one-row stack of ``_solve``."""
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"sequence norms need a finite p >= 1, got p = {p}")
-    alg = seq.algebra
-
-    exact = _closed_form(seq, p, cfg)
-    if exact is not None:
-        value, route = exact
-        if route == "positive":
-            roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in seq]
-            witness = (roots, roots)
-        else:
-            witness = _witness(alg, _solve(seq, p, cfg, 0)[2])
-        return NormInterval(value, value, True, witness=witness, meta={"route": route})
-
-    lower, upper, factors, history = _solve(seq, p, cfg, MAX_STEPS)
-    certified = (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
-    return NormInterval(
-        lower,
-        upper,
-        certified,
-        witness=_witness(alg, factors),
-        meta={"route": "optimizer", "init_upper": history[0], "histories": [history]},
-    )
+    return _intervals(_rows([seq]), seq.algebra, p, cfg)[0]
 
 
 def l12_norm(
@@ -400,6 +446,29 @@ class DinqVerdict:
         return True
 
 
+def _dinq_verdicts(
+    pairs: Sequence[tuple[Element, Element]], intervals: list[NormInterval], cfg: ToleranceConfig
+) -> list[DinqVerdict]:
+    """The verdicts of ``dinq_disjoint_test`` for pairs over one algebra,
+    given their direct-sum norms at p = 2."""
+    alg = pairs[0][0].algebra
+    X = _rows([sequence(pair) for pair in pairs])
+    A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
+    norms = zip(_norms(A, alg.weights, 2.0).tolist(), _norms(B, alg.weights, 2.0).tolist())
+    out = []
+    for interval, (na, nb), algebraic in zip(intervals, norms, _disjoint(A, B, cfg).tolist()):
+        threshold = float(np.sqrt(na ** 2 + nb ** 2))
+        slack = threshold * (1.0 + cfg.opt_tol)
+        if interval.upper <= slack:
+            status = DISJOINT
+        elif interval.lower > slack:
+            status = NOT_DISJOINT
+        else:
+            status = UNDETERMINED
+        out.append(DinqVerdict(status, interval, threshold, algebraic))
+    return out
+
+
 def dinq_disjoint_test(
     a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> DinqVerdict:
@@ -407,13 +476,4 @@ def dinq_disjoint_test(
     the direct-sum norm does not exceed the Euclidean combination
     sqrt(|a|_2^2 + |b|_2^2).  Verdicts compare the computed enclosure with
     that threshold and are cross-checked against the algebraic test."""
-    interval = l12_norm(a, b, 2.0, cfg)
-    threshold = float(np.sqrt(lp_norm(a, 2) ** 2 + lp_norm(b, 2) ** 2))
-    slack = threshold * (1.0 + cfg.opt_tol)
-    if interval.upper <= slack:
-        status = DISJOINT
-    elif interval.lower > slack:
-        status = NOT_DISJOINT
-    else:
-        status = UNDETERMINED
-    return DinqVerdict(status, interval, threshold, disjoint(a, b, cfg))
+    return _dinq_verdicts([(a, b)], [l12_norm(a, b, 2.0, cfg)], cfg)[0]

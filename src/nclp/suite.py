@@ -57,10 +57,11 @@ from .sequences import (
     MAX_STEPS,
     UNDETERMINED,
     NormInterval,
-    _ascent,
+    _block_split,
     _gram_norms,
     _grams,
-    _solve,
+    _rows,
+    _stack_ascent,
     _stacks,
     _witness,
     dinq_disjoint_test,
@@ -321,7 +322,7 @@ def _prop_positive_sum_rule(cfg: ToleranceConfig, n: int) -> _Tally:
             # run the ascent past the shortcut: its polar start, both of its
             # endpoints and the objective of its witness must match the
             # closed form, pinning the solver to the rule
-            lower, upper, factors, history = _solve(seq, p, cfg, MAX_STEPS)
+            [lower], [upper], [factors], [history] = _block_split(_rows([seq]), alg.weights, p, cfg, MAX_STEPS)
             wa, wb = _witness(alg, factors)
             after = np.sqrt(np.prod(_gram_norms(*_grams(_stacks(wa), _stacks(wb)), alg.weights, p)))
             opt_res = max(
@@ -388,9 +389,10 @@ def _prop_ascent_duality(cfg: ToleranceConfig, n: int) -> _Tally:
             items = [Element(alg, [b[:, :1] @ b[:1, :] for b in x.blocks]) for x in items]
         if i % 4 == 3:  # a zero block in every item
             items = [Element(alg, [b if k else 0 * b for k, b in enumerate(x.blocks)]) for x in items]
-        for X in _stacks(sequence(items)):
+        for X in _rows([items]):
             # the endpoints after k steps, for every k up to the stopping step
-            runs = [_ascent(X, p, cfg, k) for k in range(len(_ascent(X, p, cfg, MAX_STEPS)[3]))]
+            runs = [_stack_ascent(X, p, cfg, k)[0][0, :2].tolist()
+                    for k in range(int(_stack_ascent(X, p, cfg, MAX_STEPS)[4][0]))]
             lows, ups = [run[0] for run in runs], [run[1] for run in runs]
             excess = max(lo - up for lo, up in zip(lows, ups)) / max(ups[-1], 1e-300)
             t.check(excess <= 1e-12 and lows == sorted(lows) and ups == sorted(ups, reverse=True),

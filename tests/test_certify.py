@@ -301,3 +301,54 @@ def test_positive_route_runs_one_boyd_ascent(monkeypatch):
     nvp = op_norm(T, 3.0, CFG, positive_certified=True)
     assert cert.evidence["op_norm"] == (nvp.lower, nvp.upper)
     assert cert.value_interval.upper == 4.0 * nvp.upper
+
+
+def test_ratio_lower_frozen_values():
+    # recorded before the samples of one length were solved as one stack:
+    # the stacked solve must print the same digits
+    assert l1_ratio_lower(rotation_mixing(0.7, 3.0), 3.0, CFG)[1] == {
+        "best": 1.1153555552907903, "singleton": 1.0763032937574777,
+        "positive_singleton": 1.0763032937574777, "samples": 30}
+    assert l1_ratio_lower(transpose_map(matrix_algebra(3), 1.5), 1.5, CFG)[1] == {
+        "best": 1.0000000000000002, "singleton": 1.0000000000000002,
+        "positive_singleton": 1.0, "samples": 30}
+
+
+def test_ratio_samples_take_one_solve_per_length_and_side(monkeypatch):
+    import nclp.certify
+    from nclp.certify import RATIO_STEPS
+
+    calls = []
+    solve = nclp.certify._solve
+
+    def counted(X, weights, p, cfg, max_steps):
+        calls.append((X[0].shape[1], max_steps, len(X[0])))
+        return solve(X, weights, p, cfg, max_steps)
+
+    monkeypatch.setattr(nclp.certify, "_solve", counted)
+    # p = 2 draws every class: positive sequences of lengths 2 and 3,
+    # singletons, disjoint and generic pairs, and the Boyd singletons
+    _, info = l1_ratio_lower(rotation_mixing(0.7, 2.0), 2.0, CFG, budget=25)
+    lengths = sorted({n for n, _, _ in calls})
+    assert lengths == [1, 2, 3]
+    assert sorted((n, steps) for n, steps, _ in calls) == [
+        (n, steps) for n in lengths for steps in sorted((0, RATIO_STEPS))]
+    inputs = [rows for _, steps, rows in calls if steps == 0]
+    assert sum(inputs) == info["samples"] == 5 + 2 * 5 + 5 + 5 + 2 * 3
+
+
+def test_classify_sends_its_pairs_through_one_solve(monkeypatch):
+    import nclp.sequences
+    from nclp.sequences import MAX_STEPS
+
+    calls = []
+    solve = nclp.sequences._solve
+
+    def counted(X, weights, p, cfg, max_steps):
+        calls.append((len(X[0]), X[0].shape[1], p, max_steps))
+        return solve(X, weights, p, cfg, max_steps)
+
+    monkeypatch.setattr(nclp.sequences, "_solve", counted)
+    cls = classify_l2_isometry(rotation_mixing(np.pi / 4), CFG, pairs=18)
+    assert cls.evidence["pair_statuses"] == {"not_disjoint": 18}
+    assert calls == [(18, 2, 2.0, MAX_STEPS)]

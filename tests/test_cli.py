@@ -415,3 +415,14 @@ def test_generators_refuse_exponents_below_one(capcli, gen, p):
     assert err.startswith("error:") and f"p = {p}" in err
     code, out, _ = capcli([*gen, "--p", "inf"])
     assert code == 0 and parse_instance(out)
+
+
+def test_rotation_classify_frozen_evidence(capcli):
+    # recorded before the 18 image pairs were solved as one stack: the
+    # printed evidence keeps its digits
+    _, inst_text, _ = capcli(["example", "rotation"])
+    code, result, _ = capcli(["classify-l2"], stdin_text=inst_text)
+    assert code == 1
+    assert json.loads(result)["evidence"] == {
+        "extraction": "commutation (c)", "max_l12_ratio": 1.2651331767497545,
+        "pair_statuses": {"not_disjoint": 18}}

@@ -25,10 +25,14 @@ from nclp.sampling import (
 from nclp.sequences import (
     DISJOINT,
     NOT_DISJOINT,
+    MAX_STEPS,
     NormInterval,
-    _ascent,
+    _block_split,
     _gram_norms,
     _grams,
+    _intervals,
+    _rows,
+    _stack_ascent,
     _stacks,
     column_embed,
     column_row_norm,
@@ -293,6 +297,15 @@ def test_factor_product_overflow_raises_numeric_error():
     y = Element(alg, [1e300 * np.array([[0.0, 1.0], [1.0, 0.0]])])
     with pytest.raises(NumericError, match="overflowed"):
         l1_norm_bounds(sequence([x, y]), 3.0, CFG)
+    # one overflowing row fails the whole stack, wherever it sits
+    rng = rng_from(29)
+    fine = [sequence([random_element(alg, rng) for _ in range(2)]) for _ in range(2)]
+    with pytest.raises(NumericError, match="overflowed"):
+        _intervals(_rows([fine[0], sequence([x, y]), fine[1]]), alg, 3.0, CFG)
+    u = Element(alg, [1e160 * np.array([[1.0, 2.0], [0.0, 1.0]])])
+    v = Element(alg, [1e160 * np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(NumericError, match="overflowed"):
+        _intervals(_rows([fine[0], sequence([u, v])]), alg, 2.0, CFG)
 
 
 @pytest.mark.parametrize("side", ["column", "row"])
@@ -398,12 +411,12 @@ def _zero_block_sequence():
 def test_dual_below_primal_at_every_step(make, p):
     # every dual iterate is a lower bound and every primal one an upper
     # bound, so after any number of steps the best of each are in order
-    for X in _stacks(make()):
-        lower, upper, _, history = _ascent(X, p, CFG, 200)
-        steps = len(history)
+    for X in _rows([make()]):
+        trace, *_, [steps] = _stack_ascent(X, p, CFG, 200)
+        lower, upper = trace[0, :2]
         previous = (0.0, np.inf)
         for k in range(steps):
-            lo, up, _, _ = _ascent(X, p, CFG, k)
+            lo, up = _stack_ascent(X, p, CFG, k)[0][0, :2]
             assert lo <= up * (1 + 1e-12)
             assert lo >= previous[0] and up <= previous[1]
             previous = (lo, up)
@@ -468,15 +481,15 @@ def test_upper_endpoint_counts_the_factor_residual():
     # factorizations miss x_n; their residual keeps the upper endpoint sound
     seq = _generic_sequence()
     exact = l1_norm_bounds(seq, 3.0, CFG)
-    for X in _stacks(seq):
-        lower, upper, _, _ = _ascent(X, 3.0, ToleranceConfig(rank_cutoff=0.6), 40)
+    for X in _rows([seq]):
+        lower, upper = _stack_ascent(X, 3.0, ToleranceConfig(rank_cutoff=0.6), 40)[0][0, :2]
         assert lower <= exact.upper * (1 + 1e-12)
         assert upper >= exact.lower * (1 - 1e-12)
 
 
 def test_polar_start_computed_once_per_call(monkeypatch):
-    # one ascent per block, whose first step is the polar factorization,
-    # and no restarts: a second call repeats the first exactly
+    # one ascent per block dimension, whose first step is the polar
+    # factorization, and no restarts: a second call repeats the first exactly
     import nclp.sequences
 
     rng = rng_from(21)
@@ -486,10 +499,53 @@ def test_polar_start_computed_once_per_call(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return _ascent(*args)
+        return _stack_ascent(*args)
 
-    monkeypatch.setattr(nclp.sequences, "_ascent", counted)
+    monkeypatch.setattr(nclp.sequences, "_stack_ascent", counted)
     got = l1_norm_bounds(seq, 3.0, CFG)
     assert len(got.meta["histories"]) == 1
     assert len(calls) == 2
     assert (got.lower, got.upper, got.meta["histories"]) == (want.lower, want.upper, want.meta["histories"])
+
+
+def _mixed_rows():
+    # pairs over M_2 + M_1 + M_2 + M_1, whose same-dimension blocks share an
+    # ascent: a disjoint pair (its gap closes at step 1), generic pairs (they
+    # run long), a pair with a zero block and an all-positive pair
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5), (2, 0.7), (1, 2.0)))
+    rng = rng_from(30)
+    generic = [sequence([random_element(alg, rng) for _ in range(2)]) for _ in range(2)]
+    zero = sequence([Element(alg, [x.blocks[0], np.zeros((1, 1)), np.zeros((2, 2)), x.blocks[3]])
+                     for x in generic[1]])
+    return [sequence(random_disjoint_pair(alg, rng)), generic[0], zero,
+            sequence([random_positive(alg, rng) for _ in range(2)]), generic[1]]
+
+
+def _same_factors(f, g):
+    # per block (alpha, beta, |Y1|_p, |Y2|_p)
+    return all(np.array_equal(a1, a2) and np.array_equal(b1, b2) and norms1 == norms2
+               for (a1, b1, *norms1), (a2, b2, *norms2) in zip(f, g))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_stack_matches_rows_solved_alone(p):
+    # each row of a stack leaves it when its own gap closes, so its
+    # endpoints, factors and history equal those of solving it alone, bit
+    # for bit, at every step cap and with or without the closed forms
+    rows = _mixed_rows()
+    w = rows[0].algebra.weights
+    for cap in (0, 1, 3, MAX_STEPS):
+        together = _block_split(_rows(rows), w, p, CFG, cap)
+        for i, seq in enumerate(rows):
+            [lo], [up], [f], [h] = _block_split(_rows([seq]), w, p, CFG, cap)
+            assert (together[0][i], together[1][i], together[3][i]) == (lo, up, h)
+            assert _same_factors(together[2][i], f)
+    steps = [len(h) for h in _block_split(_rows(rows), w, p, CFG, MAX_STEPS)[3]]
+    if p > 1:
+        assert steps[0] == 2 and max(steps) > 5
+    together = _intervals(_rows(rows), rows[0].algebra, p, CFG)
+    for iv, alone in zip(together, [l1_norm_bounds(seq, p, CFG) for seq in rows]):
+        assert (iv.lower, iv.upper, iv.certified_exact, iv.meta) == (
+            alone.lower, alone.upper, alone.certified_exact, alone.meta)
+        for got, want in zip(iv.witness, alone.witness):
+            assert all(np.array_equal(x, y) for a, b in zip(got, want) for x, y in zip(a.blocks, b.blocks))
