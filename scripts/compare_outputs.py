@@ -18,7 +18,9 @@ Per workload and seed it prints the number of outputs that are not
 byte-identical (exit code, stdout, stderr), the operations
 whose exit code, verdict, route, ``certified_exact`` or counts of pair
 statuses differ, and the
-largest relative difference between corresponding printed numbers.  Two
+largest relative difference between corresponding printed numbers, with
+every JSON path at which a number moved (array indices folded to ``[]``)
+and the largest relative move at that path.  Two
 sound enclosures of one norm always intersect, so it also lists the
 operations whose printed ``interval`` in the two trees is disjoint beyond
 1e-9 relative, and counts those whose new interval is not inside the base
@@ -37,6 +39,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -250,7 +253,7 @@ def _tally(pairs, labels) -> dict:
     stderr] of the two trees, one pair per operation."""
     summary = {"byte_different": 0, "exit": [], "decision": [], "structure": [],
                "stderr": [], "disjoint": [], "not_inside": 0, "max_rel": 0.0,
-               "max_rel_at": None}
+               "max_rel_at": None, "moved": {}}
     for i, ((c0, o0, e0), (c1, o1, e1)) in enumerate(pairs):
         if [c0, o0, e0] == [c1, o1, e1]:
             continue
@@ -272,8 +275,11 @@ def _tally(pairs, labels) -> dict:
             if rel is None:
                 if path.rsplit(".", 1)[-1] not in DECISION_KEYS:  # listed as decisions
                     summary["structure"].append(f"{name} at {path}")
-            elif rel > summary["max_rel"]:
-                summary["max_rel"], summary["max_rel_at"] = rel, f"{name} at {path}"
+            elif rel > 0.0:
+                folded = re.sub(r"\[\d+\]", "[]", path)
+                summary["moved"][folded] = max(rel, summary["moved"].get(folded, 0.0))
+                if rel > summary["max_rel"]:
+                    summary["max_rel"], summary["max_rel_at"] = rel, f"{name} at {path}"
     return summary
 
 
@@ -302,7 +308,9 @@ def main(argv=None) -> int:
                   f"structure {len(s['structure'])}, stderr {len(s['stderr'])}; "
                   f"intervals disjoint {len(s['disjoint'])}, not inside {s['not_inside']}; "
                   f"max rel diff {s['max_rel']:.2g}"
-                  + (f" ({s['max_rel_at']})" if s["max_rel_at"] else ""), flush=True)
+                  + (f" ({s['max_rel_at']})" if s["max_rel_at"] else "")
+                  + "".join(f"; moved {path} {rel:.2g}" for path, rel in
+                            sorted(s["moved"].items(), key=lambda kv: -kv[1])), flush=True)
             for key in ("exit", "decision", "structure", "disjoint"):
                 for line in s[key]:
                     print(f"  {key}: {line}")

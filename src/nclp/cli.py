@@ -378,7 +378,8 @@ _GEN_KINDS = {
     "separating-map": lambda alg, rng, args: synth.random_yeadon_map(rng, p=args.p)[0],
     "cp-map": lambda alg, rng, args: synth.random_cp_contraction(alg, args.p, rng),
     "positive-map": lambda alg, rng, args: synth.random_positive_map(alg, args.p, rng),
-    "isometry": lambda alg, rng, args: synth.random_l2_isometry(rng, int(rng.integers(0, 5))),
+    "isometry": lambda alg, rng, args: replace(synth.random_l2_isometry(rng, int(rng.integers(0, 5))),
+                                               p=args.p),
     "commutative-map": lambda alg, rng, args: synth.random_commutative_map(rng, args.n, args.n, args.p),
 }
 

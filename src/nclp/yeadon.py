@@ -13,9 +13,14 @@ At finite dimension the factorization, when it exists, is recovered
 constructively: B = |T(1)|, w from the polar decomposition of T(1), and
 J(x) = B^+ w* T(x), after which the three conditions and the Jordan
 property are verified on a coordinate basis.  The triple also carries the
-central splitting of J into a homomorphic part pi and an anti-homomorphic
-part sigma cut out by central projections g and f of the algebra generated
-by the range.
+splitting J = pi + sigma into a homomorphic and an anti-homomorphic part cut
+out by central projections g and f (Stormer, Trans. AMS 120, 1965).  With
+sigma = J(.)f, every multiplicativity defect
+D_ab = J(e_a e_b) - J(e_a) J(e_b) = sigma(e_b) sigma(e_a) - sigma(e_a) sigma(e_b)
+lies in f N f, and the pairs (e_ij, e_ji) of a block M_d with d >= 2 give
+D = sigma(e_ii) - sigma(e_jj), which together span the support of sigma's
+image of that block.  So f is the left support of the defects, and
+g = J(1) - f; summands coming from 1 x 1 blocks obey both laws and go to g.
 """
 
 from __future__ import annotations
@@ -45,13 +50,11 @@ from .maps import (
     FALSIFIED,
     UNDETERMINED,
     LinearMap,
-    _block_stacks,
     _map_from_images,
     _transposed_coords,
     _unit_images,
     amplified_map,
     coord_weights,
-    unvec,
     vec,
 )
 from .sampling import random_positive, random_selfadjoint, rng_from
@@ -115,54 +118,6 @@ class CentralDecomposition:
     f: Element
     pi: LinearMap
     sigma: LinearMap
-    projections: list[Element] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
-
-
-def _span_orthonormal(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (rows) of the row span of ``vectors``."""
-    if vectors.size == 0:
-        return vectors
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    keep = s > tol * (s[0] if s.size else 1.0)
-    return vh[keep]
-
-
-def _generated_algebra(J: LinearMap) -> np.ndarray:
-    """Orthonormal coordinate rows spanning the algebra generated by J's
-    range, by closing the linear span of the images under multiplication
-    until the dimension stabilizes."""
-    gens = np.concatenate([J.action.T, vec(J(identity(J.domain)))[None, :]])
-    rows = _span_orthonormal(gens, 1e-12)
-    while True:
-        prods = [np.matmul(S[:, None], S[None, :]).reshape(len(rows) ** 2, -1)
-                 for S in _block_stacks(J.codomain, rows)]
-        new_rows = _span_orthonormal(np.concatenate([rows, np.concatenate(prods, axis=1)]), 1e-12)
-        if new_rows.shape[0] == rows.shape[0]:
-            return new_rows
-        rows = new_rows
-
-
-def _center_basis(N, rows: np.ndarray) -> list[Element]:
-    """Basis of the center of the algebra spanned by the coordinate rows:
-    the null space of the commutators z d - d z over all basis pairs."""
-    m = len(rows)
-    comms = []
-    for S in _block_stacks(N, rows):
-        P = np.matmul(S[:, None], S[None, :])
-        comms.append((P - P.swapaxes(0, 1)).reshape(m, m, -1))
-    C = np.concatenate(comms, axis=2).reshape(m, -1).T  # columns: span coefficients
-    _, s, vh = np.linalg.svd(C, full_matrices=False)  # C is tall: m N x m
-    # basis vectors are orthonormal, so genuine commutators are O(1);
-    # the threshold must not scale down with an all-noise commutator matrix
-    tol = 1e-10 * max(1.0, float(s[0]))
-    out = []
-    for c in vh.conj()[s <= tol]:
-        z = np.zeros(rows.shape[1], dtype=complex)
-        for ci, base in zip(c, rows):
-            z = z + complex(ci) * base
-        out.append(unvec(N, z))
-    return out
 
 
 def central_decompose(
@@ -170,13 +125,20 @@ def central_decompose(
 ) -> CentralDecomposition:
     """Split J into its homomorphic and anti-homomorphic parts.
 
-    Finds the minimal central projections of the algebra generated by the
-    range, classifies each as satisfying the multiplicative or the reversed
-    multiplication law on basis pairs, and returns g (sum of multiplicative
-    blocks), f (sum of reversed blocks), pi = J(.)g and sigma = J(.)f.
-    Blocks satisfying both laws have commutative range and are assigned to
-    g, a deterministic tie-break.  A block satisfying neither law means the
-    input was not a Jordan homomorphism at this tolerance.
+    Returns central projections g + f = J(1) of the algebra generated by the
+    range with pi = J(.)g multiplicative and sigma = J(.)f reversing
+    products.  f is the left support of the multiplicativity defects
+    D_ab = J(e_a e_b) - J(e_a) J(e_b) over all pairs of domain matrix units,
+    read off one SVD per codomain block; then g = J(1) - f.  Proof: since
+    J(.)g is multiplicative, D_ab = sigma(e_b) sigma(e_a) - sigma(e_a) sigma(e_b)
+    lies in f N f, so its left support is at most f.  On a summand of
+    sigma's range coming from a domain block M_d with d >= 2, the pair
+    (e_ij, e_ji) gives D = sigma(e_ii) - sigma(e_jj), and over all j != i
+    these have left support sigma(1_{M_d}).  A summand coming from d = 1 has
+    commutative range, obeys both laws and has no defect, so it falls in g:
+    a deterministic tie-break.  Pairs from different domain blocks give
+    D = 0.  Both laws are then checked on all basis pairs; a failure means
+    the input was not a Jordan homomorphism at this tolerance.
     """
     N = J.codomain
     dom = J.domain
@@ -186,80 +148,39 @@ def central_decompose(
         z = zero_element(N)
         return CentralDecomposition(z, z, zero_map, zero_map)
 
-    center = _center_basis(N, _generated_algebra(J))
-    if not center:
-        raise StructuralError("range algebra has empty center at tolerance")
-
-    herm = []
-    for z in center:
-        herm.append(hermitian_part(z))
-        herm.append(hermitian_part(Element(N, [1j * b for b in z.blocks])))
-
-    projections: list[Element] = []
-    m = len(center)
-    for attempt in range(12):
-        rng = rng_from(cfg.seed, 9200, attempt)
-        t = zero_element(N)
-        for h in herm:
-            t = t + float(rng.uniform(0.5, 2.0)) * h
-        vals = _hermitian_spectrum(t)
-        scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
-        clusters: list[float] = []
-        for v in vals:
-            if not clusters or abs(v - clusters[-1]) > 1e-6 * scale:
-                clusters.append(float(v))
-        nonzero = [c for c in clusters if abs(c) > 1e-7 * scale]
-        if len(nonzero) != m:
-            continue
-        projections = [
-            apply_spectral(
-                t, lambda x, c=c: (np.abs(x - c) <= 1e-6 * scale).astype(float), cfg
-            )
-            for c in nonzero
-        ]
-        total = zero_element(N)
-        for q in projections:
-            total = total + q
-        if (total - e_unit).sup_norm() <= 1e-6 * max(1.0, e_unit.sup_norm()):
-            break
-        projections = []
-    if not projections:
-        raise StructuralError("could not isolate minimal central projections")
-
     images = _unit_images(J)
     table = _product_table(dom, images)
     scale = max(1.0, float(_sup_norms(images).max())) ** 2
     tol = max(1e-7, 100.0 * cfg.algebraic_tol) * scale
 
-    g = zero_element(N)
-    f = zero_element(N)
-    labels = []
-    for q in projections:
-        hom, anti = [], []
-        for (L, P), b in zip(table, q.blocks):
-            lhs = np.matmul(L, b)
-            hom.append(lhs - np.matmul(P, b))
-            anti.append(lhs - np.matmul(P.swapaxes(0, 1), b))
-        hom_res = float(_sup_norms(hom).max())
-        anti_res = float(_sup_norms(anti).max())
-        if hom_res > tol and anti_res > tol:
-            raise StructuralError(
-                "central block obeys neither multiplication law "
-                f"(hom {hom_res:.2e}, anti {anti_res:.2e}); "
-                "input is not Jordan at tolerance"
-            )
-        if hom_res <= tol:
-            g = g + q
-            labels.append("hom")
-        else:
-            f = f + q
-            labels.append("anti")
+    f_blocks = []
+    for L, P in table:
+        c = L.shape[-1]
+        u, s, _ = np.linalg.svd((L - P).transpose(2, 0, 1, 3).reshape(c, -1),
+                               full_matrices=False)
+        u = u[:, s > tol]
+        f_blocks.append(u @ u.conj().T)
+    f = Element(N, f_blocks)
+    g = e_unit - f
+
+    hom, anti = [], []
+    for (L, P), gb, fb in zip(table, g.blocks, f.blocks):
+        hom.append(np.matmul(L, gb) - np.matmul(P, gb))
+        anti.append(np.matmul(L, fb) - np.matmul(P.swapaxes(0, 1), fb))
+    hom_res = float(_sup_norms(hom).max())
+    anti_res = float(_sup_norms(anti).max())
+    if hom_res > tol or anti_res > tol:
+        raise StructuralError(
+            "a central part obeys neither multiplication law "
+            f"(hom on g {hom_res:.2e}, anti on f {anti_res:.2e}); "
+            "input is not Jordan at tolerance"
+        )
 
     pi = _map_from_images(dom, N, [np.matmul(S, b) for S, b in zip(images, g.blocks)],
                           J.p, {"kind": "jordan_hom_part"})
     sigma = _map_from_images(dom, N, [np.matmul(S, b) for S, b in zip(images, f.blocks)],
                              J.p, {"kind": "jordan_anti_part"})
-    return CentralDecomposition(g, f, pi, sigma, projections, labels)
+    return CentralDecomposition(g, f, pi, sigma)
 
 
 @dataclass

@@ -354,6 +354,19 @@ def test_every_gen_map_kind_emits_a_parseable_instance(capcli, kind):
     assert set(parse_instance(out).maps) == {"T"}
 
 
+@pytest.mark.parametrize("seed", ["0", "3", "7"])
+def test_gen_isometry_honours_p(capcli, seed):
+    # the same draws and action at every exponent; the instance carries --p
+    maps = {}
+    for p in ("2", "3"):
+        code, out, err = capcli(["gen", "--kind", "isometry", "--p", p, "--seed", seed])
+        assert (code, err) == (0, "")
+        maps[p] = parse_instance(out).maps["T"]
+    assert (maps["2"].p, maps["3"].p) == (2.0, 3.0)
+    assert np.array_equal(maps["2"].action, maps["3"].action)
+    assert (maps["2"].domain, maps["2"].codomain) == (maps["3"].domain, maps["3"].codomain)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,7 +11,6 @@ weights.
 import numpy as np
 import pytest
 
-from nclp import synth
 from nclp.algebra import (
     DEFAULT_CONFIG,
     AlgebraDescriptor,
@@ -45,7 +44,7 @@ from nclp.sampling import (
     rng_from,
 )
 from nclp.sequences import column_embed, row_embed, sequence
-from nclp.yeadon import _center_basis, _generated_algebra, _unit_products
+from nclp.yeadon import _unit_products
 
 ALG = AlgebraDescriptor(((2, 0.5), (3, 1.7), (1, 2.3)))
 COD = AlgebraDescriptor(((3, 0.2), (2, 1.4)))
@@ -242,25 +241,6 @@ def _ref_row_embed(seq):
     return Element(amplify(alg, n), big)
 
 
-def _ref_center_basis(N, rows):
-    m = len(rows)
-    comms = []
-    for S in _ref_block_stacks(N, rows):
-        P = np.matmul(S[:, None], S[None, :])
-        comms.append((P - P.swapaxes(0, 1)).reshape(m, m, -1))
-    C = np.concatenate(comms, axis=2).reshape(m, -1).T
-    _, s, vh = np.linalg.svd(C, full_matrices=True)
-    tol = 1e-10 * max(1.0, float(s[0]))
-    null_mask = np.concatenate([s <= tol, np.ones(vh.shape[0] - s.size, dtype=bool)])
-    out = []
-    for c in vh.conj()[null_mask]:
-        z = np.zeros(rows.shape[1], dtype=complex)
-        for ci, base in zip(c, rows):
-            z = z + complex(ci) * base
-        out.append(_ref_unvec(N, z))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The layout
 # ---------------------------------------------------------------------------
@@ -390,16 +370,3 @@ def test_column_and_row_embeddings_match_the_copies():
         seq = sequence([random_element(ALG, rng) for _ in range(n)])
         _same_element(column_embed(seq), _ref_column_embed(seq))
         _same_element(row_embed(seq), _ref_row_embed(seq))
-
-
-def test_center_basis_thin_svd_matches_the_full_one():
-    rng = rng_from(40)
-    maps = [synth.random_jordan_map(rng) for _ in range(4)]
-    maps.append(_jordan_layout(ALG, [([(1, "anti"), (0, "hom")], 1), ([(2, "hom")], 0)], [0.3, 1.1], None, 2.0, {}))
-    for J in maps:
-        rows = _generated_algebra(J)
-        got, want = _center_basis(J.codomain, rows), _ref_center_basis(J.codomain, rows)
-        assert len(got) == len(want) > 0
-        for g, w in zip(got, want):
-            _same_element(g, w)
-

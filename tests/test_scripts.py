@@ -77,3 +77,21 @@ def test_compare_outputs_counts_changed_pair_statuses_as_decisions():
     drift = tally(output({"disjoint": 18}), output({"disjoint": 18}, 1.0 + 1e-9))
     assert drift["decision"] == [] and drift["structure"] == []
     assert drift["max_rel"] > 0 and drift["max_rel_at"].endswith("max_l12_ratio")
+
+
+def test_compare_outputs_lists_every_moved_path():
+    compare_outputs = _load("compare_outputs")
+
+    def output(a, b, c=0.5):
+        doc = {"verdict": "ytf", "evidence": {"hom": [a, 2 * a], "anti": b, "fixed": c}}
+        return [0, json.dumps(doc), ""]
+
+    pairs = [(output(1.0, 3.0), output(1.0 + 1e-14, 3.0)),
+             (output(1.0, 3.0), output(1.0 + 4e-15, 3.0 * (1 + 2e-13))),
+             (output(1.0, 3.0), output(1.0, 3.0))]
+    summary = compare_outputs._tally(pairs, ["yeadon", "separating", "certify"])
+    assert set(summary["moved"]) == {"$.evidence.hom[]", "$.evidence.anti"}
+    assert 0.9e-14 < summary["moved"]["$.evidence.hom[]"] < 1.1e-14
+    assert summary["moved"]["$.evidence.anti"] == summary["max_rel"]
+    assert summary["max_rel_at"] == "op001 (separating) at $.evidence.anti"
+    assert summary["byte_different"] == 2 and summary["structure"] == []

@@ -15,6 +15,7 @@ from nclp.algebra import (
 from nclp.lp import disjoint
 from nclp.maps import (
     LinearMap,
+    _jordan_layout,
     amplified_map,
     identity_map,
     jordan_direct_sum,
@@ -24,7 +25,14 @@ from nclp.maps import (
     unitary_conjugation,
     yeadon_synthetic,
 )
-from nclp.sampling import random_disjoint_pair, random_selfadjoint, random_unitary, rng_from
+from nclp.sampling import (
+    haar_unitary,
+    random_algebra,
+    random_disjoint_pair,
+    random_selfadjoint,
+    random_unitary,
+    rng_from,
+)
 from nclp.yeadon import (
     CERTIFIED,
     FALSIFIED,
@@ -181,24 +189,16 @@ def _jordan_reference(J, cfg, spot_checks=3):
     return defect <= tol * scale, defect
 
 
-def _central_reference(J, projections, cfg):
+def _central_reference(J, g, f, cfg):
+    """Per-pair residuals of the multiplicative law on g and the reversed
+    law on f, with the tolerance they are held to."""
     coords, _, images, unit_image, scale = _per_pair_reference(J)
-    tol = max(1e-7, 100.0 * cfg.algebraic_tol) * scale
-    g = f = zero_element(J.codomain)
-    labels = []
-    for q in projections:
-        hom = anti = 0.0
-        for a in range(len(coords)):
-            for b in range(len(coords)):
-                lhs = unit_image(a, b) * q
-                hom = max(hom, (lhs - images[a] * images[b] * q).sup_norm())
-                anti = max(anti, (lhs - images[b] * images[a] * q).sup_norm())
-        assert not (hom > tol and anti > tol)
-        if hom <= tol:
-            g, labels = g + q, labels + ["hom"]
-        else:
-            f, labels = f + q, labels + ["anti"]
-    return g, f, labels
+    hom = anti = 0.0
+    for a in range(len(coords)):
+        for b in range(len(coords)):
+            hom = max(hom, (unit_image(a, b) * g - images[a] * images[b] * g).sup_norm())
+            anti = max(anti, (unit_image(a, b) * f - images[b] * images[a] * f).sup_norm())
+    return hom, anti, max(1e-7, 100.0 * cfg.algebraic_tol) * scale
 
 
 def _product_table_cases():
@@ -225,14 +225,62 @@ def test_product_table_matches_per_pair_loops(name):
     if name == "perturbed":
         return
     dec = central_decompose(J, CFG)
-    g, f, labels = _central_reference(J, dec.projections, CFG)
-    assert np.array_equal(np.concatenate([b.ravel() for b in dec.g.blocks]),
-                          np.concatenate([b.ravel() for b in g.blocks]))
-    assert np.array_equal(np.concatenate([b.ravel() for b in dec.f.blocks]),
-                          np.concatenate([b.ravel() for b in f.blocks]))
-    assert dec.labels == labels
+    hom, anti, tol = _central_reference(J, dec.g, dec.f, CFG)
+    assert hom <= tol and anti <= tol
     if name == "hom+anti":
-        assert sorted(labels) == ["anti", "anti", "hom"]
+        want = Element(J.codomain, [np.zeros((2, 2)), np.eye(3), np.eye(2)])
+        assert (dec.f - want).sup_norm() < 1e-12
+
+
+def _oracle_f(J, layout, unitaries):
+    """u_l (0 (+) the anti parts of dimension >= 2 (+) 0) u_l* per codomain
+    block, from the layout that built J."""
+    blocks = []
+    for (parts, dead), u in zip(layout, unitaries):
+        diag = [float(kind == "anti" and J.domain.dims[k] >= 2)
+                for k, kind in parts for _ in range(J.domain.dims[k])]
+        q = np.diag(diag + [0.0] * dead).astype(complex)
+        blocks.append(u @ q @ u.conj().T)
+    return Element(J.codomain, blocks)
+
+
+def _assert_split_matches_layout(J, layout, unitaries):
+    dec = central_decompose(J, CFG)
+    assert (dec.f - _oracle_f(J, layout, unitaries)).sup_norm() < 1e-12
+    want_g = J(identity(J.domain)) - dec.f
+    assert all(np.array_equal(a, b) for a, b in zip(dec.g.blocks, want_g.blocks))
+
+
+def test_central_split_matches_the_generator_layout():
+    rng = rng_from(44)
+    for _ in range(200):
+        J, layout, unitaries = synth._random_jordan(
+            rng, random_algebra(rng, max_blocks=2, max_dim=3), 2.0)
+        _assert_split_matches_layout(J, layout, unitaries)
+
+
+@pytest.mark.parametrize("layout", [
+    [([(0, "anti"), (1, "hom")], 0)],  # a 1 x 1 anti part obeys both laws: g
+    [([(1, "hom"), (1, "anti")], 0), ([(0, "hom")], 0)],  # hom and anti copies in one block
+    [([(1, "anti")], 2), ([], 1)],  # dead corners
+], ids=["one-by-one-anti", "hom-and-anti-copies", "dead-corner"])
+def test_central_split_fixed_layouts(layout):
+    dom = AlgebraDescriptor(((1, 0.7), (3, 1.3)))
+    rng = rng_from(45)
+    unitaries = [haar_unitary(rng, sum(dom.dims[k] for k, _ in parts) + dead)
+                 for parts, dead in layout]
+    J = _jordan_layout(dom, layout, [1.0] * len(layout), unitaries, 2.0, {})
+    _assert_split_matches_layout(J, layout, unitaries)
+
+
+def test_central_split_reads_no_seed():
+    rng = rng_from(46)
+    for _ in range(10):
+        J = synth.random_jordan_map(rng)
+        a = central_decompose(J, ToleranceConfig(seed=0))
+        b = central_decompose(J, ToleranceConfig(seed=12345))
+        for x, y in zip(a.g.blocks + a.f.blocks, b.g.blocks + b.f.blocks):
+            assert np.array_equal(x, y)
 
 
 def test_central_decompose_rejects_map_obeying_neither_law():
