@@ -2,6 +2,9 @@
 """Run the full property suite and print the report.
 
 Usage: python scripts/run_suite.py [--seed S] [--scale F] [--only SUBSTRING]
+
+Exits 0 when every property passes, 1 when one fails, and 3 with an error
+on stderr when no property id contains SUBSTRING.
 """
 
 import argparse
@@ -11,7 +14,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from nclp.algebra import ToleranceConfig
+from nclp.algebra import DomainError, ToleranceConfig
 from nclp.suite import run_suite
 
 
@@ -24,7 +27,11 @@ def main() -> int:
 
     cfg = ToleranceConfig(seed=args.seed)
     t0 = time.perf_counter()
-    report = run_suite(cfg, only=args.only, budget_scale=args.scale)
+    try:
+        report = run_suite(cfg, only=args.only, budget_scale=args.scale)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     wall = time.perf_counter() - t0
 
     for r in report.records:

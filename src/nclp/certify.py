@@ -104,13 +104,13 @@ def l1_ratio_lower(
     """Best sampled ratio  lower(T seq) / upper(seq),  a sound lower bound
     for the ell^1-extension norm.  Sample classes where the input norm is
     exact (positive sequences, singletons, disjoint pairs at p = 2) carry
-    the most information.  One stacked nonlinear power iteration (25 steps)
-    from the identity, a random element and a random positive sharpens the
-    singletons: each start's best iterate and its absolute value (counted
-    as positive singletons) are sampled too.  The samples of each length
-    take one sequence-norm solve for their inputs (closed form, else polar
-    step) and one for their images (``RATIO_STEPS``).  Exponents outside
-    [1, inf), nan included, raise DomainError."""
+    the most information.  One stacked nonlinear power iteration (at most 25
+    steps) from the identity, a random element and a random positive
+    sharpens the singletons: each start's best iterate and its absolute
+    value (counted as positive singletons) are sampled too.  The samples of
+    each length take one sequence-norm solve for their inputs (closed form,
+    else polar step) and one for their images (``RATIO_STEPS``).  Exponents
+    outside [1, inf), nan included, raise DomainError."""
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
     if budget <= 0:

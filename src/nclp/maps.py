@@ -10,7 +10,8 @@ action matrix directly, as coordinate copies or sums of kron(v, conj v).
 ``map_from_function`` (evaluation on every matrix unit) is their reference.
 Sampled norm lower bounds come from Boyd's power method, run from a stack
 of starts at once, the rows of one coordinate array: each step takes two
-matrix products and, per block, three batched SVDs (x, T x and T* z).
+matrix products and, per block, two batched SVDs (T x and T* z), and each
+start leaves the stack at its fixed point.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .algebra import (
     AlgebraDescriptor,
     DomainError,
     Element,
+    NumericError,
     StructuralError,
     ToleranceConfig,
     _adjoint,
@@ -38,7 +40,7 @@ from .algebra import (
     matrix_algebra,
     polar_support,
 )
-from .lp import _hermitian_spectrum, _schatten, conjugate_exponent, is_positive, lp_norm
+from .lp import _hermitian_spectrum, _norms, _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
 from .sequences import UNDETERMINED, NormInterval
 
@@ -199,26 +201,29 @@ def _weighted_action(T: LinearMap) -> np.ndarray:
 
 def _norming_duals(
     algebra: AlgebraDescriptor, rows: np.ndarray, p: float, cfg: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(|y|_p, z) for each coordinate row y of ``rows`` (m, coord_dim): z the
-    row with tau(z y) = |y|_p and |z|_{p'} = 1 (z = 0 for y = 0), from one
-    batched SVD y_k = U s V* per block: z_k = V_r (s_r / |y|_p)^(p-1) U_r*
-    over the singular values above the rank cutoff (V_r U_r* at p = 1), and at
-    p = inf the rank-one term v u* / w_k at the top singular pair of the
-    block holding the largest singular value."""
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(|y|_p, z, f) for each coordinate row y of ``rows`` (m, coord_dim): z
+    the row with tau(z y) = |y|_p and |z|_{p'} = 1 (z = 0 for y = 0), from
+    one batched SVD y_k = U s V* per block: z_k = V_r f_k U_r* with
+    f_k = (s_r / |y|_p)^(p-1) over the singular values above the rank cutoff
+    (f_k = 1 at p = 1), and at p = inf the rank-one term v u* / w_k at the
+    top singular pair of the block holding the largest singular value.  The
+    f_k, (m, d_k) in descending order, are the singular values of z_k."""
     svds = _ranked_svd(_block_stacks(algebra, rows), cfg)
     ny = _schatten([s for _, s, _, _ in svds], algebra.weights, p)
     if p == np.inf:
         top = np.argmax(np.stack([s[:, 0] for _, s, _, _ in svds]), axis=0)
     scale = np.where(ny > 0, ny, 1.0)[:, None]
     Z = np.zeros(rows.shape, dtype=complex)
+    fs = []
     for k, ((U, s, Vh, keep), w, sl) in enumerate(zip(svds, algebra.weights, algebra.slices)):
         if p == np.inf:
             f = np.where(keep & (top[:, None] == k) & (np.arange(s.shape[1]) == 0), 1.0 / w, 0.0)
         else:
             f = np.where(keep, (s / scale) ** (p - 1.0), 0.0)
         Z[:, sl] = ((_adjoint(Vh) * f[:, None, :]) @ _adjoint(U)).reshape(len(rows), -1)
-    return ny, Z
+        fs.append(f)
+    return ny, Z, fs
 
 
 def _boyd_ascent(
@@ -226,23 +231,36 @@ def _boyd_ascent(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonlinear power iteration (Boyd, Linear Algebra Appl. 9, 1974) for
     the p -> p ratio, run from every coordinate row of X0 (m, coord_dim) at
-    once: z is the norming dual of T x, and the next x the norming dual of
-    T* z.  Each step's value |T x|_p / |x|_p is a valid lower bound.
+    once for at most ``iters`` steps: z is the norming dual of T x, and the
+    next x the norming dual of T* z.  Each step's value |T x|_p / |x|_p is
+    a valid lower bound, and the values never fall: for |x|_p = 1, Hoelder
+    twice gives
+        |T x|_p = tau(x T* z) <= |T* z|_{p'} = tau(T x' z) <= |T x'|_p.
+    So a step that does not raise a start's value finds it at its fixed
+    point to rounding, and the start leaves the stack.  After the first
+    step |x|_p comes from the singular values of the norming dual.
     Returns each start's best value and its argument row scaled to norm
     one; a start that T sends to zero (a zero start too) gets value 0 and a
-    zero row."""
+    zero row.  A value that overflows raises NumericError."""
     dom, T_adj = T.domain, adjoint_map(T, p)
     X = np.array(X0, dtype=complex)
     best, arg = np.zeros(len(X)), np.zeros_like(X)
-    for _ in range(iters):
-        nx = _schatten([np.linalg.svd(S, compute_uv=False) for S in _block_stacks(dom, X)], dom.weights, p)
-        ny, Z = _norming_duals(T.codomain, X @ T.action.T, p, cfg)
+    live = np.arange(len(X))
+    nx = _norms(_block_stacks(dom, X), dom.weights, p)
+    for step in range(iters):
+        ny, Z, _ = _norming_duals(T.codomain, X @ T.action.T, p, cfg)
         value = ny / np.where(nx > 0, nx, 1.0)
-        up = value > best
-        best[up], arg[up] = value[up], X[up] / nx[up, None]
-        if not ny.any():
+        bad = ~(np.isfinite(value) & np.isfinite(nx))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericError(f"operator-norm ascent overflowed: |T x|_p = {ny[i]}, |x|_p = {nx[i]}")
+        up = value > best[live]
+        live, X, Z, nx = live[up], X[up], Z[up], nx[up]
+        best[live], arg[live] = value[up], X / nx[:, None]
+        if not live.size or step == iters - 1:
             break
-        X = _norming_duals(dom, Z @ T_adj.action.T, T_adj.p, cfg)[1]
+        _, X, f = _norming_duals(dom, Z @ T_adj.action.T, T_adj.p, cfg)
+        nx = _schatten(f, dom.weights, p)
     return best, arg
 
 
@@ -295,8 +313,8 @@ def op_norm(
 
     p = 2 is exact (largest singular value in the trace-weighted inner
     products).  Otherwise the lower endpoint is the best value of one
-    stacked nonlinear power iteration (30 steps) from seven starts, the
-    identity and six seeded draws; a certified upper endpoint exists for
+    stacked nonlinear power iteration (at most 30 steps) from seven starts,
+    the identity and six seeded draws; a certified upper endpoint exists for
     positivity-preserving maps (exact at p = 1 and p = inf via the unit
     evaluations, interpolated in between) and for constructors that are
     isometric at every exponent.  Without such structure the upper endpoint

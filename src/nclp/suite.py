@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_CONFIG,
     AlgebraDescriptor,
+    DomainError,
     Element,
     ToleranceConfig,
     absolute,
@@ -32,6 +33,7 @@ from .maps import (
     CERTIFIED,
     FALSIFIED,
     LinearMap,
+    _norming_duals,
     adjoint_map,
     amplified_map,
     depolarizing,
@@ -41,6 +43,8 @@ from .maps import (
     rotation_mixing,
     transpose_map,
     unitary_conjugation,
+    unvec,
+    vec,
 )
 from .sampling import (
     ginibre,
@@ -510,6 +514,33 @@ def _prop_amplified_consistency(cfg: ToleranceConfig, n: int) -> _Tally:
     return t
 
 
+def _prop_boyd_step_monotone(cfg: ToleranceConfig, n: int) -> _Tally:
+    """|T x|_p / |x|_p <= |T* z|_{p'} <= |T x'|_p / |x'|_p for z the norming
+    dual of T x and x' that of T* z (Hoelder twice): the reason
+    ``_boyd_ascent`` may stop a start whose value does not rise."""
+    rng = rng_from(cfg.seed, 404)
+    t = _Tally()
+    for i in range(n):
+        alg = random_algebra(rng, max_blocks=2, max_dim=3)
+        p = (1.0, 1.5, 3.0)[(i // 3) % 3]
+        if i % 3 == 0:
+            T = LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p)
+        elif i % 3 == 1:
+            T = synth.random_cp_contraction(alg, p, rng)
+        else:
+            T = transpose_map(alg, p)
+        x = random_element(alg, rng)
+        T_adj = adjoint_map(T, p)
+        ny, Z, _ = _norming_duals(alg, vec(T(x))[None, :], p, cfg)
+        middle, X, _ = _norming_duals(alg, Z @ T_adj.action.T, T_adj.p, cfg)
+        x_next = unvec(alg, X[0])
+        first = float(ny[0]) / lp_norm(x, p)
+        last = lp_norm(T(x_next), p) / max(lp_norm(x_next, p), 1e-300)
+        res = max(0.0, first - middle[0], middle[0] - last) / max(first, 1e-300)
+        t.check(res <= 1e-12, res)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # factorization properties
 # ---------------------------------------------------------------------------
@@ -683,6 +714,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("dinq-two-term-agreement", "the two-term p=2 criterion agrees with the algebraic disjointness test", 500, _prop_dinq_agreement),
     SuiteProperty("adjoint-involution", "the trace adjoint satisfies the pairing identity and is an involution", 60, _prop_adjoint_involution),
     SuiteProperty("cp-constructor-certification", "completely positive constructors certify at all three positivity levels", 24, _prop_cp_constructors),
+    SuiteProperty("boyd-step-monotone", "one step of the operator-norm power method never lowers the ratio", 120, _prop_boyd_step_monotone),
     SuiteProperty("amplified-two-positive", "2-positivity falsifies exactly when the 2-amplification stops being positive", 16, _prop_amplified_consistency),
     SuiteProperty("factorization-roundtrip", "synthetic (w, B, J) maps are recovered by extraction", 40, _prop_yeadon_roundtrip),
     SuiteProperty("separating-preserves-disjointness", "certified separating maps send disjoint pairs to disjoint pairs", 500, _prop_separating_preserves),
@@ -702,19 +734,21 @@ def run_suite(
 ) -> SuiteReport:
     """Run the registered properties with deterministic seeding.
 
-    ``only`` filters property ids by substring; ``budget_scale`` shrinks or
-    grows every instance budget.  Anchors are checked for uniqueness so each
-    property id names exactly one statement.
+    ``only`` filters property ids by substring, and a filter that matches
+    no id raises DomainError; ``budget_scale`` shrinks or grows every
+    instance budget.  Anchors are checked for uniqueness so each property
+    id names exactly one statement.
     """
     cfg = cfg or DEFAULT_CONFIG
     anchors = [p.anchor for p in PROPERTIES]
     ids = [p.property_id for p in PROPERTIES]
     if len(set(anchors)) != len(anchors) or len(set(ids)) != len(ids):
         raise RuntimeError("property ids/anchors must be unique")
+    selected = [prop for prop in PROPERTIES if not only or only in prop.property_id]
+    if not selected:
+        raise DomainError(f"no suite property id contains {only!r}")
     report = SuiteReport(seed=cfg.seed)
-    for prop in PROPERTIES:
-        if only and only not in prop.property_id:
-            continue
+    for prop in selected:
         budget = max(1, int(round(prop.budget * budget_scale)))
         t0 = time.perf_counter()
         tally = prop.fn(cfg, budget)

@@ -311,7 +311,7 @@ def test_ratio_lower_frozen_values():
         "positive_singleton": 1.0763032937574777, "samples": 30}
     assert l1_ratio_lower(transpose_map(matrix_algebra(3), 1.5), 1.5, CFG)[1] == {
         "best": 1.0000000000000002, "singleton": 1.0000000000000002,
-        "positive_singleton": 1.0, "samples": 30}
+        "positive_singleton": 1.0000000000000002, "samples": 30}
 
 
 def test_ratio_samples_take_one_solve_per_length_and_side(monkeypatch):

@@ -228,6 +228,12 @@ def test_suite_command_filter(capcli):
     assert all(p["wall_ms"] == 0.0 for p in doc["properties"])
 
 
+def test_suite_filter_matching_nothing_is_input_error(capcli):
+    code, out, err = capcli(["suite", "--only", "no-such-property"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "no-such-property" in err
+
+
 def test_out_flag_writes_file(capcli, tmp_path):
     target = tmp_path / "res.json"
     _, inst_text, _ = capcli(["example", "transpose"])

@@ -4,6 +4,7 @@ import pytest
 from nclp.algebra import (
     AlgebraDescriptor,
     Element,
+    NumericError,
     StructuralError,
     ToleranceConfig,
     apply_spectral,
@@ -15,7 +16,7 @@ from nclp.algebra import (
     polar_support,
     zero_element,
 )
-from nclp.lp import conjugate_exponent, disjoint, duality_pair, lp_norm
+from nclp.lp import _schatten, conjugate_exponent, disjoint, duality_pair, lp_norm
 from nclp.maps import (
     CERTIFIED,
     FALSIFIED,
@@ -210,17 +211,23 @@ def _polar_chain_dual(y, p, cfg):
 @pytest.mark.parametrize("p", KERNEL_PS)
 def test_norming_dual_kernel(alg, p):
     ys = _kernel_inputs(alg, 31)
-    norms, Z = _norming_duals(alg, np.stack([vec(y) for y in ys]), p, CFG)
+    norms, Z, fs = _norming_duals(alg, np.stack([vec(y) for y in ys]), p, CFG)
     assert Z.shape == (len(ys), alg.coord_dim)
-    for y, ny, row in zip(ys, norms, Z):
+    q = conjugate_exponent(p)
+    for i, (y, ny, row) in enumerate(zip(ys, norms, Z)):
         z = unvec(alg, row)
         ref = lp_norm(y, p)
         assert abs(ny - ref) <= 1e-12 * ref
+        # the returned f are the singular values of each block of z
+        f = [fk[i] for fk in fs]
+        for fk, b in zip(f, z.blocks):
+            assert np.abs(fk - np.linalg.svd(b, compute_uv=False)).max() <= 1e-12 * max(fk.max(), 1.0)
         if ref == 0:
-            assert z.sup_norm() == 0.0
+            assert z.sup_norm() == 0.0 and not any(fk.any() for fk in f)
             continue
+        assert abs(_schatten(f, alg.weights, q) - 1.0) <= 1e-12
         assert abs(duality_pair(z, y) - ny) <= 1e-10 * ny
-        assert lp_norm(z, conjugate_exponent(p)) == pytest.approx(1.0, rel=1e-10)
+        assert lp_norm(z, q) == pytest.approx(1.0, rel=1e-10)
         old = _polar_chain_dual(y, p, CFG)
         assert (z - old).sup_norm() <= 1e-10 * max(old.sup_norm(), 1.0)
 
@@ -243,6 +250,88 @@ def test_boyd_ascent_reports_realised_ratios(alg, p):
         single, single_arg = _boyd_ascent(T, p, CFG, 8, x0[None, :])
         assert abs(best[i] - single[0]) <= 1e-12 * best[i]
         assert np.abs(args[i] - single_arg[0]).max() <= 1e-12
+
+
+def _capped_boyd(T, p, cfg, iters, X0):
+    """Every start runs all ``iters`` steps, |x|_p measured afresh by an SVD
+    each step: the loop the stop rule must agree with."""
+    T_adj = adjoint_map(T, p)
+    X = np.array(X0, dtype=complex)
+    best = np.zeros(len(X))
+    for _ in range(iters):
+        nx = np.array([lp_norm(unvec(T.domain, x), p) for x in X])
+        ny, Z, _ = _norming_duals(T.codomain, X @ T.action.T, p, cfg)
+        best = np.maximum(best, ny / np.where(nx > 0, nx, 1.0))
+        X = _norming_duals(T.domain, Z @ T_adj.action.T, T_adj.p, cfg)[1]
+    return best
+
+
+def _counted_duals(monkeypatch):
+    import nclp.maps
+
+    calls = []
+    duals = nclp.maps._norming_duals
+    monkeypatch.setattr(nclp.maps, "_norming_duals",
+                        lambda alg, rows, p, cfg: calls.append(len(rows)) or duals(alg, rows, p, cfg))
+    return calls
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_boyd_stop_keeps_the_capped_best(alg, p):
+    rng = rng_from(33)
+    T = LinearMap(alg, alg, ginibre(rng, alg.coord_dim), p)
+    X0 = np.stack([vec(identity(alg)), *(vec(random_element(alg, rng)) for _ in range(4))])
+    best, _ = _boyd_ascent(T, p, CFG, 30, X0)
+    ref = _capped_boyd(T, p, CFG, 30, X0)
+    assert np.abs(best - ref).max() <= 1e-12 * ref.max()
+
+
+def test_boyd_start_at_a_fixed_point_leaves_after_two_steps(monkeypatch):
+    alg = AlgebraDescriptor(((2, 1.0), (3, 0.5)))
+    calls = _counted_duals(monkeypatch)
+    best, arg = _boyd_ascent(identity_map(alg, 3.0), 3.0, CFG, 30, vec(identity(alg))[None, :])
+    # T x, T* z, then T x' once more, which does not rise
+    assert calls == [1, 1, 1]
+    assert best[0] == pytest.approx(1.0, rel=1e-15)
+    assert lp_norm(unvec(alg, arg[0]), 3.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_boyd_stack_rows_stop_apart_and_match_solo_runs(monkeypatch):
+    alg = AlgebraDescriptor(((1, 0.4), (2, 1.0), (2, 2.5)))
+    rng = rng_from(34)
+    T = LinearMap(alg, alg, ginibre(rng, alg.coord_dim), 1.0)
+    X0 = np.stack([vec(identity(alg)), np.zeros(alg.coord_dim),
+                   *(vec(random_element(alg, rng)) for _ in range(3))])
+    calls = _counted_duals(monkeypatch)
+    best, args = _boyd_ascent(T, 1.0, CFG, 30, X0)
+    stack_calls = list(calls)
+    steps = []
+    for i, x0 in enumerate(X0):
+        calls.clear()
+        single, single_arg = _boyd_ascent(T, 1.0, CFG, 30, x0[None, :])
+        steps.append(len(calls))
+        assert abs(best[i] - single[0]) <= 1e-12 * max(best[i], 1e-300)
+        assert np.abs(args[i] - single_arg[0]).max() <= 1e-12
+    # the rows leave at different steps, and the stack shrinks as they do
+    assert len(set(steps)) >= 3
+    assert stack_calls == sorted(stack_calls, reverse=True) and stack_calls[0] == len(X0)
+    assert len(stack_calls) == max(steps)
+
+
+def test_op_norm_overflow_raises():
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    A = ginibre(rng_from(0), alg.coord_dim)
+    base = op_norm(LinearMap(alg, alg, A, 3.0), 3.0, CFG)
+    big = op_norm(LinearMap(alg, alg, 1e100 * A, 3.0), 3.0, CFG)
+    assert not big.certified_exact
+    assert abs(big.lower - 1e100 * base.lower) <= 1e-12 * big.lower
+    assert abs(big.upper - 1e100 * base.upper) <= 1e-12 * big.upper
+    # |T x|_3 overflows; an infinite lower endpoint must not reach op_norm's
+    # certification test
+    for c in (1e110, 1e300):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflowed"):
+            op_norm(LinearMap(alg, alg, c * A, 3.0), 3.0, CFG)
 
 
 def test_transpose_positivity_hierarchy():

@@ -22,6 +22,13 @@ def test_transpose_growth_demo_runs(capsys):
     assert all(0 < r <= 1 + 1e-9 for r in ratios)
 
 
+def test_run_suite_filter_matching_nothing_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["run_suite.py", "--only", "no-such-property"])
+    assert _load("run_suite").main() == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "no-such-property" in err
+
+
 def test_compare_outputs_cli_workload(capsys):
     from nclp.cli import run_command
 

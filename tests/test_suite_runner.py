@@ -1,6 +1,8 @@
 from dataclasses import replace
 
-from nclp.algebra import DEFAULT_CONFIG
+import pytest
+
+from nclp.algebra import DEFAULT_CONFIG, DomainError
 from nclp.suite import PROPERTIES, run_suite
 
 
@@ -14,6 +16,12 @@ def test_reduced_budget_overall_pass():
 def test_filter_runs_single_property():
     report = run_suite(only="dinq", budget_scale=0.1)
     assert [r.property_id for r in report.records] == ["dinq-two-term-agreement"]
+
+
+def test_filter_matching_nothing_raises():
+    # a misspelt filter must not pass with an empty report
+    with pytest.raises(DomainError, match="no-such-property"):
+        run_suite(only="no-such-property")
 
 
 def test_anchors_unique_and_nonempty():
