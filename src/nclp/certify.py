@@ -2,16 +2,19 @@
 
 For T between L^p spaces, the quantity of interest is the norm of T acting
 entrywise on ell^1-valued sequences.  Sampling sequence ratios gives sound
-lower bounds; certified upper bounds come from structure, tried in order:
+lower bounds; certified upper bounds come from structure, read from the
+action matrix by exact tests and tried in order:
 
   commutative_regular       both algebras diagonal: the value equals the
                             operator norm of the entrywise modulus matrix;
   p_equals_one              at p = 1 the sequence spaces are plain ell^1
                             direct sums and the value equals the norm of T;
-  separating                a map with a (w, B, J) factorization has
-                            ell^1 norm exactly equal to its norm;
-  two_positive_contraction  a 2-positive contraction has ell^1 norm <= 1;
-  positive_4x               a positive map has ell^1 norm <= 4 |T|;
+  separating                a map with an extracted (w, B, J) factorization
+                            has ell^1 norm exactly equal to its norm;
+  two_positive_contraction  a 2-(co)positive contraction (Choi: CP or co-CP)
+                            has ell^1 norm <= 1; a mixture, its parts' bound;
+  positive_4x               a positive map (each Choi component CP or co-CP,
+                            or a ``positive`` flag) has ell^1 norm <= 4 |T|;
   sampled_only              no structure found: lower bound only.
 
 A certificate whose sampled lower bound beats its certified upper bound
@@ -47,10 +50,9 @@ from .maps import (
     LinearMap,
     _block_stacks,
     _boyd_ascent,
-    _op_norm_upper,
-    _transposed_coords,
     _weighted_action,
     amplified_map,
+    choi_positivity,
     op_norm,
     positivity_tests,
     unvec,
@@ -176,18 +178,10 @@ def _is_diagonal(algebra) -> bool:
     return all(d == 1 for d in algebra.dims)
 
 
-def _regular_norm_interval(
-    T: LinearMap, p: float, cfg: ToleranceConfig
-) -> NormInterval:
+def _regular_norm_interval(T: LinearMap, p: float, cfg: ToleranceConfig) -> NormInterval:
     if not (_is_diagonal(T.domain) and _is_diagonal(T.codomain)):
         raise DomainError("regular norm needs diagonal algebras on both sides")
-    abs_map = LinearMap(
-        T.domain,
-        T.codomain,
-        np.abs(T.action),
-        p,
-        {"kind": "entrywise_modulus", "positive": True},
-    )
+    abs_map = LinearMap(T.domain, T.codomain, np.abs(T.action), p, {"kind": "entrywise_modulus"})
     return op_norm(abs_map, p, cfg, positive_certified=True)
 
 
@@ -221,10 +215,6 @@ def certify_l1_norm(
     p = T.p if p is None else p
     ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
     evidence: dict = {"ratio": rinfo}
-    upper = np.inf
-    extra_lower = 0.0
-    route = ROUTE_SAMPLED
-
     if _is_diagonal(T.domain) and _is_diagonal(T.codomain):
         reg = _regular_norm_interval(T, p, cfg)
         route, upper, extra_lower = ROUTE_COMMUTATIVE, reg.upper, reg.lower
@@ -237,27 +227,20 @@ def certify_l1_norm(
         sep = certify_separating(T, cfg, witness_seeds=witness_seeds)
         evidence["separating"] = sep.status
         if sep.status == CERTIFIED:
-            nv = op_norm(T, p, cfg)
+            # w B J is positive exactly when w is
+            nv = op_norm(T, p, cfg, positive_certified=is_positive(sep.triple.w, cfg))
             route, upper, extra_lower = ROUTE_SEPARATING, nv.upper, nv.lower
             evidence["op_norm"] = (nv.lower, nv.upper)
             evidence["triple_residuals"] = sep.triple.residuals
         else:
-            two = positivity_tests(T, "two_positive", cfg)
-            evidence["two_positive"] = two.status
-            two_route = two.status == CERTIFIED
-            if not two_route:
-                # the ell^1 norm is blind to reversing the product, so a
-                # 2-copositive contraction certifies the same way through
-                # the blockwise transposition of its values: a row permutation
-                tT = LinearMap(T.domain, T.codomain, T.action[_transposed_coords(T.codomain)], T.p)
-                co = positivity_tests(tT, "two_positive", cfg)
-                evidence["two_copositive"] = co.status
-                if co.status == CERTIFIED:
-                    two_route = True
-                    evidence["via"] = "two_copositive"
-            nv = op_norm(T, p, cfg, positive_certified=True if two_route else None)
+            choi = choi_positivity(T, cfg)
+            evidence["choi"] = choi
+            positive = choi["positive"] or bool(T.meta.get("positive"))
+            nv = op_norm(T, p, cfg, positive_certified=positive)
             evidence["op_norm"] = (nv.lower, nv.upper)
-            if two_route and nv.upper <= 1.0 + cfg.opt_tol:
+            # the ell^1 norm is blind to reversing the product, so a
+            # 2-copositive contraction certifies like a 2-positive one
+            if (choi["cp"] or choi["co_cp"]) and nv.upper <= 1.0 + cfg.opt_tol:
                 route, upper, extra_lower = ROUTE_TWO_POSITIVE, min(nv.upper, 1.0), nv.lower
             elif T.meta.get("convex_parts"):
                 t, T1, T2 = T.meta["convex_parts"]
@@ -268,17 +251,10 @@ def certify_l1_norm(
                 extra_lower = nv.lower
                 evidence["via"] = "convex_combination"
                 evidence["part_routes"] = (c1.route, c2.route)
+            elif positive:
+                route, upper, extra_lower = ROUTE_POSITIVE, 4.0 * nv.upper, nv.lower
             else:
-                pos = positivity_tests(T, "positive", cfg)
-                evidence["positive"] = pos.status
-                if pos.status == CERTIFIED:
-                    # same ascent as nv, so only the upper endpoint is new
-                    pos_upper = _op_norm_upper(T, p, positive_certified=True)[0]
-                    pos_lower = min(nv.lower, pos_upper)
-                    route, upper, extra_lower = ROUTE_POSITIVE, 4.0 * pos_upper, pos_lower
-                    evidence["op_norm"] = (pos_lower, pos_upper)
-                else:
-                    route, upper, extra_lower = ROUTE_SAMPLED, np.inf, nv.lower
+                route, upper, extra_lower = ROUTE_SAMPLED, np.inf, nv.lower
 
     lower = max(ratio, extra_lower)
     alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))

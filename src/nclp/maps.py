@@ -86,7 +86,7 @@ class LinearMap:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.action = np.asarray(self.action, dtype=complex)
+        self.action = np.ascontiguousarray(self.action, dtype=complex)
         want = (self.codomain.coord_dim, self.domain.coord_dim)
         if self.action.shape != want:
             raise StructuralError(
@@ -138,13 +138,7 @@ def map_from_function(
 
 
 def identity_map(algebra: AlgebraDescriptor, p: float = 2.0) -> LinearMap:
-    return LinearMap(
-        algebra,
-        algebra,
-        np.eye(algebra.coord_dim),
-        p,
-        {"kind": "identity", "positive": True, "isometry_all_p": True},
-    )
+    return LinearMap(algebra, algebra, np.eye(algebra.coord_dim), p, {"kind": "identity"})
 
 
 def compose(S: LinearMap, T: LinearMap) -> LinearMap:
@@ -155,9 +149,11 @@ def compose(S: LinearMap, T: LinearMap) -> LinearMap:
 
 def scale_map(T: LinearMap, c: float) -> LinearMap:
     meta = dict(T.meta)
-    meta.pop("isometry_all_p", None)
     if c < 0:
         meta.pop("positive", None)
+    if "convex_parts" in meta:
+        t, T1, T2 = meta["convex_parts"]
+        meta["convex_parts"] = (t, scale_map(T1, c), scale_map(T2, c))
     return LinearMap(T.domain, T.codomain, c * T.action, T.p, meta)
 
 
@@ -264,45 +260,6 @@ def _boyd_ascent(
     return best, arg
 
 
-def _op_norm_upper(T: LinearMap, p: float, positive_certified: bool) -> tuple[float, str]:
-    """The certified upper endpoint of ``op_norm`` and the method behind it;
-    exact at p = 2 and for constructors isometric at every exponent."""
-    if p != 2 and T.meta.get("isometry_all_p"):
-        return 1.0, "constructor_isometry"
-    n2 = float(np.linalg.norm(_weighted_action(T), 2))
-    if p == 2:
-        return n2, "weighted_svd"
-    # crude but certified: factor through p = 2 and interpolate.
-    # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
-    # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
-    # dimensional operator interpolates between its endpoint bounds.
-    wmin_dom = min(w for _, w in T.domain.blocks)
-    wmin_cod = min(w for _, w in T.codomain.blocks)
-    crude1 = np.sqrt(T.codomain.trace_of_identity / wmin_dom) * n2
-    crude_inf = np.sqrt(T.domain.trace_of_identity / wmin_cod) * n2
-    if p == 1:
-        upper, method = crude1, "crude_factorization"
-    elif p == np.inf:
-        upper, method = crude_inf, "crude_factorization"
-    else:
-        upper = crude1 ** (1.0 / p) * crude_inf ** (1.0 - 1.0 / p)
-        method = "crude_interpolation"
-
-    if positive_certified:
-        n1 = lp_norm(adjoint_map(T, 1)(identity(T.codomain)), np.inf)
-        ninf = lp_norm(T(identity(T.domain)), np.inf)
-        if p == 1:
-            pos_upper = n1
-        elif p == np.inf:
-            pos_upper = ninf
-        else:
-            pos_upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-        if pos_upper < upper:
-            upper = pos_upper
-            method = "positive_unit" if p in (1, np.inf) else "positive_interpolation"
-    return float(upper), method
-
-
 def op_norm(
     T: LinearMap,
     p: Optional[float] = None,
@@ -314,21 +271,39 @@ def op_norm(
     p = 2 is exact (largest singular value in the trace-weighted inner
     products).  Otherwise the lower endpoint is the best value of one
     stacked nonlinear power iteration (at most 30 steps) from seven starts,
-    the identity and six seeded draws; a certified upper endpoint exists for
-    positivity-preserving maps (exact at p = 1 and p = inf via the unit
-    evaluations, interpolated in between) and for constructors that are
-    isometric at every exponent.  Without such structure the upper endpoint
-    is infinite.
+    the identity and six seeded draws.  The upper endpoint factors through
+    p = 2, or for a positive map comes from the unit evaluations (exact at
+    p = 1 and p = inf, interpolated in between).  Positivity defaults to
+    ``choi_positivity``, or to the ``positive`` flag of the generators that
+    no exact test covers yet.
     """
     p = T.p if p is None else p
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
+    n2 = float(np.linalg.norm(_weighted_action(T), 2))
+    if p == 2:
+        return NormInterval(n2, n2, True, meta={"method": "weighted_svd"})
+    # crude but certified: factor through p = 2 and interpolate.
+    # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
+    # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
+    # dimensional operator interpolates between its endpoint bounds.
+    wmin_dom = min(w for _, w in T.domain.blocks)
+    wmin_cod = min(w for _, w in T.codomain.blocks)
+    # (at p = 1 and p = inf the interpolation returns an endpoint exactly)
+    crude1 = np.sqrt(T.codomain.trace_of_identity / wmin_dom) * n2
+    crude_inf = np.sqrt(T.domain.trace_of_identity / wmin_cod) * n2
+    upper = float(crude1 ** (1.0 / p) * crude_inf ** (1.0 - 1.0 / p))
+    endpoint = p in (1, np.inf)
+    method = "crude_factorization" if endpoint else "crude_interpolation"
     if positive_certified is None:
-        positive_certified = bool(T.meta.get("positive"))
-
-    upper, method = _op_norm_upper(T, p, positive_certified)
-    if method in ("weighted_svd", "constructor_isometry"):
-        return NormInterval(upper, upper, True, meta={"method": method})
+        positive_certified = choi_positivity(T, cfg)["positive"] or bool(T.meta.get("positive"))
+    if positive_certified:
+        n1 = lp_norm(adjoint_map(T, 1)(identity(T.codomain)), np.inf)
+        ninf = lp_norm(T(identity(T.domain)), np.inf)
+        pos_upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
+        if pos_upper < upper:
+            upper = float(pos_upper)
+            method = "positive_unit" if endpoint else "positive_interpolation"
 
     rng = rng_from(cfg.seed, 8000)
     draws = [np.concatenate([draw(rng, d).reshape(-1) for d in T.domain.dims])
@@ -372,22 +347,42 @@ def choi_components(T: LinearMap) -> list[list[np.ndarray]]:
     return comps
 
 
+def _choi_floor(C: np.ndarray, cfg: ToleranceConfig) -> float:
+    """Smallest eigenvalue of the Hermitian part of C, or minus the
+    Hermiticity defect of C when that exceeds the tolerance."""
+    H = 0.5 * (C + C.conj().T)
+    herm_defect = float(np.linalg.norm(C - H, 2))
+    if herm_defect > cfg.algebraic_tol * max(float(np.linalg.norm(H, 2)), 1.0):
+        return -herm_defect
+    return float(np.linalg.eigvalsh(H).min())
+
+
+def _floor_ok(lo: float, cfg: ToleranceConfig) -> bool:
+    return lo >= -cfg.algebraic_tol * max(abs(lo), 1.0)
+
+
 def is_completely_positive(
     T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, float]:
     """Exact Choi criterion; returns (verdict, smallest component eigenvalue)."""
-    worst = np.inf
-    for row in choi_components(T):
-        for C in row:
-            H = 0.5 * (C + C.conj().T)
-            herm_defect = float(np.linalg.norm(C - H, 2))
-            lo = float(np.linalg.eigvalsh(H).min()) if C.size else 0.0
-            scale = max(float(np.linalg.norm(H, 2)), 1.0)
-            if herm_defect > cfg.algebraic_tol * scale:
-                lo = -herm_defect
-            worst = min(worst, lo)
-    scale = max(abs(worst), 1.0)
-    return worst >= -cfg.algebraic_tol * scale, float(worst)
+    worst = min(_choi_floor(C, cfg) for row in choi_components(T) for C in row)
+    return _floor_ok(worst, cfg), worst
+
+
+def choi_positivity(T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict:
+    """Exact verdicts from the component Choi matrices C_lk, as bools: "cp"
+    (every C_lk is positive semidefinite), "co_cp" (so is every C_lk
+    transposed on its M_{c_l} factor: x -> T(x)^T is CP) and "positive"
+    (every component T_lk is CP or co-CP, which proves T positive because
+    T(x)_l = sum_k T_lk(x_k); a positive component that is neither, such as
+    a hom plus an anti copy of one block, is missed)."""
+    cp = co_cp = positive = True
+    for row, c in zip(choi_components(T), T.codomain.dims):
+        for C, d in zip(row, T.domain.dims):
+            C_co = C.reshape(d, c, d, c).transpose(0, 3, 2, 1).reshape(d * c, d * c)
+            a, b = _floor_ok(_choi_floor(C, cfg), cfg), _floor_ok(_choi_floor(C_co, cfg), cfg)
+            cp, co_cp, positive = cp and a, co_cp and b, positive and (a or b)
+    return {"cp": cp, "co_cp": co_cp, "positive": positive}
 
 
 def _positive_samples(algebra, rng, count):
@@ -425,32 +420,10 @@ def _entangled_samples(base, n, rng, count):
     return out
 
 
-def positivity_tests(
-    T: LinearMap,
-    level: str,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> PositivityVerdict:
-    """Positivity verdicts at the requested level.
-
-    Sampling can only falsify; "certified" requires a proof: the Choi
-    criterion (complete positivity, which dominates the lower levels) or
-    constructor provenance.  A clean sampling run without such a proof is
-    reported undetermined with the trial count as confidence.
-    """
-    if level not in ("positive", "two_positive", "completely_positive"):
-        raise DomainError(f"unknown positivity level {level!r}")
-
-    cp_ok, cp_eig = is_completely_positive(T, cfg)
-    if level == "completely_positive":
-        if cp_ok:
-            return PositivityVerdict(CERTIFIED, evidence={"choi_min_eig": cp_eig})
-        return PositivityVerdict(FALSIFIED, evidence={"choi_min_eig": cp_eig})
-
-    if cp_ok:
-        return PositivityVerdict(
-            CERTIFIED, evidence={"route": "choi", "choi_min_eig": cp_eig}
-        )
-
+def _sampled_positivity(T: LinearMap, level: str, cfg: ToleranceConfig) -> PositivityVerdict:
+    """Seeded probes of ``level`` ("positive" or "two_positive"): falsified
+    with the first positive input whose image leaves the cone, otherwise
+    undetermined with the trial count and the worst relative eigenvalue."""
     rng = rng_from(cfg.seed, 8100 if level == "positive" else 8200)
     if level == "positive":
         probe, inputs = T, _positive_samples(T.domain, rng, 48)
@@ -472,14 +445,45 @@ def positivity_tests(
             return PositivityVerdict(
                 FALSIFIED, witness=x, evidence={"min_eig": lo, "level": level}
             )
-
-    if T.meta.get("positive") and level == "positive":
-        return PositivityVerdict(
-            CERTIFIED, evidence={"route": "provenance", "trials": len(inputs)}
-        )
     return PositivityVerdict(
         UNDETERMINED, evidence={"trials": len(inputs), "worst_relative_eig": worst}
     )
+
+
+def positivity_tests(
+    T: LinearMap,
+    level: str,
+    cfg: ToleranceConfig = DEFAULT_CONFIG,
+) -> PositivityVerdict:
+    """Positivity verdicts at the requested level.
+
+    "certified" requires a proof: the Choi criterion for complete
+    positivity (which dominates the lower levels), ``choi_positivity`` for
+    positivity, or, at the level "positive" only, the ``positive`` flag of
+    the generators that no exact test covers yet.  Otherwise seeded samples
+    can only falsify; a clean run is reported undetermined with the trial
+    count as confidence.
+    """
+    if level not in ("positive", "two_positive", "completely_positive"):
+        raise DomainError(f"unknown positivity level {level!r}")
+
+    if level == "positive":
+        choi = choi_positivity(T, cfg)
+        if choi["positive"]:
+            return PositivityVerdict(CERTIFIED, evidence={"route": "choi", **choi})
+    else:
+        cp_ok, cp_eig = is_completely_positive(T, cfg)
+        if level == "completely_positive":
+            return PositivityVerdict(CERTIFIED if cp_ok else FALSIFIED, evidence={"choi_min_eig": cp_eig})
+        if cp_ok:
+            return PositivityVerdict(CERTIFIED, evidence={"route": "choi", "choi_min_eig": cp_eig})
+
+    verdict = _sampled_positivity(T, level, cfg)
+    if verdict.status == UNDETERMINED and level == "positive" and T.meta.get("positive"):
+        return PositivityVerdict(
+            CERTIFIED, evidence={"route": "provenance", "trials": verdict.evidence["trials"]}
+        )
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +511,10 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
                     big[r, :, s, :, r, :, s, :] = T_lk.reshape(c, c, d, d)
             cols.append(big.reshape((n * c) ** 2, (n * d) ** 2))
         rows.append(np.concatenate(cols, axis=1))
-    # plain positivity and every-exponent isometry do not survive
-    # amplification (the partial transpose is the standard counterexample for
-    # both), so neither flag is carried over; the Choi test still certifies
-    # the amplification of a completely positive map
+    # plain positivity does not survive amplification (the partial
+    # transpose is the standard counterexample), so no flag is carried over;
+    # the Choi test still certifies the amplification of a completely
+    # positive map
     meta = {"kind": "amplified", "of": T.meta.get("kind"), "order": n}
     return LinearMap(amplify(dom, n), amplify(cod, n), np.concatenate(rows), T.p, meta)
 
@@ -577,13 +581,8 @@ def _jordan_layout(
 def transpose_map(algebra: AlgebraDescriptor, p: float = 2.0) -> LinearMap:
     """Blockwise transposition; positive, separating, isometric at every p,
     but not 2-positive on blocks of dimension >= 2."""
-    return LinearMap(
-        algebra,
-        algebra,
-        np.eye(algebra.coord_dim)[_transposed_coords(algebra)],
-        p,
-        {"kind": "transpose", "positive": True, "isometry_all_p": True},
-    )
+    action = np.eye(algebra.coord_dim)[_transposed_coords(algebra)]
+    return LinearMap(algebra, algebra, action, p, {"kind": "transpose"})
 
 
 def unitary_conjugation(u: Element, p: float = 2.0) -> LinearMap:
@@ -591,13 +590,7 @@ def unitary_conjugation(u: Element, p: float = 2.0) -> LinearMap:
     d = (uu - identity(u.algebra)).sup_norm()
     if d > 1e-9:
         raise StructuralError("conjugation needs a unitary element")
-    return LinearMap(
-        u.algebra,
-        u.algebra,
-        _conjugation_action([u]),
-        p,
-        {"kind": "unitary_conjugation", "positive": True, "isometry_all_p": True},
-    )
+    return LinearMap(u.algebra, u.algebra, _conjugation_action([u]), p, {"kind": "unitary_conjugation"})
 
 
 def rotation_mixing(theta: float, p: float = 2.0) -> LinearMap:
@@ -623,10 +616,7 @@ def commutative_matrix(
     cod = diagonal_algebra(cod_weights)
     if entries.shape != (cod.coord_dim, dom.coord_dim):
         raise StructuralError("matrix shape does not match the weights")
-    meta = {"kind": "commutative"}
-    if np.all(entries.real >= 0) and np.all(np.abs(entries.imag) == 0):
-        meta["positive"] = True
-    return LinearMap(dom, cod, entries, p, meta)
+    return LinearMap(dom, cod, entries, p, {"kind": "commutative"})
 
 
 def depolarizing(algebra: AlgebraDescriptor, lam: float, p: float = 2.0) -> LinearMap:
@@ -638,10 +628,7 @@ def depolarizing(algebra: AlgebraDescriptor, lam: float, p: float = 2.0) -> Line
     action = (1.0 - lam) * np.eye(algebra.coord_dim) + np.outer(
         one, lam * (coord_weights(algebra) * one) / algebra.trace_of_identity
     )
-    return LinearMap(
-        algebra, algebra, action, p,
-        {"kind": "depolarizing", "positive": True, "lam": lam},
-    )
+    return LinearMap(algebra, algebra, action, p, {"kind": "depolarizing", "lam": lam})
 
 
 def kraus_map(vs: list[Element], p: float = 2.0, transposed: bool = False) -> LinearMap:
@@ -653,8 +640,8 @@ def kraus_map(vs: list[Element], p: float = 2.0, transposed: bool = False) -> Li
     if transposed:
         # x -> x^T permutes the coordinates, so it permutes the columns
         action = action[:, _transposed_coords(vs[0].algebra)]
-    meta = {"kind": "kraus_transposed" if transposed else "kraus", "positive": True}
-    return LinearMap(vs[0].algebra, vs[0].algebra, action, p, meta)
+    kind = "kraus_transposed" if transposed else "kraus"
+    return LinearMap(vs[0].algebra, vs[0].algebra, action, p, {"kind": kind})
 
 
 def jordan_direct_sum(
@@ -674,7 +661,7 @@ def jordan_direct_sum(
         [1.0] * len(parts) if weights is None else weights,
         None,
         p,
-        {"kind": "jordan_direct_sum", "parts": tuple(parts), "positive": True},
+        {"kind": "jordan_direct_sum", "parts": tuple(parts)},
     )
 
 

@@ -34,8 +34,11 @@ from .maps import (
     FALSIFIED,
     LinearMap,
     _norming_duals,
+    _sampled_positivity,
+    _transposed_coords,
     adjoint_map,
     amplified_map,
+    choi_positivity,
     depolarizing,
     identity_map,
     op_norm,
@@ -514,6 +517,32 @@ def _prop_amplified_consistency(cfg: ToleranceConfig, n: int) -> _Tally:
     return t
 
 
+def _prop_choi_positivity(cfg: ToleranceConfig, n: int) -> _Tally:
+    """Block components drawn CP (two Kraus terms), co-CP (the same after the
+    transposition) or Ginibre (almost surely neither): Choi certifies
+    positivity exactly when no component is Ginibre, CP or co-CP when all
+    are built so, and sampled probes never falsify a certified map."""
+    rng = rng_from(cfg.seed, 405)
+    t = _Tally()
+    for _ in range(n):
+        dom, cod = (AlgebraDescriptor(((2, 1.0), (int(rng.integers(1, 3)), 0.5))) for _ in range(2))
+        kinds = rng.choice(3, size=(2, 2), p=(0.4, 0.4, 0.2))
+        A = np.zeros((cod.coord_dim, dom.coord_dim), dtype=complex)
+        for (l, k), kind in np.ndenumerate(kinds):
+            c, d = cod.dims[l], dom.dims[k]
+            vs = rng.standard_normal((2, c, d, 2)) @ np.array([1.0, 1j])
+            A_lk = sum(np.kron(v, v.conj()) for v in vs)
+            if kind == 2:
+                A_lk = rng.standard_normal((c * c, d * d, 2)) @ np.array([1.0, 1j])
+            A[cod.slices[l], dom.slices[k]] = A_lk[:, _transposed_coords(matrix_algebra(d))] if kind == 1 else A_lk
+        T = LinearMap(dom, cod, A, 2.0)
+        got = choi_positivity(T, cfg)
+        ok = (got["positive"] == bool((kinds < 2).all()) and got["cp"] >= bool((kinds == 0).all())
+              and got["co_cp"] >= bool((kinds == 1).all()))
+        t.check(ok and not (got["positive"] and _sampled_positivity(T, "positive", cfg).status == FALSIFIED))
+    return t
+
+
 def _prop_boyd_step_monotone(cfg: ToleranceConfig, n: int) -> _Tally:
     """|T x|_p / |x|_p <= |T* z|_{p'} <= |T x'|_p / |x'|_p for z the norming
     dual of T x and x' that of T* z (Hoelder twice): the reason
@@ -714,6 +743,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("dinq-two-term-agreement", "the two-term p=2 criterion agrees with the algebraic disjointness test", 500, _prop_dinq_agreement),
     SuiteProperty("adjoint-involution", "the trace adjoint satisfies the pairing identity and is an involution", 60, _prop_adjoint_involution),
     SuiteProperty("cp-constructor-certification", "completely positive constructors certify at all three positivity levels", 24, _prop_cp_constructors),
+    SuiteProperty("choi-positivity-sound", "a map whose block components are each completely positive or completely copositive is positive", 12, _prop_choi_positivity),
     SuiteProperty("boyd-step-monotone", "one step of the operator-norm power method never lowers the ratio", 120, _prop_boyd_step_monotone),
     SuiteProperty("amplified-two-positive", "2-positivity falsifies exactly when the 2-amplification stops being positive", 16, _prop_amplified_consistency),
     SuiteProperty("factorization-roundtrip", "synthetic (w, B, J) maps are recovered by extraction", 40, _prop_yeadon_roundtrip),

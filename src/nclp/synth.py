@@ -1,8 +1,10 @@
 """Structured random instances: factorizable maps, isometry batteries,
 completely positive contractions, positive non-2-positive mixtures.
 
-These generators carry provenance in the map metadata, which the
-certification routes treat as trusted constructor knowledge.
+Positivity is read from the action matrix.  Only the Jordan layouts (a
+codomain block may hold a hom and an anti copy of one domain block, neither
+CP nor co-CP) and the positive mixtures still set ``meta["positive"]``,
+until an exact test proves them positive.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def random_cp_contraction(
     lam = max(T(one).sup_norm(), adjoint_map(T, 1)(one).sup_norm())
     if lam <= 0:
         return depolarizing(algebra, 0.5, p)
-    T = scale_map(T, 1.0 / lam)  # keeps the Kraus map's positive flag
+    T = scale_map(T, 1.0 / lam)
     T.meta["kind"] = "cp_contraction"
     if rng.random() < 0.3:
         T = add_maps(scale_map(T, 0.5), scale_map(depolarizing(algebra, 0.5, p), 0.5))
@@ -166,14 +168,14 @@ def random_l2_isometry(rng: np.random.Generator, index: int) -> LinearMap:
         dom = matrix_algebra(d, w)
         layout = [([(0, "hom")], 0), ([], int(rng.integers(1, 3)))]
         J = _jordan_layout(dom, layout, [w, float(rng.uniform(0.5, 2.0))], None, 2.0,
-                           {"kind": "block_embedding", "positive": True})
+                           {"kind": "block_embedding"})
         e = J(identity(dom))
         return yeadon_synthetic(e, e, J, 2.0)
     if kind == 3:
         w = float(rng.uniform(0.5, 2.0))
         layout = [([(0, "hom")], 0), ([(0, "anti")], 0)]
         J = _jordan_layout(matrix_algebra(2, w), layout, [w, w], None, 2.0,
-                           {"kind": "hom_anti_embedding", "positive": True})
+                           {"kind": "hom_anti_embedding"})
         one = identity(J.codomain)
         return yeadon_synthetic(one, (1.0 / np.sqrt(2.0)) * one, J, 2.0)
     theta = float(rng.uniform(0.4, np.pi - 0.4))

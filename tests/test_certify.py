@@ -30,6 +30,7 @@ from nclp.lp import is_positive
 from nclp.maps import (
     LinearMap,
     commutative_matrix,
+    compose,
     convex_combination,
     depolarizing,
     identity_map,
@@ -301,6 +302,21 @@ def test_positive_route_runs_one_boyd_ascent(monkeypatch):
     nvp = op_norm(T, 3.0, CFG, positive_certified=True)
     assert cert.evidence["op_norm"] == (nvp.lower, nvp.upper)
     assert cert.value_interval.upper == 4.0 * nvp.upper
+
+
+def test_scaled_convex_combination_rescales_its_parts():
+    # scale_map used to keep the unscaled parts, so five times a mixture of
+    # contractions printed a certified [1, 1] under the alarm
+    alg = matrix_algebra(2)
+    K = depolarizing(alg, 0.5, 2.0)
+    T = scale_map(convex_combination(K, compose(K, transpose_map(alg)), 0.5), 5.0)
+    t, T1, T2 = T.meta["convex_parts"]
+    assert t == 0.5 and np.array_equal(T1.action, 5.0 * K.action)
+    cert = certify_l1_norm(T, 2.0, CFG)
+    norm = op_norm(T, 2.0, CFG).upper
+    assert norm == pytest.approx(5.0, rel=1e-12)
+    assert not cert.alarm
+    assert cert.value_interval.lower <= norm * (1 + 1e-12) <= cert.value_interval.upper * (1 + 1e-12)
 
 
 def test_ratio_lower_frozen_values():

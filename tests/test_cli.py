@@ -37,6 +37,33 @@ def test_example_transpose_certify_pipeline(capcli):
     assert doc["alarm"] is False
 
 
+def test_example_transpose_certifies_exactly_at_p3(capcli):
+    # the instance file carries only the action: positivity comes from the
+    # extracted triple (w = 1), so the positive-unit bound closes at 1
+    _, inst_text, _ = capcli(["example", "transpose", "--dim", "4", "--p", "3"])
+    code, result, _ = capcli(["certify"], stdin_text=inst_text)
+    assert code == 0
+    doc = json.loads(result)
+    assert doc["route"] == "separating"
+    assert doc["interval"] == {"certified_exact": True, "lower": 1.0, "upper": 1.0}
+
+
+def test_gen_copositive_map_certifies_positive_4x(capcli):
+    # at this seed the mixture is co-CP with norm 6.49: not a contraction, so
+    # the Choi verdict makes it a positive map with a finite 4|T| endpoint
+    _, inst_text, _ = capcli(["gen", "--kind", "positive-map", "--dims", "2,1",
+                              "--weights", "1,0.5", "--seed", "1000"])
+    code, result, _ = capcli(["certify", "--budget", "5"], stdin_text=inst_text)
+    assert code == 0
+    doc = json.loads(result)
+    assert doc["evidence"]["choi"] == {"cp": False, "co_cp": True, "positive": True}
+    assert doc["route"] == "positive_4x"
+    lower, upper = doc["evidence"]["op_norm"]
+    assert lower == pytest.approx(6.49, abs=5e-3)
+    assert doc["interval"]["upper"] == pytest.approx(4.0 * upper, rel=1e-15)
+    assert doc["interval"]["lower"] <= doc["interval"]["upper"]
+
+
 def test_certify_sampled_only_prints_boolean_alarm(capcli):
     code, inst_text, _ = capcli(["example", "rotation", "--p", "3"])
     assert code == 0

@@ -471,12 +471,11 @@ def test_amplified_embeds_corner():
 
 
 def test_partial_transpose_expands_trace_norm():
-    # amplification must not inherit the every-exponent isometry flag: the
-    # partial transpose doubles the trace norm of the identity-correlated
-    # rank-one projector on M_2(M_2)
+    # the transposition is isometric at every exponent, its amplification is
+    # not: the partial transpose doubles the trace norm of the
+    # identity-correlated rank-one projector on M_2(M_2)
     T = transpose_map(matrix_algebra(2), 1.0)
     amp = amplified_map(T, 2)
-    assert "isometry_all_p" not in amp.meta
     iv = op_norm(amp, 1.0, CFG)
     assert iv.lower >= 2.0 - 1e-9
     # independent witness: the normalized maximally correlated projector
@@ -542,10 +541,14 @@ def test_rotation_mixing_is_hs_unitary():
 
 
 def test_commutative_matrix_and_meta():
+    # positivity is read from the action: a nonnegative matrix has 1 x 1
+    # Choi components that are all nonnegative, a signed one sends the second
+    # unit to a vector with a negative entry
     M = commutative_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), [1, 1], [1, 1], 2.0)
-    assert M.meta.get("positive")
+    assert M.meta == {"kind": "commutative"}
+    assert positivity_tests(M, "positive", CFG).status == CERTIFIED
     N = commutative_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]), [1, 1], [1, 1], 2.0)
-    assert not N.meta.get("positive")
+    assert positivity_tests(N, "positive", CFG).status == FALSIFIED
 
 
 def test_jordan_direct_sum_anti_law():
