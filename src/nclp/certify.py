@@ -3,16 +3,19 @@
 For T between L^p spaces, the quantity of interest is the norm of T acting
 entrywise on ell^1-valued sequences.  Sampling sequence ratios gives sound
 lower bounds; certified upper bounds come from structure, read from the
-action matrix by exact tests and tried in order:
+action matrix by exact tests and tried in order (every map that is not
+diagonal or separating takes one Choi test and one ``op_norm``):
 
   commutative_regular       both algebras diagonal: the value equals the
                             operator norm of the entrywise modulus matrix;
+  separating                a map with an extracted (w, B, J) factorization,
+                            at every p: the value is its norm max_k h_k^(1/p),
+                            h the central density of tau(B^p J(.));
   p_equals_one              at p = 1 the sequence spaces are plain ell^1
                             direct sums and the value equals the norm of T;
-  separating                a map with an extracted (w, B, J) factorization
-                            has ell^1 norm exactly equal to its norm;
-  two_positive_contraction  a 2-(co)positive contraction (Choi: CP or co-CP)
-                            has ell^1 norm <= 1; a mixture, its parts' bound;
+  two_positive_contraction  CP or co-CP (Choi): T / |T| is a 2-(co)positive
+                            contraction, so the value equals the norm of T;
+                            a mixture takes its parts' bound;
   positive_4x               a positive map (each Choi component CP or co-CP,
                             or a ``positive`` flag) has ell^1 norm <= 4 |T|;
   sampled_only              no structure found: lower bound only.
@@ -74,12 +77,7 @@ from .sequences import (
     sequence,
     sum_elements,
 )
-from .yeadon import (
-    YeadonTriple,
-    certify_separating,
-    extract_yeadon,
-    isometry_trace_diagnostic,
-)
+from .yeadon import YeadonTriple, extract_yeadon, trace_density
 
 ROUTE_COMMUTATIVE = "commutative_regular"
 ROUTE_P1 = "p_equals_one"
@@ -208,10 +206,11 @@ def certify_l1_norm(
     p: Optional[float] = None,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     ratio_budget: int = 25,
-    witness_seeds: int = 24,
 ) -> L1Certificate:
-    """Enclose the ell^1-extension norm, trying exact-value routes before
-    bound-only routes; the sampled-only route never claims an upper bound."""
+    """Enclose the ell^1-extension norm by the first of three structural
+    cases (module docstring): diagonal algebras; an extracted (w, B, J)
+    triple, whose value max_k h_k^(1/p) the lower endpoint |T(1_k)|_p / |1_k|_p
+    at the argmax block checks; else one Choi test and one ``op_norm``."""
     p = T.p if p is None else p
     ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
     evidence: dict = {"ratio": rinfo}
@@ -219,42 +218,41 @@ def certify_l1_norm(
         reg = _regular_norm_interval(T, p, cfg)
         route, upper, extra_lower = ROUTE_COMMUTATIVE, reg.upper, reg.lower
         evidence["regular_norm"] = (reg.lower, reg.upper)
-    elif p == 1:
-        nv = op_norm(T, 1, cfg)
-        route, upper, extra_lower = ROUTE_P1, nv.upper, nv.lower
-        evidence["op_norm"] = (nv.lower, nv.upper)
+    elif isinstance(tri := extract_yeadon(T, cfg), YeadonTriple):
+        evidence["separating"] = CERTIFIED
+        h = trace_density(tri, T.domain, p, cfg)
+        k = int(np.argmax(h))
+        unit = Element(T.domain, [np.eye(d) * (j == k) for j, d in enumerate(T.domain.dims)])
+        route, upper = ROUTE_SEPARATING, max(float(h[k]), 0.0) ** (1.0 / p)
+        extra_lower = lp_norm(T(unit), p) / lp_norm(unit, p)
+        evidence["density"] = h.tolist()
+        evidence["triple_residuals"] = tri.residuals
     else:
-        sep = certify_separating(T, cfg, witness_seeds=witness_seeds)
-        evidence["separating"] = sep.status
-        if sep.status == CERTIFIED:
-            # w B J is positive exactly when w is
-            nv = op_norm(T, p, cfg, positive_certified=is_positive(sep.triple.w, cfg))
-            route, upper, extra_lower = ROUTE_SEPARATING, nv.upper, nv.lower
-            evidence["op_norm"] = (nv.lower, nv.upper)
-            evidence["triple_residuals"] = sep.triple.residuals
+        evidence["separating"] = tri.reason
+        evidence["choi"] = choi = choi_positivity(T, cfg)
+        positive = choi["positive"] or bool(T.meta.get("positive"))
+        nv = op_norm(T, p, cfg, positive_certified=positive)
+        evidence["op_norm"] = (nv.lower, nv.upper)
+        extra_lower = nv.lower
+        # at p = 1 the sequence spaces are plain ell^1 sums; a 2-(co)positive
+        # T / |T| is an ell^1 contraction, and the ell^1 norm is blind to
+        # reversing the product
+        if p == 1:
+            route, upper = ROUTE_P1, nv.upper
+        elif choi["cp"] or choi["co_cp"]:
+            route, upper = ROUTE_TWO_POSITIVE, nv.upper
+        elif T.meta.get("convex_parts"):
+            t, T1, T2 = T.meta["convex_parts"]
+            c1 = certify_l1_norm(T1, p, cfg, ratio_budget=0)
+            c2 = certify_l1_norm(T2, p, cfg, ratio_budget=0)
+            route = ROUTE_TWO_POSITIVE
+            upper = t * c1.value_interval.upper + (1 - t) * c2.value_interval.upper
+            evidence["via"] = "convex_combination"
+            evidence["part_routes"] = (c1.route, c2.route)
+        elif positive:
+            route, upper = ROUTE_POSITIVE, 4.0 * nv.upper
         else:
-            choi = choi_positivity(T, cfg)
-            evidence["choi"] = choi
-            positive = choi["positive"] or bool(T.meta.get("positive"))
-            nv = op_norm(T, p, cfg, positive_certified=positive)
-            evidence["op_norm"] = (nv.lower, nv.upper)
-            # the ell^1 norm is blind to reversing the product, so a
-            # 2-copositive contraction certifies like a 2-positive one
-            if (choi["cp"] or choi["co_cp"]) and nv.upper <= 1.0 + cfg.opt_tol:
-                route, upper, extra_lower = ROUTE_TWO_POSITIVE, min(nv.upper, 1.0), nv.lower
-            elif T.meta.get("convex_parts"):
-                t, T1, T2 = T.meta["convex_parts"]
-                c1 = certify_l1_norm(T1, p, cfg, ratio_budget=0, witness_seeds=4)
-                c2 = certify_l1_norm(T2, p, cfg, ratio_budget=0, witness_seeds=4)
-                route = ROUTE_TWO_POSITIVE
-                upper = t * c1.value_interval.upper + (1 - t) * c2.value_interval.upper
-                extra_lower = nv.lower
-                evidence["via"] = "convex_combination"
-                evidence["part_routes"] = (c1.route, c2.route)
-            elif positive:
-                route, upper, extra_lower = ROUTE_POSITIVE, 4.0 * nv.upper, nv.lower
-            else:
-                route, upper, extra_lower = ROUTE_SAMPLED, np.inf, nv.lower
+            route, upper = ROUTE_SAMPLED, np.inf
 
     lower = max(ratio, extra_lower)
     alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))
@@ -332,11 +330,13 @@ def classify_l2_isometry(
             witness = (a, b)
         denom = float(np.sqrt(lp_norm(a, 2) ** 2 + lp_norm(b, 2) ** 2))
         if denom > 0:
-            l12_ratios.append(verdict.interval.upper / denom)
+            l12_ratios.append((verdict.interval.upper / denom, verdict.interval.lower / denom))
 
     evidence = {
         "pair_statuses": {s: statuses.count(s) for s in set(statuses)},
-        "max_l12_ratio": max(l12_ratios) if l12_ratios else None,
+        # only the lower endpoint over the input norm bounds the ell^1 norm
+        "max_l12_ratio": max(u for u, _ in l12_ratios) if l12_ratios else None,
+        "max_certified_l12_ratio": max(lo for _, lo in l12_ratios) if l12_ratios else None,
         "extraction": "ok" if extracted else tri.reason,
     }
 
@@ -345,9 +345,8 @@ def classify_l2_isometry(
         if witness is not None:
             alarm = True
             evidence["conflict"] = "factorization extracted but an image pair is not disjoint"
-        evidence["trace_condition_defect"] = isometry_trace_diagnostic(
-            tri, T.domain, 2.0, cfg
-        )
+        h = trace_density(tri, T.domain, 2.0, cfg)
+        evidence["trace_condition_defect"] = float(np.max(np.abs(h - 1.0)))
         return IsometryClassification(YTF, triple=tri, alarm=alarm, evidence=evidence)
 
     pos = positivity_tests(T, "positive", cfg)

@@ -710,15 +710,11 @@ def yeadon_synthetic(
     if np.any(comm > 1e-7 * scale * np.maximum(_sup_norms(images), 1.0)):
         raise StructuralError("condition (c) fails: B does not commute with J range")
     wB = w * B
-    T = _map_from_images(
+    return _map_from_images(
         J.domain,
         N,
         [np.matmul(b, S) for b, S in zip(wB.blocks, images)],
         p,
         {"kind": "yeadon_synthetic"},
     )
-    # a separating map built from a projection w is positive
-    if is_positive(w, cfg):
-        T.meta["positive"] = True
-    return T
 

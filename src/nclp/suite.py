@@ -78,7 +78,8 @@ from .sequences import (
     sum_elements,
 )
 from .yeadon import YeadonTriple, central_decompose, certify_separating, extract_yeadon
-from .certify import classify_l2_isometry, certify_l1_norm, l1_ratio_lower
+from .certify import (ROUTE_COMMUTATIVE, ROUTE_SEPARATING, certify_l1_norm,
+                      classify_l2_isometry, l1_ratio_lower)
 from . import synth
 
 
@@ -668,7 +669,7 @@ def _prop_routes_dominate(cfg: ToleranceConfig, n: int) -> _Tally:
     battery.append(synth.random_cp_contraction(alg, 2.0, rng))
     for i in range(n):
         T = battery[i % len(battery)]
-        cert = certify_l1_norm(T, T.p, cfg, ratio_budget=10, witness_seeds=8)
+        cert = certify_l1_norm(T, T.p, cfg, ratio_budget=10)
         if not np.isfinite(cert.value_interval.upper):
             t.skip()
             continue
@@ -683,11 +684,19 @@ def _prop_separating_sharpness(cfg: ToleranceConfig, n: int) -> _Tally:
     rng = rng_from(cfg.seed, 602)
     t = _Tally()
     for i in range(n):
-        T = synth.random_yeadon_map(rng, p=2.0)[0]
-        norm2 = op_norm(T, 2.0, cfg).upper
-        _, info = l1_ratio_lower(T, 2.0, cfg, budget=15)
-        t.check(info["positive_singleton"] >= 0.95 * norm2,
-                max(0.0, 0.95 * norm2 - info["positive_singleton"]))
+        p = P_GRID[i % 4]
+        T = synth.random_yeadon_map(rng, p=p)[0] if i % 8 < 4 else synth.random_jordan_map(rng, p=p)
+        cert = certify_l1_norm(T, p, cfg, ratio_budget=15)
+        closed = cert.value_interval.upper
+        nv = op_norm(T, p, cfg)
+        singleton = cert.evidence["ratio"]["positive_singleton"]
+        # a map between diagonal algebras takes the commutative route first
+        diagonal = max(T.domain.dims + T.codomain.dims) == 1
+        route = ROUTE_COMMUTATIVE if diagonal else ROUTE_SEPARATING
+        ok = (cert.route == route and bool(cert.value_interval.certified_exact)
+              and nv.lower <= closed * (1 + 1e-12) and closed <= nv.upper * (1 + 1e-12)
+              and singleton >= 0.95 * closed)
+        t.check(ok, max(0.0, nv.lower - closed, closed - nv.upper, 0.95 * closed - singleton))
     return t
 
 
@@ -751,7 +760,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("separating-verdict-stability", "separating verdicts are reproducible across repeated seeded runs", 16, _prop_separating_stability),
     SuiteProperty("central-decomposition-laws", "the central split is orthogonal, sums to J(1), and obeys both multiplication laws", 40, _prop_central_laws),
     SuiteProperty("certified-upper-dominates-ratios", "sampled sequence ratios never beat a certified upper bound", 60, _prop_routes_dominate),
-    SuiteProperty("separating-norm-sharpness", "positive singleton ratios reach the operator norm of separating maps", 12, _prop_separating_sharpness),
+    SuiteProperty("separating-norm-sharpness", "separating maps certify exactly from their trace density, inside the operator-norm enclosure, and positive singleton ratios reach it", 12, _prop_separating_sharpness),
     SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )

@@ -1,10 +1,9 @@
 """Structured random instances: factorizable maps, isometry batteries,
 completely positive contractions, positive non-2-positive mixtures.
 
-Positivity is read from the action matrix.  Only the Jordan layouts (a
-codomain block may hold a hom and an anti copy of one domain block, neither
-CP nor co-CP) and the positive mixtures still set ``meta["positive"]``,
-until an exact test proves them positive.
+Positivity is read from the action matrix, and separating maps certify
+from their extracted triple.  Only the positive mixtures still set
+``meta["positive"]``, until an exact test proves them positive.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ def _random_jordan(
         unitaries.append(haar_unitary(rng, size))
     J = _jordan_layout(
         domain, layout, weights, unitaries, p,
-        {"kind": "jordan_layout", "layout": tuple((tuple(ps), dd) for ps, dd in layout),
-         "positive": True},
+        {"kind": "jordan_layout", "layout": tuple((tuple(ps), dd) for ps, dd in layout)},
     )
     return J, layout, unitaries
 

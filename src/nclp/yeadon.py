@@ -54,7 +54,6 @@ from .maps import (
     _transposed_coords,
     _unit_images,
     amplified_map,
-    coord_weights,
     vec,
 )
 from .sampling import random_positive, random_selfadjoint, rng_from
@@ -292,28 +291,26 @@ def extract_yeadon(
     )
 
 
-def isometry_trace_diagnostic(
+def trace_density(
     triple: YeadonTriple,
     domain,
     p: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> float:
-    """Optional diagnostic for isometries: the relative defect of the trace
-    matching condition  tau(a) = tau(B^p J(a))  on a basis of the domain.
+) -> np.ndarray:
+    """Density h of phi(x) = tau(B^p J(x)), one value per domain block:
+    h_k = tau(B^p J(1_k)) / tau(1_k).
 
-    The factorization itself never requires this condition; it singles out
-    the maps whose factorization implements an isometry at exponent p, so a
-    small value here together with a valid triple signals an isometry and a
-    large one a proper contraction or expansion."""
+    phi is tracial because B commutes with the range of J, so h is central,
+    and |T x|_p^p = tau(h |x|^p) for T = w B J (Yeadon, Math. Proc. Camb.
+    Phil. Soc. 90, 1981).  Hence |T|_p = max_k h_k^(1/p), attained at 1_k
+    in the argmax block, and T is an isometry at p exactly when h = 1."""
     Bp = apply_spectral(triple.B, lambda v: np.clip(v, 0.0, None) ** p, cfg)
-    lhs = coord_weights(domain) * vec(identity(domain))  # tau(e_a)
-    rhs = 0
+    phi = 0  # tau(B^p J(e_a)) for every domain matrix unit e_a
     for (_, w), b, S in zip(Bp.algebra.blocks, Bp.blocks, _unit_images(triple.J)):
-        rhs = rhs + w * np.trace(np.matmul(b, S), axis1=1, axis2=2)
-    defect = lhs - rhs
-    worst = float(np.max(np.hypot(defect.real, defect.imag)))  # |z| as Python rounds it
-    scale = max(1.0, domain.trace_of_identity)
-    return worst / scale
+        phi = phi + w * np.trace(np.matmul(b, S), axis1=1, axis2=2).real
+    one = vec(identity(domain)).real
+    return np.array([phi[s] @ one[s] / (w * d)
+                     for s, (d, w) in zip(domain.slices, domain.blocks)])
 
 
 @dataclass

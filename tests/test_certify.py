@@ -43,6 +43,7 @@ from nclp.maps import (
 )
 from nclp.sampling import ginibre, random_element, random_unitary, rng_from
 from nclp.sequences import sequence
+from nclp.yeadon import extract_yeadon, trace_density
 from nclp import synth
 
 CFG = ToleranceConfig(seed=555)
@@ -302,6 +303,30 @@ def test_positive_route_runs_one_boyd_ascent(monkeypatch):
     nvp = op_norm(T, 3.0, CFG, positive_certified=True)
     assert cert.evidence["op_norm"] == (nvp.lower, nvp.upper)
     assert cert.value_interval.upper == 4.0 * nvp.upper
+
+
+def test_separating_route_reads_the_triple(monkeypatch):
+    import nclp.certify
+    import nclp.yeadon
+
+    T, w, _, _ = synth.random_yeadon_map(rng_from(3), positive_w=False)
+    assert not is_positive(w, CFG)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(nclp.certify, "op_norm", counted("op_norm", op_norm))
+    monkeypatch.setattr(nclp.yeadon, "certify_separating",
+                        counted("certify_separating", nclp.yeadon.certify_separating))
+    for p in (1.0, 1.5, 3.0):
+        cert = certify_l1_norm(T, p, CFG)
+        assert cert.route == ROUTE_SEPARATING and not cert.alarm
+        assert cert.value_interval.certified_exact
+        h = trace_density(extract_yeadon(T, CFG), T.domain, p, CFG)
+        assert cert.evidence["density"] == h.tolist()
+        assert cert.value_interval.upper == h.max() ** (1.0 / p)
+    assert calls == []
 
 
 def test_scaled_convex_combination_rescales_its_parts():

@@ -48,20 +48,31 @@ def test_example_transpose_certifies_exactly_at_p3(capcli):
     assert doc["interval"] == {"certified_exact": True, "lower": 1.0, "upper": 1.0}
 
 
-def test_gen_copositive_map_certifies_positive_4x(capcli):
-    # at this seed the mixture is co-CP with norm 6.49: not a contraction, so
-    # the Choi verdict makes it a positive map with a finite 4|T| endpoint
+def test_gen_copositive_map_certifies_by_homogeneity(capcli):
+    # at this seed the mixture is co-CP with norm 6.49: not a contraction, but
+    # T / |T| is a 2-copositive contraction, so the value is |T| itself
     _, inst_text, _ = capcli(["gen", "--kind", "positive-map", "--dims", "2,1",
                               "--weights", "1,0.5", "--seed", "1000"])
     code, result, _ = capcli(["certify", "--budget", "5"], stdin_text=inst_text)
     assert code == 0
     doc = json.loads(result)
+    assert doc["p"] == 2.0
     assert doc["evidence"]["choi"] == {"cp": False, "co_cp": True, "positive": True}
-    assert doc["route"] == "positive_4x"
-    lower, upper = doc["evidence"]["op_norm"]
-    assert lower == pytest.approx(6.49, abs=5e-3)
-    assert doc["interval"]["upper"] == pytest.approx(4.0 * upper, rel=1e-15)
-    assert doc["interval"]["lower"] <= doc["interval"]["upper"]
+    assert doc["route"] == "two_positive_contraction"
+    upper = doc["evidence"]["op_norm"][1]
+    assert upper == pytest.approx(6.49, abs=5e-3)
+    assert doc["interval"]["upper"] == upper
+    assert doc["interval"]["certified_exact"] is True
+
+
+def test_example_yeadon_certifies_from_its_triple(capcli):
+    _, inst_text, _ = capcli(["example", "yeadon", "--p", "3"])
+    code, result, _ = capcli(["certify"], stdin_text=inst_text)
+    assert code == 0
+    doc = json.loads(result)
+    assert doc["route"] == "separating"
+    assert doc["evidence"]["separating"] == "certified"
+    assert '"certified_exact": true' in result
 
 
 def test_certify_sampled_only_prints_boolean_alarm(capcli):
@@ -465,10 +476,12 @@ def test_generators_refuse_exponents_below_one(capcli, gen, p):
 
 def test_rotation_classify_frozen_evidence(capcli):
     # recorded before the 18 image pairs were solved as one stack: the
-    # printed evidence keeps its digits
+    # printed evidence keeps its digits (the certified ratio, lower endpoint
+    # over the input norm, was recorded when it was added)
     _, inst_text, _ = capcli(["example", "rotation"])
     code, result, _ = capcli(["classify-l2"], stdin_text=inst_text)
     assert code == 1
     assert json.loads(result)["evidence"] == {
         "extraction": "commutation (c)", "max_l12_ratio": 1.2651331767497545,
+        "max_certified_l12_ratio": 1.265133176508795,
         "pair_statuses": {"not_disjoint": 18}}

@@ -379,20 +379,19 @@ def test_amplified_transpose_not_separating():
     assert v.status == FALSIFIED
 
 
-def test_isometry_trace_diagnostic():
-    from nclp.yeadon import isometry_trace_diagnostic
+def test_trace_density():
+    from nclp.maps import scale_map
+    from nclp.yeadon import trace_density
 
     rng = rng_from(7)
     alg = matrix_algebra(2)
-    # a conjugation is an isometry at every exponent: zero defect
+    # a conjugation is an isometry at every exponent: h = 1
     u = random_unitary(alg, rng)
     T = unitary_conjugation(u)
     tri = extract_yeadon(T, CFG)
-    assert isometry_trace_diagnostic(tri, alg, 2.0, CFG) < 1e-10
-    # scaling by 2 breaks the trace matching by a visible margin
-    from nclp.maps import scale_map
-
-    S = scale_map(T, 2.0)
-    tri2 = extract_yeadon(S, CFG)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        assert np.allclose(trace_density(tri, alg, p, CFG), 1.0, rtol=0, atol=1e-12)
+    # twice it has B = 2, so h = 2^p
+    tri2 = extract_yeadon(scale_map(T, 2.0), CFG)
     assert isinstance(tri2, YeadonTriple)
-    assert isometry_trace_diagnostic(tri2, alg, 2.0, CFG) > 1.0
+    assert np.allclose(trace_density(tri2, alg, 2.0, CFG), 4.0, rtol=0, atol=1e-12)
