@@ -6,8 +6,8 @@ lower bounds; certified upper bounds come from structure, read from the
 action matrix by exact tests and tried in order (every map that is not
 diagonal or separating takes one Choi test and one ``op_norm``):
 
-  commutative_regular       both algebras diagonal: the value equals the
-                            operator norm of the entrywise modulus matrix;
+  commutative_regular       both algebras diagonal: the value is the norm of
+                            the entrywise modulus, by Collatz-Wielandt;
   separating                a map with an extracted (w, B, J) factorization,
                             at every p: the value is its norm max_k h_k^(1/p),
                             h the central density of tau(B^p J(.));
@@ -36,6 +36,7 @@ from .algebra import (
     DEFAULT_CONFIG,
     DomainError,
     Element,
+    NumericError,
     StructuralError,
     ToleranceConfig,
     absolute,
@@ -177,18 +178,39 @@ def _is_diagonal(algebra) -> bool:
 
 
 def _regular_norm_interval(T: LinearMap, p: float, cfg: ToleranceConfig) -> NormInterval:
-    if not (_is_diagonal(T.domain) and _is_diagonal(T.codomain)):
-        raise DomainError("regular norm needs diagonal algebras on both sides")
-    abs_map = LinearMap(T.domain, T.codomain, np.abs(T.action), p, {"kind": "entrywise_modulus"})
-    return op_norm(abs_map, p, cfg, positive_certified=True)
+    """|B|_p for B = W_c^(1/p) |A| W_d^(-1/p), the modulus of the action in
+    unweighted coordinates: its largest column sum at p = 1 or for B = 0
+    (row sum at p = inf), else a Collatz-Wielandt bound (Boyd, Linear Algebra
+    Appl. 9, 1974; Nussbaum, Mem. AMS 391, 1988).  G(x) = (B^T (Bx)^(p-1))^(p'-1)
+    is order-preserving and 1-homogeneous, and a maximiser x* >= 0 has
+    G(x*) = |B|^p' x*.  For x > 0, nu = max_i G(x)_i / x_i and c x* <= x,
+    c |B|^(k p') x* = G^k(c x*) <= G^k(x) <= nu^k x for all k: |B|_p <= nu^(1/p')."""
+    if not (p >= 1 and _is_diagonal(T.domain) and _is_diagonal(T.codomain)):  # p = nan too
+        raise DomainError(f"regular norm needs diagonal algebras on both sides and p >= 1, p = {p}")
+    B = np.abs(T.action) * np.divide.outer(T.codomain.weights, T.domain.weights) ** (1 / p)
+    if p in (1, np.inf) or not B.any():
+        value = float(B.sum(axis=int(p == np.inf)).max(initial=0.0))
+        return NormInterval(value, value, True)
+    q, x, lower, upper = p / (p - 1.0), np.ones(B.shape[1]), 0.0, np.inf
+    for _ in range(1000):
+        y = B @ x
+        g = (B.T @ y ** (p - 1.0)) ** (q - 1.0)
+        lo = float(np.sum(y ** p) ** (1 / p) / np.sum(x ** p) ** (1 / p))
+        up = float(np.max(g / x) ** (1 / q))
+        if not np.isfinite(lo + up):
+            raise NumericError(f"regular-norm iteration overflowed: lower {lo}, upper {up}")
+        if lo <= lower and up >= upper:
+            break
+        lower, upper = max(lower, lo), min(upper, up)
+        x = np.maximum(g / g.max(), 1e-12)
+    return NormInterval(min(lower, upper), upper, upper - lower <= cfg.opt_tol * upper)
 
 
 def regular_norm_commutative(
     T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> float:
-    """Operator norm (upper endpoint; exact at p = 2) of the entrywise
-    modulus of the action matrix, which for diagonal algebras equals the
-    ell^1-extension norm of T."""
+    """The ell^1-extension norm of T between diagonal algebras: the operator
+    norm of its entrywise modulus, exact at every p (``_regular_norm_interval``)."""
     p = T.p if p is None else p
     return _regular_norm_interval(T, p, cfg).upper
 
@@ -301,10 +323,10 @@ def classify_l2_isometry(
     Route one extracts the factorization directly; route two sends sampled
     disjoint pairs through T and applies the two-term p = 2 criterion to the
     images, all pairs in one sequence-norm solve.  The two must agree: a
-    certified factorization together with a non-disjoint image pair (or a
-    certified-positive isometry that fails extraction) raises the
-    inconsistency alarm, because both implications are unconditional
-    theorems.
+    certified factorization together with a non-disjoint image pair (or an
+    isometry that fails extraction although ``choi_positivity`` proves it
+    positive) raises the inconsistency alarm, because both implications are
+    unconditional theorems.
     """
     if not is_l2_isometry(T, cfg):
         return IsometryClassification(NOT_ISOMETRY)
@@ -349,8 +371,7 @@ def classify_l2_isometry(
         evidence["trace_condition_defect"] = float(np.max(np.abs(h - 1.0)))
         return IsometryClassification(YTF, triple=tri, alarm=alarm, evidence=evidence)
 
-    pos = positivity_tests(T, "positive", cfg)
-    if pos.status == CERTIFIED:
+    if choi_positivity(T, cfg)["positive"]:
         alarm = True
         evidence["conflict"] = "positive isometry failed extraction"
     if witness is not None:

@@ -39,6 +39,7 @@ from .maps import (
     adjoint_map,
     amplified_map,
     choi_positivity,
+    commutative_matrix,
     depolarizing,
     identity_map,
     op_norm,
@@ -700,6 +701,27 @@ def _prop_separating_sharpness(cfg: ToleranceConfig, n: int) -> _Tally:
     return t
 
 
+def _prop_commutative_regular(cfg: ToleranceConfig, n: int) -> _Tally:
+    rng = rng_from(cfg.seed, 605)
+    t = _Tally()
+    for i in range(n):
+        p = P_GRID[i % 4]
+        m, k = (int(v) for v in rng.integers(1, 6, size=2))
+        A = ginibre(rng, max(m, k))[:m, :k] if i % 8 < 4 else rng.random((m, k))
+        A = A * (rng.random((m, k)) < 0.7)
+        if i % 2:  # block triangular, so reducible
+            A[m // 2:, :(k + 1) // 2] = 0.0
+        T = commutative_matrix(A, rng.uniform(0.5, 2.0, k).tolist(), rng.uniform(0.5, 2.0, m).tolist(), p)
+        cert = certify_l1_norm(T, p, cfg, ratio_budget=0)
+        value = cert.value_interval.upper
+        ref = op_norm(LinearMap(T.domain, T.codomain, np.abs(T.action), p), p, cfg,
+                     positive_certified=True)
+        ok = (cert.route == ROUTE_COMMUTATIVE and bool(cert.value_interval.certified_exact)
+              and not cert.alarm and ref.lower * (1 - 1e-12) <= value <= ref.upper * (1 + 1e-12))
+        t.check(ok, max(0.0, ref.lower - value, value - ref.upper) / max(value, 1e-300))
+    return t
+
+
 def _prop_isometry_agreement(cfg: ToleranceConfig, n: int) -> _Tally:
     rng = rng_from(cfg.seed, 603)
     t = _Tally()
@@ -761,6 +783,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("central-decomposition-laws", "the central split is orthogonal, sums to J(1), and obeys both multiplication laws", 40, _prop_central_laws),
     SuiteProperty("certified-upper-dominates-ratios", "sampled sequence ratios never beat a certified upper bound", 60, _prop_routes_dominate),
     SuiteProperty("separating-norm-sharpness", "separating maps certify exactly from their trace density, inside the operator-norm enclosure, and positive singleton ratios reach it", 12, _prop_separating_sharpness),
+    SuiteProperty("commutative-regular-exact", "maps between diagonal algebras certify exactly by the Collatz-Wielandt bound, inside the operator-norm enclosure of the entrywise modulus", 24, _prop_commutative_regular),
     SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )

@@ -161,6 +161,48 @@ def test_regular_norm_rejects_matrix_blocks():
         regular_norm_commutative(transpose_map(matrix_algebra(2), 2.0), 2.0, CFG)
 
 
+def _regular_norm_cases():
+    reducible = np.array([[1.0, 2.0, -0.5j], [0.0, 3.0, 1.0], [0.0, 0.0, 0.25]])
+    zero_row_col = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, -3.0, 1j]])
+    return [(reducible, [1.0, 0.5, 2.0], [0.7, 1.3, 1.0]),
+            (zero_row_col, [0.6, 1.0, 1.5], [2.0, 1.0, 0.8]),
+            (np.zeros((2, 3)), [1.0, 0.5, 2.0], [1.0, 1.5])]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_regular_norm_collatz_wielandt(p):
+    for A, dom_w, cod_w in _regular_norm_cases():
+        M = commutative_matrix(A, dom_w, cod_w, p)
+        cert = certify_l1_norm(M, p, CFG, ratio_budget=5)
+        assert cert.route == ROUTE_COMMUTATIVE and not cert.alarm
+        assert cert.value_interval.certified_exact
+        value = regular_norm_commutative(M, p, CFG)
+        assert cert.value_interval.upper == value
+        ref = op_norm(LinearMap(M.domain, M.codomain, np.abs(M.action), p), p, CFG)
+        assert ref.lower * (1 - 1e-12) <= value <= ref.upper * (1 + 1e-12)
+        B = np.abs(A) * (np.array(cod_w)[:, None] / np.array(dom_w)) ** (1 / p)
+        if p == 1:
+            assert value == pytest.approx(B.sum(axis=0).max(), rel=1e-12, abs=0)
+        if p == 2:
+            assert value == pytest.approx(np.linalg.norm(B, 2), rel=1e-12, abs=0)
+
+
+def test_structural_routes_ignore_the_seed():
+    from nclp.yeadon import verify_jordan
+
+    M = synth.random_commutative_map(rng_from(4), 3, 3, 3.0)
+    T = synth.random_yeadon_map(rng_from(3), positive_w=False)[0]
+    J = synth.random_jordan_map(rng_from(6))
+    J = LinearMap(J.domain, J.codomain, J.action + 1e-9 * np.ones(J.action.shape), 2.0)
+    seen = []
+    for seed in (0, 1, 2**31):
+        cfg = ToleranceConfig(seed=seed)
+        seen.append((certify_l1_norm(M, 3.0, cfg, ratio_budget=5).evidence["regular_norm"],
+                     certify_l1_norm(T, 1.5, cfg, ratio_budget=5).evidence["density"],
+                     verify_jordan(J, cfg)))
+    assert seen[0] == seen[1] == seen[2]
+
+
 def test_classify_unitary_conjugation_ytf():
     rng = rng_from(4)
     T = unitary_conjugation(random_unitary(matrix_algebra(2), rng))
@@ -376,6 +418,18 @@ def test_ratio_samples_take_one_solve_per_length_and_side(monkeypatch):
         (n, steps) for n in lengths for steps in sorted((0, RATIO_STEPS))]
     inputs = [rows for _, steps, rows in calls if steps == 0]
     assert sum(inputs) == info["samples"] == 5 + 2 * 5 + 5 + 5 + 2 * 3
+
+
+def test_classify_reads_positivity_from_the_choi_test(monkeypatch):
+    import nclp.maps
+
+    calls = []
+    sampled = nclp.maps._sampled_positivity
+    monkeypatch.setattr(nclp.maps, "_sampled_positivity",
+                        lambda *args: calls.append(args[1]) or sampled(*args))
+    cls = classify_l2_isometry(rotation_mixing(np.pi / 4), CFG)
+    assert cls.status == NO_YTF and not cls.alarm
+    assert calls == []
 
 
 def test_classify_sends_its_pairs_through_one_solve(monkeypatch):

@@ -75,6 +75,18 @@ def test_example_yeadon_certifies_from_its_triple(capcli):
     assert '"certified_exact": true' in result
 
 
+def test_gen_commutative_map_certifies_exactly_at_p3(capcli):
+    _, inst_text, _ = capcli(["gen", "--kind", "commutative-map", "--p", "3", "--seed", "4"])
+    code, result, _ = capcli(["certify"], stdin_text=inst_text)
+    assert code == 0
+    doc = json.loads(result)
+    assert doc["route"] == "commutative_regular"
+    assert '"certified_exact": true' in result
+    # frozen: the Collatz-Wielandt iteration closes the interval
+    assert doc["interval"]["lower"] == doc["interval"]["upper"] == 3.5258979587374086
+    assert doc["evidence"]["regular_norm"] == [3.5258979587374086] * 2
+
+
 def test_certify_sampled_only_prints_boolean_alarm(capcli):
     code, inst_text, _ = capcli(["example", "rotation", "--p", "3"])
     assert code == 0

@@ -219,7 +219,7 @@ def _product_table_cases():
 def test_product_table_matches_per_pair_loops(name):
     J = _product_table_cases()[name]
     report = verify_jordan(J, CFG)
-    ok, defect = _jordan_reference(J, CFG)
+    ok, defect = _jordan_reference(J, CFG, spot_checks=0)
     assert report.defect == defect  # bitwise
     assert report.ok == ok == (name != "perturbed")
     if name == "perturbed":
