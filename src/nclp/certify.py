@@ -179,30 +179,33 @@ def _is_diagonal(algebra) -> bool:
 
 def _regular_norm_interval(T: LinearMap, p: float, cfg: ToleranceConfig) -> NormInterval:
     """|B|_p for B = W_c^(1/p) |A| W_d^(-1/p), the modulus of the action in
-    unweighted coordinates: its largest column sum at p = 1 or for B = 0
-    (row sum at p = inf), else a Collatz-Wielandt bound (Boyd, Linear Algebra
+    unweighted coordinates: its largest column sum, singular value or row sum
+    at p = 1, 2, inf, else a Collatz-Wielandt bound (Boyd, Linear Algebra
     Appl. 9, 1974; Nussbaum, Mem. AMS 391, 1988).  G(x) = (B^T (Bx)^(p-1))^(p'-1)
     is order-preserving and 1-homogeneous, and a maximiser x* >= 0 has
     G(x*) = |B|^p' x*.  For x > 0, nu = max_i G(x)_i / x_i and c x* <= x,
     c |B|^(k p') x* = G^k(c x*) <= G^k(x) <= nu^k x for all k: |B|_p <= nu^(1/p')."""
     if not (p >= 1 and _is_diagonal(T.domain) and _is_diagonal(T.codomain)):  # p = nan too
         raise DomainError(f"regular norm needs diagonal algebras on both sides and p >= 1, p = {p}")
-    B = np.abs(T.action) * np.divide.outer(T.codomain.weights, T.domain.weights) ** (1 / p)
-    if p in (1, np.inf) or not B.any():
-        value = float(B.sum(axis=int(p == np.inf)).max(initial=0.0))
+    wc, wd = (np.asarray(a.weights) ** (1 / p) for a in (T.codomain, T.domain))
+    B = (np.abs(T.action) * wc[:, None]) / wd[None, :]
+    if p in (1, 2, np.inf) or not B.any():
+        value = float(np.linalg.norm(B, p)) if p in (1, 2, np.inf) else 0.0
         return NormInterval(value, value, True)
-    q, x, lower, upper = p / (p - 1.0), np.ones(B.shape[1]), 0.0, np.inf
+    scale, q, x, lower, upper = float(B.max()), p / (p - 1.0), np.ones(B.shape[1]), 0.0, np.inf
+    B = B / scale
     for _ in range(1000):
-        y = B @ x
-        g = (B.T @ y ** (p - 1.0)) ** (q - 1.0)
-        lo = float(np.sum(y ** p) ** (1 / p) / np.sum(x ** p) ** (1 / p))
-        up = float(np.max(g / x) ** (1 / q))
+        m = float((y := B @ x).max())  # powers only of B / max B and of vectors with max 1
+        h = B.T @ (y / m) ** (p - 1.0)
+        g = (h / h.max()) ** (q - 1.0)  # G(x) = m h.max()^(q-1) g, as (p-1)(q-1) = 1
+        lo = scale * m * float(np.sum((y / m) ** p) / np.sum(x ** p)) ** (1 / p)
+        up = scale * float(m * np.max(g / x)) ** (1 / q) * float(h.max()) ** (1 / p)
         if not np.isfinite(lo + up):
             raise NumericError(f"regular-norm iteration overflowed: lower {lo}, upper {up}")
         if lo <= lower and up >= upper:
             break
         lower, upper = max(lower, lo), min(upper, up)
-        x = np.maximum(g / g.max(), 1e-12)
+        x = np.maximum(g, 1e-12)
     return NormInterval(min(lower, upper), upper, upper - lower <= cfg.opt_tol * upper)
 
 

@@ -323,16 +323,16 @@ def certify_separating(
 ) -> SeparatingVerdict:
     """Certify (via successful extraction, which is sound) or falsify (via a
     positive disjoint pair whose images fail to be disjoint) the separating
-    property.  The witness search draws ``witness_seeds`` positive pairs
-    with orthogonal supports (``random_disjoint_pair``), one seeded stream
-    each; running out of budget yields an honest undetermined."""
+    property.  The search draws 4 positive pairs with orthogonal supports
+    (``random_disjoint_pair``, one seeded stream each) per ``witness_seeds``;
+    running out of budget yields an honest undetermined."""
     res = extract_yeadon(T, cfg)
     if isinstance(res, YeadonTriple):
         return SeparatingVerdict(CERTIFIED, triple=res)
 
     viol_tol = max(1e-6, 1e3 * cfg.algebraic_tol)
     action_scale = max(float(np.abs(T.action).max()), 1e-300)
-    for s in range(witness_seeds if T.domain.coord_dim >= 2 else 0):
+    for s in range(4 * witness_seeds if T.domain.coord_dim >= 2 else 0):
         a, b = random_disjoint_pair(T.domain, rng_from(cfg.seed, 9300, s), positive=True)
         ta, tb = T(a), T(b)
         na, nb = ta.sup_norm(), tb.sup_norm()
@@ -341,12 +341,8 @@ def certify_separating(
             continue
         cross = max((ta.H * tb).sup_norm(), (ta * tb.H).sup_norm())
         if cross > viol_tol * na * nb:
-            return SeparatingVerdict(
-                FALSIFIED,
-                witness=(a, b),
-                evidence={"violation": cross / (na * nb),
-                          "extraction": res.reason},
-            )
+            return SeparatingVerdict(FALSIFIED, witness=(a, b), evidence={
+                "violation": cross / (na * nb), "extraction": res.reason})
     return SeparatingVerdict(UNDETERMINED, evidence={"extraction": res.reason,
                                                      "seeds": witness_seeds})
 

@@ -187,6 +187,30 @@ def test_regular_norm_collatz_wielandt(p):
             assert value == pytest.approx(np.linalg.norm(B, 2), rel=1e-12, abs=0)
 
 
+def test_regular_norm_closed_forms_at_two_and_inf():
+    # a near-tied spectrum stalls a power iteration; the SVD is exact at p = 2
+    M = commutative_matrix(np.diag([1.0, 0.999]), [1.0, 1.0], [1.0, 1.0], 2.0)
+    cert = certify_l1_norm(M, 2.0, CFG, ratio_budget=5)
+    assert cert.route == ROUTE_COMMUTATIVE and cert.value_interval.certified_exact
+    assert cert.value_interval.upper == cert.value_interval.lower == 1.0
+    M = commutative_matrix(np.array([[1.0, -2.0], [3.0, 4j]]), [1.0, 2.0], [1.0, 0.5], np.inf)
+    assert regular_norm_commutative(M, np.inf, CFG) == 7.0
+
+
+@pytest.mark.parametrize("entry, p", [(3.0, 1.001), (1e4, 1.01), (1e-160, 3.0), (1e120, 3.0)])
+def test_regular_norm_scales_out_extreme_entries(entry, p):
+    A = np.array([[1.0, 0.5, 0.0], [0.25, 2.0, 1.0]])
+    one = commutative_matrix(np.array([[entry]]), [1.0], [1.0], p)
+    assert regular_norm_commutative(one, p, CFG) == pytest.approx(entry, rel=1e-12, abs=0)
+    from nclp.certify import _regular_norm_interval
+
+    scaled = commutative_matrix(entry * A, [1.0, 0.5, 2.0], [0.7, 1.3], p)
+    unit = commutative_matrix(A, [1.0, 0.5, 2.0], [0.7, 1.3], p)
+    reg = _regular_norm_interval(scaled, p, CFG)
+    assert reg.certified_exact
+    assert reg.upper == pytest.approx(entry * regular_norm_commutative(unit, p, CFG), rel=1e-12, abs=0)
+
+
 def test_structural_routes_ignore_the_seed():
     from nclp.yeadon import verify_jordan
 

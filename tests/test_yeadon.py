@@ -311,6 +311,26 @@ def test_certify_separating_rotation_falsified_with_witness():
     assert not disjoint(T(a), T(b), CFG)
 
 
+def test_witness_budget_draws_four_pairs_per_unit(monkeypatch):
+    import nclp.yeadon
+    from nclp.maps import LinearMap
+    from nclp.yeadon import UNDETERMINED
+
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return random_disjoint_pair(*args, **kwargs)
+
+    monkeypatch.setattr(nclp.yeadon, "random_disjoint_pair", counted)
+    # off a Jordan map by more than extraction tolerates and by less than a
+    # witness must show: every pair of the budget is tried
+    J = transpose_map(matrix_algebra(2), 2.0)
+    T = LinearMap(J.domain, J.codomain, J.action + 1e-7 * np.ones(J.action.shape), 2.0)
+    assert certify_separating(T, CFG, witness_seeds=3).status == UNDETERMINED
+    assert len(draws) == 12
+
+
 def test_jordan_homomorphism_maps_certify():
     rng = rng_from(4)
     for _ in range(5):
