@@ -1,10 +1,11 @@
 """Estimation and theorem-backed certification of the ell^1-extension norm.
 
 For T between L^p spaces, the quantity of interest is the norm of T acting
-entrywise on ell^1-valued sequences.  Sampling sequence ratios gives sound
-lower bounds; certified upper bounds come from structure, read from the
-action matrix by exact tests and tried in order (every map that is not
-diagonal or separating takes one Choi test and one ``op_norm``):
+entrywise on ell^1-valued sequences.  Sampled sequence ratios are sound
+lower bounds, and their singletons hold the one operator-norm search: |T|_p
+is a lower bound for every map.  Certified upper bounds come from structure,
+read from the action matrix by exact tests and tried in order (a map neither
+diagonal nor separating takes one Choi test and op_norm's upper endpoint):
 
   commutative_regular       both algebras diagonal: the value is the norm of
                             the entrywise modulus, by Collatz-Wielandt;
@@ -43,7 +44,6 @@ from .algebra import (
     block_matrix,
     block_entries,
     hermitian_part,
-    identity,
     positive_sqrt,
     zero_element,
 )
@@ -53,12 +53,12 @@ from .maps import (
     UNDETERMINED,
     LinearMap,
     _block_stacks,
-    _boyd_ascent,
+    _norm_search,
+    _norm_upper,
     _weighted_action,
     amplified_map,
     choi_positivity,
-    op_norm,
-    positivity_tests,
+    is_completely_positive,
     unvec,
     vec,
 )
@@ -103,25 +103,22 @@ def l1_ratio_lower(
     budget: int = 30,
 ) -> tuple[float, dict]:
     """Best sampled ratio  lower(T seq) / upper(seq),  a sound lower bound
-    for the ell^1-extension norm.  Sample classes where the input norm is
-    exact (positive sequences, singletons, disjoint pairs at p = 2) carry
-    the most information.  One stacked nonlinear power iteration (at most 25
-    steps) from the identity, a random element and a random positive
-    sharpens the singletons: each start's best iterate and its absolute
-    value (counted as positive singletons) are sampled too.  The samples of
-    each length take one sequence-norm solve for their inputs (closed form,
-    else polar step) and one for their images (``RATIO_STEPS``).  Exponents
-    outside [1, inf), nan included, raise DomainError."""
+    for the ell^1-extension norm.  ``budget`` sizes the random classes
+    (positive sequences, singletons, disjoint pairs at p = 2, generic pairs;
+    0 draws none).  The singletons also take every row of ``_norm_search``,
+    started from a random element and a random positive too, and its
+    absolute value (a positive singleton): ``singleton`` is at least
+    op_norm's lower endpoint, and the norm at p = 2.  Each length takes one
+    sequence-norm solve for the inputs (closed form, else polar step) and
+    one for the images (``RATIO_STEPS``).  p outside [1, inf), nan
+    included, raises DomainError."""
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
-    if budget <= 0:
-        return 0.0, {"best": 0.0, "singleton": 0.0, "positive_singleton": 0.0,
-                     "samples": 0}
     rng = rng_from(cfg.seed, 9600)
     dom = T.domain
     # (items, counted as a positive singleton), in the order of the draws
     samples: list[tuple[list[Element], bool]] = []
-    per_class = max(3, budget // 5)
+    per_class = max(3, budget // 5) if budget > 0 else 0
     for i in range(per_class):
         samples.append(([random_positive(dom, rng) for _ in range(2 + i % 2)], False))
     for _ in range(per_class):
@@ -133,9 +130,8 @@ def l1_ratio_lower(
     for _ in range(per_class):
         samples.append(([random_element(dom, rng), random_element(dom, rng)], False))
 
-    starts = [identity(dom), random_element(dom, rng), random_positive(dom, rng)]
-    values, args = _boyd_ascent(T, p, cfg, 25, np.stack([vec(x) for x in starts]))
-    for value, row in zip(values, args):
+    starts = [vec(random_element(dom, rng)), vec(random_positive(dom, rng))]
+    for value, row in zip(*_norm_search(T, p, cfg, starts)):
         if value > 0:
             arg = unvec(dom, row)
             samples.append(([arg], is_positive(arg, cfg)))
@@ -147,11 +143,8 @@ def l1_ratio_lower(
         group = [sample for sample in samples if len(sample[0]) == n]
         X = _rows([items for items, _ in group])
         up = _solve(X, dom.weights, p, cfg, 0)[1]
-        # T on each item's coordinates, one matrix-vector product per item as
-        # in T(x): a matrix-matrix product rounds differently
         coords = np.concatenate([S.reshape(len(group) * n, -1) for S in X], axis=1)
-        images = np.stack([T.action @ v for v in coords])
-        TX = [S.reshape(len(group), n, *S.shape[1:]) for S in _block_stacks(T.codomain, images)]
+        TX = [S.reshape(len(group), n, *S.shape[1:]) for S in _block_stacks(T.codomain, coords @ T.action.T)]
         lo = _solve(TX, T.codomain.weights, p, cfg, RATIO_STEPS)[0]
         for (_, positive), lo_i, up_i in zip(group, lo, up):
             if up_i <= 1e-12:
@@ -192,8 +185,9 @@ def _regular_norm_interval(T: LinearMap, p: float, cfg: ToleranceConfig) -> Norm
     if p in (1, 2, np.inf) or not B.any():
         value = float(np.linalg.norm(B, p)) if p in (1, 2, np.inf) else 0.0
         return NormInterval(value, value, True)
-    scale, q, x, lower, upper = float(B.max()), p / (p - 1.0), np.ones(B.shape[1]), 0.0, np.inf
+    scale, q, x, upper = float(B.max()), p / (p - 1.0), np.ones(B.shape[1]), np.inf
     B = B / scale
+    lower = scale * float(np.sum(B ** p, axis=0).max()) ** (1 / p)  # the best column |B e_j|_p
     for _ in range(1000):
         m = float((y := B @ x).max())  # powers only of B / max B and of vectors with max 1
         h = B.T @ (y / m) ** (p - 1.0)
@@ -235,7 +229,7 @@ def certify_l1_norm(
     """Enclose the ell^1-extension norm by the first of three structural
     cases (module docstring): diagonal algebras; an extracted (w, B, J)
     triple, whose value max_k h_k^(1/p) the lower endpoint |T(1_k)|_p / |1_k|_p
-    at the argmax block checks; else one Choi test and one ``op_norm``."""
+    at the argmax block checks; else one Choi test and ``_norm_upper``."""
     p = T.p if p is None else p
     ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
     evidence: dict = {"ratio": rinfo}
@@ -256,16 +250,17 @@ def certify_l1_norm(
         evidence["separating"] = tri.reason
         evidence["choi"] = choi = choi_positivity(T, cfg)
         positive = choi["positive"] or bool(T.meta.get("positive"))
-        nv = op_norm(T, p, cfg, positive_certified=positive)
-        evidence["op_norm"] = (nv.lower, nv.upper)
-        extra_lower = nv.lower
+        norm = _norm_upper(T, p, positive)[0]
+        # |T|_p <= the ell^1 norm, and the ratio's singletons hold its search
+        extra_lower = min(rinfo["singleton"], norm)
+        evidence["op_norm"] = (extra_lower, norm)
         # at p = 1 the sequence spaces are plain ell^1 sums; a 2-(co)positive
         # T / |T| is an ell^1 contraction, and the ell^1 norm is blind to
         # reversing the product
         if p == 1:
-            route, upper = ROUTE_P1, nv.upper
+            route, upper = ROUTE_P1, norm
         elif choi["cp"] or choi["co_cp"]:
-            route, upper = ROUTE_TWO_POSITIVE, nv.upper
+            route, upper = ROUTE_TWO_POSITIVE, norm
         elif T.meta.get("convex_parts"):
             t, T1, T2 = T.meta["convex_parts"]
             c1 = certify_l1_norm(T1, p, cfg, ratio_budget=0)
@@ -275,7 +270,7 @@ def certify_l1_norm(
             evidence["via"] = "convex_combination"
             evidence["part_routes"] = (c1.route, c2.route)
         elif positive:
-            route, upper = ROUTE_POSITIVE, 4.0 * nv.upper
+            route, upper = ROUTE_POSITIVE, 4.0 * norm
         else:
             route, upper = ROUTE_SAMPLED, np.inf
 
@@ -465,11 +460,8 @@ def constructive_witnesses(
         return PolarizationWitness(components, float(recon), sums, image_sums, factor_norms)
 
     if kind == "two_positive_sqrt":
-        gate = positivity_tests(T, "two_positive", cfg)
-        if gate.status != CERTIFIED:
-            raise DomainError(
-                f"two_positive_sqrt needs a certified 2-positive map (got {gate.status})"
-            )
+        if not is_completely_positive(T, cfg)[0]:
+            raise DomainError("two_positive_sqrt needs a map that the Choi test proves completely positive")
         a_n, b_n, factor_norms = _normalized_factorization(seq, p, cfg)
         amp = amplified_map(T, 2)
         alg = seq.algebra

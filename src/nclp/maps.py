@@ -260,29 +260,29 @@ def _boyd_ascent(
     return best, arg
 
 
-def op_norm(
-    T: LinearMap,
-    p: Optional[float] = None,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    positive_certified: Optional[bool] = None,
-) -> NormInterval:
-    """Enclosure of the L^p -> L^p operator norm.
+def _norm_search(T: LinearMap, p: float, cfg: ToleranceConfig, extra=()) -> tuple[np.ndarray, np.ndarray]:
+    """Lower endpoints of the L^p -> L^p norm, each with its argument as a
+    coordinate row of norm one.  At p = 2 the one row is the top right
+    singular vector of the weighted action, unweighted, and its value is the
+    norm.  Otherwise one stacked Boyd ascent (at most 30 steps) from the
+    identity, six seeded draws and the rows of ``extra``."""
+    if p == 2:
+        _, s, Vh = np.linalg.svd(_weighted_action(T))
+        return s[:1], (Vh[0].conj() / np.sqrt(coord_weights(T.domain)))[None, :]
+    rng = rng_from(cfg.seed, 8000)
+    draws = [np.concatenate([draw(rng, d).reshape(-1) for d in T.domain.dims])
+             for draw in (ginibre, wishart) * 3]
+    return _boyd_ascent(T, p, cfg, 30, np.stack([vec(identity(T.domain)), *draws, *extra]))
 
-    p = 2 is exact (largest singular value in the trace-weighted inner
-    products).  Otherwise the lower endpoint is the best value of one
-    stacked nonlinear power iteration (at most 30 steps) from seven starts,
-    the identity and six seeded draws.  The upper endpoint factors through
-    p = 2, or for a positive map comes from the unit evaluations (exact at
-    p = 1 and p = inf, interpolated in between).  Positivity defaults to
-    ``choi_positivity``, or to the ``positive`` flag of the generators that
-    no exact test covers yet.
-    """
-    p = T.p if p is None else p
-    if not p >= 1:  # also rejects nan
-        raise DomainError(f"op_norm needs p >= 1, got p = {p}")
+
+def _norm_upper(T: LinearMap, p: float, positive: bool) -> tuple[float, str]:
+    """Certified upper endpoint of the L^p -> L^p norm and its method: exact
+    at p = 2 (largest singular value in the trace-weighted inner products),
+    else the p = 2 norm factored and interpolated, or for a ``positive`` map
+    the unit evaluations when smaller (exact at p = 1 and p = inf)."""
     n2 = float(np.linalg.norm(_weighted_action(T), 2))
     if p == 2:
-        return NormInterval(n2, n2, True, meta={"method": "weighted_svd"})
+        return n2, "weighted_svd"
     # crude but certified: factor through p = 2 and interpolate.
     # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
     # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
@@ -295,24 +295,32 @@ def op_norm(
     upper = float(crude1 ** (1.0 / p) * crude_inf ** (1.0 - 1.0 / p))
     endpoint = p in (1, np.inf)
     method = "crude_factorization" if endpoint else "crude_interpolation"
-    if positive_certified is None:
-        positive_certified = choi_positivity(T, cfg)["positive"] or bool(T.meta.get("positive"))
-    if positive_certified:
+    if positive:
         n1 = lp_norm(adjoint_map(T, 1)(identity(T.codomain)), np.inf)
         ninf = lp_norm(T(identity(T.domain)), np.inf)
         pos_upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
         if pos_upper < upper:
             upper = float(pos_upper)
             method = "positive_unit" if endpoint else "positive_interpolation"
+    return upper, method
 
-    rng = rng_from(cfg.seed, 8000)
-    draws = [np.concatenate([draw(rng, d).reshape(-1) for d in T.domain.dims])
-             for draw in (ginibre, wishart) * 3]
-    lower = float(_boyd_ascent(T, p, cfg, 30, np.stack([vec(identity(T.domain)), *draws]))[0].max())
 
+def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormInterval:
+    """Enclosure of the L^p -> L^p operator norm, exact at p = 2: the best
+    value of ``_norm_search`` and ``_norm_upper``, with positivity read from
+    ``choi_positivity`` or the ``positive`` flag of the generators that no
+    exact test covers yet."""
+    p = T.p if p is None else p
+    if not p >= 1:  # also rejects nan
+        raise DomainError(f"op_norm needs p >= 1, got p = {p}")
+    if p == 2:
+        n2 = _norm_upper(T, p, False)[0]
+        return NormInterval(n2, n2, True, meta={"method": "weighted_svd"})
+    positive = choi_positivity(T, cfg)["positive"] or bool(T.meta.get("positive"))
+    upper, method = _norm_upper(T, p, positive)
+    lower = float(_norm_search(T, p, cfg)[0].max())
     certified = upper < np.inf and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
-    lower = min(lower, upper)
-    return NormInterval(lower, upper, certified, meta={"method": method})
+    return NormInterval(min(lower, upper), upper, certified, meta={"method": method})
 
 
 # ---------------------------------------------------------------------------

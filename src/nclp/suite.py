@@ -42,9 +42,11 @@ from .maps import (
     commutative_matrix,
     depolarizing,
     identity_map,
+    kraus_map,
     op_norm,
     positivity_tests,
     rotation_mixing,
+    scale_map,
     transpose_map,
     unitary_conjugation,
     unvec,
@@ -79,8 +81,8 @@ from .sequences import (
     sum_elements,
 )
 from .yeadon import YeadonTriple, central_decompose, certify_separating, extract_yeadon
-from .certify import (ROUTE_COMMUTATIVE, ROUTE_SEPARATING, certify_l1_norm,
-                      classify_l2_isometry, l1_ratio_lower)
+from .certify import (ROUTE_COMMUTATIVE, ROUTE_P1, ROUTE_SEPARATING, ROUTE_TWO_POSITIVE,
+                      certify_l1_norm, classify_l2_isometry, l1_ratio_lower)
 from . import synth
 
 
@@ -714,11 +716,29 @@ def _prop_commutative_regular(cfg: ToleranceConfig, n: int) -> _Tally:
         T = commutative_matrix(A, rng.uniform(0.5, 2.0, k).tolist(), rng.uniform(0.5, 2.0, m).tolist(), p)
         cert = certify_l1_norm(T, p, cfg, ratio_budget=0)
         value = cert.value_interval.upper
-        ref = op_norm(LinearMap(T.domain, T.codomain, np.abs(T.action), p), p, cfg,
-                     positive_certified=True)
+        ref = op_norm(LinearMap(T.domain, T.codomain, np.abs(T.action), p), p, cfg)
         ok = (cert.route == ROUTE_COMMUTATIVE and bool(cert.value_interval.certified_exact)
               and not cert.alarm and ref.lower * (1 - 1e-12) <= value <= ref.upper * (1 + 1e-12))
         t.check(ok, max(0.0, ref.lower - value, value - ref.upper) / max(value, 1e-300))
+    return t
+
+
+def _prop_two_positive_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
+    """A CP or co-CP map scaled above norm 1 has ell^1-extension norm |T|_p:
+    T / |T| is a 2-(co)positive contraction, and singletons give >=."""
+    rng = rng_from(cfg.seed, 606)
+    algebras = (matrix_algebra(2), matrix_algebra(3), AlgebraDescriptor(((2, 1.0), (1, 0.5))))
+    t = _Tally()
+    for i in range(n):
+        p, alg = P_GRID[i % 4], algebras[i % 3]
+        vs = [Element(alg, [ginibre(rng, d) for d in alg.dims]) for _ in range(1 + i // 8 % 2)]
+        T = scale_map(kraus_map(vs, p, transposed=bool(i // 4 % 2)), float(rng.uniform(1.5, 3.0)))
+        cert = certify_l1_norm(T, p, cfg, ratio_budget=0)
+        iv, upper = cert.value_interval, op_norm(T, p, cfg).upper
+        ok = (cert.route == (ROUTE_P1 if p == 1 else ROUTE_TWO_POSITIVE) and not cert.alarm
+              and iv.lower <= iv.upper * (1 + cfg.opt_tol) and iv.upper == upper
+              and (p not in (1, 2) or bool(iv.certified_exact)))
+        t.check(ok, abs(iv.upper - upper) / upper)
     return t
 
 
@@ -784,6 +804,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("certified-upper-dominates-ratios", "sampled sequence ratios never beat a certified upper bound", 60, _prop_routes_dominate),
     SuiteProperty("separating-norm-sharpness", "separating maps certify exactly from their trace density, inside the operator-norm enclosure, and positive singleton ratios reach it", 12, _prop_separating_sharpness),
     SuiteProperty("commutative-regular-exact", "maps between diagonal algebras certify exactly by the Collatz-Wielandt bound, inside the operator-norm enclosure of the entrywise modulus", 24, _prop_commutative_regular),
+    SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify at their operator-norm upper endpoint, exactly at p = 1 and p = 2", 16, _prop_two_positive_homogeneity),
     SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )

@@ -197,6 +197,16 @@ def test_regular_norm_closed_forms_at_two_and_inf():
     assert regular_norm_commutative(M, np.inf, CFG) == 7.0
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_regular_norm_starts_from_the_best_column(p):
+    # the power iteration converges slowly on a near-tied spectrum; the best
+    # column is a singleton that closes the interval
+    M = commutative_matrix(np.diag([1.0, 0.999]), [1.0, 1.0], [1.0, 1.0], p)
+    cert = certify_l1_norm(M, p, CFG, ratio_budget=5)
+    assert cert.route == ROUTE_COMMUTATIVE and cert.value_interval.certified_exact
+    assert cert.value_interval.lower == cert.value_interval.upper == 1.0
+
+
 @pytest.mark.parametrize("entry, p", [(3.0, 1.001), (1e4, 1.01), (1e-160, 3.0), (1e120, 3.0)])
 def test_regular_norm_scales_out_extreme_entries(entry, p):
     A = np.array([[1.0, 0.5, 0.0], [0.25, 2.0, 1.0]])
@@ -323,7 +333,7 @@ def test_two_positive_sqrt_norm_bound():
     seq = sequence([random_element(alg, rng) for _ in range(2)])
     w = constructive_witnesses(T, seq, "two_positive_sqrt", CFG)
     assert w.identity_residual < 1e-8
-    nv = op_norm(T, 2.0, CFG, positive_certified=True)
+    nv = op_norm(T, 2.0, CFG)
     from nclp.sequences import l1_norm_bounds
 
     iv = l1_norm_bounds(seq, 2.0, CFG)
@@ -351,24 +361,44 @@ def test_certified_routes_dominate_sampled_ratios():
         assert cert.value_interval.lower <= cert.value_interval.upper * (1 + 1e-7)
 
 
-def test_positive_route_runs_one_boyd_ascent(monkeypatch):
-    import nclp.certify
+def _count_ascents(monkeypatch):
+    import nclp.maps
 
-    T = synth.random_positive_map(matrix_algebra(2), 3.0, rng_from(2))
     calls = []
+    ascent = nclp.maps._boyd_ascent
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("positive_certified"))
-        return op_norm(*args, **kwargs)
+        calls.append(args[1])
+        return ascent(*args, **kwargs)
 
-    monkeypatch.setattr(nclp.certify, "op_norm", counted)
+    monkeypatch.setattr(nclp.maps, "_boyd_ascent", counted)
+    return calls
+
+
+def test_positive_route_runs_one_boyd_ascent(monkeypatch):
+    T = synth.random_positive_map(matrix_algebra(2), 3.0, rng_from(2))
+    calls = _count_ascents(monkeypatch)
     cert = certify_l1_norm(T, 3.0, CFG)
     assert cert.route == ROUTE_POSITIVE
-    assert len(calls) == 1
-    # the enclosure the second op_norm call used to give
-    nvp = op_norm(T, 3.0, CFG, positive_certified=True)
-    assert cert.evidence["op_norm"] == (nvp.lower, nvp.upper)
-    assert cert.value_interval.upper == 4.0 * nvp.upper
+    assert calls == [3.0]
+    nv = op_norm(T, 3.0, CFG)
+    assert cert.evidence["op_norm"] == (min(cert.evidence["ratio"]["singleton"], nv.upper), nv.upper)
+    assert cert.value_interval.upper == 4.0 * nv.upper
+
+
+def test_general_route_runs_one_ascent_and_keeps_the_op_norm_lower_endpoint(monkeypatch):
+    rng = rng_from(12)
+    alg = matrix_algebra(2)
+    maps = [LinearMap(alg, alg, ginibre(rng, 4)), synth.random_cp_contraction(alg, 2.0, rng),
+            synth.random_positive_map(alg, 2.0, rng)]
+    calls = _count_ascents(monkeypatch)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for T in maps:
+            del calls[:]
+            cert = certify_l1_norm(T, p, CFG)
+            assert cert.route not in (ROUTE_COMMUTATIVE, ROUTE_SEPARATING)
+            assert calls == ([] if p == 2 else [p])
+            assert cert.value_interval.lower >= op_norm(T, p, CFG).lower * (1 - 1e-12)
 
 
 def test_separating_route_reads_the_triple(monkeypatch):
@@ -382,7 +412,7 @@ def test_separating_route_reads_the_triple(monkeypatch):
     def counted(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(nclp.certify, "op_norm", counted("op_norm", op_norm))
+    monkeypatch.setattr(nclp.certify, "_norm_upper", counted("_norm_upper", nclp.certify._norm_upper))
     monkeypatch.setattr(nclp.yeadon, "certify_separating",
                         counted("certify_separating", nclp.yeadon.certify_separating))
     for p in (1.0, 1.5, 3.0):
@@ -411,14 +441,23 @@ def test_scaled_convex_combination_rescales_its_parts():
 
 
 def test_ratio_lower_frozen_values():
-    # recorded before the samples of one length were solved as one stack:
-    # the stacked solve must print the same digits
+    # the digits of the nine-row operator-norm search, with one image
+    # product per sequence length
     assert l1_ratio_lower(rotation_mixing(0.7, 3.0), 3.0, CFG)[1] == {
-        "best": 1.1153555552907903, "singleton": 1.0763032937574777,
-        "positive_singleton": 1.0763032937574777, "samples": 30}
+        "best": 1.1153555552907908, "singleton": 1.0763032937574777,
+        "positive_singleton": 1.0763032937574777, "samples": 42}
     assert l1_ratio_lower(transpose_map(matrix_algebra(3), 1.5), 1.5, CFG)[1] == {
-        "best": 1.0000000000000002, "singleton": 1.0000000000000002,
-        "positive_singleton": 1.0000000000000002, "samples": 30}
+        "best": 1.0000000000000004, "singleton": 1.0000000000000004,
+        "positive_singleton": 1.0000000000000004, "samples": 42}
+
+
+def test_ratio_singleton_is_the_norm_at_p2():
+    rng = rng_from(13)
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    for T in (LinearMap(alg, alg, ginibre(rng, 5)), rotation_mixing(0.7, 2.0)):
+        info = l1_ratio_lower(T, 2.0, CFG, budget=0)[1]
+        assert info["singleton"] == pytest.approx(op_norm(T, 2.0, CFG).upper, rel=1e-12, abs=0)
+        assert info["samples"] == 2
 
 
 def test_ratio_samples_take_one_solve_per_length_and_side(monkeypatch):
@@ -434,14 +473,15 @@ def test_ratio_samples_take_one_solve_per_length_and_side(monkeypatch):
 
     monkeypatch.setattr(nclp.certify, "_solve", counted)
     # p = 2 draws every class: positive sequences of lengths 2 and 3,
-    # singletons, disjoint and generic pairs, and the Boyd singletons
+    # singletons, disjoint and generic pairs, and the top singular vector
+    # and its modulus
     _, info = l1_ratio_lower(rotation_mixing(0.7, 2.0), 2.0, CFG, budget=25)
     lengths = sorted({n for n, _, _ in calls})
     assert lengths == [1, 2, 3]
     assert sorted((n, steps) for n, steps, _ in calls) == [
         (n, steps) for n in lengths for steps in sorted((0, RATIO_STEPS))]
     inputs = [rows for _, steps, rows in calls if steps == 0]
-    assert sum(inputs) == info["samples"] == 5 + 2 * 5 + 5 + 5 + 2 * 3
+    assert sum(inputs) == info["samples"] == 5 + 2 * 5 + 5 + 5 + 2
 
 
 def test_classify_reads_positivity_from_the_choi_test(monkeypatch):
