@@ -240,7 +240,7 @@ def hermitian_part(x: Element) -> Element:
 
 
 def _nearly_selfadjoint(x: Element, tol: float) -> bool:
-    """|x - x*| <= tol * max(|x|, 1) in operator norm."""
+    """|x - x*| <= tol * |x| in operator norm."""
     return bool(_selfadjoint(x.blocks, tol, _sup_norms(x.blocks)))
 
 
@@ -268,9 +268,10 @@ def _sup_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _selfadjoint(stacks: Sequence[np.ndarray], tol: float, scale: np.ndarray) -> np.ndarray:
-    """|x - x*| <= tol * max(|x|, 1) in operator norm for each element given
-    blockwise as (..., d, d) stacks, whose operator norms |x| are ``scale``."""
-    return _sup_norms([S - _adjoint(S) for S in stacks]) <= tol * np.maximum(scale, 1.0)
+    """|x - x*| <= tol * |x| in operator norm for each element given
+    blockwise as (..., d, d) stacks, whose operator norms |x| are ``scale``:
+    relative at every scale, so a small element is judged like its multiples."""
+    return _sup_norms([S - _adjoint(S) for S in stacks]) <= tol * scale
 
 
 def _ranked_svd(

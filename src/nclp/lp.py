@@ -83,15 +83,12 @@ def hs_inner(a: Element, b: Element) -> complex:
     return complex((a.H * b).trace())
 
 
-def _hermitian_spectrum(x: Element) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (x + x*)/2 over all blocks, ascending."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (b + _adjoint(b))) for b in x.blocks]))
-
-
 def _positive(stacks: list[np.ndarray], cfg: ToleranceConfig) -> np.ndarray:
     """``is_positive`` of each element given blockwise as (..., d_k, d_k)
-    stacks: |x - x*| <= tol * max(|x|, 1), then (only if some element
-    passes) the Hermitian part's lowest eigenvalue >= -tol * |x|."""
+    stacks: |x - x*| <= tol * |x|, then (only if some element passes) the
+    Hermitian part's lowest eigenvalue >= -tol * |x|.  Every positivity
+    verdict in the package, the Choi test and the sampled probes of ``maps``
+    included, is decided here."""
     scale = _sup_norms(stacks)
     ok = _selfadjoint(stacks, cfg.algebraic_tol, scale)
     if ok.any():

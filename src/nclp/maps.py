@@ -5,8 +5,11 @@ block spaces (row-major within each block, blocks concatenated), together
 with the exponent p giving its norm semantics.  The module provides
 application, trace-duality adjoints, norm enclosures, the positivity
 hierarchy (positive / 2-positive / completely positive via component Choi
-matrices), amplification, and a library of constructors that write their
-action matrix directly, as coordinate copies or sums of kron(v, conj v).
+matrices, 2-positivity read as positivity of the 2-amplification; every
+verdict, the seeded rank-one probes included, comes from the one test
+``lp._positive``), amplification, and a library of constructors that
+write their action matrix directly, as coordinate copies or sums of
+kron(v, conj v).
 ``map_from_function`` (evaluation on every matrix unit) is their reference.
 Sampled norm lower bounds come from Boyd's power method, run from a stack
 of starts at once, the rows of one coordinate array: each step takes two
@@ -35,12 +38,11 @@ from .algebra import (
     amplify,
     basis,
     diagonal_algebra,
-    hermitian_part,
     identity,
     matrix_algebra,
     polar_support,
 )
-from .lp import _hermitian_spectrum, _norms, _schatten, conjugate_exponent, is_positive, lp_norm
+from .lp import _norms, _positive, _schatten, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
 from .sequences import UNDETERMINED, NormInterval
 
@@ -355,26 +357,14 @@ def choi_components(T: LinearMap) -> list[list[np.ndarray]]:
     return comps
 
 
-def _choi_floor(C: np.ndarray, cfg: ToleranceConfig) -> float:
-    """Smallest eigenvalue of the Hermitian part of C, or minus the
-    Hermiticity defect of C when that exceeds the tolerance."""
-    H = 0.5 * (C + C.conj().T)
-    herm_defect = float(np.linalg.norm(C - H, 2))
-    if herm_defect > cfg.algebraic_tol * max(float(np.linalg.norm(H, 2)), 1.0):
-        return -herm_defect
-    return float(np.linalg.eigvalsh(H).min())
-
-
-def _floor_ok(lo: float, cfg: ToleranceConfig) -> bool:
-    return lo >= -cfg.algebraic_tol * max(abs(lo), 1.0)
-
-
 def is_completely_positive(
     T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[bool, float]:
-    """Exact Choi criterion; returns (verdict, smallest component eigenvalue)."""
-    worst = min(_choi_floor(C, cfg) for row in choi_components(T) for C in row)
-    return _floor_ok(worst, cfg), worst
+    """The "cp" verdict of ``choi_positivity``, with the smallest eigenvalue
+    of the Hermitian parts of the component Choi matrices as evidence."""
+    worst = min(float(np.linalg.eigvalsh(0.5 * (C + _adjoint(C)))[0])
+                for row in choi_components(T) for C in row)
+    return choi_positivity(T, cfg)["cp"], worst
 
 
 def choi_positivity(T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict:
@@ -383,79 +373,41 @@ def choi_positivity(T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict
     transposed on its M_{c_l} factor: x -> T(x)^T is CP) and "positive"
     (every component T_lk is CP or co-CP, which proves T positive because
     T(x)_l = sum_k T_lk(x_k); a positive component that is neither, such as
-    a hom plus an anti copy of one block, is missed)."""
+    a hom plus an anti copy of one block, is missed).  Each C_lk and its
+    partial transpose are judged as one stack by ``lp._positive``, each
+    relative to its own norm."""
     cp = co_cp = positive = True
     for row, c in zip(choi_components(T), T.codomain.dims):
         for C, d in zip(row, T.domain.dims):
             C_co = C.reshape(d, c, d, c).transpose(0, 3, 2, 1).reshape(d * c, d * c)
-            a, b = _floor_ok(_choi_floor(C, cfg), cfg), _floor_ok(_choi_floor(C_co, cfg), cfg)
+            a, b = _positive([np.stack([C, C_co])], cfg).tolist()
             cp, co_cp, positive = cp and a, co_cp and b, positive and (a or b)
     return {"cp": cp, "co_cp": co_cp, "positive": positive}
 
 
-def _positive_samples(algebra, rng, count):
-    out = []
-    for k, d in enumerate(algebra.dims):
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        blocks = [np.zeros((dd, dd), dtype=complex) for dd in algebra.dims]
-        blocks[k] = np.outer(psi, psi.conj())
-        out.append(Element(algebra, blocks))
-    for _ in range(count):
-        out.append(Element(algebra, [wishart(rng, d) for d in algebra.dims]))
-    return out
+def _rank_one_positives(algebra: AlgebraDescriptor, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Coordinate rows of rank-one positives psi psi*, the extreme rays of
+    the cone: one on each block alone, then ``count`` with one on every
+    block."""
+    n = len(algebra.dims)
+    X = np.zeros((n + count, algebra.coord_dim), dtype=complex)
+    for k, (d, s) in enumerate(zip(algebra.dims, algebra.slices)):
+        psi = rng.standard_normal((1 + count, d)) + 1j * rng.standard_normal((1 + count, d))
+        outer = (psi[:, :, None] * psi[:, None, :].conj()).reshape(1 + count, d * d)
+        X[k, s], X[n:, s] = outer[0], outer[1:]
+    return X
 
 
-def _entangled_samples(base, n, rng, count):
-    """Rank-one positives of M_n(base) that straddle the grid, including the
-    identity-correlated vectors that detect non 2-positive maps."""
-    amp = amplify(base, n)
-    out = []
-    for k, d in enumerate(base.dims):
-        if d < 2:
-            continue
-        psi = np.zeros(n * d, dtype=complex)
-        for r in range(min(n, d)):
-            psi[r * d + r] = 1.0
-        blocks = [np.zeros((n * dd, n * dd), dtype=complex) for dd in base.dims]
-        blocks[k] = np.outer(psi, psi.conj()) / max(np.linalg.norm(psi) ** 2, 1)
-        out.append(Element(amp, blocks))
-    for _ in range(count):
-        blocks = []
-        for dd in base.dims:
-            psi = rng.standard_normal(n * dd) + 1j * rng.standard_normal(n * dd)
-            blocks.append(np.outer(psi, psi.conj()))
-        out.append(Element(amp, blocks))
-    return out
-
-
-def _sampled_positivity(T: LinearMap, level: str, cfg: ToleranceConfig) -> PositivityVerdict:
-    """Seeded probes of ``level`` ("positive" or "two_positive"): falsified
-    with the first positive input whose image leaves the cone, otherwise
-    undetermined with the trial count and the worst relative eigenvalue."""
-    rng = rng_from(cfg.seed, 8100 if level == "positive" else 8200)
-    if level == "positive":
-        probe, inputs = T, _positive_samples(T.domain, rng, 48)
-    else:
-        probe = amplified_map(T, 2)
-        inputs = _entangled_samples(T.domain, 2, rng, 48)
-
-    floor = -cfg.algebraic_tol
-    worst = np.inf
-    for x in inputs:
-        y = probe(x)
-        lo = float(_hermitian_spectrum(y)[0])
-        defect = (y - hermitian_part(y)).sup_norm()
-        if defect > 0:
-            lo = min(lo, -defect)
-        scale = max(y.sup_norm(), 1.0)
-        worst = min(worst, lo / scale)
-        if lo < floor * scale:
-            return PositivityVerdict(
-                FALSIFIED, witness=x, evidence={"min_eig": lo, "level": level}
-            )
-    return PositivityVerdict(
-        UNDETERMINED, evidence={"trials": len(inputs), "worst_relative_eig": worst}
-    )
+def _sampled_positivity(T: LinearMap, cfg: ToleranceConfig) -> PositivityVerdict:
+    """Seeded rank-one probes, mapped by one product and judged by one
+    ``lp._positive`` call: falsified with the first probe whose image leaves
+    the cone, otherwise undetermined with the trial count."""
+    X = _rank_one_positives(T.domain, rng_from(cfg.seed, 8100), 48)
+    ok = _positive(_block_stacks(T.codomain, X @ T.action.T), cfg)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        return PositivityVerdict(FALSIFIED, witness=unvec(T.domain, X[i]), evidence={"trials": i + 1})
+    return PositivityVerdict(UNDETERMINED, evidence={"trials": len(X)})
 
 
 def positivity_tests(
@@ -466,31 +418,24 @@ def positivity_tests(
     """Positivity verdicts at the requested level.
 
     "certified" requires a proof: the Choi criterion for complete
-    positivity (which dominates the lower levels), ``choi_positivity`` for
-    positivity, or, at the level "positive" only, the ``positive`` flag of
-    the generators that no exact test covers yet.  Otherwise seeded samples
-    can only falsify; a clean run is reported undetermined with the trial
-    count as confidence.
+    positivity, ``choi_positivity`` for positivity, or the ``positive``
+    flag of the generators that no exact test covers yet.  2-positivity is
+    positivity of the 2-amplification, which carries no flag.  Otherwise
+    seeded rank-one probes can only falsify; a clean run is reported
+    undetermined with the trial count as confidence.
     """
     if level not in ("positive", "two_positive", "completely_positive"):
         raise DomainError(f"unknown positivity level {level!r}")
-
-    if level == "positive":
-        choi = choi_positivity(T, cfg)
-        if choi["positive"]:
-            return PositivityVerdict(CERTIFIED, evidence={"route": "choi", **choi})
-    else:
-        cp_ok, cp_eig = is_completely_positive(T, cfg)
-        if level == "completely_positive":
-            return PositivityVerdict(CERTIFIED if cp_ok else FALSIFIED, evidence={"choi_min_eig": cp_eig})
-        if cp_ok:
-            return PositivityVerdict(CERTIFIED, evidence={"route": "choi", "choi_min_eig": cp_eig})
-
-    verdict = _sampled_positivity(T, level, cfg)
-    if verdict.status == UNDETERMINED and level == "positive" and T.meta.get("positive"):
-        return PositivityVerdict(
-            CERTIFIED, evidence={"route": "provenance", "trials": verdict.evidence["trials"]}
-        )
+    if level == "two_positive":
+        return positivity_tests(amplified_map(T, 2), "positive", cfg)
+    choi = choi_positivity(T, cfg)
+    if level == "completely_positive":
+        return PositivityVerdict(CERTIFIED if choi["cp"] else FALSIFIED, evidence={"route": "choi", **choi})
+    if choi["positive"]:
+        return PositivityVerdict(CERTIFIED, evidence={"route": "choi", **choi})
+    verdict = _sampled_positivity(T, cfg)
+    if verdict.status == UNDETERMINED and T.meta.get("positive"):
+        return PositivityVerdict(CERTIFIED, evidence={"route": "provenance", **verdict.evidence})
     return verdict
 
 

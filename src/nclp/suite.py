@@ -28,7 +28,7 @@ from .algebra import (
     polar_support,
     spectral_projection,
 )
-from .lp import conjugate_exponent, disjoint, duality_pair, lp_norm
+from .lp import conjugate_exponent, disjoint, duality_pair, is_positive, lp_norm
 from .maps import (
     CERTIFIED,
     FALSIFIED,
@@ -505,19 +505,23 @@ def _prop_cp_constructors(cfg: ToleranceConfig, n: int) -> _Tally:
 
 
 def _prop_amplified_consistency(cfg: ToleranceConfig, n: int) -> _Tally:
+    """The transposition and the rotation are falsified with a positive
+    input of the 2-amplification whose image leaves the cone; the CP maps
+    are certified."""
     rng = rng_from(cfg.seed, 403)
     t = _Tally()
     library = [
-        transpose_map(matrix_algebra(2), 2.0),
-        depolarizing(matrix_algebra(2), 0.5, 2.0),
-        unitary_conjugation(random_unitary(matrix_algebra(3), rng), 2.0),
-        rotation_mixing(0.9, 2.0),
+        (transpose_map(matrix_algebra(2), 2.0), FALSIFIED),
+        (depolarizing(matrix_algebra(2), 0.5, 2.0), CERTIFIED),
+        (unitary_conjugation(random_unitary(matrix_algebra(3), rng), 2.0), CERTIFIED),
+        (rotation_mixing(0.9, 2.0), FALSIFIED),
     ]
     for i in range(n):
-        T = library[i % len(library)]
-        direct = positivity_tests(T, "two_positive", cfg)
-        amp = positivity_tests(amplified_map(T, 2), "positive", cfg)
-        t.check((direct.status == FALSIFIED) == (amp.status == FALSIFIED))
+        T, want = library[i % len(library)]
+        got, amp = positivity_tests(T, "two_positive", cfg), amplified_map(T, 2)
+        witnessed = (got.witness is not None and got.witness.algebra == amp.domain
+                     and is_positive(got.witness, cfg) and not is_positive(amp(got.witness), cfg))
+        t.check(got.status == want and (want == CERTIFIED or witnessed))
     return t
 
 
@@ -543,7 +547,7 @@ def _prop_choi_positivity(cfg: ToleranceConfig, n: int) -> _Tally:
         got = choi_positivity(T, cfg)
         ok = (got["positive"] == bool((kinds < 2).all()) and got["cp"] >= bool((kinds == 0).all())
               and got["co_cp"] >= bool((kinds == 1).all()))
-        t.check(ok and not (got["positive"] and _sampled_positivity(T, "positive", cfg).status == FALSIFIED))
+        t.check(ok and not (got["positive"] and _sampled_positivity(T, cfg).status == FALSIFIED))
     return t
 
 
@@ -742,6 +746,32 @@ def _prop_two_positive_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
     return t
 
 
+SCALES = (1e-12, 1e-6, 1e6, 1e12)
+
+
+def _prop_scale_equivariance(cfg: ToleranceConfig, n: int) -> _Tally:
+    """certify_l1_norm(c T, p) takes the route and alarm of T, with c times
+    its endpoints: every test on the way is relative to the map's scale.
+    Instance i takes map i % 8, p = P_GRID[i // 8 % 4] and c from SCALES,
+    so that 128 instances cover the grid once."""
+    rng = rng_from(cfg.seed, 607)
+    alg, m2 = AlgebraDescriptor(((2, 1.0), (1, 0.5))), matrix_algebra(2)
+    v = Element(alg, [ginibre(rng, d) for d in alg.dims])
+    library = [transpose_map(alg), rotation_mixing(0.9), LinearMap(m2, m2, ginibre(rng, 4)),
+               kraus_map([v]), kraus_map([v], transposed=True), synth.random_yeadon_map(rng)[0],
+               synth.random_cp_contraction(alg, 2.0, rng), synth.random_commutative_map(rng)]
+    t = _Tally()
+    for i in range(n):
+        T, p, c = library[i % 8], P_GRID[i // 8 % 4], SCALES[(i + i // 8 + i // 32) % 4]
+        base = certify_l1_norm(T, p, cfg, ratio_budget=0)
+        cert = certify_l1_norm(scale_map(T, c), p, cfg, ratio_budget=0)
+        moves = [0.0 if a == c * b else abs(a - c * b) / abs(c * b)
+                 for a, b in zip((cert.value_interval.lower, cert.value_interval.upper),
+                                 (base.value_interval.lower, base.value_interval.upper))]
+        t.check(cert.route == base.route and cert.alarm == base.alarm and max(moves) <= 1e-9, max(moves))
+    return t
+
+
 def _prop_isometry_agreement(cfg: ToleranceConfig, n: int) -> _Tally:
     rng = rng_from(cfg.seed, 603)
     t = _Tally()
@@ -796,7 +826,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("cp-constructor-certification", "completely positive constructors certify at all three positivity levels", 24, _prop_cp_constructors),
     SuiteProperty("choi-positivity-sound", "a map whose block components are each completely positive or completely copositive is positive", 12, _prop_choi_positivity),
     SuiteProperty("boyd-step-monotone", "one step of the operator-norm power method never lowers the ratio", 120, _prop_boyd_step_monotone),
-    SuiteProperty("amplified-two-positive", "2-positivity falsifies exactly when the 2-amplification stops being positive", 16, _prop_amplified_consistency),
+    SuiteProperty("amplified-two-positive", "2-positivity is positivity of the 2-amplification: the transposition and the rotation fail it with a witness, CP maps pass", 16, _prop_amplified_consistency),
     SuiteProperty("factorization-roundtrip", "synthetic (w, B, J) maps are recovered by extraction", 40, _prop_yeadon_roundtrip),
     SuiteProperty("separating-preserves-disjointness", "certified separating maps send disjoint pairs to disjoint pairs", 500, _prop_separating_preserves),
     SuiteProperty("separating-verdict-stability", "separating verdicts are reproducible across repeated seeded runs", 16, _prop_separating_stability),
@@ -805,6 +835,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("separating-norm-sharpness", "separating maps certify exactly from their trace density, inside the operator-norm enclosure, and positive singleton ratios reach it", 12, _prop_separating_sharpness),
     SuiteProperty("commutative-regular-exact", "maps between diagonal algebras certify exactly by the Collatz-Wielandt bound, inside the operator-norm enclosure of the entrywise modulus", 24, _prop_commutative_regular),
     SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify at their operator-norm upper endpoint, exactly at p = 1 and p = 2", 16, _prop_two_positive_homogeneity),
+    SuiteProperty("scale-equivariance", "certificates of c T keep the route and alarm of T and scale both endpoints by c", 32, _prop_scale_equivariance),
     SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )

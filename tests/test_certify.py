@@ -16,6 +16,7 @@ from nclp.certify import (
     ROUTE_COMMUTATIVE,
     ROUTE_P1,
     ROUTE_POSITIVE,
+    ROUTE_SAMPLED,
     ROUTE_SEPARATING,
     ROUTE_TWO_POSITIVE,
     YTF,
@@ -511,3 +512,41 @@ def test_classify_sends_its_pairs_through_one_solve(monkeypatch):
     cls = classify_l2_isometry(rotation_mixing(np.pi / 4), CFG, pairs=18)
     assert cls.evidence["pair_statuses"] == {"not_disjoint": 18}
     assert calls == [(18, 2, 2.0, MAX_STEPS)]
+
+
+def _assert_scaled(cert, base, c):
+    assert cert.route == base.route and cert.alarm == base.alarm
+    assert cert.value_interval.lower == pytest.approx(c * base.value_interval.lower, rel=1e-9)
+    assert cert.value_interval.upper == pytest.approx(c * base.value_interval.upper, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_small_transposition_certifies_separating(p):
+    # extraction measures the zero weight against the action's scale: the
+    # transposition scaled by 1e-9 is not taken for the zero map
+    T = transpose_map(matrix_algebra(2))
+    cert = certify_l1_norm(scale_map(T, 1e-9), p, CFG)
+    assert cert.route == ROUTE_SEPARATING and not cert.alarm
+    assert cert.value_interval.lower == pytest.approx(1e-9, rel=1e-9)
+    assert cert.value_interval.upper == pytest.approx(1e-9, rel=1e-9)
+    _assert_scaled(cert, certify_l1_norm(T, p, CFG), 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_small_rotation_is_not_completely_positive(p):
+    # the Choi test is relative to each Choi matrix's norm: rotation_mixing
+    # scaled by 1e-9 is neither CP nor positive, as at unit scale
+    T = rotation_mixing(np.pi / 4)
+    cert = certify_l1_norm(scale_map(T, 1e-9), p, CFG)
+    assert cert.route == ROUTE_SAMPLED and not cert.alarm
+    assert cert.value_interval.upper == np.inf
+    _assert_scaled(cert, certify_l1_norm(T, p, CFG), 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_large_rank_one_kraus_map_stays_two_positive(p):
+    v = random_element(AlgebraDescriptor(((2, 1.0), (1, 0.5))), rng_from(3))
+    T = kraus_map([v])
+    cert = certify_l1_norm(scale_map(T, 1e12), p, CFG)
+    assert cert.route == ROUTE_TWO_POSITIVE and not cert.alarm
+    _assert_scaled(cert, certify_l1_norm(T, p, CFG), 1e12)

@@ -570,28 +570,30 @@ def test_compose_and_scale():
 
 
 def test_positivity_sampling_applies_the_probe_once_per_sample(monkeypatch):
+    import nclp.maps
     from nclp import synth
+    from nclp.lp import is_positive
     from nclp.maps import UNDETERMINED
 
     T = synth.random_positive_map(matrix_algebra(2), 2.0, rng_from(2))
-    calls = []
-    apply = LinearMap.__call__
+    calls, judged = [], []
+    apply, positive = LinearMap.__call__, nclp.maps._positive
     monkeypatch.setattr(LinearMap, "__call__", lambda self, x: calls.append(x) or apply(self, x))
-    assert positivity_tests(T, "positive", CFG).status == CERTIFIED  # by provenance
-    assert len(calls) == 49
-    # without the provenance flag the evidence is the worst sample, which
-    # must equal that of the loop that applied the probe twice per sample
-    del T.meta["positive"]
-    calls.clear()
+    monkeypatch.setattr(nclp.maps, "_positive",
+                        lambda stacks, cfg: judged.append([S.shape for S in stacks]) or positive(stacks, cfg))
     verdict = positivity_tests(T, "positive", CFG)
-    assert len(calls) == 49
-    worst = np.inf
-    for x in calls:
-        y = apply(T, x)
-        h = 0.5 * (y + y.H)
-        lo = min(float(np.linalg.eigvalsh(b).min()) for b in h.blocks)
-        defect = (y - h).sup_norm()
-        lo = min(lo, -defect) if defect > 0 else lo
-        worst = min(worst, lo / max(apply(T, x).sup_norm(), 1.0))
-    assert verdict.status == UNDETERMINED
-    assert verdict.evidence == {"trials": 49, "worst_relative_eig": worst}
+    assert verdict.status == CERTIFIED  # by provenance
+    assert verdict.evidence == {"route": "provenance", "trials": 49}
+    # one stack for the Choi component and its partial transpose, then the
+    # 49 probe images from one product, judged at once; no per-sample call
+    assert judged == [[(2, 4, 4)], [(49, 2, 2)]] and calls == []
+    del T.meta["positive"]
+    verdict = positivity_tests(T, "positive", CFG)
+    assert verdict.status == UNDETERMINED and verdict.evidence == {"trials": 49}
+    # a falsified map comes with a rank-one positive input whose image
+    # is_positive rejects
+    amp = amplified_map(transpose_map(matrix_algebra(2)), 2)
+    verdict = positivity_tests(amp, "positive", CFG)
+    assert verdict.status == FALSIFIED and is_positive(verdict.witness, CFG)
+    assert np.linalg.matrix_rank(verdict.witness.blocks[0]) == 1
+    assert not is_positive(amp(verdict.witness), CFG)

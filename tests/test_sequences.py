@@ -549,3 +549,22 @@ def test_stack_matches_rows_solved_alone(p):
             alone.lower, alone.upper, alone.certified_exact, alone.meta)
         for got, want in zip(iv.witness, alone.witness):
             assert all(np.array_equal(x, y) for a, b in zip(got, want) for x, y in zip(a.blocks, b.blocks))
+
+
+def test_small_non_selfadjoint_items_keep_the_optimizer_route():
+    # |x - x*| is judged against |x| alone, so these two non-self-adjoint
+    # items scaled by 1e-9 are not taken for positives: the enclosure is
+    # 1e-9 times the one at unit scale, 3.37685, not the positive route's
+    # |x + y|_2 = sqrt(10)
+    alg = matrix_algebra(2)
+
+    def bounds(c):
+        items = [Element(alg, [c * np.array([[1.0, 1.0], [0.0, 1.0]])]),
+                 Element(alg, [c * np.array([[1.0, 0.0], [1.0, 1.0]])])]
+        return l1_norm_bounds(sequence(items), 2.0, CFG)
+
+    unit, small = bounds(1.0), bounds(1e-9)
+    assert unit.meta["route"] == small.meta["route"] == "optimizer"
+    assert unit.lower == pytest.approx(3.37685, rel=1e-5)
+    assert small.lower == pytest.approx(1e-9 * unit.lower, rel=1e-9)
+    assert small.upper == pytest.approx(1e-9 * unit.upper, rel=1e-9)
