@@ -200,16 +200,21 @@ def _rel(a: float, b: float) -> float:
 
 def _number_diffs(a, b, path="$"):
     """Yield (path, relative difference) for every pair of numbers at the
-    same place; (path, None) where the two documents differ otherwise.
-    Decision counts are left to ``_decisions``."""
+    same place; (path, None) where the two documents differ otherwise: at
+    each key that only one dict has, and at a dict whose shared keys are
+    reordered.  Decision counts are left to ``_decisions``."""
     if _is_number(a) and _is_number(b):
         yield path, _rel(float(a), float(b))
     elif isinstance(a, dict) and isinstance(b, dict):
-        if list(a) != list(b):
+        shared = [key for key in a if key in b]
+        if shared != [key for key in b if key in a]:
             yield path, None
-            return
-        for key in a:
-            if key not in DECISION_COUNTS:
+        for key in dict.fromkeys([*a, *b]):
+            if key in DECISION_COUNTS:
+                continue
+            if key not in shared:
+                yield f"{path}.{key}", None
+            else:
                 yield from _number_diffs(a[key], b[key], f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):

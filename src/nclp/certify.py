@@ -21,9 +21,9 @@ diagonal nor separating takes one Choi test and op_norm's upper endpoint):
                             or a ``positive`` flag) has ell^1 norm <= 4 |T|;
   sampled_only              no structure found: lower bound only.
 
-A certificate whose sampled lower bound beats its certified upper bound
-signals an implementation bug (the theorems are unconditional) and is
-flagged as an inconsistency alarm rather than silently clipped.
+Each route also reads a lower endpoint from T; the sampled ratio runs only
+where that enclosure stays open.  A lower endpoint above the certified upper
+one flags an implementation bug (the theorems are unconditional): an alarm.
 """
 
 from __future__ import annotations
@@ -229,31 +229,32 @@ def certify_l1_norm(
     """Enclose the ell^1-extension norm by the first of three structural
     cases (module docstring): diagonal algebras; an extracted (w, B, J)
     triple, whose value max_k h_k^(1/p) the lower endpoint |T(1_k)|_p / |1_k|_p
-    at the argmax block checks; else one Choi test and ``_norm_upper``."""
+    at the argmax block checks; else one Choi test and ``_norm_upper``.  The
+    ratio runs only on an open interval; p outside [1, inf) raises DomainError."""
     p = T.p if p is None else p
-    ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
-    evidence: dict = {"ratio": rinfo}
+    if not 1 <= p < np.inf:  # also rejects nan
+        raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
     if _is_diagonal(T.domain) and _is_diagonal(T.codomain):
         reg = _regular_norm_interval(T, p, cfg)
-        route, upper, extra_lower = ROUTE_COMMUTATIVE, reg.upper, reg.lower
-        evidence["regular_norm"] = (reg.lower, reg.upper)
+        route, lower, upper = ROUTE_COMMUTATIVE, reg.lower, reg.upper
+        evidence: dict = {"regular_norm": (reg.lower, reg.upper)}
     elif isinstance(tri := extract_yeadon(T, cfg), YeadonTriple):
-        evidence["separating"] = CERTIFIED
+        evidence = {"separating": CERTIFIED}
         h = trace_density(tri, T.domain, p, cfg)
         k = int(np.argmax(h))
         unit = Element(T.domain, [np.eye(d) * (j == k) for j, d in enumerate(T.domain.dims)])
         route, upper = ROUTE_SEPARATING, max(float(h[k]), 0.0) ** (1.0 / p)
-        extra_lower = lp_norm(T(unit), p) / lp_norm(unit, p)
+        lower = lp_norm(T(unit), p) / lp_norm(unit, p)
         evidence["density"] = h.tolist()
         evidence["triple_residuals"] = tri.residuals
     else:
-        evidence["separating"] = tri.reason
+        evidence = {"separating": tri.reason}
         evidence["choi"] = choi = choi_positivity(T, cfg)
         positive = choi["positive"] or bool(T.meta.get("positive"))
         norm = _norm_upper(T, p, positive)[0]
-        # |T|_p <= the ell^1 norm, and the ratio's singletons hold its search
-        extra_lower = min(rinfo["singleton"], norm)
-        evidence["op_norm"] = (extra_lower, norm)
+        # |T|_p <= the ell^1 norm, attained at p = 2; elsewhere the ratio's singletons hold its search
+        lower = norm if p == 2 else 0.0
+        evidence["op_norm"] = (lower, norm)
         # at p = 1 the sequence spaces are plain ell^1 sums; a 2-(co)positive
         # T / |T| is an ell^1 contraction, and the ell^1 norm is blind to
         # reversing the product
@@ -274,14 +275,17 @@ def certify_l1_norm(
         else:
             route, upper = ROUTE_SAMPLED, np.inf
 
-    lower = max(ratio, extra_lower)
+    if not upper - lower <= cfg.opt_tol * upper < np.inf:  # open, or upper = inf
+        ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
+        evidence, lower = {"ratio": rinfo, **evidence}, max(lower, ratio)
+        if "op_norm" in evidence:
+            evidence["op_norm"] = (min(rinfo["singleton"], norm), norm)
     alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))
     if alarm:
         evidence["alarm_lower"] = lower
         lower = upper
     certified = np.isfinite(upper) and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
-    interval = NormInterval(min(lower, upper), float(upper), certified)
-    return L1Certificate(interval, route, evidence, alarm)
+    return L1Certificate(NormInterval(min(lower, upper), float(upper), certified), route, evidence, alarm)
 
 
 # ---------------------------------------------------------------------------

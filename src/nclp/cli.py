@@ -299,7 +299,7 @@ def _cmd_certify(args, inst, cfg) -> dict:
     p = args.p if args.p is not None else T.p
     cert = certify_l1_norm(T, p, cfg, ratio_budget=args.budget)
     if cert.alarm:
-        print("inconsistency alarm: sampled lower bound beats certified upper",
+        print("inconsistency alarm: a lower bound computed from the map beats the certified upper",
               file=sys.stderr)
     return {
         "map": name,

@@ -655,12 +655,12 @@ def yeadon_synthetic(
         raise StructuralError("condition (c) fails: B is not positive")
     sB = polar_support(B, cfg)[2]
     J1 = J(identity(J.domain))
-    scale = max(1.0, B.sup_norm())
-    if (ww - J1).sup_norm() > 1e-7 * scale or (J1 - sB).sup_norm() > 1e-7 * scale:
+    # projections have norm at most 1, so (b) is absolute; (c) is relative to |B| |J(e_a)|
+    if (ww - J1).sup_norm() > 1e-7 or (J1 - sB).sup_norm() > 1e-7:
         raise StructuralError("condition (b) fails: w*w, J(1), s(B) disagree")
     images = _unit_images(J)
     comm = _sup_norms([np.matmul(b, S) - np.matmul(S, b) for b, S in zip(B.blocks, images)])
-    if np.any(comm > 1e-7 * scale * np.maximum(_sup_norms(images), 1.0)):
+    if np.any(comm > 1e-7 * B.sup_norm() * _sup_norms(images)):
         raise StructuralError("condition (c) fails: B does not commute with J range")
     wB = w * B
     return _map_from_images(

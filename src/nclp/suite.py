@@ -677,13 +677,13 @@ def _prop_routes_dominate(cfg: ToleranceConfig, n: int) -> _Tally:
     for i in range(n):
         T = battery[i % len(battery)]
         cert = certify_l1_norm(T, T.p, cfg, ratio_budget=10)
-        if not np.isfinite(cert.value_interval.upper):
+        upper = cert.value_interval.upper
+        if not np.isfinite(upper):
             t.skip()
             continue
-        ok = not cert.alarm and cert.value_interval.lower <= cert.value_interval.upper * (
-            1 + cfg.opt_tol
-        )
-        t.check(ok, max(0.0, cert.value_interval.lower - cert.value_interval.upper))
+        # a closed route skips the ratio, so the sampled cross-check runs here
+        lower = max(cert.value_interval.lower, l1_ratio_lower(T, T.p, cfg, budget=10)[0])
+        t.check(not cert.alarm and lower <= upper * (1 + cfg.opt_tol), max(0.0, lower - upper))
     return t
 
 
@@ -696,7 +696,7 @@ def _prop_separating_sharpness(cfg: ToleranceConfig, n: int) -> _Tally:
         cert = certify_l1_norm(T, p, cfg, ratio_budget=15)
         closed = cert.value_interval.upper
         nv = op_norm(T, p, cfg)
-        singleton = cert.evidence["ratio"]["positive_singleton"]
+        singleton = l1_ratio_lower(T, p, cfg, budget=15)[1]["positive_singleton"]
         # a map between diagonal algebras takes the commutative route first
         diagonal = max(T.domain.dims + T.codomain.dims) == 1
         route = ROUTE_COMMUTATIVE if diagonal else ROUTE_SEPARATING

@@ -550,3 +550,60 @@ def test_large_rank_one_kraus_map_stays_two_positive(p):
     cert = certify_l1_norm(scale_map(T, 1e12), p, CFG)
     assert cert.route == ROUTE_TWO_POSITIVE and not cert.alarm
     _assert_scaled(cert, certify_l1_norm(T, p, CFG), 1e12)
+
+
+def _count_ratios(monkeypatch):
+    import nclp.certify
+
+    calls = []
+    ratio = nclp.certify.l1_ratio_lower
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return ratio(*args, **kwargs)
+
+    monkeypatch.setattr(nclp.certify, "l1_ratio_lower", counted)
+    return calls
+
+
+def test_closed_routes_skip_the_sampled_ratio(monkeypatch):
+    # a theorem that closes the interval leaves nothing for the ratio to add
+    rng = rng_from(21)
+    alg = matrix_algebra(2)
+    closed = [(synth.random_commutative_map(rng), p) for p in (1.5, 3.0)]
+    closed += [(synth.random_yeadon_map(rng, p=p)[0], p) for p in (1.5, 3.0)]
+    closed += [(transpose_map(alg, p), p) for p in (1.5, 3.0)]
+    closed += [(depolarizing(alg, 0.7), 2.0), (synth.random_cp_contraction(alg, 2.0, rng), 2.0)]
+    calls = _count_ratios(monkeypatch)
+    for T, p in closed:
+        cert = certify_l1_norm(T, p, CFG)
+        assert cert.value_interval.certified_exact and not cert.alarm
+        assert "ratio" not in cert.evidence
+    assert calls == []
+
+
+def test_open_routes_run_the_sampled_ratio_once(monkeypatch):
+    alg = matrix_algebra(2)
+    calls = _count_ratios(monkeypatch)
+    for T, p, route in [(rotation_mixing(0.7), 1.5, ROUTE_SAMPLED), (rotation_mixing(0.7), 2.0, ROUTE_SAMPLED),
+                        (synth.random_cp_contraction(alg, 3.0, rng_from(22)), 3.0, ROUTE_TWO_POSITIVE)]:
+        del calls[:]
+        cert = certify_l1_norm(T, p, CFG)
+        assert cert.route == route and calls == [p]
+        assert cert.value_interval.lower == cert.evidence["ratio"]["best"]
+
+
+def test_alarm_fires_without_the_ratio(monkeypatch):
+    # a wrong closed form is caught by the lower endpoint read from T
+    import nclp.certify
+    from nclp.lp import lp_norm
+
+    T = synth.random_yeadon_map(rng_from(23), p=3.0)[0]
+    density = nclp.certify.trace_density
+    monkeypatch.setattr(nclp.certify, "trace_density", lambda *args: density(*args) / 4)
+    cert = certify_l1_norm(T, 3.0, CFG)
+    assert cert.route == ROUTE_SEPARATING and cert.alarm and "ratio" not in cert.evidence
+    k = int(np.argmax(cert.evidence["density"]))
+    unit = Element(T.domain, [np.eye(d) * (j == k) for j, d in enumerate(T.domain.dims)])
+    assert cert.evidence["alarm_lower"] == lp_norm(T(unit), 3.0) / lp_norm(unit, 3.0)
+    assert cert.value_interval.lower == cert.value_interval.upper < cert.evidence["alarm_lower"]

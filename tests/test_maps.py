@@ -597,3 +597,35 @@ def test_positivity_sampling_applies_the_probe_once_per_sample(monkeypatch):
     assert verdict.status == FALSIFIED and is_positive(verdict.witness, CFG)
     assert np.linalg.matrix_rank(verdict.witness.blocks[0]) == 1
     assert not is_positive(amp(verdict.witness), CFG)
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
+def test_yeadon_synthetic_rejects_small_noncommuting_B(c):
+    # condition (c) is relative to |B| |J(e_a)|: a small B does not commute
+    # with the range of J any better than a large one
+    alg = matrix_algebra(2)
+    J = jordan_direct_sum(alg, [(0, "hom")])
+    B = Element(J.codomain, [c * np.diag([1.0, 2.0])])
+    with pytest.raises(StructuralError, match=r"\(c\)"):
+        yeadon_synthetic(identity(J.codomain), B, J, 2.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
+def test_yeadon_synthetic_rejects_a_large_B_with_the_wrong_support(c):
+    # condition (b) compares projections, so it is absolute: s(B) = 1 is not
+    # J(1) = e_11 however large B is
+    from nclp.maps import _jordan_layout
+
+    J = _jordan_layout(matrix_algebra(1), [([(0, "hom")], 1)], [1.0], None, 2.0, {})
+    w = matrix_unit(J.codomain, 0, 0, 0)
+    with pytest.raises(StructuralError, match=r"\(b\)"):
+        yeadon_synthetic(w, c * identity(J.codomain), J, 2.0)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1.0, 1e8])
+def test_yeadon_synthetic_accepts_a_scalar_B_at_every_scale(c):
+    alg = matrix_algebra(2)
+    J = jordan_direct_sum(alg, [(0, "hom")])
+    one = identity(J.codomain)
+    T = yeadon_synthetic(one, c * one, J, 2.0)
+    x = matrix_unit(alg, 0, 0, 1)
+    assert (T(x) - c * x).sup_norm() <= 1e-15 * c

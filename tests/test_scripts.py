@@ -102,3 +102,28 @@ def test_compare_outputs_lists_every_moved_path():
     assert summary["moved"]["$.evidence.anti"] == summary["max_rel"]
     assert summary["max_rel_at"] == "op001 (separating) at $.evidence.anti"
     assert summary["byte_different"] == 2 and summary["structure"] == []
+
+
+def test_compare_outputs_reports_changed_keys_one_by_one():
+    # a key on one side only is a change of structure at that key; the
+    # numbers under the shared keys are still compared
+    diffs = _load("compare_outputs")._number_diffs
+    old = {"route": "separating", "evidence": {"ratio": {"best": 1.0}, "op_norm": [1, 2]}}
+    new = {"route": "separating", "evidence": {"op_norm": [1.5, 2]}}
+    assert list(diffs(old, new)) == [("$.evidence.ratio", None), ("$.evidence.op_norm[0]", 1 / 3),
+                                     ("$.evidence.op_norm[1]", 0.0)]
+    assert list(diffs({"route": "p_equals_one"}, {"route": "p_equals_one", "alarm": False})) == [("$.alarm", None)]
+    # the same keys in another order are a change of the dict itself
+    assert list(diffs({"a": 1, "b": 2}, {"b": 2, "a": 1})) == [("$", None), ("$.a", 0.0), ("$.b", 0.0)]
+
+
+def test_compare_outputs_tallies_a_dropped_key_and_the_moves_beside_it():
+    compare_outputs = _load("compare_outputs")
+
+    def output(evidence):
+        return [0, json.dumps({"route": "separating", "evidence": evidence}), ""]
+
+    summary = compare_outputs._tally([(output({"ratio": {"best": 1.0}, "op_norm": [1, 2]}),
+                                       output({"op_norm": [1.5, 2]}))], ["certify"])
+    assert summary["structure"] == ["op000 (certify) at $.evidence.ratio"]
+    assert summary["moved"] == {"$.evidence.op_norm[]": 1 / 3}
