@@ -10,7 +10,8 @@ Every operation of each ``perfbench`` workload (inputs from this checkout's
 once with the ``src`` of this checkout, each tree in its own subprocess.
 The ``cli`` workload is a fixed list of commands, most of which no
 benchmark operation replays: every ``nclp example`` kind with ``--dim 3``
-and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5``, each at
+and every ``nclp gen`` kind with ``--dims 2,1 --weights 1,0.5`` (none for
+the kinds that draw their own algebras), each at
 ``--seed``, then every command that reads an instance, each through
 ``--in`` on files that this checkout's generators write from those
 commands, and a small ``nclp suite`` run.
@@ -57,6 +58,8 @@ EXAMPLE_KINDS = ("transpose", "identity", "rotation", "depolarizing", "unitary",
 GEN_KINDS = ("positive-seq", "seq", "disjoint-pair", "positive-disjoint-pair",
              "nondisjoint-pair", "element", "positive-element", "map", "separating-map",
              "cp-map", "positive-map", "isometry", "commutative-map")
+# gen kinds that draw their own algebras and refuse --dims and --weights
+FIXED_ALGEBRA_KINDS = ("separating-map", "isometry", "commutative-map")
 # (command and flags, example or gen kind of the instance it reads); at seeds
 # 5, 701 and 1000 these reach exit codes 0 and 1 of every command that prints
 # a verdict, though none of them is undetermined (exit 2)
@@ -87,7 +90,8 @@ def cli_argvs(seed: int, tmp: str | None = None) -> list:
     checkout's generators write into it, and a ``suite`` run."""
     tail = ["--seed", str(seed)]
     makers = {kind: ["example", kind, "--dim", "3", *tail] for kind in EXAMPLE_KINDS}
-    makers.update((kind, ["gen", "--kind", kind, "--dims", "2,1", "--weights", "1,0.5", *tail])
+    algebra = ["--dims", "2,1", "--weights", "1,0.5"]
+    makers.update((kind, ["gen", "--kind", kind, *([] if kind in FIXED_ALGEBRA_KINDS else algebra), *tail])
                   for kind in GEN_KINDS)
     argvs = list(makers.values())
     if tmp is None:

@@ -257,6 +257,15 @@ def _adjoint(s: np.ndarray) -> np.ndarray:
     return s.conj().swapaxes(-1, -2)
 
 
+def _svd(S: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of the (..., d, d) stack S.  A failure to converge,
+    which nan entries cause, is a NumericError, not a raw LinAlgError."""
+    try:
+        return np.linalg.svd(S, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed, most likely on a non-finite (nan) input: {exc}") from exc
+
+
 def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
     """vecs diag(f) vecs*, batched over the leading axes; f is shaped like vals."""
     return (vecs * f[..., None, :]) @ _adjoint(vecs)
@@ -264,7 +273,7 @@ def _spectral(vals: np.ndarray, vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _sup_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Operator norms of the elements given blockwise as (..., d, d) stacks."""
-    return functools.reduce(np.maximum, [np.linalg.svd(S, compute_uv=False)[..., 0] for S in stacks])
+    return functools.reduce(np.maximum, [_svd(S, False)[..., 0] for S in stacks])
 
 
 def _selfadjoint(stacks: Sequence[np.ndarray], tol: float, scale: np.ndarray) -> np.ndarray:
@@ -281,7 +290,7 @@ def _ranked_svd(
     and the mask of singular values above the relative rank cutoff,
     measured per item against its largest singular value over all blocks
     (all False for a zero item)."""
-    svds = [np.linalg.svd(b) for b in blocks]
+    svds = [_svd(b) for b in blocks]
     cut = cfg.rank_cutoff * functools.reduce(np.maximum, [s[..., 0] for _, s, _ in svds])
     return [(U, s, Vh, s > cut[..., None]) for U, s, Vh in svds]
 
@@ -330,13 +339,18 @@ def absolute(x: Element, power: float = 1.0) -> Element:
     """
     if power <= 0:
         raise DomainError("absolute: power must be > 0")
-    grams = [_adjoint(b) @ b for b in x.blocks]
+    return Element(x.algebra, _absolute(x.blocks, power))
+
+
+def _absolute(blocks: Sequence[np.ndarray], power: float = 1.0) -> list[np.ndarray]:
+    """``absolute`` of each element given blockwise as (..., d, d) stacks,
+    each with its own noise floor."""
+    grams = [_adjoint(b) @ b for b in blocks]
     eig = _eigh_blocks([0.5 * (g + _adjoint(g)) for g in grams])
-    noise = 64.0 * np.finfo(float).eps * max(0.0, *(float(vals[-1]) for vals, _ in eig))
-    return Element(
-        x.algebra,
-        [_spectral(vals, vecs, np.where(vals > noise, vals, 0.0) ** (power / 2.0)) for vals, vecs in eig],
-    )
+    top = functools.reduce(np.maximum, [vals[..., -1] for vals, _ in eig], 0.0)
+    noise = 64.0 * np.finfo(float).eps * np.asarray(top)
+    return [_spectral(vals, vecs, np.where(vals > noise[..., None], vals, 0.0) ** (power / 2.0))
+            for vals, vecs in eig]
 
 
 def positive_sqrt(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element:

@@ -40,14 +40,14 @@ from .algebra import (
     NumericError,
     StructuralError,
     ToleranceConfig,
-    absolute,
+    _absolute,
     block_matrix,
     block_entries,
     hermitian_part,
     positive_sqrt,
     zero_element,
 )
-from .lp import is_positive, lp_norm
+from .lp import _norms, _positive, lp_norm
 from .maps import (
     CERTIFIED,
     UNDETERMINED,
@@ -59,10 +59,8 @@ from .maps import (
     amplified_map,
     choi_positivity,
     is_completely_positive,
-    unvec,
-    vec,
 )
-from .sampling import rng_from, random_disjoint_pair, random_element, random_positive
+from .sampling import _disjoint_stacks, ginibre, rng_from, wishart
 from .sequences import (
     DISJOINT,
     ElementSequence,
@@ -70,8 +68,6 @@ from .sequences import (
     _dinq_verdicts,
     _gram_norms,
     _grams,
-    _intervals,
-    _rows,
     _solve,
     _stacks,
     l1_norm_bounds,
@@ -116,32 +112,38 @@ def l1_ratio_lower(
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
     rng = rng_from(cfg.seed, 9600)
     dom = T.domain
-    # (items, counted as a positive singleton), in the order of the draws
-    samples: list[tuple[list[Element], bool]] = []
+
+    def draw(f) -> list[np.ndarray]:  # the blocks of one random element
+        return [f(rng, d) for d in dom.dims]
+
+    # (items as block lists, counted as a positive singleton), in the order of the draws
+    samples: list[tuple[list[list[np.ndarray]], bool]] = []
     per_class = max(3, budget // 5) if budget > 0 else 0
     for i in range(per_class):
-        samples.append(([random_positive(dom, rng) for _ in range(2 + i % 2)], False))
+        samples.append(([draw(wishart) for _ in range(2 + i % 2)], False))
     for _ in range(per_class):
-        samples.append(([random_element(dom, rng)], False))
-        samples.append(([random_positive(dom, rng)], True))
-    if p == 2 and dom.coord_dim >= 2:
-        for i in range(per_class):
-            samples.append((list(random_disjoint_pair(dom, rng, positive=(i % 2 == 0))), False))
+        samples.append(([draw(ginibre)], False))
+        samples.append(([draw(wishart)], True))
+    if p == 2 and dom.coord_dim >= 2 and per_class:
+        A, B = _disjoint_stacks(dom, [rng] * per_class, [i % 2 == 0 for i in range(per_class)])
+        samples += [([[S[i] for S in A], [S[i] for S in B]], False) for i in range(per_class)]
     for _ in range(per_class):
-        samples.append(([random_element(dom, rng), random_element(dom, rng)], False))
+        samples.append(([draw(ginibre), draw(ginibre)], False))
 
-    starts = [vec(random_element(dom, rng)), vec(random_positive(dom, rng))]
-    for value, row in zip(*_norm_search(T, p, cfg, starts)):
-        if value > 0:
-            arg = unvec(dom, row)
-            samples.append(([arg], is_positive(arg, cfg)))
-            samples.append(([absolute(arg)], True))
+    starts = [np.concatenate([b.reshape(-1) for b in draw(f)]) for f in (ginibre, wishart)]
+    values, rows = _norm_search(T, p, cfg, starts)
+    args = _block_stacks(dom, rows[values > 0])
+    if len(args[0]):  # each argument, then its absolute value (a positive singleton)
+        absolutes = _absolute(args)
+        for j, positive in enumerate(_positive(args, cfg).tolist()):
+            samples += [([[S[j] for S in args]], positive), ([[S[j] for S in absolutes]], True)]
 
     best = singleton_best = positive_singleton_best = 0.0
     n_done = 0
     for n in dict.fromkeys(len(items) for items, _ in samples):
         group = [sample for sample in samples if len(sample[0]) == n]
-        X = _rows([items for items, _ in group])
+        X = [np.array(blocks).reshape(len(group), n, d, d)
+             for d, blocks in zip(dom.dims, zip(*(item for items, _ in group for item in items)))]
         up = _solve(X, dom.weights, p, cfg, 0)[1]
         coords = np.concatenate([S.reshape(len(group) * n, -1) for S in X], axis=1)
         TX = [S.reshape(len(group), n, *S.shape[1:]) for S in _block_stacks(T.codomain, coords @ T.action.T)]
@@ -324,7 +326,9 @@ def classify_l2_isometry(
 
     Route one extracts the factorization directly; route two sends sampled
     disjoint pairs through T and applies the two-term p = 2 criterion to the
-    images, all pairs in one sequence-norm solve.  The two must agree: a
+    images, all pairs drawn as per-block stacks, mapped by one product with
+    the action and solved in one stack (none on a one-dimensional domain,
+    which has no nonzero disjoint pairs).  The two must agree: a
     certified factorization together with a non-disjoint image pair (or an
     isometry that fails extraction although ``choi_positivity`` proves it
     positive) raises the inconsistency alarm, because both implications are
@@ -336,25 +340,24 @@ def classify_l2_isometry(
     tri = extract_yeadon(T, cfg)
     extracted = isinstance(tri, YeadonTriple)
 
-    witness = None
-    statuses = []
-    l12_ratios = []
-    draws = [random_disjoint_pair(T.domain, rng_from(cfg.seed, 9700, i), positive=(i % 3 == 0))
-             for i in range(pairs)]
-    images = [(T(a), T(b)) for a, b in draws]
-    verdicts = []
-    if images:  # every image pair in one solve
-        X = _rows([sequence(pair) for pair in images])
-        verdicts = _dinq_verdicts(images, _intervals(X, T.codomain, 2.0, cfg), cfg)
-    for (a, b), verdict in zip(draws, verdicts):
-        statuses.append(verdict.status)
-        # an image pair fails route (ii) if it does not certify disjoint and
-        # the algebraic cross-check confirms the cross products are nonzero
-        if witness is None and verdict.status != DISJOINT and not verdict.algebraic:
-            witness = (a, b)
-        denom = float(np.sqrt(lp_norm(a, 2) ** 2 + lp_norm(b, 2) ** 2))
-        if denom > 0:
-            l12_ratios.append((verdict.interval.upper / denom, verdict.interval.lower / denom))
+    dom, cod = T.domain, T.codomain
+    m = pairs if dom.coord_dim >= 2 else 0
+    witness, statuses, l12_ratios = None, [], []
+    if m:  # every pair in one draw, one product with the action and one solve
+        rngs = [rng_from(cfg.seed, 9700, i) for i in range(m)]
+        A, B = _disjoint_stacks(dom, rngs, [i % 3 == 0 for i in range(m)])
+        coords = np.concatenate([np.stack(S, axis=1).reshape(2 * m, -1) for S in zip(A, B)], axis=1)
+        TX = [S.reshape(m, 2, *S.shape[1:]) for S in _block_stacks(cod, coords @ T.action.T)]
+        norms = zip(_norms(A, dom.weights, 2.0).tolist(), _norms(B, dom.weights, 2.0).tolist())
+        for i, (verdict, (na, nb)) in enumerate(zip(_dinq_verdicts(TX, cod.weights, cfg), norms)):
+            statuses.append(verdict.status)
+            # an image pair fails route (ii) if it does not certify disjoint and
+            # the algebraic cross-check confirms the cross products are nonzero
+            if witness is None and verdict.status != DISJOINT and not verdict.algebraic:
+                witness = tuple(Element(dom, [S[i] for S in X]) for X in (A, B))
+            denom = float(np.sqrt(na ** 2 + nb ** 2))
+            if denom > 0:
+                l12_ratios.append((verdict.interval.upper / denom, verdict.interval.lower / denom))
 
     evidence = {
         "pair_statuses": {s: statuses.count(s) for s in set(statuses)},

@@ -323,7 +323,7 @@ def _cmd_classify_l2(args, inst, cfg) -> dict:
 
 
 def _parse_algebra(args) -> AlgebraDescriptor:
-    dims = [int(d) for d in args.dims.split(",")]
+    dims = [int(d) for d in (args.dims or "2").split(",")]
     if args.weights:
         weights = [float(w) for w in args.weights.split(",")]
         if len(weights) != len(dims):
@@ -384,8 +384,15 @@ _GEN_KINDS = {
 }
 
 
+# kinds that draw their own algebras, and refuse --dims and --weights
+_FIXED_ALGEBRAS = ("separating-map", "isometry", "commutative-map")
+
+
 def _cmd_gen(args, inst, cfg) -> InstanceFile:
     rng = rng_from(cfg.seed, 12000)
+    for flag in ("dims", "weights"):
+        if args.kind in _FIXED_ALGEBRAS and getattr(args, flag) is not None:
+            raise CliError(f"--kind {args.kind} draws its own algebras and takes no --{flag}")
     alg = _parse_algebra(args)
     made = _builder(_GEN_KINDS, "generator", args)(alg, rng, args)
     if isinstance(made, LinearMap):
@@ -428,7 +435,7 @@ _FLAGS = {
     "--kind": dict(type=str, required=True),
     "kind": dict(type=str),
     "--n": dict(type=_count),
-    "--dims": dict(type=str, help="comma-separated block dims"),
+    "--dims": dict(type=str, help="comma-separated block dims (default: 2)"),
     "--weights": dict(type=str, help="comma-separated block weights"),
     "--theta": dict(type=float),
     "--lam": dict(type=float),
@@ -455,7 +462,7 @@ _COMMANDS = {
     "classify-l2": ("classify an L2 isometry by factorizability", _cmd_classify_l2,
                     "--tol --seed --budget=18 --map", True),
     "gen": ("generate a random instance file", _cmd_gen,
-            "--p=2 --seed --kind --n=3 --dims=2 --weights", False),
+            "--p=2 --seed --kind --n=3 --dims --weights", False),
     "example": ("emit a named example map as an instance file", _cmd_example,
                 f"kind --p=2 --seed --theta={np.pi / 4} --lam=0.5 --dim=2", False),
     "suite": ("run the property suite", _cmd_suite,

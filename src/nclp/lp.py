@@ -21,6 +21,7 @@ from .algebra import (
     _adjoint,
     _selfadjoint,
     _sup_norms,
+    _svd,
 )
 
 
@@ -41,7 +42,7 @@ def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
 
 def _norms(stacks: list[np.ndarray], weights: tuple[float, ...], p: float):
     """``schatten_quasi`` of each element given blockwise as (..., d_k, d_k) stacks."""
-    return _schatten([np.linalg.svd(S, compute_uv=False) for S in stacks], weights, p)
+    return _schatten([_svd(S, False) for S in stacks], weights, p)
 
 
 def schatten_quasi(x: Element, p: float) -> float:

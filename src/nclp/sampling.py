@@ -3,13 +3,22 @@
 Every sampler takes an explicit ``numpy.random.Generator``; helpers derive
 child generators from (seed, labels) via SeedSequence so that parallel or
 reordered execution reproduces the same streams.
+
+Disjoint pairs come from one stacked sampler, ``_disjoint_stacks``, which
+returns per block (m, d, d) stacks A and B; ``random_disjoint_pair`` is its
+one-pair view, on the same stream.  Each try of a pair draws, block by
+block: the left rank and the Ginibre matrix of the left Haar unitary;
+unless positive, the right rank and its Ginibre matrix; then the Ginibre
+(or, positive, Wishart) factors of a and of b.  A try is rejected from its
+ranks alone, before any QR; the QRs, projections and products of all
+accepted tries are then batched per block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, DomainError, Element, hermitian_part
+from .algebra import AlgebraDescriptor, DomainError, Element, _adjoint, _sup_norms, hermitian_part
 
 
 def rng_from(seed: int, *keys: int) -> np.random.Generator:
@@ -29,11 +38,16 @@ def wishart(rng: np.random.Generator, d: int) -> np.ndarray:
     return g @ g.conj().T
 
 
+def _haar(G: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the Ginibre matrices of the (..., d, d) stack G:
+    the Q of each QR with the phases of R's diagonal moved into it."""
+    q, r = np.linalg.qr(G)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(ginibre(rng, d))
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases[None, :]
+    return _haar(ginibre(rng, d))
 
 
 def random_element(algebra: AlgebraDescriptor, rng: np.random.Generator) -> Element:
@@ -52,19 +66,43 @@ def random_unitary(algebra: AlgebraDescriptor, rng: np.random.Generator) -> Elem
     return Element(algebra, [haar_unitary(rng, d) for d in algebra.dims])
 
 
-def _random_split_projection(
-    rng: np.random.Generator, d: int, single_block: bool
-) -> np.ndarray:
-    """Random orthogonal projection; inside a single-block algebra the rank
-    is kept strictly between 0 and d so both sides of the split survive."""
-    if single_block:
-        r = int(rng.integers(1, d))
-    else:
-        r = int(rng.integers(0, d + 1))
-    u = haar_unitary(rng, d)
-    diag = np.zeros(d)
-    diag[:r] = 1.0
-    return (u * diag[None, :]) @ u.conj().T
+def _disjoint_stacks(
+    algebra: AlgebraDescriptor, rngs, positive
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per block the (m, d, d) stacks A and B of m pairs with a* b = a b* = 0:
+    pair i is drawn from ``rngs[i]`` (a repeated generator continues its
+    stream), and is positive with orthogonal supports where ``positive[i]``.
+    The draws of each try, block by block, are in the module docstring's
+    order; the projections and products of all pairs are batched."""
+    if algebra.coord_dim < 2:
+        raise ValueError("a one-dimensional algebra has no nonzero disjoint pairs")
+    low = 1 if len(algebra.dims) == 1 else 0  # a single block keeps both sides of its split
+    tries = []  # per pair, per block: the (left, right) ranks, their Ginibres, the two factors
+    for rng, pos in zip(rngs, positive):
+        for _ in range(128):
+            blocks = []
+            for d in algebra.dims:
+                left = (int(rng.integers(low, d + 1 - low)), ginibre(rng, d))
+                right = left if pos else (int(rng.integers(low, d + 1 - low)), ginibre(rng, d))
+                blocks.append((*zip(left, right), [(wishart if pos else ginibre)(rng, d) for _ in "ab"]))
+            ranks = [r for r, _, _ in blocks]
+            # a vanishes iff every block has a side of rank 0, b iff one of rank d
+            if not all(0 in r for r in ranks) and not all(d in r for r, d in zip(ranks, algebra.dims)):
+                tries.append(blocks)
+                break
+        else:
+            raise RuntimeError("failed to draw a nonzero disjoint pair")
+    A, B = [], []
+    for k, d in enumerate(algebra.dims):
+        ranks, G, F = (np.array([t[k][j] for t in tries]) for j in range(3))  # (m, 2), (m, 2, d, d) twice
+        U = _haar(G)
+        P = (U * (np.arange(d) < ranks[..., None])[..., None, :]) @ _adjoint(U)  # left and right splits
+        C = np.eye(d) - P
+        A.append(P[:, 0] @ F[:, 0] @ P[:, 1])
+        B.append(C[:, 0] @ F[:, 1] @ C[:, 1])
+    if not ((_sup_norms(A) > 1e-9) & (_sup_norms(B) > 1e-9)).all():
+        raise RuntimeError("failed to draw a nonzero disjoint pair")
+    return A, B
 
 
 def random_disjoint_pair(
@@ -76,29 +114,11 @@ def random_disjoint_pair(
 
     Left supports of a and b sit under complementary projections, and so do
     the right supports; for the positive flavour a single splitting is used
-    on both sides so that a, b >= 0 and a b = 0.
+    on both sides so that a, b >= 0 and a b = 0.  The one-pair view of
+    ``_disjoint_stacks``.
     """
-    if algebra.coord_dim < 2:
-        raise ValueError("a one-dimensional algebra has no nonzero disjoint pairs")
-    single = len(algebra.dims) == 1
-    for _ in range(128):
-        pa, pb = [], []
-        for d in algebra.dims:
-            left = _random_split_projection(rng, d, single)
-            right = left if positive else _random_split_projection(rng, d, single)
-            comp_l = np.eye(d) - left
-            comp_r = np.eye(d) - right
-            if positive:
-                pa.append(left @ wishart(rng, d) @ left)
-                pb.append(comp_l @ wishart(rng, d) @ comp_l)
-            else:
-                pa.append(left @ ginibre(rng, d) @ right)
-                pb.append(comp_l @ ginibre(rng, d) @ comp_r)
-        a = Element(algebra, pa)
-        b = Element(algebra, pb)
-        if a.sup_norm() > 1e-9 and b.sup_norm() > 1e-9:
-            return a, b
-    raise RuntimeError("failed to draw a nonzero disjoint pair")
+    A, B = _disjoint_stacks(algebra, [rng], [positive])
+    return Element(algebra, [S[0] for S in A]), Element(algebra, [S[0] for S in B])
 
 
 def random_algebra(

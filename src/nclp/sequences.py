@@ -447,14 +447,18 @@ class DinqVerdict:
 
 
 def _dinq_verdicts(
-    pairs: Sequence[tuple[Element, Element]], intervals: list[NormInterval], cfg: ToleranceConfig
+    X: list[np.ndarray], weights, cfg: ToleranceConfig, intervals: Optional[list[NormInterval]] = None
 ) -> list[DinqVerdict]:
-    """The verdicts of ``dinq_disjoint_test`` for pairs over one algebra,
-    given their direct-sum norms at p = 2."""
-    alg = pairs[0][0].algebra
-    X = _rows([sequence(pair) for pair in pairs])
+    """The verdicts of ``dinq_disjoint_test`` for the pairs of the stack X
+    (per block an (m, 2, d, d) array, block weights ``weights``) against
+    ``intervals``, their direct-sum norms at p = 2, or by default against
+    the bare endpoints of one ``_solve``, clamped and checked as a
+    NormInterval, with no witness built."""
+    if intervals is None:
+        lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS)[:3]
+        intervals = [NormInterval(lo, up, route != "optimizer") for lo, up, route in zip(lower, upper, routes)]
     A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
-    norms = zip(_norms(A, alg.weights, 2.0).tolist(), _norms(B, alg.weights, 2.0).tolist())
+    norms = zip(_norms(A, weights, 2.0).tolist(), _norms(B, weights, 2.0).tolist())
     out = []
     for interval, (na, nb), algebraic in zip(intervals, norms, _disjoint(A, B, cfg).tolist()):
         threshold = float(np.sqrt(na ** 2 + nb ** 2))
@@ -476,4 +480,5 @@ def dinq_disjoint_test(
     the direct-sum norm does not exceed the Euclidean combination
     sqrt(|a|_2^2 + |b|_2^2).  Verdicts compare the computed enclosure with
     that threshold and are cross-checked against the algebraic test."""
-    return _dinq_verdicts([(a, b)], [l12_norm(a, b, 2.0, cfg)], cfg)[0]
+    X = _rows([sequence([a, b])])
+    return _dinq_verdicts(X, a.algebra.weights, cfg, _intervals(X, a.algebra, 2.0, cfg))[0]

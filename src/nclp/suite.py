@@ -778,7 +778,14 @@ def _prop_isometry_agreement(cfg: ToleranceConfig, n: int) -> _Tally:
     for i in range(n):
         T = synth.random_l2_isometry(rng, i)
         cls = classify_l2_isometry(T, cfg, pairs=8)
-        t.check(not cls.alarm and cls.status in ("ytf", "no_ytf"))
+        ev = cls.evidence
+        if cls.status == "ytf":  # every image pair disjoint: no l12 ratio above 1
+            excess = (ev["max_l12_ratio"] or 0.0) - (1 + cfg.opt_tol) * (1 + 1e-12)
+            ok = excess <= 0
+        else:  # a pair certified not disjoint: a certified l12 ratio above 1
+            excess = 1.0 - (ev["max_certified_l12_ratio"] or 0.0)
+            ok = cls.status == "no_ytf" and ev["pair_statuses"].get("not_disjoint", 0) > 0 and excess < 0
+        t.check(not cls.alarm and ok, max(excess, 0.0))
     return t
 
 
@@ -836,7 +843,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("commutative-regular-exact", "maps between diagonal algebras certify exactly by the Collatz-Wielandt bound, inside the operator-norm enclosure of the entrywise modulus", 24, _prop_commutative_regular),
     SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify at their operator-norm upper endpoint, exactly at p = 1 and p = 2", 16, _prop_two_positive_homogeneity),
     SuiteProperty("scale-equivariance", "certificates of c T keep the route and alarm of T and scale both endpoints by c", 32, _prop_scale_equivariance),
-    SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries", 24, _prop_isometry_agreement),
+    SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries: factorizable ones keep every sampled ell^1 ratio at 1, the others certify one above 1", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )
 

@@ -257,6 +257,14 @@ def test_classify_rotation_no_ytf_with_witness():
     assert not cls.alarm
 
 
+def test_classify_one_dimensional_domain_by_extraction_alone():
+    # M_1 has no nonzero disjoint pairs, so no pair is drawn
+    cls = classify_l2_isometry(identity_map(matrix_algebra(1)), CFG)
+    assert cls.status == YTF and not cls.alarm and cls.witness is None
+    assert cls.evidence["pair_statuses"] == {}
+    assert cls.evidence["max_l12_ratio"] is None and cls.evidence["max_certified_l12_ratio"] is None
+
+
 def test_classify_non_isometry():
     cls = classify_l2_isometry(scale_map(identity_map(matrix_algebra(2)), 2.0), CFG)
     assert cls.status == NOT_ISOMETRY

@@ -405,9 +405,39 @@ def test_unknown_example_kind_is_input_error(capcli):
     "kind", ["map", "separating-map", "cp-map", "positive-map", "isometry", "commutative-map"]
 )
 def test_every_gen_map_kind_emits_a_parseable_instance(capcli, kind):
-    code, out, err = capcli(["gen", "--kind", kind, "--dims", "2,1", "--weights", "0.5,2"])
+    # the kinds that draw their own algebras take no --dims or --weights
+    algebra = [] if kind in FIXED_ALGEBRA_KINDS else ["--dims", "2,1", "--weights", "0.5,2"]
+    code, out, err = capcli(["gen", "--kind", kind, *algebra])
     assert (code, err) == (0, "")
     assert set(parse_instance(out).maps) == {"T"}
+
+
+FIXED_ALGEBRA_KINDS = ("separating-map", "isometry", "commutative-map")
+
+
+@pytest.mark.parametrize("kind", FIXED_ALGEBRA_KINDS)
+@pytest.mark.parametrize("flags", [["--dims", "4"], ["--weights", "2"], ["--dims", "2,1", "--weights", "1,0.5"]])
+def test_gen_kinds_with_their_own_algebras_refuse_dims_and_weights(capcli, kind, flags):
+    code, out, err = capcli(["gen", "--kind", kind, *flags])
+    assert code == 3 and out == ""
+    assert err == f"error: --kind {kind} draws its own algebras and takes no {flags[0]}\n"
+
+
+def test_gen_dims_default_to_one_block_of_two(capcli):
+    _, default, _ = capcli(["gen", "--kind", "seq", "--seed", "3"])
+    _, explicit, _ = capcli(["gen", "--kind", "seq", "--dims", "2", "--seed", "3"])
+    assert default == explicit
+    assert parse_instance(default).algebras["M"] == matrix_algebra(2)
+
+
+def test_classify_l2_on_a_one_dimensional_domain(capcli):
+    # M_1 has no nonzero disjoint pairs: the map is classified by extraction alone
+    _, inst, _ = capcli(["example", "identity", "--dim", "1"])
+    code, out, err = capcli(["classify-l2"], stdin_text=inst)
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (0, "", "ytf")
+    assert doc["evidence"]["pair_statuses"] == {}
+    assert doc["evidence"]["max_l12_ratio"] is None
 
 
 @pytest.mark.parametrize("seed", ["0", "3", "7"])

@@ -7,9 +7,11 @@ from nclp.algebra import (
     AlgebraDescriptor,
     DomainError,
     Element,
+    NumericError,
     identity,
     matrix_algebra,
     matrix_unit,
+    pseudo_inverse,
     zero_element,
 )
 from nclp.lp import (
@@ -187,3 +189,17 @@ def test_hs_inner_matches_pairing_on_adjoint():
     alg = matrix_algebra(3)
     a, b = random_element(alg, rng), random_element(alg, rng)
     assert hs_inner(a, b) == pytest.approx(duality_pair(a.H, b), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda x: lp_norm(x, 3.0), lambda x: lp_norm(x, np.inf), lambda x: x.sup_norm(), is_positive,
+     pseudo_inverse],
+    ids=["lp_norm", "lp_norm_inf", "sup_norm", "is_positive", "pseudo_inverse"],
+)
+def test_svd_kernels_name_non_finite_input(kernel):
+    # numpy's SVD raises a raw LinAlgError ("SVD did not converge") on nan
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    x = Element(alg, [np.array([[np.nan, 1.0], [0.0, 1.0]]), np.ones((1, 1))])
+    with pytest.raises(NumericError, match="non-finite"):
+        kernel(x)
