@@ -101,6 +101,19 @@ from .instances import (
     save_instance,
     serialize_instance,
 )
-from .suite import PropertyRecord, SuiteReport, run_suite
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# the property suite and the structured samplers it draws from load on first
+# use, so that ``import nclp`` (and the CLI) does not compile them: each name
+# maps to the submodule that defines it, or that it is
+_LAZY = {"suite": "suite", "synth": "synth", "PropertyRecord": "suite", "SuiteReport": "suite", "run_suite": "suite"}
+
+__all__ = sorted({n for n in dir() if not n.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -15,7 +15,10 @@ diagonal nor separating takes one Choi test and op_norm's upper endpoint):
   p_equals_one              at p = 1 the sequence spaces are plain ell^1
                             direct sums and the value equals the norm of T;
   two_positive_contraction  CP or co-CP (Choi): T / |T| is a 2-(co)positive
-                            contraction, so the value equals the norm of T;
+                            contraction, so the value equals the norm of T,
+                            exact at every p: attained at p = 2, else
+                            enclosed by a positive-cone ascent and the
+                            Lieb-concavity bound (``maps._cp_norm``);
                             a mixture takes its parts' bound;
   positive_4x               a positive map (each Choi component CP or co-CP,
                             or a ``positive`` flag) has ell^1 norm <= 4 |T|;
@@ -24,6 +27,7 @@ diagonal nor separating takes one Choi test and op_norm's upper endpoint):
 Each route also reads a lower endpoint from T; the sampled ratio runs only
 where that enclosure stays open.  A lower endpoint above the certified upper
 one flags an implementation bug (the theorems are unconditional): an alarm.
+One above it by rounding only is clipped, and kept in the evidence.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .maps import (
     UNDETERMINED,
     LinearMap,
     _block_stacks,
+    _cp_norm,
     _norm_search,
     _norm_upper,
     _weighted_action,
@@ -231,8 +236,9 @@ def certify_l1_norm(
     """Enclose the ell^1-extension norm by the first of three structural
     cases (module docstring): diagonal algebras; an extracted (w, B, J)
     triple, whose value max_k h_k^(1/p) the lower endpoint |T(1_k)|_p / |1_k|_p
-    at the argmax block checks; else one Choi test and ``_norm_upper``.  The
-    ratio runs only on an open interval; p outside [1, inf) raises DomainError."""
+    at the argmax block checks; else one Choi test and ``_norm_upper``, and
+    for a CP or co-CP map off p = 1, 2 ``_cp_norm``.  The ratio runs only on
+    an open interval; p outside [1, inf) raises DomainError."""
     p = T.p if p is None else p
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
@@ -256,6 +262,9 @@ def certify_l1_norm(
         norm = _norm_upper(T, p, positive)[0]
         # |T|_p <= the ell^1 norm, attained at p = 2; elsewhere the ratio's singletons hold its search
         lower = norm if p == 2 else 0.0
+        if p not in (1, 2) and (choi["cp"] or choi["co_cp"]):  # the Lieb-concavity bound
+            lower, cp_upper, evidence["lieb"] = _cp_norm(T, p, cfg, transposed=not choi["cp"])
+            norm = min(norm, cp_upper)
         evidence["op_norm"] = (lower, norm)
         # at p = 1 the sequence spaces are plain ell^1 sums; a 2-(co)positive
         # T / |T| is an ell^1 contraction, and the ell^1 norm is blind to
@@ -280,13 +289,16 @@ def certify_l1_norm(
     if not upper - lower <= cfg.opt_tol * upper < np.inf:  # open, or upper = inf
         ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
         evidence, lower = {"ratio": rinfo, **evidence}, max(lower, ratio)
-        if "op_norm" in evidence:
-            evidence["op_norm"] = (min(rinfo["singleton"], norm), norm)
+        if "op_norm" in evidence:  # the singletons hold the search, and the Lieb route its ascent
+            op_lower = max(min(rinfo["singleton"], norm), evidence.get("lieb", {}).get("lower", 0.0))
+            evidence["op_norm"] = (op_lower, norm)
     alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))
     if alarm:
         evidence["alarm_lower"] = lower
         lower = upper
-    certified = np.isfinite(upper) and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
+    elif lower > upper:  # by rounding, below the alarm threshold: printed clipped, recorded here
+        evidence["lower_above_upper"] = lower
+    certified = bool(np.isfinite(upper) and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300))
     return L1Certificate(NormInterval(min(lower, upper), float(upper), certified), route, evidence, alarm)
 
 

@@ -59,9 +59,7 @@ from .sampling import (
     rng_from,
 )
 from .sequences import DISJOINT, NOT_DISJOINT, UNDETERMINED, dinq_disjoint_test, l1_norm_bounds
-from .suite import run_suite
 from .yeadon import YeadonTriple, certify_separating, extract_yeadon
-from . import synth
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -90,7 +88,9 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, str)) or value is None:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -359,6 +359,14 @@ def _gen_seq(draw, positive: bool = False):
     return build
 
 
+def _synth():
+    """``nclp.synth``, imported on first use: only the kinds below that draw a
+    structured map need it, so the other commands do not pay for its import."""
+    from . import synth
+
+    return synth
+
+
 def _gen_pair(draw):
     return lambda alg, rng, args: {"elements": dict(zip("ab", draw(alg, rng)))}
 
@@ -375,12 +383,12 @@ _GEN_KINDS = {
     "positive-element": lambda alg, rng, args: {"elements": {"x": random_positive(alg, rng)},
                                                 "positive": {"x"}},
     "map": lambda alg, rng, args: LinearMap(alg, alg, ginibre(rng, alg.coord_dim), args.p),
-    "separating-map": lambda alg, rng, args: synth.random_yeadon_map(rng, p=args.p)[0],
-    "cp-map": lambda alg, rng, args: synth.random_cp_contraction(alg, args.p, rng),
-    "positive-map": lambda alg, rng, args: synth.random_positive_map(alg, args.p, rng),
-    "isometry": lambda alg, rng, args: replace(synth.random_l2_isometry(rng, int(rng.integers(0, 5))),
+    "separating-map": lambda alg, rng, args: _synth().random_yeadon_map(rng, p=args.p)[0],
+    "cp-map": lambda alg, rng, args: _synth().random_cp_contraction(alg, args.p, rng),
+    "positive-map": lambda alg, rng, args: _synth().random_positive_map(alg, args.p, rng),
+    "isometry": lambda alg, rng, args: replace(_synth().random_l2_isometry(rng, int(rng.integers(0, 5))),
                                                p=args.p),
-    "commutative-map": lambda alg, rng, args: synth.random_commutative_map(rng, args.n, args.n, args.p),
+    "commutative-map": lambda alg, rng, args: _synth().random_commutative_map(rng, args.n, args.n, args.p),
 }
 
 
@@ -407,7 +415,7 @@ _EXAMPLE_KINDS = {
     "rotation": lambda rng, args: rotation_mixing(args.theta, args.p),
     "depolarizing": lambda rng, args: depolarizing(matrix_algebra(args.dim), args.lam, args.p),
     "unitary": lambda rng, args: unitary_conjugation(random_unitary(matrix_algebra(args.dim), rng), args.p),
-    "yeadon": lambda rng, args: synth.random_yeadon_map(rng, p=args.p)[0],
+    "yeadon": lambda rng, args: _synth().random_yeadon_map(rng, p=args.p)[0],
 }
 
 
@@ -417,6 +425,8 @@ def _cmd_example(args, inst, cfg) -> InstanceFile:
 
 
 def _cmd_suite(args, inst, cfg) -> dict:
+    from .suite import run_suite
+
     report = run_suite(cfg, only=args.only, budget_scale=args.budget / 100.0)
     return report.to_dict(timings=args.timings)
 

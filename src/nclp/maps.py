@@ -14,7 +14,9 @@ kron(v, conj v).
 Sampled norm lower bounds come from Boyd's power method, run from a stack
 of starts at once, the rows of one coordinate array: each step takes two
 matrix products and, per block, two batched SVDs (T x and T* z), and each
-start leaves the stack at its fixed point.
+start leaves the stack at its fixed point.  For a completely positive map
+the norm is certified by one such ascent on the positive cone and the
+Lieb-concavity bound (``_cp_norm``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .algebra import (
     StructuralError,
     ToleranceConfig,
     _adjoint,
+    _eigh_blocks,
     _ranked_svd,
     _sup_norms,
     amplify,
@@ -225,7 +228,7 @@ def _norming_duals(
 
 
 def _boyd_ascent(
-    T: LinearMap, p: float, cfg: ToleranceConfig, iters: int, X0: np.ndarray
+    T: LinearMap, p: float, cfg: ToleranceConfig, iters: int, X0: np.ndarray, stop=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonlinear power iteration (Boyd, Linear Algebra Appl. 9, 1974) for
     the p -> p ratio, run from every coordinate row of X0 (m, coord_dim) at
@@ -239,7 +242,9 @@ def _boyd_ascent(
     step |x|_p comes from the singular values of the norming dual.
     Returns each start's best value and its argument row scaled to norm
     one; a start that T sends to zero (a zero start too) gets value 0 and a
-    zero row.  A value that overflows raises NumericError."""
+    zero row.  A value that overflows raises NumericError.  ``stop``, if
+    given, sees (step, values, rows) after every step and ends the ascent
+    by returning True."""
     dom, T_adj = T.domain, adjoint_map(T, p)
     X = np.array(X0, dtype=complex)
     best, arg = np.zeros(len(X)), np.zeros_like(X)
@@ -255,7 +260,7 @@ def _boyd_ascent(
         up = value > best[live]
         live, X, Z, nx = live[up], X[up], Z[up], nx[up]
         best[live], arg[live] = value[up], X / nx[:, None]
-        if not live.size or step == iters - 1:
+        if (stop is not None and stop(step, best, arg)) or not live.size or step == iters - 1:
             break
         _, X, f = _norming_duals(dom, Z @ T_adj.action.T, T_adj.p, cfg)
         nx = _schatten(f, dom.weights, p)
@@ -307,11 +312,184 @@ def _norm_upper(T: LinearMap, p: float, positive: bool) -> tuple[float, str]:
     return upper, method
 
 
+# ``_cp_norm`` checks its certificate every CP_CHECK steps of an ascent of at
+# most CP_STEPS steps.  Its point is mixed with the least multiple
+# eps >= CP_MIX of each block's top eigenvalue (eps^2 on a zero block) that
+# keeps every divided difference of t^r within a factor CP_GAIN of the one
+# at that top eigenvalue, which bounds the rounding allowance
+CP_MIX, CP_GAIN, CP_CHECK, CP_STEPS = 1e-12, 5e6, 5, 150
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the relative error bound of an
+    n-term inner product (Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1)."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _divided_differences(lam: np.ndarray, r: float) -> np.ndarray:
+    """(a^r - b^r) / (a - b) over all pairs a, b of the positive values lam,
+    and r a^(r-1) on ties.  For a >= b it is b^(r-1) expm1(r log1p(d)) / d
+    with d = (a - b) / b, which cancels nothing: each entry is good to a
+    few units in the last place."""
+    a, b = np.maximum.outer(lam, lam), np.minimum.outer(lam, lam)
+    d = (a - b) / b
+    safe = np.where(d > 0, d, 1.0)
+    return b ** (r - 1.0) * np.where(d > 0, np.expm1(r * np.log1p(safe)) / safe, r)
+
+
+def _cp_spectra(algebra: AlgebraDescriptor, row: np.ndarray, p: float):
+    """Per block (lam, V): the eigenvalues of z^p over the largest over all
+    blocks, and the eigenvectors, for the positive coordinate row z (its
+    Hermitian part, clipped at 0); None for z = 0."""
+    eig = [(np.maximum(vals[0], 0.0) ** p, vecs[0]) for vals, vecs in
+           _eigh_blocks([0.5 * (S + _adjoint(S)) for S in _block_stacks(algebra, row[None])])]
+    top = max(float(lam.max()) for lam, _ in eig)
+    return [(lam / top, V) for lam, V in eig] if top > 0 else None
+
+
+def _cp_point(spectra, eps: float, r: float):
+    """The point Z of ``_cp_norm_upper`` from ``_cp_spectra``: each block's
+    eigenvalues raised by eps times its top one (eps^2 on a zero block).
+    Returns per block the eigenvectors V, the eigenvalues of Z and
+    e = |V* V - 1|_F + gamma_d, V's distance from a unitary; the coordinate
+    row of Z^r; and per block the bound (2 e + gamma_(d+2)) max lam^r on
+    that row's rounding error."""
+    points, roots, errs = [], [], []
+    for lam, V in spectra:
+        top = float(lam.max())
+        lam = lam + (eps * top if top > 0 else eps * eps)
+        d = len(lam)
+        e = float(np.linalg.norm(_adjoint(V) @ V - np.eye(d))) + _gamma(d)
+        points.append((V, lam, e))
+        roots.append(((V * lam ** r) @ _adjoint(V)).reshape(-1))
+        errs.append((2.0 * e + _gamma(d + 2)) * float(lam.max()) ** r)
+    return points, np.concatenate(roots), errs
+
+
+def _cp_norm_upper(T: LinearMap, p: float, x: np.ndarray, cfg: ToleranceConfig):
+    """Certified upper bound on |T|_p, 1 < p < inf, for a completely
+    positive T, evaluated once at the point built from the positive
+    coordinate row x: (bound, the bound without its rounding allowance), or
+    the reason for rejecting it.
+
+    Proof.  For 2-positive T and any x, [[|x*|, x], [x*, |x|]] >= 0 maps to
+    a positive matrix, so T(x) = T(|x*|)^(1/2) K T(|x|)^(1/2) with |K| <= 1,
+    and Hoelder gives |T x|_p <= |T |x*| |_p^(1/2) |T |x| |_p^(1/2): |T|_p
+    is a sup over x >= 0 (Audenaert, Linear Algebra Appl. 430, 2009).  With
+    X = x^p, Y = y^p' and tau(X) = tau(Y) = 1 it is the max of
+        F(X, Y) = tau(Y^(1/p') T(X^(1/p))),
+    whose Kraus terms w_l tr(K* Y_l^(1/p') K X_k^(1/p)) are jointly concave
+    (Lieb, Adv. Math. 11, 1973), so F is concave and 1-homogeneous.  At
+    any X, Y > 0, concavity and Euler's identity <grad F, (X, Y)> = F give
+    F(X', Y') <= tau(G_X X') + tau(G_Y Y') <= s_X + s_Y on the feasible
+    set, s(G) = max(0, max_k lambda_max(G_k)).  The same at (a X, b Y),
+    minimised over a, b > 0, is the Frank-Wolfe bound
+        |T|_p <= (p s_X)^(1/p) (p' s_Y)^(1/p'),
+    which is invariant under (X, Y) -> (a X, b Y) and an equality at an
+    interior maximiser.  By Daleckii-Krein, in the eigenbasis X = V L V*,
+    G_X = V (Gamma o V* A V) V* with A = T*(Y^(1/p')) and Gamma the divided
+    differences of t^(1/p) at L; G_Y likewise with C = T(X^(1/p)).
+
+    The point is X = x^p and Y = (T x)^p, each scaled to top eigenvalue 1
+    and mixed per block (``_cp_point``); any point gives a valid bound, so
+    none is searched for.  Rounding allowance, added to each block's top
+    eigenvalue (Weyl): with e the unitarity defect of V, dM the error bound
+    gamma_(D+2) |action| |row| + |action| (row error) of the product A or
+    C, and Gamma_max = max Gamma,
+        Gamma_max (|dM|_F + (4 e + gamma_(2d+2)) |M|_F)
+          + (16 u + 2 e + gamma_(2d)) |Gamma o B|_F + gamma_(4d) |G|_F,
+    which covers V against its nearest unitary, the two products with V,
+    Gamma's few ulps and eigvalsh's backward error; the two powers and the
+    product then take a factor 1 + 8u.  A non-finite gradient, or one whose
+    anti-Hermitian part exceeds twice its allowance plus algebraic_tol |G|_F,
+    is rejected."""
+    q = p / (p - 1.0)
+    spectra = [_cp_spectra(T.domain, x, p), _cp_spectra(T.codomain, T.action @ x, p)]
+    if None in spectra:
+        return "zero point"
+    # the least eps >= CP_MIX with (lam_min / lam_max + eps)^(r-1) <= CP_GAIN on every block
+    eps = CP_MIX
+    for spec, r in zip(spectra, (1.0 / p, 1.0 / q)):
+        for lam, _ in spec:
+            if lam.max() > 0:
+                eps = max(eps, CP_GAIN ** (1.0 / (r - 1.0)) - lam.min() / lam.max())
+    (px, xr, ex), (py, yr, ey) = _cp_point(spectra[0], eps, 1.0 / p), _cp_point(spectra[1], eps, 1.0 / q)
+    sigmas, raws = [], []
+    for points, S, row, errs, src, dst, r in ((px, adjoint_map(T, p), yr, ey, T.codomain, T.domain, 1.0 / p),
+                                              (py, T, xr, ex, T.domain, T.codomain, 1.0 / q)):
+        row_err = np.concatenate([np.full(d * d, err) for d, err in zip(src.dims, errs)])
+        M, absA = S.action @ row, np.abs(S.action)
+        dM = _gamma(len(row) + 2) * (absA @ (np.abs(row) + row_err)) + absA @ row_err
+        top = raw = 0.0
+        for (V, lam, e), sl, d in zip(points, dst.slices, dst.dims):
+            Mk = M[sl].reshape(d, d)
+            Gam = _divided_differences(lam, r)
+            GB = Gam * (_adjoint(V) @ Mk @ V)
+            G = V @ GB @ _adjoint(V)
+            nM, nGB, nG = (float(np.linalg.norm(a)) for a in (Mk, GB, G))
+            allow = (float(Gam.max()) * (float(np.linalg.norm(dM[sl])) + (4 * e + _gamma(2 * d + 2)) * nM)
+                     + (16 * _UNIT_ROUNDOFF + 2 * e + _gamma(2 * d)) * nGB + _gamma(4 * d) * nG)
+            if not (np.isfinite(G).all() and np.isfinite(allow)):
+                return "non-finite gradient"
+            if float(np.linalg.norm(G - _adjoint(G))) > 2 * allow + cfg.algebraic_tol * nG:
+                return "non-Hermitian gradient"
+            lmax = float(np.linalg.eigvalsh(0.5 * (G + _adjoint(G)))[-1])
+            top, raw = max(top, lmax + allow), max(raw, lmax)
+        sigmas.append(top)
+        raws.append(raw)
+    bound = (p * sigmas[0]) ** (1.0 / p) * (q * sigmas[1]) ** (1.0 / q) * (1.0 + 8 * _UNIT_ROUNDOFF)
+    return bound, (p * raws[0]) ** (1.0 / p) * (q * raws[1]) ** (1.0 / q)
+
+
+def _cp_norm(T: LinearMap, p: float, cfg: ToleranceConfig, transposed: bool = False) -> tuple[float, float, dict]:
+    """Enclosure (lower, upper, evidence) of |T|_p, 1 < p < inf, for a
+    completely positive T, or with ``transposed`` for a completely
+    copositive one through theta T (theta the blockwise transpose, an
+    isometry at every p).  One positive-cone Boyd ascent from the identity
+    (a positive map keeps x >= 0), of at most CP_STEPS steps: every
+    CP_CHECK steps and at its end, the lower endpoint is the best of
+    |T x|_p / |x|_p and of x restricted to each domain block, and the upper
+    endpoint the least ``_cp_norm_upper`` so far; the ascent stops once they
+    meet within opt_tol, or at a rejected bound (upper endpoint inf)."""
+    if transposed:
+        T = LinearMap(T.domain, T.codomain, T.action[_transposed_coords(T.codomain)], p)
+    dom = T.domain
+    masks = np.repeat(np.eye(len(dom.dims), dtype=bool), [d * d for d in dom.dims], axis=1)
+    state = {"lower": 0.0, "upper": np.inf, "raw_upper": np.inf, "steps": 0}
+
+    def check(value: float, x: np.ndarray) -> bool:
+        if len(dom.dims) > 1:  # each block's part of x alone is a lower endpoint too
+            R = masks * x
+            nx = _norms(_block_stacks(dom, R), dom.weights, p)
+            ny = _norms(_block_stacks(T.codomain, R @ T.action.T), T.codomain.weights, p)
+            value = max(value, float(np.max(np.where(nx > 0, ny, 0.0) / np.where(nx > 0, nx, 1.0))))
+        state["lower"] = max(state["lower"], value)
+        bound = _cp_norm_upper(T, p, x, cfg)
+        if isinstance(bound, str):
+            state["rejected"], state["upper"] = bound, np.inf
+            return True
+        state["upper"], state["raw_upper"] = min(state["upper"], bound[0]), min(state["raw_upper"], bound[1])
+        return state["upper"] - state["lower"] <= cfg.opt_tol * state["upper"]
+
+    def stop(step: int, values: np.ndarray, rows: np.ndarray) -> bool:
+        state["steps"] = step + 1
+        state["done"] = (step + 1) % CP_CHECK == 0 and check(float(values[0]), rows[0])
+        return state["done"]
+
+    values, rows = _boyd_ascent(T, p, cfg, CP_STEPS, vec(identity(dom))[None], stop)
+    if not state.pop("done") and state["steps"] % CP_CHECK:  # the last row is not checked yet
+        check(float(values[0]), rows[0])
+    return state["lower"], state["upper"], state
+
+
 def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormInterval:
     """Enclosure of the L^p -> L^p operator norm, exact at p = 2: the best
     value of ``_norm_search`` and ``_norm_upper``, with positivity read from
     ``choi_positivity`` or the ``positive`` flag of the generators that no
-    exact test covers yet."""
+    exact test covers yet.  A search value above the upper endpoint (by
+    rounding) is clipped and kept as meta["search_above_upper"]."""
     p = T.p if p is None else p
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
@@ -322,7 +500,10 @@ def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFA
     upper, method = _norm_upper(T, p, positive)
     lower = float(_norm_search(T, p, cfg)[0].max())
     certified = upper < np.inf and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
-    return NormInterval(min(lower, upper), upper, certified, meta={"method": method})
+    meta = {"method": method}
+    if lower > upper:  # by rounding: the interval is clipped, the search value kept here
+        meta["search_above_upper"] = lower
+    return NormInterval(min(lower, upper), upper, certified, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .maps import (
     CERTIFIED,
     FALSIFIED,
     LinearMap,
+    _cp_norm,
+    _norm_search,
     _norming_duals,
     _sampled_positivity,
     _transposed_coords,
@@ -613,6 +615,9 @@ def _prop_separating_preserves(cfg: ToleranceConfig, n: int) -> _Tally:
         if verdicts[id(T)] != CERTIFIED:
             t.check(False)
             continue
+        if T.domain.coord_dim < 2:  # M_1 has no nonzero disjoint pairs
+            t.skip()
+            continue
         a, b = random_disjoint_pair(T.domain, rng, positive=(i % 2 == 0))
         ta, tb = T(a), T(b)
         scale = float(np.abs(T.action).max())
@@ -729,7 +734,9 @@ def _prop_commutative_regular(cfg: ToleranceConfig, n: int) -> _Tally:
 
 def _prop_two_positive_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
     """A CP or co-CP map scaled above norm 1 has ell^1-extension norm |T|_p:
-    T / |T| is a 2-(co)positive contraction, and singletons give >=."""
+    T / |T| is a 2-(co)positive contraction, and singletons give >=.  The
+    interval closes at every p (off p = 1, 2 by the Lieb-concavity bound),
+    inside op_norm's enclosure."""
     rng = rng_from(cfg.seed, 606)
     algebras = (matrix_algebra(2), matrix_algebra(3), AlgebraDescriptor(((2, 1.0), (1, 0.5))))
     t = _Tally()
@@ -738,11 +745,39 @@ def _prop_two_positive_homogeneity(cfg: ToleranceConfig, n: int) -> _Tally:
         vs = [Element(alg, [ginibre(rng, d) for d in alg.dims]) for _ in range(1 + i // 8 % 2)]
         T = scale_map(kraus_map(vs, p, transposed=bool(i // 4 % 2)), float(rng.uniform(1.5, 3.0)))
         cert = certify_l1_norm(T, p, cfg, ratio_budget=0)
-        iv, upper = cert.value_interval, op_norm(T, p, cfg).upper
+        iv, nv = cert.value_interval, op_norm(T, p, cfg)
         ok = (cert.route == (ROUTE_P1 if p == 1 else ROUTE_TWO_POSITIVE) and not cert.alarm
-              and iv.lower <= iv.upper * (1 + cfg.opt_tol) and iv.upper == upper
-              and (p not in (1, 2) or bool(iv.certified_exact)))
-        t.check(ok, abs(iv.upper - upper) / upper)
+              and bool(iv.certified_exact) and nv.lower <= iv.upper * (1 + 1e-12) <= nv.upper * (1 + 2e-12))
+        t.check(ok, max(0.0, nv.lower - iv.upper, iv.upper - nv.upper) / nv.upper)
+    return t
+
+
+def _prop_cp_norm_certificate(cfg: ToleranceConfig, n: int) -> _Tally:
+    """``maps._cp_norm`` on Kraus and transposed-Kraus maps, each block of
+    a term rank one with probability 1/3, on weighted one- and two-block
+    algebras at p in {1.2, 1.5, 3, 5}: its upper endpoint is at least every
+    Boyd lower endpoint of ``_norm_search``, and on one block the interval
+    closes within opt_tol.  An open interval on two blocks is reported as
+    undetermined."""
+    rng = rng_from(cfg.seed, 608)
+    algebras = (matrix_algebra(2), matrix_algebra(3), AlgebraDescriptor(((2, 1.0), (1, 0.5))),
+                AlgebraDescriptor(((2, 1.0), (2, 0.3))))
+    t = _Tally()
+    for i in range(n):
+        alg, p, transposed = algebras[i % 4], (1.2, 1.5, 3.0, 5.0)[i // 4 % 4], bool(i // 16 % 2)
+        vs = []
+        for _ in range(1 + i // 32 % 3):
+            blocks = [ginibre(rng, d) for d in alg.dims]
+            vs.append(Element(alg, [np.outer(b[:, 0], b[0]) if rng.random() < 1 / 3 else b for b in blocks]))
+        T = kraus_map(vs, p, transposed=transposed)
+        lower, upper, _ = _cp_norm(T, p, cfg, transposed)
+        boyd = float(_norm_search(T, p, cfg)[0].max())
+        sound = max(boyd, lower) <= upper * (1 + 1e-12)
+        closed = upper - lower <= cfg.opt_tol * upper
+        if sound and not closed and len(alg.dims) > 1:
+            t.skip()
+        else:
+            t.check(sound and closed, max(0.0, boyd - upper) / upper)
     return t
 
 
@@ -841,7 +876,8 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("certified-upper-dominates-ratios", "sampled sequence ratios never beat a certified upper bound", 60, _prop_routes_dominate),
     SuiteProperty("separating-norm-sharpness", "separating maps certify exactly from their trace density, inside the operator-norm enclosure, and positive singleton ratios reach it", 12, _prop_separating_sharpness),
     SuiteProperty("commutative-regular-exact", "maps between diagonal algebras certify exactly by the Collatz-Wielandt bound, inside the operator-norm enclosure of the entrywise modulus", 24, _prop_commutative_regular),
-    SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify at their operator-norm upper endpoint, exactly at p = 1 and p = 2", 16, _prop_two_positive_homogeneity),
+    SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify exactly at every p, inside the operator-norm enclosure", 16, _prop_two_positive_homogeneity),
+    SuiteProperty("cp-norm-certificate", "the Lieb-concavity bound on the norm of CP and co-CP maps is never below a Boyd lower endpoint, and closes on one block", 48, _prop_cp_norm_certificate),
     SuiteProperty("scale-equivariance", "certificates of c T keep the route and alarm of T and scale both endpoints by c", 32, _prop_scale_equivariance),
     SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries: factorizable ones keep every sampled ell^1 ratio at 1, the others certify one above 1", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),

@@ -4,6 +4,10 @@ A change to this list is a change to the public API; update the list here
 and record the change in CHANGES.md.
 """
 
+import os
+import subprocess
+import sys
+
 import nclp
 
 PUBLIC_API = [
@@ -110,3 +114,16 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(nclp.__all__) == PUBLIC_API
+
+
+def test_cli_import_leaves_the_suite_and_the_synthetic_samplers_unloaded():
+    # nclp serves suite, synth and the suite's names on first use, so the
+    # CLI (and every benchmark process) does not compile them at start-up
+    probe = ("import sys, nclp.cli; "
+             "assert not {'nclp.suite', 'nclp.synth'} & set(sys.modules); "
+             "import nclp; "
+             "assert nclp.run_suite is nclp.suite.run_suite and nclp.SuiteReport is nclp.suite.SuiteReport; "
+             "assert nclp.PropertyRecord is nclp.suite.PropertyRecord and nclp.synth.__name__ == 'nclp.synth'")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nclp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)

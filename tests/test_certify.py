@@ -582,6 +582,8 @@ def test_closed_routes_skip_the_sampled_ratio(monkeypatch):
     closed += [(synth.random_yeadon_map(rng, p=p)[0], p) for p in (1.5, 3.0)]
     closed += [(transpose_map(alg, p), p) for p in (1.5, 3.0)]
     closed += [(depolarizing(alg, 0.7), 2.0), (synth.random_cp_contraction(alg, 2.0, rng), 2.0)]
+    two_blocks = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    closed += [(synth.random_cp_contraction(a, p, rng), p) for a in (alg, two_blocks) for p in (1.5, 3.0)]
     calls = _count_ratios(monkeypatch)
     for T, p in closed:
         cert = certify_l1_norm(T, p, CFG)
@@ -594,7 +596,7 @@ def test_open_routes_run_the_sampled_ratio_once(monkeypatch):
     alg = matrix_algebra(2)
     calls = _count_ratios(monkeypatch)
     for T, p, route in [(rotation_mixing(0.7), 1.5, ROUTE_SAMPLED), (rotation_mixing(0.7), 2.0, ROUTE_SAMPLED),
-                        (synth.random_cp_contraction(alg, 3.0, rng_from(22)), 3.0, ROUTE_TWO_POSITIVE)]:
+                        (synth.random_positive_map(alg, 3.0, rng_from(2)), 3.0, ROUTE_POSITIVE)]:
         del calls[:]
         cert = certify_l1_norm(T, p, CFG)
         assert cert.route == route and calls == [p]
@@ -615,3 +617,48 @@ def test_alarm_fires_without_the_ratio(monkeypatch):
     unit = Element(T.domain, [np.eye(d) * (j == k) for j, d in enumerate(T.domain.dims)])
     assert cert.evidence["alarm_lower"] == lp_norm(T(unit), 3.0) / lp_norm(unit, 3.0)
     assert cert.value_interval.lower == cert.value_interval.upper < cert.evidence["alarm_lower"]
+
+
+def test_copositive_map_on_two_weighted_blocks_certifies_without_the_ratio(monkeypatch):
+    # theta T is CP, so the Lieb-concavity bound closes the interval at p = 3
+    alg = AlgebraDescriptor(((2, 1.0), (2, 0.3)))
+    rng = rng_from(31)
+    T = kraus_map([Element(alg, [ginibre(rng, 2), ginibre(rng, 2)]) for _ in range(2)], 3.0, transposed=True)
+    calls = _count_ratios(monkeypatch)
+    cert = certify_l1_norm(T, 3.0, CFG)
+    assert cert.evidence["choi"] == {"cp": False, "co_cp": True, "positive": True}
+    assert cert.route == ROUTE_TWO_POSITIVE and not cert.alarm
+    assert cert.value_interval.certified_exact is True
+    assert "ratio" not in cert.evidence and calls == []
+    lieb = cert.evidence["lieb"]
+    assert (cert.value_interval.lower, cert.value_interval.upper) == (lieb["lower"], lieb["upper"])
+    assert cert.evidence["op_norm"] == (lieb["lower"], lieb["upper"])
+    assert lieb["upper"] < op_norm(T, 3.0, CFG).upper
+
+
+def test_rejected_lieb_bound_falls_back_to_the_interpolation_and_the_ratio(monkeypatch):
+    import nclp.maps
+
+    T = synth.random_cp_contraction(matrix_algebra(2), 3.0, rng_from(22))
+    monkeypatch.setattr(nclp.maps, "_cp_norm_upper", lambda *args: "non-Hermitian gradient")
+    calls = _count_ratios(monkeypatch)
+    cert = certify_l1_norm(T, 3.0, CFG)
+    assert cert.route == ROUTE_TWO_POSITIVE and calls == [3.0]
+    assert cert.evidence["lieb"]["rejected"] == "non-Hermitian gradient"
+    assert cert.value_interval.upper == op_norm(T, 3.0, CFG).upper
+    assert not cert.value_interval.certified_exact
+
+
+def test_rounding_above_the_upper_endpoint_is_recorded_not_hidden():
+    # at p = 1 the ratio's Boyd singletons pass |T*(1)|_inf in the last bits;
+    # at p = 3 the raw Lieb bound falls below the Boyd value of a unital map,
+    # and its rounding allowance lifts it back
+    T = synth.random_cp_contraction(matrix_algebra(2), 1.0, rng_from(0))
+    cert = certify_l1_norm(T, 1.0, CFG)
+    iv = cert.value_interval
+    assert cert.route == ROUTE_P1 and not cert.alarm and iv.lower == iv.upper
+    assert iv.upper < cert.evidence["lower_above_upper"] <= iv.upper * (1 + 1e-14)
+    cert = certify_l1_norm(depolarizing(matrix_algebra(2, 0.5), 0.3, 3.0), 3.0, CFG)
+    lieb = cert.evidence["lieb"]
+    assert cert.value_interval.certified_exact and not cert.alarm
+    assert lieb["raw_upper"] < lieb["lower"] <= lieb["upper"] <= lieb["lower"] * (1 + 1e-12)

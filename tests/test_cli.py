@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.algebra import matrix_algebra
-from nclp.cli import run_command
+from nclp.cli import _jsonable, run_command
 from nclp.instances import parse_instance
 from nclp.maps import depolarizing, identity_map, rotation_mixing, transpose_map
 
@@ -527,3 +527,13 @@ def test_rotation_classify_frozen_evidence(capcli):
         "extraction": "commutation (c)", "max_l12_ratio": 1.2651331767497545,
         "max_certified_l12_ratio": 1.265133176508795,
         "pair_statuses": {"not_disjoint": 18}}
+
+
+def test_numpy_booleans_print_as_json_booleans(capcli):
+    # a numpy bool used to print as the string "False", which reads as true
+    assert _jsonable({"a": np.bool_(True), "b": [np.bool_(False), True]}) == {"a": True, "b": [False, True]}
+    _, inst_text, _ = capcli(["example", "rotation", "--p", "3"])
+    _, result, _ = capcli(["certify"], stdin_text=inst_text)
+    doc = json.loads(result)
+    assert doc["route"] == "sampled_only" and doc["interval"]["certified_exact"] is False
+    assert '"certified_exact": false' in result

@@ -22,6 +22,8 @@ from nclp.maps import (
     FALSIFIED,
     LinearMap,
     _boyd_ascent,
+    _cp_norm,
+    _cp_norm_upper,
     _norming_duals,
     adjoint_map,
     amplified_map,
@@ -629,3 +631,38 @@ def test_yeadon_synthetic_accepts_a_scalar_B_at_every_scale(c):
     T = yeadon_synthetic(one, c * one, J, 2.0)
     x = matrix_unit(alg, 0, 0, 1)
     assert (T(x) - c * x).sup_norm() <= 1e-15 * c
+
+
+def test_op_norm_keeps_a_search_value_above_the_upper_endpoint():
+    # Boyd passes the exact positive-unit bound |T*(1)|_inf of a CP map at
+    # p = 1 in the last bits: the interval is clipped, the value kept
+    from nclp import synth
+
+    T = synth.random_cp_contraction(matrix_algebra(2), 1.0, rng_from(0))
+    iv = op_norm(T, 1.0, CFG)
+    assert iv.lower == iv.upper and iv.meta["method"] == "positive_unit"
+    assert iv.upper < iv.meta["search_above_upper"] <= iv.upper * (1 + 1e-14)
+    assert "search_above_upper" not in op_norm(rotation_mixing(0.7, 3.0), 3.0, CFG).meta
+
+
+@pytest.mark.parametrize("p", [1.2, 3.0, 5.0])
+def test_cp_norm_encloses_a_rank_one_kraus_norm(p):
+    # x -> a b* x b a* has norm |a|^2 |b|^2 on M_3 at every p: its maximiser
+    # is the rank-one projection onto b, on the boundary of the cone
+    rng = np.random.default_rng(5)
+    a, b = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    v = Element(matrix_algebra(3), [np.outer(a, b.conj())])
+    exact = float(np.linalg.norm(a) ** 2 * np.linalg.norm(b) ** 2)
+    lower, upper, ev = _cp_norm(kraus_map([v], p), p, CFG)
+    assert lower <= exact * (1 + 1e-12) and exact <= upper
+    assert upper - lower <= CFG.opt_tol * upper and ev["steps"] <= 150
+
+
+def test_cp_norm_upper_rejects_a_non_hermitian_gradient():
+    T = depolarizing(matrix_algebra(2), 0.4, 3.0)
+    x = vec(identity(matrix_algebra(2))) / 2 ** (1 / 3)
+    bound, raw = _cp_norm_upper(T, 3.0, x, CFG)
+    assert 1.0 <= bound <= 1.0 + 1e-12 and raw <= bound
+    # a generic perturbation no longer maps Hermitian elements to Hermitian ones
+    S = LinearMap(T.domain, T.codomain, T.action + 1e-3 * ginibre(rng_from(7), 4), 3.0)
+    assert _cp_norm_upper(S, 3.0, x, CFG) == "non-Hermitian gradient"
