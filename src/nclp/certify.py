@@ -5,7 +5,8 @@ entrywise on ell^1-valued sequences.  Sampled sequence ratios are sound
 lower bounds, and their singletons hold the one operator-norm search: |T|_p
 is a lower bound for every map.  Certified upper bounds come from structure,
 read from the action matrix by exact tests and tried in order (a map neither
-diagonal nor separating takes one Choi test and op_norm's upper endpoint):
+diagonal nor separating takes one Choi test and ``maps._norm_bounds``, the
+operator-norm enclosure that ``op_norm`` reads too):
 
   commutative_regular       both algebras diagonal: the value is the norm of
                             the entrywise modulus, by Collatz-Wielandt;
@@ -14,6 +15,9 @@ diagonal nor separating takes one Choi test and op_norm's upper endpoint):
                             h the central density of tau(B^p J(.));
   p_equals_one              at p = 1 the sequence spaces are plain ell^1
                             direct sums and the value equals the norm of T;
+                            for a positive map both endpoints are
+                            |T*(1)|_inf, the lower one attained at a
+                            rank-one projection;
   two_positive_contraction  CP or co-CP (Choi): T / |T| is a 2-(co)positive
                             contraction, so the value equals the norm of T,
                             exact at every p: attained at p = 2, else
@@ -57,9 +61,8 @@ from .maps import (
     UNDETERMINED,
     LinearMap,
     _block_stacks,
-    _cp_norm,
+    _norm_bounds,
     _norm_search,
-    _norm_upper,
     _weighted_action,
     amplified_map,
     choi_positivity,
@@ -164,13 +167,8 @@ def l1_ratio_lower(
                 if positive:
                     positive_singleton_best = max(positive_singleton_best, r)
 
-    info = {
-        "best": best,
-        "singleton": singleton_best,
-        "positive_singleton": positive_singleton_best,
-        "samples": n_done,
-    }
-    return best, info
+    return best, {"best": best, "singleton": singleton_best,
+                  "positive_singleton": positive_singleton_best, "samples": n_done}
 
 
 def _is_diagonal(algebra) -> bool:
@@ -236,9 +234,11 @@ def certify_l1_norm(
     """Enclose the ell^1-extension norm by the first of three structural
     cases (module docstring): diagonal algebras; an extracted (w, B, J)
     triple, whose value max_k h_k^(1/p) the lower endpoint |T(1_k)|_p / |1_k|_p
-    at the argmax block checks; else one Choi test and ``_norm_upper``, and
-    for a CP or co-CP map off p = 1, 2 ``_cp_norm``.  The ratio runs only on
-    an open interval; p outside [1, inf) raises DomainError."""
+    at the argmax block checks; else one Choi test and the operator-norm
+    enclosure ``maps._norm_bounds``, kept as evidence["op_norm"] (its lower
+    endpoint raised by the ratio's singletons when the ratio runs).  The
+    ratio runs only on an open interval; p outside [1, inf) raises
+    DomainError."""
     p = T.p if p is None else p
     if not 1 <= p < np.inf:  # also rejects nan
         raise DomainError(f"the ell^1-extension norm needs a finite p >= 1, got p = {p}")
@@ -247,25 +247,20 @@ def certify_l1_norm(
         route, lower, upper = ROUTE_COMMUTATIVE, reg.lower, reg.upper
         evidence: dict = {"regular_norm": (reg.lower, reg.upper)}
     elif isinstance(tri := extract_yeadon(T, cfg), YeadonTriple):
-        evidence = {"separating": CERTIFIED}
         h = trace_density(tri, T.domain, p, cfg)
         k = int(np.argmax(h))
         unit = Element(T.domain, [np.eye(d) * (j == k) for j, d in enumerate(T.domain.dims)])
         route, upper = ROUTE_SEPARATING, max(float(h[k]), 0.0) ** (1.0 / p)
         lower = lp_norm(T(unit), p) / lp_norm(unit, p)
-        evidence["density"] = h.tolist()
-        evidence["triple_residuals"] = tri.residuals
+        evidence = {"separating": CERTIFIED, "density": h.tolist(), "triple_residuals": tri.residuals}
     else:
         evidence = {"separating": tri.reason}
         evidence["choi"] = choi = choi_positivity(T, cfg)
-        positive = choi["positive"] or bool(T.meta.get("positive"))
-        norm = _norm_upper(T, p, positive)[0]
-        # |T|_p <= the ell^1 norm, attained at p = 2; elsewhere the ratio's singletons hold its search
-        lower = norm if p == 2 else 0.0
-        if p not in (1, 2) and (choi["cp"] or choi["co_cp"]):  # the Lieb-concavity bound
-            lower, cp_upper, evidence["lieb"] = _cp_norm(T, p, cfg, transposed=not choi["cp"])
-            norm = min(norm, cp_upper)
-        evidence["op_norm"] = (lower, norm)
+        # |T|_p <= the ell^1 norm; where its enclosure stays open the ratio's singletons hold its search
+        lower, norm, bounds = _norm_bounds(T, p, cfg, choi)
+        if "lieb" in bounds:
+            evidence["lieb"] = bounds["lieb"]
+        evidence["op_norm"] = (min(lower, norm), norm)  # op_norm's interval wherever this one is closed
         # at p = 1 the sequence spaces are plain ell^1 sums; a 2-(co)positive
         # T / |T| is an ell^1 contraction, and the ell^1 norm is blind to
         # reversing the product
@@ -281,7 +276,7 @@ def certify_l1_norm(
             upper = t * c1.value_interval.upper + (1 - t) * c2.value_interval.upper
             evidence["via"] = "convex_combination"
             evidence["part_routes"] = (c1.route, c2.route)
-        elif positive:
+        elif bounds["positive"]:
             route, upper = ROUTE_POSITIVE, 4.0 * norm
         else:
             route, upper = ROUTE_SAMPLED, np.inf
@@ -289,9 +284,8 @@ def certify_l1_norm(
     if not upper - lower <= cfg.opt_tol * upper < np.inf:  # open, or upper = inf
         ratio, rinfo = l1_ratio_lower(T, p, cfg, budget=ratio_budget)
         evidence, lower = {"ratio": rinfo, **evidence}, max(lower, ratio)
-        if "op_norm" in evidence:  # the singletons hold the search, and the Lieb route its ascent
-            op_lower = max(min(rinfo["singleton"], norm), evidence.get("lieb", {}).get("lower", 0.0))
-            evidence["op_norm"] = (op_lower, norm)
+        if "op_norm" in evidence:  # the singletons hold the search
+            evidence["op_norm"] = (max(evidence["op_norm"][0], min(rinfo["singleton"], norm)), norm)
     alarm = bool(np.isfinite(upper) and lower > upper * (1.0 + cfg.opt_tol))
     if alarm:
         evidence["alarm_lower"] = lower
@@ -460,12 +454,8 @@ def constructive_witnesses(
         components: list[ElementSequence] = []
         sums, image_sums = [], []
         for k in range(4):
-            phase = 1j**k
-            ys = []
-            for a, b in zip(a_n, b_n):
-                c = a.H + phase * b
-                ys.append(c.H * c)
-            comp = sequence(ys)
+            cs = [a.H + 1j**k * b for a, b in zip(a_n, b_n)]
+            comp = sequence([c.H * c for c in cs])
             components.append(comp)
             sums.append(lp_norm(sum_elements(comp), p))
             image_sums.append(lp_norm(sum_elements(sequence([T(x) for x in comp])), p))
@@ -484,36 +474,32 @@ def constructive_witnesses(
         a_n, b_n, factor_norms = _normalized_factorization(seq, p, cfg)
         amp = amplified_map(T, 2)
         alg = seq.algebra
-        zero = zero_element(alg)
         alphas, betas, deltas = [], [], []
-        residual = 0.0
+        residual = scale = 0.0
+        left = right = zero_element(T.codomain)
         for a, b in zip(a_n, b_n):
-            z = block_matrix(alg, [[a * a.H, a * b], [b.H * a.H, b.H * b]])
-            img = amp(z)
-            root = positive_sqrt(hermitian_part(img), cfg)
-            grid = block_entries(alg, 2, root)
+            img = amp(block_matrix(alg, [[a * a.H, a * b], [b.H * a.H, b.H * b]]))
+            grid = block_entries(alg, 2, positive_sqrt(hermitian_part(img), cfg))
             alpha, beta, delta = grid[0][0], grid[0][1], grid[1][1]
             alphas.append(alpha)
             betas.append(beta)
             deltas.append(delta)
+            images = (T(a * a.H), T(b.H * b), T(a * b))
+            left, right = left + images[0], right + images[1]
+            # the identities hold in the normalized factors: their size is that of these images
+            scale = max(scale, *(y.sup_norm() for y in images))
             residual = max(
                 residual,
-                (T(a * a.H) - (alpha * alpha + beta * beta.H)).sup_norm(),
-                (T(b.H * b) - (beta.H * beta + delta * delta)).sup_norm(),
-                (T(a * b) - (alpha * beta + beta * delta)).sup_norm(),
+                (images[0] - (alpha * alpha + beta * beta.H)).sup_norm(),
+                (images[1] - (beta.H * beta + delta * delta)).sup_norm(),
+                (images[2] - (alpha * beta + beta * delta)).sup_norm(),
                 (grid[1][0] - beta.H).sup_norm(),
             )
         tol = max(1e-8, 1000 * cfg.algebraic_tol)
-        scale = max(1.0, max(x.sup_norm() for x in seq))
         if residual > tol * scale:
             raise StructuralError(
                 f"square-root identities failed: residual {residual:.3e}"
             )
-        left = zero_element(T.codomain)
-        right = zero_element(T.codomain)
-        for a, b in zip(a_n, b_n):
-            left = left + T(a * a.H)
-            right = right + T(b.H * b)
         bound = float(np.sqrt(lp_norm(left, p) * lp_norm(right, p)))
         return TwoPositiveSqrtWitness(alphas, betas, deltas, float(residual), bound)
 

@@ -11,12 +11,14 @@ verdict, the seeded rank-one probes included, comes from the one test
 write their action matrix directly, as coordinate copies or sums of
 kron(v, conj v).
 ``map_from_function`` (evaluation on every matrix unit) is their reference.
-Sampled norm lower bounds come from Boyd's power method, run from a stack
+``_norm_bounds`` is the one enclosure of the norm read from T, for
+``op_norm`` and ``certify``: closed forms at p = 2 and for positive maps at
+p = 1 and inf, and for a completely (co)positive map one Boyd ascent on the
+positive cone and the Lieb-concavity bound (``_cp_norm``).  Where it stays
+open, sampled lower bounds come from Boyd's power method, run from a stack
 of starts at once, the rows of one coordinate array: each step takes two
 matrix products and, per block, two batched SVDs (T x and T* z), and each
-start leaves the stack at its fixed point.  For a completely positive map
-the norm is certified by one such ascent on the positive cone and the
-Lieb-concavity bound (``_cp_norm``).
+start leaves the stack at its fixed point.
 """
 
 from __future__ import annotations
@@ -282,36 +284,6 @@ def _norm_search(T: LinearMap, p: float, cfg: ToleranceConfig, extra=()) -> tupl
     return _boyd_ascent(T, p, cfg, 30, np.stack([vec(identity(T.domain)), *draws, *extra]))
 
 
-def _norm_upper(T: LinearMap, p: float, positive: bool) -> tuple[float, str]:
-    """Certified upper endpoint of the L^p -> L^p norm and its method: exact
-    at p = 2 (largest singular value in the trace-weighted inner products),
-    else the p = 2 norm factored and interpolated, or for a ``positive`` map
-    the unit evaluations when smaller (exact at p = 1 and p = inf)."""
-    n2 = float(np.linalg.norm(_weighted_action(T), 2))
-    if p == 2:
-        return n2, "weighted_svd"
-    # crude but certified: factor through p = 2 and interpolate.
-    # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
-    # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
-    # dimensional operator interpolates between its endpoint bounds.
-    wmin_dom = min(w for _, w in T.domain.blocks)
-    wmin_cod = min(w for _, w in T.codomain.blocks)
-    # (at p = 1 and p = inf the interpolation returns an endpoint exactly)
-    crude1 = np.sqrt(T.codomain.trace_of_identity / wmin_dom) * n2
-    crude_inf = np.sqrt(T.domain.trace_of_identity / wmin_cod) * n2
-    upper = float(crude1 ** (1.0 / p) * crude_inf ** (1.0 - 1.0 / p))
-    endpoint = p in (1, np.inf)
-    method = "crude_factorization" if endpoint else "crude_interpolation"
-    if positive:
-        n1 = lp_norm(adjoint_map(T, 1)(identity(T.codomain)), np.inf)
-        ninf = lp_norm(T(identity(T.domain)), np.inf)
-        pos_upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-        if pos_upper < upper:
-            upper = float(pos_upper)
-            method = "positive_unit" if endpoint else "positive_interpolation"
-    return upper, method
-
-
 # ``_cp_norm`` checks its certificate every CP_CHECK steps of an ascent of at
 # most CP_STEPS steps.  Its point is mixed with the least multiple
 # eps >= CP_MIX of each block's top eigenvalue (eps^2 on a zero block) that
@@ -484,24 +456,73 @@ def _cp_norm(T: LinearMap, p: float, cfg: ToleranceConfig, transposed: bool = Fa
     return state["lower"], state["upper"], state
 
 
+def _norm_bounds(T: LinearMap, p: float, cfg: ToleranceConfig, choi: Optional[dict]) -> tuple[float, float, dict]:
+    """Enclosure (lower, upper, meta) of |T|_p read from T alone, shared by
+    ``op_norm`` and ``certify``.  ``choi`` is the caller's ``choi_positivity``
+    verdict (None reads only the ``positive`` flag of the generators that
+    no exact test covers yet); meta holds the upper endpoint's ``method``,
+    ``positive`` and, for a CP or co-CP map, ``_cp_norm``'s ``lieb``
+    evidence.  At p = 2 the weighted SVD, attained; else the p = 2 norm
+    factored and interpolated, lower endpoint 0.  A positive map takes the
+    unit evaluations |T*(1)|_inf^(1/p) |T(1)|_inf^(1-1/p) when smaller, and
+    at p = inf the lower endpoint |T(1)|_inf, attained at 1.  At p = 1 it
+    takes |T(P)|_1 / |P|_1 for P = v v*, v a unit top eigenvector of T*(1)
+    in its block k: T(P) >= 0 gives |T(P)|_1 = tau(T(P)) = tau(P T*(1)) =
+    w_k lambda_max and |P|_1 = w_k, and T*(1) >= 0 gives lambda_max =
+    |T*(1)|_inf, so both endpoints are |T*(1)|_inf.  A CP or co-CP map at
+    1 < p < inf takes ``_cp_norm``, its upper endpoint when smaller
+    ("lieb_concavity")."""
+    positive = bool(choi and choi["positive"]) or bool(T.meta.get("positive"))
+    n2 = float(np.linalg.norm(_weighted_action(T), 2))
+    if p == 2:
+        return n2, n2, {"method": "weighted_svd", "positive": positive}
+    # crude but certified: factor through p = 2 and interpolate.
+    # |x|_2 <= |x|_1 / sqrt(w_min) and |y|_1 <= sqrt(tau(1)) |y|_2 give a
+    # 1 -> 1 bound; the symmetric estimate handles inf -> inf; any finite
+    # dimensional operator interpolates between its endpoint bounds.
+    # (at p = 1 and p = inf the interpolation returns an endpoint exactly)
+    crude1 = np.sqrt(T.codomain.trace_of_identity / min(T.domain.weights)) * n2
+    crude_inf = np.sqrt(T.domain.trace_of_identity / min(T.codomain.weights)) * n2
+    lower, upper = 0.0, float(crude1 ** (1.0 / p) * crude_inf ** (1.0 - 1.0 / p))
+    endpoint = p in (1, np.inf)
+    meta = {"method": "crude_factorization" if endpoint else "crude_interpolation", "positive": positive}
+    if positive:
+        adj_one = adjoint_map(T, 1)(identity(T.codomain))
+        n1, ninf = lp_norm(adj_one, np.inf), lp_norm(T(identity(T.domain)), np.inf)
+        pos_upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
+        if pos_upper < upper:
+            upper = float(pos_upper)
+            meta["method"] = "positive_unit" if endpoint else "positive_interpolation"
+        if p == 1:
+            eig = _eigh_blocks([0.5 * (b + _adjoint(b)) for b in adj_one.blocks])
+            k = int(np.argmax([vals[-1] for vals, _ in eig]))
+            v = eig[k][1][:, -1]
+            P = Element(T.domain, [np.outer(v, v.conj()) if j == k else np.zeros((d, d))
+                                   for j, d in enumerate(T.domain.dims)])
+            lower = lp_norm(T(P), 1) / lp_norm(P, 1)
+        elif p == np.inf:
+            lower = ninf
+    if choi and (choi["cp"] or choi["co_cp"]) and 1 < p < np.inf:
+        lower, cp_upper, meta["lieb"] = _cp_norm(T, p, cfg, transposed=not choi["cp"])
+        if cp_upper < upper:
+            upper, meta["method"] = cp_upper, "lieb_concavity"
+    return lower, upper, meta
+
+
 def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormInterval:
-    """Enclosure of the L^p -> L^p operator norm, exact at p = 2: the best
-    value of ``_norm_search`` and ``_norm_upper``, with positivity read from
-    ``choi_positivity`` or the ``positive`` flag of the generators that no
-    exact test covers yet.  A search value above the upper endpoint (by
+    """Enclosure of the L^p -> L^p operator norm: ``_norm_bounds`` (with
+    ``choi_positivity`` off p = 2), raised where it stays open by the best
+    value of ``_norm_search``.  A lower endpoint above the upper one (by
     rounding) is clipped and kept as meta["search_above_upper"]."""
     p = T.p if p is None else p
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
-    if p == 2:
-        n2 = _norm_upper(T, p, False)[0]
-        return NormInterval(n2, n2, True, meta={"method": "weighted_svd"})
-    positive = choi_positivity(T, cfg)["positive"] or bool(T.meta.get("positive"))
-    upper, method = _norm_upper(T, p, positive)
-    lower = float(_norm_search(T, p, cfg)[0].max())
+    lower, upper, bounds = _norm_bounds(T, p, cfg, choi_positivity(T, cfg) if p != 2 else None)
+    if not upper - lower <= cfg.opt_tol * upper:  # open, or upper = inf
+        lower = max(lower, float(_norm_search(T, p, cfg)[0].max()))
     certified = upper < np.inf and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
-    meta = {"method": method}
-    if lower > upper:  # by rounding: the interval is clipped, the search value kept here
+    meta = {"method": bounds["method"]}
+    if lower > upper:  # by rounding: the interval is clipped, the value kept here
         meta["search_above_upper"] = lower
     return NormInterval(min(lower, upper), upper, certified, meta=meta)
 

@@ -446,29 +446,22 @@ class DinqVerdict:
         return True
 
 
-def _dinq_verdicts(
-    X: list[np.ndarray], weights, cfg: ToleranceConfig, intervals: Optional[list[NormInterval]] = None
-) -> list[DinqVerdict]:
+def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[DinqVerdict]:
     """The verdicts of ``dinq_disjoint_test`` for the pairs of the stack X
     (per block an (m, 2, d, d) array, block weights ``weights``) against
-    ``intervals``, their direct-sum norms at p = 2, or by default against
-    the bare endpoints of one ``_solve``, clamped and checked as a
-    NormInterval, with no witness built."""
-    if intervals is None:
-        lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS)[:3]
-        intervals = [NormInterval(lo, up, route != "optimizer") for lo, up, route in zip(lower, upper, routes)]
+    their direct-sum norms at p = 2: the bare endpoints of one ``_solve``,
+    clamped and checked as a NormInterval, exact on a closed form or a gap
+    within opt_tol, with no witness built."""
+    lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS)[:3]
+    intervals = [NormInterval(lo, up, route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300))
+                 for lo, up, route in zip(lower, upper, routes)]
     A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
     norms = zip(_norms(A, weights, 2.0).tolist(), _norms(B, weights, 2.0).tolist())
     out = []
     for interval, (na, nb), algebraic in zip(intervals, norms, _disjoint(A, B, cfg).tolist()):
         threshold = float(np.sqrt(na ** 2 + nb ** 2))
         slack = threshold * (1.0 + cfg.opt_tol)
-        if interval.upper <= slack:
-            status = DISJOINT
-        elif interval.lower > slack:
-            status = NOT_DISJOINT
-        else:
-            status = UNDETERMINED
+        status = DISJOINT if interval.upper <= slack else NOT_DISJOINT if interval.lower > slack else UNDETERMINED
         out.append(DinqVerdict(status, interval, threshold, algebraic))
     return out
 
@@ -479,6 +472,6 @@ def dinq_disjoint_test(
     """Two-term criterion at p = 2: (a, b) is a disjoint pair exactly when
     the direct-sum norm does not exceed the Euclidean combination
     sqrt(|a|_2^2 + |b|_2^2).  Verdicts compare the computed enclosure with
-    that threshold and are cross-checked against the algebraic test."""
-    X = _rows([sequence([a, b])])
-    return _dinq_verdicts(X, a.algebra.weights, cfg, _intervals(X, a.algebra, 2.0, cfg))[0]
+    that threshold and are cross-checked against the algebraic test.  The
+    interval carries no witness and an empty meta."""
+    return _dinq_verdicts(_rows([sequence([a, b])]), a.algebra.weights, cfg)[0]

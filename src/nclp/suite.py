@@ -808,19 +808,26 @@ def _prop_scale_equivariance(cfg: ToleranceConfig, n: int) -> _Tally:
 
 
 def _prop_isometry_agreement(cfg: ToleranceConfig, n: int) -> _Tally:
+    """The main theorem on L^2 isometries, read by both deciders: a
+    factorizable one keeps every image pair disjoint and certifies the
+    ell^1-extension norm 1 at p = 2 (interval in [1 - 1e-12, 1 + opt_tol]);
+    any other has a pair certified not disjoint and a certified lower
+    endpoint above 1.  No alarm fires."""
     rng = rng_from(cfg.seed, 603)
     t = _Tally()
     for i in range(n):
         T = synth.random_l2_isometry(rng, i)
         cls = classify_l2_isometry(T, cfg, pairs=8)
-        ev = cls.evidence
-        if cls.status == "ytf":  # every image pair disjoint: no l12 ratio above 1
-            excess = (ev["max_l12_ratio"] or 0.0) - (1 + cfg.opt_tol) * (1 + 1e-12)
+        cert = certify_l1_norm(T, 2.0, cfg)
+        ev, iv = cls.evidence, cert.value_interval
+        if cls.status == "ytf":  # every image pair disjoint: no l12 ratio above 1, and norm 1
+            excess = max((ev["max_l12_ratio"] or 0.0) - (1 + cfg.opt_tol) * (1 + 1e-12),
+                         (1 - 1e-12) - iv.lower, iv.upper - (1 + cfg.opt_tol))
             ok = excess <= 0
-        else:  # a pair certified not disjoint: a certified l12 ratio above 1
-            excess = 1.0 - (ev["max_certified_l12_ratio"] or 0.0)
+        else:  # a pair certified not disjoint: a certified l12 ratio above 1, and a lower endpoint too
+            excess = max(1.0 - (ev["max_certified_l12_ratio"] or 0.0), 1.0 - iv.lower)
             ok = cls.status == "no_ytf" and ev["pair_statuses"].get("not_disjoint", 0) > 0 and excess < 0
-        t.check(not cls.alarm and ok, max(excess, 0.0))
+        t.check(not cls.alarm and not cert.alarm and ok, max(excess, 0.0))
     return t
 
 
@@ -879,7 +886,7 @@ PROPERTIES: tuple[SuiteProperty, ...] = (
     SuiteProperty("two-positive-homogeneity", "CP and co-CP maps scaled above norm 1 certify exactly at every p, inside the operator-norm enclosure", 16, _prop_two_positive_homogeneity),
     SuiteProperty("cp-norm-certificate", "the Lieb-concavity bound on the norm of CP and co-CP maps is never below a Boyd lower endpoint, and closes on one block", 48, _prop_cp_norm_certificate),
     SuiteProperty("scale-equivariance", "certificates of c T keep the route and alarm of T and scale both endpoints by c", 32, _prop_scale_equivariance),
-    SuiteProperty("isometry-route-agreement", "factorization extraction and disjointness preservation agree on isometries: factorizable ones keep every sampled ell^1 ratio at 1, the others certify one above 1", 24, _prop_isometry_agreement),
+    SuiteProperty("isometry-route-agreement", "factorization extraction, disjointness preservation and the certified ell^1-extension norm agree on isometries: factorizable ones keep every sampled ell^1 ratio at 1 and certify the norm 1, the others certify a ratio and a norm above 1", 24, _prop_isometry_agreement),
     SuiteProperty("positive-four-norm-bound", "positive maps keep sampled sequence ratios within four operator norms", 16, _prop_positive_4x),
 )
 

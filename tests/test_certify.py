@@ -5,6 +5,7 @@ from nclp.algebra import (
     AlgebraDescriptor,
     DomainError,
     Element,
+    StructuralError,
     ToleranceConfig,
     identity,
     matrix_algebra,
@@ -27,9 +28,10 @@ from nclp.certify import (
     l1_ratio_lower,
     regular_norm_commutative,
 )
-from nclp.lp import is_positive
+from nclp.lp import is_positive, lp_norm
 from nclp.maps import (
     LinearMap,
+    add_maps,
     commutative_matrix,
     compose,
     convex_combination,
@@ -349,6 +351,23 @@ def test_two_positive_sqrt_norm_bound():
     assert w.factor_bound <= nv.upper * iv.upper * (1 + 1e-6) * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("seq_scale, map_scale", [(1.0, 1.0), (1e9, 1.0), (1.0, 1e-9)])
+def test_two_positive_sqrt_residual_is_relative_to_the_images(monkeypatch, seq_scale, map_scale):
+    # the identities hold in the normalized factors, so a wrong square root
+    # must fail however large the sequence or however small the map
+    import nclp.certify
+
+    rng = rng_from(6)
+    alg = matrix_algebra(2)
+    T = scale_map(synth.random_cp_contraction(alg, 2.0, rng), map_scale)
+    seq = sequence([seq_scale * random_element(alg, rng) for _ in range(2)])
+    assert constructive_witnesses(T, seq, "two_positive_sqrt", CFG).identity_residual < 1e-8 * map_scale
+    root = nclp.certify.positive_sqrt
+    monkeypatch.setattr(nclp.certify, "positive_sqrt", lambda x, cfg: root(x, cfg) + 0.1 * identity(x.algebra))
+    with pytest.raises(StructuralError, match="square-root identities failed"):
+        constructive_witnesses(T, seq, "two_positive_sqrt", CFG)
+
+
 def test_two_positive_sqrt_requires_certified_map():
     T = transpose_map(matrix_algebra(2), 2.0)
     seq = sequence([identity(matrix_algebra(2))])
@@ -396,6 +415,8 @@ def test_positive_route_runs_one_boyd_ascent(monkeypatch):
 
 
 def test_general_route_runs_one_ascent_and_keeps_the_op_norm_lower_endpoint(monkeypatch):
+    # at most one ascent, and none where a closed form encloses |T|_p: at
+    # p = 2, and at p = 1 for the two positive maps
     rng = rng_from(12)
     alg = matrix_algebra(2)
     maps = [LinearMap(alg, alg, ginibre(rng, 4)), synth.random_cp_contraction(alg, 2.0, rng),
@@ -406,7 +427,7 @@ def test_general_route_runs_one_ascent_and_keeps_the_op_norm_lower_endpoint(monk
             del calls[:]
             cert = certify_l1_norm(T, p, CFG)
             assert cert.route not in (ROUTE_COMMUTATIVE, ROUTE_SEPARATING)
-            assert calls == ([] if p == 2 else [p])
+            assert calls == ([] if p == 2 or (p == 1 and T is not maps[0]) else [p])
             assert cert.value_interval.lower >= op_norm(T, p, CFG).lower * (1 - 1e-12)
 
 
@@ -421,7 +442,7 @@ def test_separating_route_reads_the_triple(monkeypatch):
     def counted(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(nclp.certify, "_norm_upper", counted("_norm_upper", nclp.certify._norm_upper))
+    monkeypatch.setattr(nclp.certify, "_norm_bounds", counted("_norm_bounds", nclp.certify._norm_bounds))
     monkeypatch.setattr(nclp.yeadon, "certify_separating",
                         counted("certify_separating", nclp.yeadon.certify_separating))
     for p in (1.0, 1.5, 3.0):
@@ -633,7 +654,9 @@ def test_copositive_map_on_two_weighted_blocks_certifies_without_the_ratio(monke
     lieb = cert.evidence["lieb"]
     assert (cert.value_interval.lower, cert.value_interval.upper) == (lieb["lower"], lieb["upper"])
     assert cert.evidence["op_norm"] == (lieb["lower"], lieb["upper"])
-    assert lieb["upper"] < op_norm(T, 3.0, CFG).upper
+    # op_norm reads the same enclosure
+    nv = op_norm(T, 3.0, CFG)
+    assert (nv.lower, nv.upper, nv.certified_exact) == (lieb["lower"], lieb["upper"], True)
 
 
 def test_rejected_lieb_bound_falls_back_to_the_interpolation_and_the_ratio(monkeypatch):
@@ -662,3 +685,29 @@ def test_rounding_above_the_upper_endpoint_is_recorded_not_hidden():
     lieb = cert.evidence["lieb"]
     assert cert.value_interval.certified_exact and not cert.alarm
     assert lieb["raw_upper"] < lieb["lower"] <= lieb["upper"] <= lieb["lower"] * (1 + 1e-12)
+
+
+def test_op_norm_and_certify_read_one_enclosure(monkeypatch):
+    # CP and co-CP maps at every p, and positive maps at p = 1, where the
+    # enclosure closes from T alone: the same interval, exact, and at p = 1
+    # without the sampled ratio
+    rng = rng_from(41)
+    one, two = matrix_algebra(2), AlgebraDescriptor(((2, 1.0), (2, 0.3)))
+    kraus = [kraus_map([Element(alg, [ginibre(rng, d) for d in alg.dims]) for _ in range(2)], transposed=flip)
+             for alg in (one, two) for flip in (False, True)]
+    # CP on the first block, co-CP on the second: positive, neither CP nor co-CP
+    u, v = Element(two, [ginibre(rng, 2), np.zeros((2, 2))]), Element(two, [np.zeros((2, 2)), ginibre(rng, 2)])
+    positive = [synth.random_positive_map(alg, 2.0, rng) for alg in (one, two)]
+    positive.append(add_maps(kraus_map([u]), kraus_map([v], transposed=True)))
+    calls = _count_ratios(monkeypatch)
+    for T, ps in [(T, (1.0, 1.5, 3.0)) for T in kraus] + [(T, (1.0,)) for T in positive]:
+        for p in ps:
+            del calls[:]
+            cert = certify_l1_norm(T, p, CFG)
+            nv = op_norm(T, p, CFG)
+            assert nv.certified_exact and not cert.alarm
+            assert (nv.lower, nv.upper) == cert.evidence["op_norm"]
+            assert p > 1 or calls == []
+    for T in kraus + positive:  # attained at the identity
+        nv = op_norm(T, np.inf, CFG)
+        assert nv.certified_exact and nv.lower == nv.upper == lp_norm(T(identity(T.domain)), np.inf)
