@@ -291,19 +291,15 @@ def _ranked_svd(
     measured per item against its largest singular value over all blocks
     (all False for a zero item)."""
     svds = [_svd(b) for b in blocks]
-    cut = cfg.rank_cutoff * functools.reduce(np.maximum, [s[..., 0] for _, s, _ in svds])
-    return [(U, s, Vh, s > cut[..., None]) for U, s, Vh in svds]
+    cut = cfg.rank_cutoff * functools.reduce(np.maximum, [s[..., :1] for _, s, _ in svds])
+    return [(U, s, Vh, s > cut) for U, s, Vh in svds]
 
 
 def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for blk in blocks:
-        try:
-            vals, vecs = np.linalg.eigh(blk)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        out.append((vals, vecs))
-    return out
+    try:
+        return [tuple(np.linalg.eigh(blk)) for blk in blocks]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +369,7 @@ def pseudo_inverse(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element
     return Element(x.algebra, blocks)
 
 
-def polar_support(
-    x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[Element, Element, Element]:
+def polar_support(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[Element, Element, Element]:
     """Polar data (u, m, s): x = u m, m = |x| positive, u a partial isometry.
 
     u is assembled from the singular vectors of x above the relative rank
@@ -401,9 +395,7 @@ def support_projection(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Ele
 # ---------------------------------------------------------------------------
 
 
-def block_matrix(
-    algebra: AlgebraDescriptor, entries: Sequence[Sequence[Element]]
-) -> Element:
+def block_matrix(algebra: AlgebraDescriptor, entries: Sequence[Sequence[Element]]) -> Element:
     """Assemble an n x n grid of Elements of ``algebra`` into M_n(algebra).
 
     Consistent with the identification of n x n matrices over L^p(M) with
@@ -412,34 +404,18 @@ def block_matrix(
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise StructuralError("block_matrix needs a square grid")
-    for row in entries:
-        for e in row:
-            if e.algebra != algebra:
-                raise StructuralError("grid entry from a different algebra")
-    big = []
-    for k, d in enumerate(algebra.dims):
-        blk = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                blk[i * d : (i + 1) * d, j * d : (j + 1) * d] = entries[i][j].blocks[k]
-        big.append(blk)
+    if any(e.algebra != algebra for row in entries for e in row):
+        raise StructuralError("grid entry from a different algebra")
+    big = [np.block([[e.blocks[k] for e in row] for row in entries]) for k in range(len(algebra.dims))]
     return Element(amplify(algebra, n), big)
 
 
-def block_entries(
-    algebra: AlgebraDescriptor, n: int, x: Element
-) -> list[list[Element]]:
+def block_entries(algebra: AlgebraDescriptor, n: int, x: Element) -> list[list[Element]]:
     """Inverse of ``block_matrix``: split an M_n(algebra) element into its grid."""
     if x.algebra != amplify(algebra, n):
         raise StructuralError("element does not live in the n-fold amplification")
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            blocks = []
-            for k, d in enumerate(algebra.dims):
-                blocks.append(x.blocks[k][i * d : (i + 1) * d, j * d : (j + 1) * d])
-            grid[i][j] = Element(algebra, blocks)
-    return grid
+    return [[Element(algebra, [b[i * d:(i + 1) * d, j * d:(j + 1) * d] for b, d in zip(x.blocks, algebra.dims)])
+             for j in range(n)] for i in range(n)]
 
 
 def opposite_element(x: Element) -> Element:

@@ -162,22 +162,21 @@ def _expect(cond: bool, message: str, path: str) -> None:
 
 
 def _decode_matrix(obj, d_rows: int, d_cols: int, path: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == d_rows,
-            f"expected {d_rows} rows", path)
-    out = np.zeros((d_rows, d_cols), dtype=complex)
-    for i, row in enumerate(obj):
-        _expect(isinstance(row, list) and len(row) == d_cols,
-                f"expected {d_cols} columns", f"{path}[{i}]")
-        for j, z in enumerate(row):
-            _expect(
-                isinstance(z, list) and len(z) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z),
-                "expected [re, im] number pair", f"{path}[{i}][{j}]",
-            )
-            _expect(all(math.isfinite(v) for v in z),
-                    "entry must be finite", f"{path}[{i}][{j}]")
-            out[i, j] = complex(z[0], z[1])
-    return out
+    # one pass collects the numbers of every well-formed entry; only when an
+    # entry or a number fails is the matrix walked again to name the first
+    _expect(isinstance(obj, list) and len(obj) == d_rows, f"expected {d_rows} rows", path)
+    flat = [v for row in obj if isinstance(row, list) and len(row) == d_cols
+            for z in row if isinstance(z, list) and len(z) == 2 for v in z]
+    numbers = len(flat) == 2 * d_rows * d_cols and set(map(type, flat)) <= {int, float}
+    if not (numbers and all(map(math.isfinite, flat))):
+        for i, row in enumerate(obj):
+            _expect(isinstance(row, list) and len(row) == d_cols, f"expected {d_cols} columns", f"{path}[{i}]")
+            for j, z in enumerate(row):
+                _expect(isinstance(z, list) and len(z) == 2
+                        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z),
+                        "expected [re, im] number pair", f"{path}[{i}][{j}]")
+                _expect(all(math.isfinite(v) for v in z), "entry must be finite", f"{path}[{i}][{j}]")
+    return np.array(obj, dtype=float).view(complex)[..., 0]
 
 
 def _decode_p(obj, path: str) -> float:

@@ -33,6 +33,8 @@ def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     bit).  Every weighted Schatten value in the package is summed here."""
     if p == np.inf:
         total, root = functools.reduce(np.maximum, [s[..., 0] for s in svals]), 1.0
+    elif len(svals) == 1 and weights[0] == 1.0:  # one unweighted block, as in the ascent's steps
+        total, root = (svals[0] ** p).sum(-1), 1.0 / p
     else:
         total, root = functools.reduce(np.add, [w * (s**p).sum(-1) for w, s in zip(weights, svals)]), 1.0 / p
     if total.ndim == 0:

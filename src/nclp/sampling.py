@@ -9,8 +9,10 @@ returns per block (m, d, d) stacks A and B; ``random_disjoint_pair`` is its
 one-pair view, on the same stream.  Each try of a pair draws, block by
 block: the left rank and the Ginibre matrix of the left Haar unitary;
 unless positive, the right rank and its Ginibre matrix; then the Ginibre
-(or, positive, Wishart) factors of a and of b.  A try is rejected from its
-ranks alone, before any QR; the QRs, projections and products of all
+(or, positive, Wishart) factors of a and of b.  The normals come in groups,
+in that order: (2, d, d) after the left rank, then (6, d, d) after the
+right rank, or (4, d, d) when positive.  A try is rejected from its ranks
+alone; the complex matrices, QRs, projections and products of the
 accepted tries are then batched per block.
 """
 
@@ -29,8 +31,14 @@ def rng_from(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, keys)]))
 
 
+def _ginibre(N: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from standard normals N, (..., 2, d, d): the
+    real parts, then the imaginary parts."""
+    return (N[..., 0, :, :] + 1j * N[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    return _ginibre(rng.standard_normal((2, d, d)))
 
 
 def wishart(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -77,24 +85,29 @@ def _disjoint_stacks(
     if algebra.coord_dim < 2:
         raise ValueError("a one-dimensional algebra has no nonzero disjoint pairs")
     low = 1 if len(algebra.dims) == 1 else 0  # a single block keeps both sides of its split
-    tries = []  # per pair, per block: the (left, right) ranks, their Ginibres, the two factors
+    tries = []  # per pair, per block: the (left, right) ranks, then the normals of its four matrices
     for rng, pos in zip(rngs, positive):
         for _ in range(128):
             blocks = []
             for d in algebra.dims:
-                left = (int(rng.integers(low, d + 1 - low)), ginibre(rng, d))
-                right = left if pos else (int(rng.integers(low, d + 1 - low)), ginibre(rng, d))
-                blocks.append((*zip(left, right), [(wishart if pos else ginibre)(rng, d) for _ in "ab"]))
-            ranks = [r for r, _, _ in blocks]
+                rank, left = int(rng.integers(low, d + 1 - low)), rng.standard_normal((2, d, d))
+                right = rank if pos else int(rng.integers(low, d + 1 - low))
+                blocks.append(((rank, right), [left] * (1 + pos) + [rng.standard_normal((4 if pos else 6, d, d))]))
+            ranks = [r for r, _ in blocks]
             # a vanishes iff every block has a side of rank 0, b iff one of rank d
             if not all(0 in r for r in ranks) and not all(d in r for r, d in zip(ranks, algebra.dims)):
                 tries.append(blocks)
                 break
         else:
             raise RuntimeError("failed to draw a nonzero disjoint pair")
+    wisharts = np.flatnonzero(positive)
     A, B = [], []
     for k, d in enumerate(algebra.dims):
-        ranks, G, F = (np.array([t[k][j] for t in tries]) for j in range(3))  # (m, 2), (m, 2, d, d) twice
+        ranks = np.array([t[k][0] for t in tries])  # (m, 2)
+        # per pair the left and the right Ginibre, then the factors of a and of b
+        M = _ginibre(np.array([np.concatenate(t[k][1]) for t in tries]).reshape(-1, 4, 2, d, d))
+        G, F = M[:, :2], M[:, 2:]
+        F[wisharts] = F[wisharts] @ _adjoint(F[wisharts])
         U = _haar(G)
         P = (U * (np.arange(d) < ranks[..., None])[..., None, :]) @ _adjoint(U)  # left and right splits
         C = np.eye(d) - P
@@ -121,14 +134,7 @@ def random_disjoint_pair(
     return Element(algebra, [S[0] for S in A]), Element(algebra, [S[0] for S in B])
 
 
-def random_algebra(
-    rng: np.random.Generator,
-    max_blocks: int = 3,
-    max_dim: int = 3,
-) -> AlgebraDescriptor:
+def random_algebra(rng: np.random.Generator, max_blocks: int = 3, max_dim: int = 3) -> AlgebraDescriptor:
     nb = int(rng.integers(1, max_blocks + 1))
-    blocks = tuple(
-        (int(rng.integers(1, max_dim + 1)), float(rng.uniform(0.5, 2.0)))
-        for _ in range(nb)
-    )
+    blocks = tuple((int(rng.integers(1, max_dim + 1)), float(rng.uniform(0.5, 2.0))) for _ in range(nb))
     return AlgebraDescriptor(blocks)

@@ -40,10 +40,12 @@ solving it alone.
 Three input classes collapse to exact values, decided per row from the
 batched sup-norm, self-adjointness and spectrum kernels of ``lp``:
 positive sequences (norm of the sum), single elements, and p = 1 (the
-ell^1 direct sum of the summands' norms).  ``l1_norm_bounds`` and
-``dinq_disjoint_test`` are one-row stacks; ``certify`` solves its sampled
-ratios with one stack per sequence length and side (``RATIO_STEPS``
-steps for the images) and ``classify_l2_isometry`` its image pairs in one.
+ell^1 direct sum of the summands' norms).  An enclosure's witness (square
+roots, the polar factorization or the ascent's factors) is built only when
+read.  ``l1_norm_bounds`` and ``dinq_disjoint_test`` are one-row stacks;
+``certify`` solves its sampled ratios with one stack per sequence length
+and side (``RATIO_STEPS`` steps for the images) and
+``classify_l2_isometry`` its image pairs in one.
 """
 
 from __future__ import annotations
@@ -106,16 +108,26 @@ class NormInterval:
 
     certified_exact means the enclosure is tight: either a closed-form route
     applied or the optimizer gap closed below opt_tol relative.
-    witness, when present, is a factorization (a_n, b_n) achieving upper.
+    witness, when present, is a factorization (a_n, b_n) achieving upper;
+    given as a callable, it is built when first read.
     """
 
     lower: float
     upper: float
     certified_exact: bool = False
-    witness: Optional[tuple[list[Element], list[Element]]] = None
+    # no class-level default, so that an unbuilt witness reaches __getattr__
+    witness: Optional[tuple[list[Element], list[Element]]] = field(default_factory=lambda: None)
     meta: dict = field(default_factory=dict)
 
+    def __getattr__(self, name: str):
+        if name != "witness" or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        self.witness = self.__dict__.pop("_build")()
+        return self.witness
+
     def __post_init__(self) -> None:
+        if callable(self.witness):
+            self._build = self.__dict__.pop("witness")
         if self.certified_exact and not np.isfinite([self.lower, self.upper]).all():
             raise NumericError(f"exact enclosure [{self.lower}, {self.upper}] is not finite")
         if self.lower < 0:
@@ -170,15 +182,10 @@ def row_embed(seq: ElementSequence) -> Element:
 
 
 def sum_elements(seq: ElementSequence) -> Element:
-    out = zero_element(seq.algebra)
-    for x in seq:
-        out = out + x
-    return out
+    return sum(seq, zero_element(seq.algebra))  # 0 + x_1 + ... + x_n
 
 
-def l1_norm_positive(
-    seq: ElementSequence, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> float:
+def l1_norm_positive(seq: ElementSequence, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Exact sequence norm for positive entries: the p-norm of the sum."""
     for n, x in enumerate(seq):
         if not is_positive(x, cfg):
@@ -266,20 +273,20 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int)
         alpha = bp @ (U * root[..., None, :])
         beta = (root[..., None] * Vh) @ ap
         [Y1], [Y2] = _grams([alpha], [beta])
-        norms = _gram_norms([Y1], [Y2], (1.0,), p).T
+        n1, n2 = norms = _gram_norms([Y1], [Y2], (1.0,), p)
         residual = np.linalg.norm(X - alpha @ beta, axis=(-2, -1)).sum(-1)
-        value = np.sqrt(norms[:, 0] * norms[:, 1]) + slack * residual
+        value = np.sqrt(n1 * n2) + slack * residual
         if not (np.isfinite(lower).all() and np.isfinite(value).all()):
             i = int(np.argmin(np.isfinite(lower) & np.isfinite(value)))
             raise NumericError(f"sequence norm overflowed: endpoints [{float(lower[i])}, {float(value[i])}]")
         better = value < upper
         n_better = np.count_nonzero(better)
         if n_better == len(better):
-            upper, best = value, [alpha, beta, norms]
+            upper, best = value, [alpha, beta, norms.T]
         elif n_better:
             upper = np.where(better, value, upper)
             best = [np.where(better.reshape(-1, *[1] * (v.ndim - 1)), v, w)
-                    for v, w in zip((alpha, beta, norms), best)]
+                    for v, w in zip((alpha, beta, norms.T), best)]
         full = len(rows) == m  # no row has stopped yet: write through slices
         trace[slice(None) if full else rows, 2 + step] = upper
         done = upper - lower <= STOP_GAP * cfg.opt_tol * upper
@@ -300,9 +307,8 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int)
             if step:
                 a, ap, b, bp = (v[keep] for v in (a, ap, b, bp))
         z = _adjoint(U @ Vh)
-        if step == 0:
-            a, ap = _dual_factors(Y2[:, None], (p - 1.0) / 2.0, r, cfg)
-            b, bp = _dual_factors(Y1[:, None], (p - 1.0) / 2.0, r, cfg)
+        if step == 0:  # both sides from one batched SVD
+            (a, b), (ap, bp) = _dual_factors(np.array((Y2, Y1))[:, :, None], (p - 1.0) / 2.0, r, cfg)
         elif step % 2:
             a, ap = _dual_factors((z @ b @ X).sum(axis=1, keepdims=True), q - 1.0, r, cfg)
         else:
@@ -382,33 +388,34 @@ def _witness(alg, factors) -> tuple[list[Element], list[Element]]:
 
 def _intervals(X: list[np.ndarray], alg, p: float, cfg: ToleranceConfig) -> list[NormInterval]:
     """``l1_norm_bounds`` of each row of the stack X over ``alg``: one
-    ``_solve``, and one polar step for the singleton and p = 1 witnesses."""
+    ``_solve``; each witness is built by ``_row_witness`` when first read."""
     lower, upper, routes, factors, histories = _solve(X, alg.weights, p, cfg, MAX_STEPS)
-    polar = [i for i, route in enumerate(routes) if route in ("singleton", "p1_direct_sum")]
-    if polar:
-        sub = X if len(polar) == len(routes) else [S[polar] for S in X]
-        for i, f in zip(polar, _block_split(sub, alg.weights, p, cfg, 0)[2]):
-            factors[i] = f
     out = []
     for i, (lo, up, route, f, history) in enumerate(zip(lower, upper, routes, factors, histories)):
+        build = functools.partial(_row_witness, alg, [S[i] for S in X], p, cfg, route, f)
         if route == "optimizer":
             certified = (up - lo) <= cfg.opt_tol * max(up, 1e-300)
             meta = {"route": route, "init_upper": history[0], "histories": [history]}
-            out.append(NormInterval(lo, up, certified, witness=_witness(alg, f), meta=meta))
-        elif route == "positive":
-            items = [Element(alg, [S[i, k] for S in X]) for k in range(X[0].shape[1])]
-            roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in items]
-            out.append(NormInterval(up, up, True, witness=(roots, roots), meta={"route": route}))
+            out.append(NormInterval(lo, up, certified, witness=build, meta=meta))
         else:
-            out.append(NormInterval(up, up, True, witness=_witness(alg, f), meta={"route": route}))
+            out.append(NormInterval(up, up, True, witness=build, meta={"route": route}))
     return out
 
 
-def l1_norm_bounds(
-    seq: ElementSequence,
-    p: float,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-) -> NormInterval:
+def _row_witness(alg, row: list[np.ndarray], p: float, cfg: ToleranceConfig, route: str, factors):
+    """The witness of one row of ``_intervals`` (per block an (n, d, d)
+    array): the square roots of the items of a positive sequence, the
+    factors of the ascent, or for the other closed forms the polar
+    factorization, the first step of the block split."""
+    if route == "positive":
+        roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in (Element(alg, list(b)) for b in zip(*row))]
+        return roots, roots
+    if route != "optimizer":
+        factors = _block_split([S[None] for S in row], alg.weights, p, cfg, 0)[2][0]
+    return _witness(alg, factors)
+
+
+def l1_norm_bounds(seq: ElementSequence, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormInterval:
     """Two-sided enclosure of the ell^1-valued sequence norm: the closed
     form (witnessed by the square roots of positive entries, else by the
     polar factorization), or up to MAX_STEPS steps of the ascent, whose
@@ -418,9 +425,7 @@ def l1_norm_bounds(
     return _intervals(_rows([seq]), seq.algebra, p, cfg)[0]
 
 
-def l12_norm(
-    a: Element, b: Element, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> NormInterval:
+def l12_norm(a: Element, b: Element, p: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormInterval:
     """Norm of (a, b) in the two-term ell^1 direct sum."""
     return l1_norm_bounds(sequence([a, b]), p, cfg)
 
@@ -439,11 +444,8 @@ class DinqVerdict:
 
     @property
     def consistent(self) -> bool:
-        if self.status == DISJOINT:
-            return self.algebraic
-        if self.status == NOT_DISJOINT:
-            return not self.algebraic
-        return True
+        """An undetermined verdict, or one that the algebraic test agrees with."""
+        return self.status == UNDETERMINED or self.algebraic == (self.status == DISJOINT)
 
 
 def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[DinqVerdict]:
@@ -466,9 +468,7 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
     return out
 
 
-def dinq_disjoint_test(
-    a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> DinqVerdict:
+def dinq_disjoint_test(a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DinqVerdict:
     """Two-term criterion at p = 2: (a, b) is a disjoint pair exactly when
     the direct-sum norm does not exceed the Euclidean combination
     sqrt(|a|_2^2 + |b|_2^2).  Verdicts compare the computed enclosure with

@@ -28,7 +28,7 @@ T does, and positivity is judged by ``maps.positivity_tests`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -89,9 +89,7 @@ class JordanReport:
     scale: float
 
 
-def verify_jordan(
-    J: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> JordanReport:
+def verify_jordan(J: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG) -> JordanReport:
     """Check J(x^2) = J(x)^2 in polarized form over all basis pairs and
     J(x*) = J(x)* on the basis; by bilinearity the two imply J(x^2) = J(x)^2
     for every x, so no sampled square adds anything."""
@@ -116,9 +114,7 @@ class CentralDecomposition:
     sigma: LinearMap
 
 
-def central_decompose(
-    J: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> CentralDecomposition:
+def central_decompose(J: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CentralDecomposition:
     """Split J into its homomorphic and anti-homomorphic parts.
 
     Returns central projections g + f = J(1) of the algebra generated by the
@@ -196,9 +192,25 @@ class YeadonTriple:
 
 @dataclass
 class ExtractionFailure:
+    """``reason`` names the first violated condition, ``all_reasons`` all of
+    them and ``residual`` is the largest residual.  Given ``finish``, which
+    returns (residual, all_reasons), both are computed when first read."""
+
     reason: str
     residual: float
     all_reasons: list[str] = field(default_factory=list)
+    finish: Optional[Callable[[], tuple[float, list[str]]]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.finish is not None:
+            del self.residual, self.all_reasons
+
+    def __getattr__(self, name: str):
+        if name not in ("residual", "all_reasons") or self.__dict__.get("finish") is None:
+            raise AttributeError(name)
+        self.residual, self.all_reasons = self.finish()
+        self.finish = None
+        return getattr(self, name)
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return False
@@ -219,7 +231,10 @@ def extract_yeadon(
     identity (a), the support condition (b) with projections rounded at 1/2,
     the commutation condition (c), and the Jordan property, all on the
     coordinate basis.  Failures are returned as values, never raised, and
-    name the first violated condition.
+    name the first violated condition.  The conditions are checked in that
+    order, and a failure returns once its reason is known: after (a), (b)
+    or (c) fails, the Jordan check that completes ``all_reasons`` and
+    ``residual`` runs only when one of them is read.
     """
     dom, cod = T.domain, T.codomain
     one = identity(dom)
@@ -270,22 +285,23 @@ def extract_yeadon(
     if comm > tol * B.sup_norm() * float(_sup_norms(J_images).max()):
         reasons.append("commutation (c)")
 
-    report = verify_jordan(J, cfg)
-    residuals["jordan"] = report.defect
-    if not report.ok:
-        reasons.append("jordan")
+    def finish():  # the Jordan check, the last condition
+        report = verify_jordan(J, cfg)
+        residuals["jordan"] = report.defect
+        return max(residuals.values()), reasons + ["jordan"] * (not report.ok)
 
-    if reasons:
-        return ExtractionFailure(reasons[0], max(residuals.values()), reasons)
+    if reasons:  # the reason is known: the rest is computed when read
+        return ExtractionFailure(reasons[0], None, finish=finish)
+    residual, failed = finish()
+    if failed:
+        return ExtractionFailure("jordan", residual, failed)
 
     try:
         dec = central_decompose(J, cfg)
     except StructuralError as exc:
-        return ExtractionFailure("central", report.defect, ["central", str(exc)])
+        return ExtractionFailure("central", residuals["jordan"], ["central", str(exc)])
 
-    return YeadonTriple(
-        w, B, J, True, dec.g, dec.f, dec.pi, dec.sigma, residuals
-    )
+    return YeadonTriple(w, B, J, True, dec.g, dec.f, dec.pi, dec.sigma, residuals)
 
 
 def trace_density(

@@ -207,3 +207,65 @@ def test_seed_range_endpoints_are_accepted():
     for seed in (0, 2**32 - 1):
         assert parse_instance(_with_tolerances({}, seed)).seed == seed
     assert rng_from(2**32 - 1).random() != rng_from(0).random()
+
+
+def _ref_decode_matrix(obj, d_rows, d_cols, path):
+    # the decoder as it was, checking entry by entry, copied as it was
+    import math
+
+    def expect(cond, message, where):
+        if not cond:
+            raise ParseError(message, where)
+
+    expect(isinstance(obj, list) and len(obj) == d_rows, f"expected {d_rows} rows", path)
+    out = np.zeros((d_rows, d_cols), dtype=complex)
+    for i, row in enumerate(obj):
+        expect(isinstance(row, list) and len(row) == d_cols, f"expected {d_cols} columns", f"{path}[{i}]")
+        for j, z in enumerate(row):
+            expect(isinstance(z, list) and len(z) == 2
+                   and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z),
+                   "expected [re, im] number pair", f"{path}[{i}][{j}]")
+            expect(all(math.isfinite(v) for v in z), "entry must be finite", f"{path}[{i}][{j}]")
+            out[i, j] = complex(z[0], z[1])
+    return out
+
+
+def _outcome(decode, obj, d_rows=2, d_cols=2):
+    try:
+        got = decode(obj, d_rows, d_cols, "$.x")
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.path)
+    except OverflowError as exc:
+        return ("OverflowError", str(exc))
+    assert got.shape == (d_rows, d_cols) and got.dtype == complex
+    return ("ok", got.tobytes())
+
+
+@pytest.mark.parametrize("obj", [
+    [[[1, 2], [3.5, -0.0]], [[2**60 + 1, 1e308], [-7, 0]]],
+    [[[1, 2], [3, 4]], [[5, 6], [np.float64(7.0), 8]]],
+    [[[1, 2], [3, 4]]],
+    "rows",
+    [[[1, 2], [3, 4]], [[5, 6]]],
+    [[[1, 2], [3, 4]], [[5, 6], [7, 8], [9, 10]]],
+    [[[1, 2], [3, 4]], "row"],
+    [[[1, 2], [True, 4]], [[5, 6], [7, 8]]],
+    [[[1, 2], [3, "4"]], [[5, 6], [7, 8]]],
+    [[[1, 2], [3]], [[5, 6], [7, 8]]],
+    [[[1, 2], [3, 4, 5]], [[5, 6], [7, 8]]],
+    [[[1, 2], None], [[5, 6], [7, 8]]],
+    [[[1, float("nan")], [3, 4]], [[5, 6], [7, 8]]],
+    [[[1, 2], [3, 4]], [[5, float("inf")], [7, 8]]],
+    [[[1, float("nan")], [True, 4]], [[5, 6], [7, 8]]],
+    [[[1, 2], [True, 4]], [[5, float("-inf")]]],
+    [[[1, 10**400], [3, 4]], [[5, 6], [7, 8]]],
+    [[[1, 2], [3, True]], [[10**400, 6], [7, 8]]],
+    [[[10**400, 2], [3, 4]], [[5, 6]]],
+    [[[1, float("nan")], [3, 4]], [[10**400, 6], [7, 8]]],
+])
+def test_decode_matrix_matches_the_entrywise_decoder(obj):
+    # the one-pass decoder returns the same matrix, bit for bit, and raises
+    # the same error at the same path as the entry-by-entry one
+    from nclp.instances import _decode_matrix
+
+    assert _outcome(_decode_matrix, obj) == _outcome(_ref_decode_matrix, obj)

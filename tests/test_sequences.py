@@ -568,3 +568,82 @@ def test_small_non_selfadjoint_items_keep_the_optimizer_route():
     assert unit.lower == pytest.approx(3.37685, rel=1e-5)
     assert small.lower == pytest.approx(1e-9 * unit.lower, rel=1e-9)
     assert small.upper == pytest.approx(1e-9 * unit.upper, rel=1e-9)
+
+
+def _ref_witnesses(X, alg, p, cfg):
+    """The witnesses ``_intervals`` built eagerly before they became lazy,
+    copied as they were: one polar step for the singleton and p = 1 rows
+    together, square roots for the positive rows."""
+    from nclp.algebra import positive_sqrt
+    from nclp.sequences import _solve, _witness
+
+    lower, upper, routes, factors, histories = _solve(X, alg.weights, p, cfg, MAX_STEPS)
+    polar = [i for i, route in enumerate(routes) if route in ("singleton", "p1_direct_sum")]
+    if polar:
+        sub = X if len(polar) == len(routes) else [S[polar] for S in X]
+        for i, f in zip(polar, _block_split(sub, alg.weights, p, cfg, 0)[2]):
+            factors[i] = f
+    out = []
+    for i, (route, f) in enumerate(zip(routes, factors)):
+        if route == "positive":
+            items = [Element(alg, [S[i, k] for S in X]) for k in range(X[0].shape[1])]
+            roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in items]
+            out.append((roots, roots))
+        else:
+            out.append(_witness(alg, f))
+    return out
+
+
+def _witness_stacks():
+    # (stack, p, routes): a positive, a singleton, a p = 1 and an optimizer
+    # sequence, then stacks mixing the positive and the other rows
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5), (3, 0.7)))
+    rng = rng_from(47)
+    pos = sequence([random_positive(alg, rng) for _ in range(3)])
+    gen = [sequence([random_element(alg, rng) for _ in range(3)]) for _ in range(2)]
+    single = sequence([random_element(alg, rng)])
+    return [([pos], 1.5, ["positive"]), ([single], 3.0, ["singleton"]), ([gen[0]], 1.0, ["p1_direct_sum"]),
+            ([gen[0]], 2.0, ["optimizer"]), ([gen[0], pos, gen[1]], 1.0, ["p1_direct_sum", "positive", "p1_direct_sum"]),
+            ([pos, gen[1]], 3.0, ["positive", "optimizer"])]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_witness_is_built_when_read(monkeypatch, index):
+    # the enclosure computes no square root and no polar step until the
+    # witness is read; the witness read equals the eager one bit for bit
+    import nclp.sequences
+
+    seqs, p, routes = _witness_stacks()[index]
+    alg, X = seqs[0].algebra, _rows(seqs)
+    want = _ref_witnesses(X, alg, p, CFG)
+    calls = {"positive_sqrt": 0, "_block_split": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(nclp.sequences, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(nclp.sequences, name, counted)
+    ivs = [l1_norm_bounds(seqs[0], p, CFG)] if len(seqs) == 1 else _intervals(X, alg, p, CFG)
+    assert [iv.meta["route"] for iv in ivs] == routes
+    solved = routes.count("optimizer") > 0
+    assert calls == {"positive_sqrt": 0, "_block_split": int(solved)}
+    for iv, (wa, wb), route in zip(ivs, want, routes):
+        before = dict(calls)
+        got_a, got_b = iv.witness
+        assert iv.witness is iv.witness  # built once
+        for got, ref in ((got_a, wa), (got_b, wb)):
+            assert len(got) == len(ref)
+            for x, y in zip(got, ref):
+                assert x.algebra == y.algebra
+                assert all(u.dtype == v.dtype and np.array_equal(u, v) for u, v in zip(x.blocks, y.blocks))
+        roots = len(wa) if route == "positive" else 0
+        polar = int(route in ("singleton", "p1_direct_sum"))
+        assert calls == {"positive_sqrt": before["positive_sqrt"] + roots, "_block_split": before["_block_split"] + polar}
+
+
+def test_given_witness_is_kept():
+    alg = matrix_algebra(2)
+    a, b = [identity(alg)], [zero_element(alg)]
+    iv = NormInterval(1.0, 2.0, False, witness=(a, b))
+    assert iv.witness == (a, b) and NormInterval(1.0, 2.0).witness is None
+    lazy = NormInterval(1.0, 2.0, witness=lambda: (a, b))
+    assert lazy.witness == (a, b) and lazy == iv

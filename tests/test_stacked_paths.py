@@ -115,6 +115,17 @@ def test_diagonal_algebra_rejects_tries_from_ranks():
     assert all(S.shape == (30, 1, 1) for S in A + B)
 
 
+def test_ginibre_and_wishart_keep_the_stream_of_one_matrix_at_a_time():
+    # the real and the imaginary part come from one (2, d, d) draw: the same
+    # numbers, and the same generator state, as two (d, d) draws
+    for d in (1, 2, 3):
+        rng, ref = rng_from(d, 2), rng_from(d, 2)
+        got = [ginibre(rng, d), wishart(rng, d)]
+        g, h = [(ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))) / np.sqrt(2.0) for _ in range(2)]
+        assert got[0].tobytes() == g.tobytes() and got[1].tobytes() == (h @ h.conj().T).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_haar_unitary_matches_the_one_matrix_formula():
     for d in (1, 2, 3):
         assert np.array_equal(haar_unitary(rng_from(d, 1), d), _ref_haar_unitary(rng_from(d, 1), d))

@@ -415,3 +415,87 @@ def test_trace_density():
     tri2 = extract_yeadon(scale_map(T, 2.0), CFG)
     assert isinstance(tri2, YeadonTriple)
     assert np.allclose(trace_density(tri2, alg, 2.0, CFG), 4.0, rtol=0, atol=1e-12)
+
+
+def _ref_failure(T, cfg):
+    """(reason, residual, all_reasons) of a failed extraction, as
+    ``extract_yeadon`` computed them before the Jordan check became lazy,
+    copied as it was (without the zero-weight and central branches)."""
+    from nclp.algebra import _nearly_selfadjoint, _sup_norms, polar_support, pseudo_inverse
+    from nclp.maps import _map_from_images, _unit_images
+    from nclp.yeadon import _round_projection
+
+    dom, cod = T.domain, T.codomain
+    one = identity(dom)
+    t1 = T(one)
+    w, B, sB = polar_support(t1, cfg)
+    B_pinv = pseudo_inverse(B, cfg)
+    T_images = _unit_images(T)
+    J_images = [np.matmul(bp, np.matmul(u, S))
+                for bp, u, S in zip(B_pinv.blocks, w.H.blocks, T_images)]
+    J = _map_from_images(dom, cod, J_images, T.p, {"kind": "extracted_jordan"})
+    out_scale = float(_sup_norms(T_images).max())
+    tol = max(1e-7, 100.0 * cfg.algebraic_tol)
+    residuals = {}
+    reasons = []
+    wB = w * B
+    rec = float(_sup_norms([S - np.matmul(b, Jl)
+                            for S, b, Jl in zip(T_images, wB.blocks, J_images)]).max())
+    residuals["reconstruction"] = rec / out_scale
+    if rec > tol * out_scale:
+        reasons.append("reconstruction (a)")
+    J1 = J(one)
+    sup_res = (w.H * w - sB).sup_norm()
+    if _nearly_selfadjoint(J1, max(1e-7, 100 * cfg.algebraic_tol)):
+        rounded = _round_projection(J1, cfg)
+        sup_res = max(sup_res, (rounded - sB).sup_norm(), (J1 - rounded).sup_norm())
+    else:
+        sup_res = max(sup_res, (J1 - J1.H).sup_norm())
+    residuals["support"] = sup_res
+    if sup_res > tol * 10:
+        reasons.append("support (b)")
+    comm = float(_sup_norms([np.matmul(b, Jl) - np.matmul(Jl, b)
+                             for b, Jl in zip(B.blocks, J_images)]).max())
+    residuals["commutation"] = comm / B.sup_norm()
+    if comm > tol * B.sup_norm() * float(_sup_norms(J_images).max()):
+        reasons.append("commutation (c)")
+    report = verify_jordan(J, cfg)
+    residuals["jordan"] = report.defect
+    if not report.ok:
+        reasons.append("jordan")
+    return reasons[0], max(residuals.values()), reasons
+
+
+def _failing_maps():
+    # the rotation mixing fails at (c) and the Jordan check, x -> diag(1, 2) x
+    # at (c) alone, x -> x_11 e_11 + x_12 e_21 at (a) and a Ginibre map at (c)
+    alg = matrix_algebra(2)
+    left = map_from_function(alg, alg, lambda x: Element(alg, [np.diag([1.0, 2.0]) @ x.blocks[0]]), 2.0)
+    off = map_from_function(alg, alg, lambda x: Element(alg, [np.array([[x.blocks[0][0, 0], 0.0], [x.blocks[0][0, 1], 0.0]])]), 3.0)
+    wide = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    return [rotation_mixing(np.pi / 4), left, off,
+            LinearMap(wide, wide, synth.ginibre(rng_from(44), wide.coord_dim), 2.0)]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_failed_extraction_checks_jordan_only_when_read(monkeypatch, index):
+    # once (a), (b) or (c) has failed the reason is known; the Jordan check
+    # behind all_reasons and residual runs once, when one of them is read,
+    # and gives what the eager extraction gave
+    import nclp.yeadon
+
+    T = _failing_maps()[index]
+    want = _ref_failure(T, CFG)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return verify_jordan(*args)
+
+    monkeypatch.setattr(nclp.yeadon, "verify_jordan", counted)
+    fail = extract_yeadon(T, CFG)
+    assert isinstance(fail, ExtractionFailure) and fail.reason == want[0] != "jordan"
+    assert not calls
+    assert fail.all_reasons == want[2] and len(calls) == 1
+    assert fail.residual == want[1] and len(calls) == 1
+    assert fail == ExtractionFailure(*want)
