@@ -31,11 +31,15 @@ first step's primal is the polar factorization.  The ascent stops once the
 gap is below STOP_GAP * opt_tol = opt_tol / 100 relative, or at a step
 cap; it is deterministic.
 
-*The stack.*  The blocks of one dimension, of every row, ascend together:
-each step is one batched SVD, one Gram ``eigvalsh`` and one dual SVD for
-all of them.  A (row, block) pair leaves the stack when its own gap
-closes, so its endpoints, factors and history are bit for bit those of
-solving it alone.
+*The stack.*  Every block of every row ascends in one stack, zero-padded
+into the top-left corner of D x D, D = max_k d_k: a block on M_d starts at
+c P_d, c = d^((1-p)/(2p)), P_d the corner projection, so the rank cutoff
+keeps its padding at 0 and it takes the steps it would take on M_d alone.
+Each step is one batched SVD and one dual SVD for all of them; after step
+0 a pair reads its primal endpoint (one Gram ``eigvalsh``) only once its
+dual rose by at most SETTLE relative in the step.  A pair leaves the stack
+when its own gap closes, so its endpoints, factors and history are bit for
+bit those of solving its row alone.
 
 Three input classes collapse to exact values, decided per row from the
 batched sup-norm, self-adjointness and spectrum kernels of ``lp``:
@@ -204,6 +208,11 @@ MAX_STEPS = 200  # step cap of the ascent on one block in l1_norm_bounds
 # cost a few steps, and endpoints that sit at the edge of opt_tol would be
 # looser than a descent that happened to stop closer to the norm.
 STOP_GAP = 0.01
+# After step 0 a row reads its primal endpoint, a third of a step, only once
+# its dual rose by at most SETTLE relative in a step: a dual that still
+# rises faster leaves a gap far above STOP_GAP * opt_tol at the rates the
+# ascent shows, so the primal could seldom stop the row.
+SETTLE = 1e-6
 
 
 def _stacks(items: Sequence[Element]) -> list[np.ndarray]:
@@ -246,36 +255,41 @@ def _dual_factors(G: np.ndarray, e: float, r: float, cfg: ToleranceConfig):
     return (_adjoint(Vh) * f[..., None, :]) @ _adjoint(W), (W * inv[..., None, :]) @ Vh
 
 
-def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int):
+def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int, dims=None):
     """The ascent of the module docstring for each row of the (m, n, d, d)
-    stack X, a sequence of n items on an unweighted M_d: (trace, alpha,
-    beta, norms, steps) over the rows.  A row of ``trace`` holds the lower
-    and the upper endpoint, then the upper endpoint after each step,
-    repeated after the row's last step; (alpha, beta, norms) are the best
-    primal step's factors and their (|Y1|_p, |Y2|_p).  A row leaves the
-    stack once its gap is below STOP_GAP * opt_tol relative, so the rows
-    that go on take the same steps as they would alone."""
+    stack X, a sequence of n items on an unweighted M_d (on its top-left
+    dims[i] x dims[i] corner, with ``dims``): (trace, alpha, beta, norms,
+    steps) over the rows.  A row of ``trace`` holds the lower and the upper
+    endpoint, then the upper endpoint after each step, repeated after the
+    row's last step; (alpha, beta, norms) are the best primal step's
+    factors and their (|Y1|_p, |Y2|_p).  A row leaves the stack once its
+    gap is below STOP_GAP * opt_tol relative, so the rows that go on take
+    the same steps as they would alone."""
     m, n, d = X.shape[:3]
     q = 2.0 * p / (p + 1.0)
     r = 2.0 * p / (p - 1.0) if p > 1 else np.inf
-    c = float(d) ** ((1.0 - p) / (2.0 * p))
-    # one start for every row; each update gives every row its own (k, 1, d, d)
-    a = b = c * np.eye(d, dtype=complex)
-    ap = bp = np.eye(d, dtype=complex) / c
-    slack = float(d) ** max(0.0, 1.0 / p - 0.5)
+    dims = np.full(m, d) if dims is None else np.asarray(dims)
+    c, slack = np.array([(e ** ((1.0 - p) / (2.0 * p)), e ** max(0.0, 1.0 / p - 0.5)) for e in dims.tolist()]).T
+    # P_{d_i}: the factors vanish off the corner, so cutting them back to it loses nothing
+    corner = np.eye(d) * (np.arange(d) < dims[:, None])[:, None, None, :]
+    a = b = c[:, None, None, None] * corner
+    ap = bp = corner / c[:, None, None, None]
     rows, lower, upper = np.arange(m), np.zeros(m), np.full(m, np.inf)  # rows still in the stack
     trace = np.empty((m, max_steps + 3))
     out = [np.empty_like(X), np.empty_like(X), np.empty((m, 2)), np.empty(m, int)]
     for step in range(max_steps + 1):
         U, s, Vh = np.linalg.svd(b @ X @ a)
-        lower = np.fmax(lower, s.reshape(len(s), -1).sum(-1))
-        root = np.sqrt(s)
-        alpha = bp @ (U * root[..., None, :])
-        beta = (root[..., None] * Vh) @ ap
-        [Y1], [Y2] = _grams([alpha], [beta])
-        n1, n2 = norms = _gram_norms([Y1], [Y2], (1.0,), p)
-        residual = np.linalg.norm(X - alpha @ beta, axis=(-2, -1)).sum(-1)
-        value = np.sqrt(n1 * n2) + slack * residual
+        previous, lower = lower, np.fmax(lower, s.reshape(len(s), -1).sum(-1))
+        due = lower - previous <= SETTLE * lower if step else np.full(m, True)
+        value = upper
+        if due.any():
+            root = np.sqrt(s)
+            alpha = bp @ (U * root[..., None, :])
+            beta = (root[..., None] * Vh) @ ap
+            [Y1], [Y2] = _grams([alpha], [beta])
+            n1, n2 = norms = _gram_norms([Y1], [Y2], (1.0,), p)
+            residual = np.linalg.norm(X - alpha @ beta, axis=(-2, -1)).sum(-1)
+            value = np.where(due, np.sqrt(n1 * n2) + slack * residual, upper)
         if not (np.isfinite(lower).all() and np.isfinite(value).all()):
             i = int(np.argmin(np.isfinite(lower) & np.isfinite(value)))
             raise NumericError(f"sequence norm overflowed: endpoints [{float(lower[i])}, {float(value[i])}]")
@@ -302,10 +316,11 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int)
             if n_done == len(upper):
                 return (trace, *out)
             keep = ~done
-            rows, X, lower, upper, U, Vh, Y1, Y2 = (v[keep] for v in (rows, X, lower, upper, U, Vh, Y1, Y2))
+            rows, X, lower, upper, slack, U, Vh, a, ap, b, bp = (
+                v[keep] for v in (rows, X, lower, upper, slack, U, Vh, a, ap, b, bp))
             best = [v[keep] for v in best]
-            if step:
-                a, ap, b, bp = (v[keep] for v in (a, ap, b, bp))
+            if step == 0:
+                Y1, Y2 = Y1[keep], Y2[keep]
         z = _adjoint(U @ Vh)
         if step == 0:  # both sides from one batched SVD
             (a, b), (ap, bp) = _dual_factors(np.array((Y2, Y1))[:, :, None], (p - 1.0) / 2.0, r, cfg)
@@ -317,29 +332,29 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int)
 
 def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
     """(lower, upper, factors, histories) per row of the stack X (per block
-    an (m, n, d, d) array) from the block split, all blocks of one
-    dimension in one ``_stack_ascent``: ``factors`` lists (alpha, beta,
-    |Y1|_p, |Y2|_p) per block, ``histories`` the whole upper endpoint after
-    each step of the row's longest ascent."""
-    m = len(X[0])
-    dims = [S.shape[-1] for S in X]
-    runs = [None] * len(X)
-    for d in dict.fromkeys(dims):
-        ks = [k for k, e in enumerate(dims) if e == d]
-        run = _stack_ascent(np.concatenate([X[k] for k in ks]), p, cfg, max_steps)
-        for j, k in enumerate(ks):
-            runs[k] = [v[j * m:(j + 1) * m] for v in run]
-    steps = functools.reduce(np.maximum, [run[4] for run in runs])
+    an (m, n, d, d) array) from the block split, every block of every row
+    zero-padded into the corner of one ``_stack_ascent``: ``factors`` lists
+    (alpha, beta, |Y1|_p, |Y2|_p) per block, ``histories`` the whole upper
+    endpoint after each step of the row's longest ascent."""
+    (m, n), dims = X[0].shape[:2], [S.shape[-1] for S in X]
+    D = max(dims)
+    stack = np.zeros((len(X) * m, n, D, D), dtype=np.result_type(*X))
+    for k, (S, d) in enumerate(zip(X, dims)):
+        stack[k * m:(k + 1) * m, :, :d, :d] = S
+    trace, alpha, beta, norms, steps = _stack_ascent(stack, p, cfg, max_steps, np.repeat(dims, m))
+    steps = steps.reshape(len(X), m).max(axis=0)
     width = 2 + int(steps.max())
-    totals = _schatten([np.ascontiguousarray(run[0][:, :width])[..., None] for run in runs], weights, p)
+    totals = _schatten(list(trace[:, :width].reshape(len(X), m, width, 1)), weights, p)
     if not np.isfinite(totals[:, 1]).all():
         lower, upper = totals[np.argmin(np.isfinite(totals[:, 1])), :2].tolist()
         raise NumericError(f"sequence norm overflowed: endpoints [{lower}, {upper}]")
-    factors = [[(run[1][i], run[2][i], *run[3][i].tolist()) for run in runs] for i in range(m)]
+    factors = [[(alpha[j][:, :d, :d], beta[j][:, :d, :d], *norms[j].tolist())
+                for j, d in zip(range(i, len(stack), m), dims)] for i in range(m)]
     histories = [totals[i, 2:2 + steps[i]].tolist() for i in range(m)]
     return totals[:, 0].tolist(), totals[:, 1].tolist(), factors, histories
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness checks raise NumericError instead
 def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
     """(lower, upper, routes, factors, histories) per row of the stack X (per
     block an (m, n, d, d) array: m sequences of n items over one algebra

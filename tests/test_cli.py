@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nclp
 from nclp.algebra import matrix_algebra
 from nclp.cli import _jsonable, run_command
 from nclp.instances import parse_instance
@@ -347,17 +351,33 @@ def test_seed_is_read_only_by_commands_that_use_one(capcli, monkeypatch):
     assert code == 3 and out == "" and "NCLP_SEED" in err
 
 
-# the overflow must surface as NumericError before any nan reaches sequences
-@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
-def test_factor_overflow_is_input_error(capcli):
-    # the factor products of a non-positive pair near 1e300 overflow
+def _overflow_pair(capcli) -> str:
+    # a non-positive pair near 1e300, whose factor products overflow
     _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
     doc = json.loads(text)
     doc["elements"]["x0"]["blocks"] = [[[[1e300, 0.0], [2e300, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
     doc["elements"]["x1"]["blocks"] = [[[[0.0, 0.0], [1e300, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]]
-    code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=json.dumps(doc))
+    return json.dumps(doc)
+
+
+# the overflow must surface as NumericError before any nan reaches sequences
+@pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
+def test_factor_overflow_is_input_error(capcli):
+    code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=_overflow_pair(capcli))
     assert code == 3 and out == ""
     assert err.startswith("error:") and "overflowed" in err
+
+
+def test_overflow_prints_only_its_error_line(capcli):
+    # run as a process, the overflowing enclosure writes its error line and
+    # nothing else: no numpy RuntimeWarning, with the path of its source
+    # file, ahead of it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nclp.__file__)))
+    run = subprocess.run([sys.executable, "-m", "nclp.cli", "seqnorm", "--p", "3"], input=_overflow_pair(capcli),
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 3 and run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("error:") and "overflowed" in line
 
 
 def test_shared_parser_matches_a_fresh_one(capcli, monkeypatch):

@@ -488,8 +488,9 @@ def test_upper_endpoint_counts_the_factor_residual():
 
 
 def test_polar_start_computed_once_per_call(monkeypatch):
-    # one ascent per block dimension, whose first step is the polar
-    # factorization, and no restarts: a second call repeats the first exactly
+    # one ascent for every block of the algebra, whose first step is the
+    # polar factorization, and no restarts: a second call repeats the first
+    # exactly
     import nclp.sequences
 
     rng = rng_from(21)
@@ -504,7 +505,7 @@ def test_polar_start_computed_once_per_call(monkeypatch):
     monkeypatch.setattr(nclp.sequences, "_stack_ascent", counted)
     got = l1_norm_bounds(seq, 3.0, CFG)
     assert len(got.meta["histories"]) == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert (got.lower, got.upper, got.meta["histories"]) == (want.lower, want.upper, want.meta["histories"])
 
 
@@ -519,6 +520,60 @@ def _mixed_rows():
                      for x in generic[1]])
     return [sequence(random_disjoint_pair(alg, rng)), generic[0], zero,
             sequence([random_positive(alg, rng) for _ in range(2)]), generic[1]]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.7)])
+def test_padded_blocks_follow_their_own_ascent(monkeypatch, weights, p):
+    # every block of M_1 + M_2 + M_3 ascends in the corner of one 3 x 3
+    # stack: its endpoints and steps are those of its own ascent on M_d,
+    # and its factors are cut back to d x d
+    import nclp.sequences
+
+    alg = AlgebraDescriptor(tuple(zip((1, 2, 3), weights)))
+    rng = rng_from(31)
+    seqs = [sequence([random_element(alg, rng) for _ in range(3)]) for _ in range(2)]
+    X = _rows(seqs)
+    runs = []
+
+    def recorded(*args):
+        runs.append(_stack_ascent(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(nclp.sequences, "_stack_ascent", recorded)
+    lower, upper, factors, histories = _block_split(X, weights, p, CFG, MAX_STEPS)
+    [(trace, *_, steps)] = runs
+    alone = [_stack_ascent(S, p, CFG, MAX_STEPS) for S in X]
+    for k, run in enumerate(alone):
+        np.testing.assert_allclose(trace[2 * k:2 * k + 2, :2], run[0][:, :2], rtol=1e-12)
+        assert steps[2 * k:2 * k + 2].tolist() == run[4].tolist()
+    for i in range(2):
+        assert len(histories[i]) == max(run[4][i] for run in alone) > 1
+        want = [float(np.sum(np.array(weights) * np.array([run[0][i, j] for run in alone]) ** p) ** (1 / p))
+                for j in (0, 1)]
+        np.testing.assert_allclose([lower[i], upper[i]], want, rtol=1e-12)
+        assert [(a.shape, b.shape) for a, b, *_ in factors[i]] == [((3, d, d), (3, d, d)) for d in (1, 2, 3)]
+    for iv in _intervals(X, alg, p, CFG):
+        for x in (*iv.witness[0], *iv.witness[1]):
+            assert [b.shape for b in x.blocks] == [(1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_reading_the_primal_at_every_step_changes_no_stop(monkeypatch, p):
+    # the settle rule skips a row's primal endpoint only while its dual
+    # still rises: on these rows it changes histories, but no step count
+    # and no endpoint
+    import nclp.sequences
+
+    rows = _mixed_rows()
+    X, w = _rows(rows), rows[0].algebra.weights
+    settled = _block_split(X, w, p, CFG, MAX_STEPS)
+    monkeypatch.setattr(nclp.sequences, "SETTLE", np.inf)
+    every = _block_split(X, w, p, CFG, MAX_STEPS)
+    assert [len(h) for h in settled[3]] == [len(h) for h in every[3]]
+    np.testing.assert_allclose(settled[0], every[0], rtol=1e-14)
+    np.testing.assert_allclose(settled[1], every[1], rtol=1e-14)
+    assert settled[3] != every[3]
 
 
 def _same_factors(f, g):
