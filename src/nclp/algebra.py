@@ -207,7 +207,9 @@ class Element:
 
     def sup_norm(self) -> float:
         """Operator norm (largest singular value over all blocks)."""
-        return float(_sup_norms(self.blocks))
+        if np.isnan(value := float(_sup_norms(self.blocks))):  # LAPACK's answer to an inf entry
+            raise NumericError("the operator norm is nan, most likely from a non-finite (inf) entry")
+        return value
 
     def __repr__(self) -> str:
         return f"Element({self.algebra!r}, sup={self.sup_norm():.3g})"

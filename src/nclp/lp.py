@@ -16,6 +16,7 @@ from .algebra import (
     DEFAULT_CONFIG,
     DomainError,
     Element,
+    NumericError,
     StructuralError,
     ToleranceConfig,
     _adjoint,
@@ -54,7 +55,9 @@ def schatten_quasi(x: Element, p: float) -> float:
     """
     if not p > 0:
         raise DomainError("exponent must be positive")
-    return _norms(x.blocks, x.algebra.weights, p)
+    if np.isnan(value := _norms(x.blocks, x.algebra.weights, p)):  # LAPACK's answer to an inf entry
+        raise NumericError(f"the {p}-norm is nan, most likely from a non-finite (inf) entry")
+    return value
 
 
 def lp_norm(x: Element, p: float) -> float:

@@ -24,12 +24,14 @@ b x_n a = U_n s_n V_n* per step gives this dual endpoint, sum_n tr s_n, and
 a primal factorization alpha_n = b+ U_n s_n^(1/2), beta_n = s_n^(1/2) V_n* a+
 whose objective plus sum_n |x_n - alpha_n beta_n|_p (the triangle
 inequality and the singleton route, so a pseudo-inverse cutoff never makes
-it too low) is the upper endpoint.  With z_n = V_n U_n*, the next step
-replaces a by the q-norming dual of sum z_n b x_n, q = 2p/(p+1), or on
-alternate steps b by that of sum x_n a z_n; neither lowers the dual.  The
-first step's primal is the polar factorization.  The ascent stops once the
-gap is below STOP_GAP * opt_tol = opt_tol / 100 relative, or at a step
-cap; it is deterministic.
+it too low) is the upper endpoint.  The first step's primal is the polar
+factorization, whose Grams give the next a and b; after that, with z_n =
+V_n U_n*, every step replaces both at once, from one batched SVD, by the
+q-norming duals (q = 2p/(p+1)) of sum z_n b x_n and sum x_n a z_n.  That
+can lower the dual, but both endpoints hold for any unit a, b and any
+factorization, whatever rule chose them, so the lower endpoint is the best
+dual so far.  The ascent stops once the gap is below STOP_GAP * opt_tol =
+opt_tol / 100 relative, or at a step cap; it is deterministic.
 
 *The stack.*  Every block of every row ascends in one stack, zero-padded
 into the top-left corner of D x D, D = max_k d_k: a block on M_d starts at
@@ -37,9 +39,9 @@ c P_d, c = d^((1-p)/(2p)), P_d the corner projection, so the rank cutoff
 keeps its padding at 0 and it takes the steps it would take on M_d alone.
 Each step is one batched SVD and one dual SVD for all of them; after step
 0 a pair reads its primal endpoint (one Gram ``eigvalsh``) only once its
-dual rose by at most SETTLE relative in the step.  A pair leaves the stack
-when its own gap closes, so its endpoints, factors and history are bit for
-bit those of solving its row alone.
+best dual rose by at most SETTLE relative in the step.  A pair leaves the
+stack when its own gap closes, so its endpoints, factors and history are
+bit for bit those of solving its row alone.
 
 Three input classes collapse to exact values, decided per row from the
 batched sup-norm, self-adjointness and spectrum kernels of ``lp``:
@@ -259,12 +261,12 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int,
     """The ascent of the module docstring for each row of the (m, n, d, d)
     stack X, a sequence of n items on an unweighted M_d (on its top-left
     dims[i] x dims[i] corner, with ``dims``): (trace, alpha, beta, norms,
-    steps) over the rows.  A row of ``trace`` holds the lower and the upper
-    endpoint, then the upper endpoint after each step, repeated after the
-    row's last step; (alpha, beta, norms) are the best primal step's
-    factors and their (|Y1|_p, |Y2|_p).  A row leaves the stack once its
-    gap is below STOP_GAP * opt_tol relative, so the rows that go on take
-    the same steps as they would alone."""
+    steps) over the rows.  A row of ``trace`` holds the best dual and the
+    best primal endpoint, then the upper endpoint after each step, repeated
+    after the row's last step; (alpha, beta, norms) are the best primal
+    step's factors and their (|Y1|_p, |Y2|_p).  A row leaves the stack once
+    its gap is below STOP_GAP * opt_tol relative, so the rows that go on
+    take the same steps as they would alone."""
     m, n, d = X.shape[:3]
     q = 2.0 * p / (p + 1.0)
     r = 2.0 * p / (p - 1.0) if p > 1 else np.inf
@@ -315,19 +317,16 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int,
             out[3][i] = step + 1
             if n_done == len(upper):
                 return (trace, *out)
-            keep = ~done
-            rows, X, lower, upper, slack, U, Vh, a, ap, b, bp = (
-                v[keep] for v in (rows, X, lower, upper, slack, U, Vh, a, ap, b, bp))
-            best = [v[keep] for v in best]
-            if step == 0:
-                Y1, Y2 = Y1[keep], Y2[keep]
-        z = _adjoint(U @ Vh)
-        if step == 0:  # both sides from one batched SVD
-            (a, b), (ap, bp) = _dual_factors(np.array((Y2, Y1))[:, :, None], (p - 1.0) / 2.0, r, cfg)
-        elif step % 2:
-            a, ap = _dual_factors((z @ b @ X).sum(axis=1, keepdims=True), q - 1.0, r, cfg)
+        if step == 0:  # a and b at once, from one batched SVD of the stacked pair
+            G, e = np.array((Y2, Y1)), (p - 1.0) / 2.0
         else:
-            b, bp = _dual_factors((X @ a @ z).sum(axis=1, keepdims=True), q - 1.0, r, cfg)
+            z = _adjoint(U @ Vh)
+            G, e = np.array(((z @ b @ X).sum(axis=1), (X @ a @ z).sum(axis=1))), q - 1.0
+        if n_done:
+            keep = ~done
+            rows, X, lower, upper, slack = (v[keep] for v in (rows, X, lower, upper, slack))
+            G, best = G[:, keep], [v[keep] for v in best]
+        (a, b), (ap, bp) = _dual_factors(G[:, :, None], e, r, cfg)
 
 
 def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):

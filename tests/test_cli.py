@@ -537,16 +537,21 @@ def test_generators_refuse_exponents_below_one(capcli, gen, p):
 
 
 def test_rotation_classify_frozen_evidence(capcli):
-    # recorded before the 18 image pairs were solved as one stack: the
-    # printed evidence keeps its digits (the certified ratio, lower endpoint
-    # over the input norm, was recorded when it was added)
+    # re-recorded when the ascent began to update both factors in every
+    # step; before, with one factor per step, the two ratios printed
+    # 1.2651331767497545 and 1.265133176508795.  The digits moved inside the
+    # ascent's stop gap, and the old values bound the new ones to 1e-9
+    # relative.
     _, inst_text, _ = capcli(["example", "rotation"])
     code, result, _ = capcli(["classify-l2"], stdin_text=inst_text)
     assert code == 1
-    assert json.loads(result)["evidence"] == {
-        "extraction": "commutation (c)", "max_l12_ratio": 1.2651331767497545,
-        "max_certified_l12_ratio": 1.265133176508795,
+    evidence = json.loads(result)["evidence"]
+    assert evidence == {
+        "extraction": "commutation (c)", "max_l12_ratio": 1.265133176892069,
+        "max_certified_l12_ratio": 1.2651331760160756,
         "pair_statuses": {"not_disjoint": 18}}
+    for key, old in (("max_l12_ratio", 1.2651331767497545), ("max_certified_l12_ratio", 1.265133176508795)):
+        assert evidence[key] == pytest.approx(old, rel=1e-9, abs=0)
 
 
 def test_numpy_booleans_print_as_json_booleans(capcli):

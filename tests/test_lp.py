@@ -191,15 +191,22 @@ def test_hs_inner_matches_pairing_on_adjoint():
     assert hs_inner(a, b) == pytest.approx(duality_pair(a.H, b), rel=1e-12)
 
 
+_KERNELS = {"lp_norm": lambda x: lp_norm(x, 3.0), "lp_norm_inf": lambda x: lp_norm(x, np.inf),
+            "sup_norm": lambda x: x.sup_norm(), "is_positive": is_positive, "pseudo_inverse": pseudo_inverse,
+            "schatten_quasi": lambda x: schatten_quasi(x, 0.5)}
+
+
 @pytest.mark.parametrize(
-    "kernel",
-    [lambda x: lp_norm(x, 3.0), lambda x: lp_norm(x, np.inf), lambda x: x.sup_norm(), is_positive,
-     pseudo_inverse],
-    ids=["lp_norm", "lp_norm_inf", "sup_norm", "is_positive", "pseudo_inverse"],
+    "kernel, entry",
+    [pytest.param(_KERNELS[name], np.nan, id=name)
+     for name in ("lp_norm", "lp_norm_inf", "sup_norm", "is_positive", "pseudo_inverse")]
+    + [pytest.param(_KERNELS[name], np.inf, id=f"{name}_of_inf")
+       for name in ("lp_norm", "lp_norm_inf", "sup_norm", "schatten_quasi")],
 )
-def test_svd_kernels_name_non_finite_input(kernel):
-    # numpy's SVD raises a raw LinAlgError ("SVD did not converge") on nan
+def test_svd_kernels_name_non_finite_input(kernel, entry):
+    # numpy's SVD raises a raw LinAlgError ("SVD did not converge") on nan,
+    # and returns nan singular values for an inf entry
     alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
-    x = Element(alg, [np.array([[np.nan, 1.0], [0.0, 1.0]]), np.ones((1, 1))])
+    x = Element(alg, [np.array([[entry, 1.0], [0.0, 1.0]]), np.ones((1, 1))])
     with pytest.raises(NumericError, match="non-finite"):
         kernel(x)

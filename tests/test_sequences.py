@@ -9,6 +9,7 @@ from nclp.algebra import (
     Element,
     NumericError,
     ToleranceConfig,
+    _adjoint,
     diagonal_algebra,
     identity,
     matrix_algebra,
@@ -574,6 +575,61 @@ def test_reading_the_primal_at_every_step_changes_no_stop(monkeypatch, p):
     np.testing.assert_allclose(settled[0], every[0], rtol=1e-14)
     np.testing.assert_allclose(settled[1], every[1], rtol=1e-14)
     assert settled[3] != every[3]
+
+
+def _closed_form_stacks():
+    # padded rows on the corners of M_4 whose norm has a closed form:
+    # positive sequences, normed by their sum, and singletons
+    rng = rng_from(41)
+    g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dims = np.array([1, 2, 3, 4, 2, 3, 4, 4])
+    out = []
+    for n, positive in ((3, True), (1, False)):
+        X = np.zeros((len(dims), n, 4, 4), dtype=complex)
+        for i, d in enumerate(dims.tolist()):
+            # every fourth row rank-one
+            y = g(n, d, 1) @ g(n, 1, d) if i % 4 == 3 else g(n, d, d)
+            X[i, :, :d, :d] = y @ _adjoint(y) if positive else y
+        out.append((X, dims, X.sum(axis=1)))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
+def test_ascent_encloses_closed_form_norms(p):
+    # whatever the update rule, every dual iterate is a lower endpoint and
+    # every primal one an upper endpoint: the ascent brackets the exact
+    # norm, closes its gap, and records no upper endpoint below its lower one
+    for X, dims, total in _closed_form_stacks():
+        trace, *_, steps = _stack_ascent(X, p, CFG, MAX_STEPS, dims)
+        exact = np.sum(np.linalg.svd(total, compute_uv=False) ** p, axis=-1) ** (1 / p)
+        lower, upper = trace[:, 0], trace[:, 1]
+        assert (lower <= exact * (1 + 1e-12)).all() and (exact <= upper * (1 + 2e-12)).all()
+        assert (upper - lower <= 0.01 * CFG.opt_tol * upper).all() and (steps <= MAX_STEPS).all()
+        assert (trace[:, :1] <= trace[:, 1:] * (1 + 1e-12)).all()
+
+
+def _budget_stacks():
+    # 100 rows: n = 2..5 items on the corners of M_4 (1 to 4), every
+    # fourth row rank-one
+    rng = rng_from(40)
+    g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = []
+    for n in (2, 3, 4, 5):
+        dims = rng.integers(1, 5, 25)
+        X = np.zeros((25, n, 4, 4), dtype=complex)
+        for i, d in enumerate(dims.tolist()):
+            X[i, :, :d, :d] = g(n, d, 1) @ g(n, 1, d) if i % 4 == 3 else g(n, d, d)
+        out.append((X, dims))
+    return out
+
+
+def test_ascent_step_budget():
+    # updating both factors in every step takes 1,755 steps over these 300
+    # row solves; updating one factor per step took 2,409
+    stacks = _budget_stacks()
+    steps = sum(int(_stack_ascent(X, p, CFG, MAX_STEPS, dims)[4].sum())
+                for p in (1.5, 2.0, 3.0) for X, dims in stacks)
+    assert steps <= 1755 * 1.05
 
 
 def _same_factors(f, g):
