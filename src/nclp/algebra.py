@@ -243,7 +243,8 @@ def hermitian_part(x: Element) -> Element:
 
 def _nearly_selfadjoint(x: Element, tol: float) -> bool:
     """|x - x*| <= tol * |x| in operator norm."""
-    return bool(_selfadjoint(x.blocks, tol, _sup_norms(x.blocks)))
+    scale, defect = _selfadjoint(x.blocks)
+    return bool(defect <= tol * scale)
 
 
 def is_selfadjoint(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
@@ -278,11 +279,13 @@ def _sup_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.maximum, [_svd(S, False)[..., 0] for S in stacks])
 
 
-def _selfadjoint(stacks: Sequence[np.ndarray], tol: float, scale: np.ndarray) -> np.ndarray:
-    """|x - x*| <= tol * |x| in operator norm for each element given
-    blockwise as (..., d, d) stacks, whose operator norms |x| are ``scale``:
+def _selfadjoint(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """(|x|, |x - x*|), stacked first, in operator norm for each element
+    given blockwise as (..., d, d) stacks, from one SVD per block of the
+    stacked [x, x - x*].  x is self-adjoint when |x - x*| <= tol * |x|:
     relative at every scale, so a small element is judged like its multiples."""
-    return _sup_norms([S - _adjoint(S) for S in stacks]) <= tol * scale
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the SVD rejects the nan
+        return _sup_norms([np.stack((S, S - _adjoint(S))) for S in stacks])
 
 
 def _ranked_svd(
@@ -363,6 +366,8 @@ def pseudo_inverse(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Element
     treated as zero."""
     svds = _ranked_svd(x.blocks, cfg)
     if not any(keep.any() for *_, keep in svds):
+        if any(np.isnan(s).any() for _, s, _, _ in svds):  # LAPACK's answer to an inf entry
+            raise NumericError("pseudo-inverse of an element with a non-finite (inf) entry")
         return zero_element(x.algebra)
     blocks = []
     for U, s, Vh, keep in svds:

@@ -420,7 +420,8 @@ def _normalized_factorization(
     if iv.witness is None:
         raise StructuralError("no factorization witness available")
     a_list, b_list = iv.witness
-    ra, cb = _gram_norms(*_grams(_stacks(a_list), _stacks(b_list)), seq.algebra.weights, p).tolist()
+    with np.errstate(over="ignore"):  # ``_schatten`` sums an overflowing Gram again, scaled
+        ra, cb = _gram_norms(*_grams(_stacks(a_list), _stacks(b_list)), seq.algebra.weights, p).tolist()
     margin = 1.0 + 1e-9
     sa = 1.0 / np.sqrt(ra * margin) if ra > 0 else 1.0
     sb = 1.0 / np.sqrt(cb * margin) if cb > 0 else 1.0

@@ -26,23 +26,48 @@ from .algebra import (
 )
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _power_sums(svals: list[np.ndarray], weights: tuple[float, ...], p: float) -> np.ndarray:
+    """sum_k w_k sum_i s_ki^p, an array over the leading axes of the s_k."""
+    if len(svals) == 1 and weights[0] == 1.0:  # one unweighted block, as in the ascent's steps
+        return (svals[0] ** p).sum(-1)
+    return functools.reduce(np.add, [w * (s**p).sum(-1) for w, s in zip(weights, svals)])
+
+
 def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     """(sum_k w_k sum_i s_ki^p)^(1/p) from the singular values s_k of each
     block, (..., d_k) in descending order, and the block weights w_k, or
     max_k s_k0 for p = inf: a float for 1-D s_k, else an array over their
     leading axes, each root Python's pow (numpy's can differ in the last
-    bit).  Every weighted Schatten value in the package is summed here."""
+    bit).  Every weighted Schatten value in the package is summed here.
+
+    A sum that underflows to 0 or a subnormal, or overflows, is summed again
+    with the s_k divided by the element's top singular value t, which comes
+    back as t (sum_k w_k sum_i (s_ki / t)^p)^(1/p): every other sum is left
+    as it was, so the guard costs one test on the sums.  A caller that can
+    pass singular values past about 1e100 runs it with numpy's overflow
+    warning off, as ``_solve`` and ``_norms`` do."""
     if p == np.inf:
         total, root = functools.reduce(np.maximum, [s[..., 0] for s in svals]), 1.0
-    elif len(svals) == 1 and weights[0] == 1.0:  # one unweighted block, as in the ascent's steps
-        total, root = (svals[0] ** p).sum(-1), 1.0 / p
     else:
-        total, root = functools.reduce(np.add, [w * (s**p).sum(-1) for w, s in zip(weights, svals)]), 1.0 / p
+        total, root = _power_sums(svals, weights, p), 1.0 / p
+    sums = total.ravel().tolist()
+    values = [t**root for t in sums]
+    if p != np.inf and not _TINY <= min(sums) <= max(sums) < np.inf:
+        top = functools.reduce(np.maximum, [s[..., 0] for s in svals])
+        unit = np.where(top > 0.0, top, 1.0)[..., None]
+        with np.errstate(invalid="ignore"):  # inf / inf: the sum stays nan, as it was
+            scaled = _power_sums([s / unit for s in svals], weights, p).ravel().tolist()
+        values = [v if _TINY <= t < np.inf else u * r**root
+                  for v, t, u, r in zip(values, sums, top.ravel().tolist(), scaled)]
     if total.ndim == 0:
-        return float(total) ** root
-    return np.array([t**root for t in total.ravel().tolist()]).reshape(total.shape)
+        return values[0]
+    return np.array(values).reshape(total.shape)
 
 
+@np.errstate(over="ignore")  # ``_schatten`` sums an overflowing element again, scaled
 def _norms(stacks: list[np.ndarray], weights: tuple[float, ...], p: float):
     """``schatten_quasi`` of each element given blockwise as (..., d_k, d_k) stacks."""
     return _schatten([_svd(S, False) for S in stacks], weights, p)
@@ -89,14 +114,18 @@ def hs_inner(a: Element, b: Element) -> complex:
     return complex((a.H * b).trace())
 
 
-def _positive(stacks: list[np.ndarray], cfg: ToleranceConfig) -> np.ndarray:
+def _positive(stacks: list[np.ndarray], cfg: ToleranceConfig, sup=None) -> np.ndarray:
     """``is_positive`` of each element given blockwise as (..., d_k, d_k)
     stacks: |x - x*| <= tol * |x|, then (only if some element passes) the
-    Hermitian part's lowest eigenvalue >= -tol * |x|.  Every positivity
-    verdict in the package, the Choi test and the sampled probes of ``maps``
-    included, is decided here."""
-    scale = _sup_norms(stacks)
-    ok = _selfadjoint(stacks, cfg.algebraic_tol, scale)
+    Hermitian part's lowest eigenvalue >= -tol * |x|, with (|x|, |x - x*|)
+    from ``algebra._selfadjoint`` or, in the pair verdicts, the one batched
+    SVD that gives them every scale (``sup``).  Every positivity verdict in
+    the package, the Choi test, the probes of ``maps`` and the declarations
+    of instance files included, is decided here."""
+    scale, defect = _selfadjoint(stacks) if sup is None else sup
+    if np.isnan(scale).any():  # LAPACK's answer to an inf entry
+        raise NumericError("positivity test on an element with a non-finite (inf) entry")
+    ok = defect <= cfg.algebraic_tol * scale
     if ok.any():
         spectra = [np.linalg.eigvalsh(0.5 * (S + _adjoint(S)))[..., 0] for S in stacks]
         ok &= functools.reduce(np.minimum, spectra) >= -cfg.algebraic_tol * scale
@@ -108,12 +137,9 @@ def is_positive(x: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     return bool(_positive(x.blocks, cfg))
 
 
-def _disjoint(A: list[np.ndarray], B: list[np.ndarray], cfg: ToleranceConfig) -> np.ndarray:
-    """``disjoint`` of each pair of elements given blockwise as (..., d_k, d_k)
-    stacks A and B, batched over the leading axes."""
-    na, nb = _sup_norms(A), _sup_norms(B)
-    cross = np.maximum(_sup_norms([_adjoint(a) @ b for a, b in zip(A, B)]),
-                       _sup_norms([a @ _adjoint(b) for a, b in zip(A, B)]))
+def _disjoint(na: np.ndarray, nb: np.ndarray, cross: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``disjoint`` from the operator norms |a|, |b| and max(|a* b|, |a b*|),
+    read from one batched SVD per block, batched over any shape."""
     return (cross <= cfg.algebraic_tol * na * nb) | (na == 0.0) | (nb == 0.0)
 
 
@@ -126,4 +152,6 @@ def disjoint(a: Element, b: Element, cfg: ToleranceConfig = DEFAULT_CONFIG) -> b
     """
     if a.algebra != b.algebra:
         raise StructuralError("disjointness needs elements of one algebra")
-    return bool(_disjoint(a.blocks, b.blocks, cfg))
+    na, nb, *cross = _sup_norms([np.stack((x, y, _adjoint(x) @ y, x @ _adjoint(y)))
+                                 for x, y in zip(a.blocks, b.blocks)])
+    return bool(_disjoint(na, nb, np.maximum(*cross), cfg))

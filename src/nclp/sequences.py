@@ -43,15 +43,18 @@ best dual rose by at most SETTLE relative in the step.  A pair leaves the
 stack when its own gap closes, so its endpoints, factors and history are
 bit for bit those of solving its row alone.
 
-Three input classes collapse to exact values, decided per row from the
-batched sup-norm, self-adjointness and spectrum kernels of ``lp``:
-positive sequences (norm of the sum), single elements, and p = 1 (the
-ell^1 direct sum of the summands' norms).  An enclosure's witness (square
-roots, the polar factorization or the ascent's factors) is built only when
-read.  ``l1_norm_bounds`` and ``dinq_disjoint_test`` are one-row stacks;
-``certify`` solves its sampled ratios with one stack per sequence length
-and side (``RATIO_STEPS`` steps for the images) and
-``classify_l2_isometry`` its image pairs in one.
+Three input classes collapse to exact values, decided per row by the
+batched positivity test of ``lp``: positive sequences (norm of the sum),
+single elements, and p = 1 (the ell^1 direct sum of the summands' norms).
+The pair verdicts of ``dinq_disjoint_test`` and ``classify_l2_isometry``
+read one batched SVD per block of [x, x - x*, (a* b, a b*)], x = a, b, for
+the pairs (a, b): positivity, the 2-norms of the threshold and the
+algebraic disjointness test all take their scales from it.  An
+enclosure's witness (square roots, the polar factorization or the
+ascent's factors) is built only when read.  ``l1_norm_bounds`` and
+``dinq_disjoint_test`` are one-row stacks; ``certify`` solves its sampled
+ratios with one stack per sequence length and side (``RATIO_STEPS`` steps
+for the images) and ``classify_l2_isometry`` its image pairs in one.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .algebra import (
     ToleranceConfig,
     _adjoint,
     _ranked_svd,
+    _svd,
     block_matrix,
     positive_sqrt,
     zero_element,
@@ -155,6 +159,7 @@ class NormInterval:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # ``_schatten`` sums an overflowing Gram again, scaled
 def column_row_norm(seq: ElementSequence, p: float, side: str) -> float:
     """|sum b_n* b_n|_{p/2}^(1/2) (column) or |sum a_n a_n*|_{p/2}^(1/2) (row).
 
@@ -354,14 +359,15 @@ def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, m
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks raise NumericError instead
-def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
+def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int, sup=None):
     """(lower, upper, routes, factors, histories) per row of the stack X (per
     block an (m, n, d, d) array: m sequences of n items over one algebra
     with block weights ``weights``): the closed form of the module
     docstring where one applies (no factors, empty history), else
-    ``max_steps`` steps of the block split (route "optimizer")."""
+    ``max_steps`` steps of the block split (route "optimizer").  ``sup``,
+    when given, holds the items' (|x|, |x - x*|) for ``_positive``."""
     m, n = X[0].shape[:2]
-    positive = _positive(X, cfg).all(axis=-1)
+    positive = _positive(X, cfg, sup).all(axis=-1)
     other = "singleton" if n == 1 else "p1_direct_sum" if p == 1 else "optimizer"
     routes = ["positive" if pos else other for pos in positive.tolist()]
     lower = np.full(m, np.nan)
@@ -467,18 +473,25 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
     (per block an (m, 2, d, d) array, block weights ``weights``) against
     their direct-sum norms at p = 2: the bare endpoints of one ``_solve``,
     clamped and checked as a NormInterval, exact on a closed form or a gap
-    within opt_tol, with no witness built."""
-    lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS)[:3]
+    within opt_tol, with no witness built.  Every other scale, for
+    ``_positive``, ``_disjoint`` and the 2-norms of a and b, comes from one
+    SVD per block of the stack [x, x - x*, (a* b, a b*)], x = a, b."""
+    A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
+    with np.errstate(over="ignore", invalid="ignore"):  # the SVD rejects the nan an overflow leaves
+        svals = [_svd(np.stack((S, S - _adjoint(S), np.stack((_adjoint(a) @ b, a @ _adjoint(b)), axis=1))),
+                      False) for S, a, b in zip(X, A, B)]
+        norms = _schatten([s[0] for s in svals], weights, 2.0).tolist()
+    scale, defect, cross = functools.reduce(np.maximum, [s[..., 0] for s in svals])
+    lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS, (scale, defect))[:3]
     intervals = [NormInterval(lo, up, route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300))
                  for lo, up, route in zip(lower, upper, routes)]
-    A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
-    norms = zip(_norms(A, weights, 2.0).tolist(), _norms(B, weights, 2.0).tolist())
+    algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
     out = []
-    for interval, (na, nb), algebraic in zip(intervals, norms, _disjoint(A, B, cfg).tolist()):
+    for interval, (na, nb), disjoint in zip(intervals, norms, algebraic):
         threshold = float(np.sqrt(na ** 2 + nb ** 2))
         slack = threshold * (1.0 + cfg.opt_tol)
         status = DISJOINT if interval.upper <= slack else NOT_DISJOINT if interval.lower > slack else UNDETERMINED
-        out.append(DinqVerdict(status, interval, threshold, algebraic))
+        out.append(DinqVerdict(status, interval, threshold, disjoint))
     return out
 
 

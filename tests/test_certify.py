@@ -533,9 +533,9 @@ def test_classify_sends_its_pairs_through_one_solve(monkeypatch):
     calls = []
     solve = nclp.sequences._solve
 
-    def counted(X, weights, p, cfg, max_steps):
+    def counted(X, weights, p, cfg, max_steps, *sup):
         calls.append((len(X[0]), X[0].shape[1], p, max_steps))
-        return solve(X, weights, p, cfg, max_steps)
+        return solve(X, weights, p, cfg, max_steps, *sup)
 
     monkeypatch.setattr(nclp.sequences, "_solve", counted)
     cls = classify_l2_isometry(rotation_mixing(np.pi / 4), CFG, pairs=18)

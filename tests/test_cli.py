@@ -303,22 +303,23 @@ def test_out_flag_writes_file(capcli, tmp_path):
 # the overflow must surface as NumericError before any nan reaches sequences
 @pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_non_finite_exact_enclosure_is_input_error(capcli):
-    # the positive closed form overflows to inf; an exact [inf, inf] used to
-    # be printed as certified
+    # the positive closed form overflows to inf (its value is past the
+    # largest float); an exact [inf, inf] used to be printed as certified
     _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
     doc = json.loads(text)
-    big = [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]
+    big = [[[8e307, 0.0], [0.0, 0.0]], [[0.0, 0.0], [8e307, 0.0]]]
     for name in ("x0", "x1"):
         doc["elements"][name]["blocks"] = [big]
     code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=json.dumps(doc))
     assert code == 3 and out == ""
     assert err.startswith("error:") and "not finite" in err
 
-    _, text, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--seed", "3"])
+    # weight 4: the 2-norm of the sum is 8e307 * sqrt(8), past the largest float
+    _, text, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--weights", "4", "--seed", "3"])
     doc = json.loads(text)
     names = list(doc["elements"])
-    doc["elements"][names[0]]["blocks"] = [[[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
-    doc["elements"][names[1]]["blocks"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
+    doc["elements"][names[0]]["blocks"] = [[[[8e307, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    doc["elements"][names[1]]["blocks"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [8e307, 0.0]]]]
     code, out, err = capcli(["dinq"], stdin_text=json.dumps(doc))
     assert code == 3 and out == ""
     assert err.startswith("error:") and "not finite" in err

@@ -108,6 +108,29 @@ def test_negative_spectrum_declared_positive_rejected():
         parse_instance(json.dumps(doc))
 
 
+def test_failed_positivity_declaration_precedes_a_later_malformed_element():
+    # the declarations are checked in one stack per algebra once the elements
+    # are read, but an error still names the first problem in document order
+    doc = {
+        "version": "nclp-1",
+        "algebras": {"M": {"blocks": [{"dim": 2, "weight": 1.0}]}},
+        "elements": {
+            "y": {"algebra": "M", "blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+                  "positive": True},
+            "x": {"algebra": "M", "blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]]]],
+                  "positive": True},
+            "z": {"algebra": "M", "blocks": [[["oops"]]]},
+        },
+    }
+    with pytest.raises(ParseError, match="negative spectrum") as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.path == "$.elements.x"
+    del doc["elements"]["x"]
+    with pytest.raises(ParseError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.path.startswith("$.elements.z.blocks[0]")
+
+
 def test_unknown_version_rejected():
     with pytest.raises(ParseError, match="version"):
         parse_instance(json.dumps({"version": "other"}))

@@ -3,10 +3,13 @@
 ``AlgebraDescriptor.slices`` is the one coordinate layout, and ``algebra``
 holds one block sup-norm, one rank-cutoff SVD, one spectral synthesis and
 one self-adjointness test; ``lp`` holds the Hermitian-part spectrum.  The
-references below are the per-module helpers these replaced, copied as they
-were.  Every comparison is bitwise, on multi-block algebras with unequal
-weights.
+pair verdicts of ``sequences`` read every scale from one SVD per block.  The
+references below are the per-module helpers and per-call kernels these
+replaced, copied as they were.  Every comparison is bitwise, on multi-block
+algebras with unequal weights.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from nclp.algebra import (
     AlgebraDescriptor,
     Element,
     ToleranceConfig,
+    _adjoint,
     _ranked_svd,
+    _sup_norms,
     absolute,
     amplify,
     apply_spectral,
@@ -24,7 +29,7 @@ from nclp.algebra import (
     identity,
     zero_element,
 )
-from nclp.lp import is_positive
+from nclp.lp import _norms, _positive, disjoint, is_positive
 from nclp.maps import (
     LinearMap,
     _block_stacks,
@@ -38,12 +43,14 @@ from nclp.maps import (
 from nclp.sampling import (
     ginibre,
     haar_unitary,
+    random_disjoint_pair,
     random_element,
     random_positive,
     random_selfadjoint,
     rng_from,
 )
-from nclp.sequences import column_embed, row_embed, sequence
+from nclp import sequences
+from nclp.sequences import _dinq_verdicts, _rows, _solve, column_embed, row_embed, sequence
 from nclp.yeadon import _unit_products
 
 ALG = AlgebraDescriptor(((2, 0.5), (3, 1.7), (1, 2.3)))
@@ -219,6 +226,22 @@ def _ref_is_positive(x, cfg):
     return lowest >= -cfg.algebraic_tol * scale
 
 
+def _ref_positive(stacks, cfg):
+    scale = _sup_norms(stacks)
+    ok = _sup_norms([S - _adjoint(S) for S in stacks]) <= cfg.algebraic_tol * scale
+    if ok.any():
+        spectra = [np.linalg.eigvalsh(0.5 * (S + _adjoint(S)))[..., 0] for S in stacks]
+        ok &= functools.reduce(np.minimum, spectra) >= -cfg.algebraic_tol * scale
+    return ok
+
+
+def _ref_disjoint(A, B, cfg):
+    na, nb = _sup_norms(A), _sup_norms(B)
+    cross = np.maximum(_sup_norms([_adjoint(a) @ b for a, b in zip(A, B)]),
+                       _sup_norms([a @ _adjoint(b) for a, b in zip(A, B)]))
+    return (cross <= cfg.algebraic_tol * na * nb) | (na == 0.0) | (nb == 0.0)
+
+
 def _ref_column_embed(seq):
     n, alg = len(seq), seq.algebra
     big = []
@@ -370,3 +393,55 @@ def test_column_and_row_embeddings_match_the_copies():
         seq = sequence([random_element(ALG, rng) for _ in range(n)])
         _same_element(column_embed(seq), _ref_column_embed(seq))
         _same_element(row_embed(seq), _ref_row_embed(seq))
+
+
+def _pairs(rng):
+    """Pairs on ALG: generic, zero items, rank-one items, exactly disjoint
+    pairs (positive or not), Hermitian and positive pairs."""
+    zero = zero_element(ALG)
+    rank_one = [Element(ALG, [np.outer(u, v.conj()) for u, v in
+                              ((ginibre(rng, d)[:, 0], ginibre(rng, d)[:, 0]) for d in ALG.dims)])
+                for _ in range(2)]
+    pairs = [(random_element(ALG, rng), random_element(ALG, rng)),
+             (zero, random_element(ALG, rng)), (random_positive(ALG, rng), zero), (zero, zero),
+             tuple(rank_one), (rank_one[0], random_positive(ALG, rng)),
+             random_disjoint_pair(ALG, rng), random_disjoint_pair(ALG, rng, positive=True),
+             (random_selfadjoint(ALG, rng), random_selfadjoint(ALG, rng)),
+             (random_positive(ALG, rng), random_positive(ALG, rng)),
+             (identity(ALG), 1e-12 * random_element(ALG, rng))]
+    return pairs
+
+
+@pytest.mark.parametrize("cfg", [CFG, ToleranceConfig(algebraic_tol=1e-3)])
+def test_pair_verdicts_read_the_values_of_the_per_call_kernels(monkeypatch, cfg):
+    # _dinq_verdicts decomposes [x, x - x*, (a* b, a b*)] once per block; each
+    # value it reads is the one _sup_norms, _norms, the per-call disjointness
+    # test and _positive computed from their own SVDs
+    pairs = _pairs(rng_from(40))
+    X = _rows([sequence(pair) for pair in pairs])
+    A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
+    seen = []
+
+    def solve(X, weights, p, cfg, max_steps, sup):
+        seen.append(sup)
+        return _solve(X, weights, p, cfg, max_steps, sup)
+
+    monkeypatch.setattr(sequences, "_solve", solve)
+    verdicts = _dinq_verdicts(X, ALG.weights, cfg)
+    [(scale, defect)] = seen
+    _same(scale, _sup_norms(X))
+    _same(defect, _sup_norms([S - _adjoint(S) for S in X]))
+    _same(_positive(X, cfg, (scale, defect)), _ref_positive(X, cfg))
+    _same(_positive(X, cfg), _ref_positive(X, cfg))
+    thresholds = [float(np.sqrt(na ** 2 + nb ** 2))
+                  for na, nb in zip(_norms(A, ALG.weights, 2.0).tolist(), _norms(B, ALG.weights, 2.0).tolist())]
+    assert [v.threshold for v in verdicts] == thresholds
+    algebraic = _ref_disjoint(A, B, cfg).tolist()
+    assert [v.algebraic for v in verdicts] == algebraic
+    assert [disjoint(a, b, cfg) for a, b in pairs] == algebraic
+    assert algebraic[2:4] == [True, True] and algebraic[6:8] == [True, True]
+    # the endpoints are those of a solve that decomposes the items itself,
+    # clipped as a NormInterval
+    lower, upper = _solve(X, ALG.weights, 2.0, cfg, sequences.MAX_STEPS)[:2]
+    assert [(v.interval.lower, v.interval.upper) for v in verdicts] == [
+        (min(lo, up), up) for lo, up in zip(lower, upper)]

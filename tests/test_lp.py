@@ -201,12 +201,25 @@ _KERNELS = {"lp_norm": lambda x: lp_norm(x, 3.0), "lp_norm_inf": lambda x: lp_no
     [pytest.param(_KERNELS[name], np.nan, id=name)
      for name in ("lp_norm", "lp_norm_inf", "sup_norm", "is_positive", "pseudo_inverse")]
     + [pytest.param(_KERNELS[name], np.inf, id=f"{name}_of_inf")
-       for name in ("lp_norm", "lp_norm_inf", "sup_norm", "schatten_quasi")],
+       for name in ("lp_norm", "lp_norm_inf", "sup_norm", "schatten_quasi", "is_positive", "pseudo_inverse")],
 )
 def test_svd_kernels_name_non_finite_input(kernel, entry):
     # numpy's SVD raises a raw LinAlgError ("SVD did not converge") on nan,
-    # and returns nan singular values for an inf entry
+    # and returns nan singular values for an inf entry; the positivity test
+    # used to warn on inf - inf and the pseudo-inverse to return 0
     alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
     x = Element(alg, [np.array([[entry, 1.0], [0.0, 1.0]]), np.ones((1, 1))])
     with pytest.raises(NumericError, match="non-finite"):
         kernel(x)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-120, 1e120, 1e150])
+def test_norms_scale_with_the_element_outside_the_normal_range(c):
+    # sum_k w_k sum_i s_ki^p underflows or overflows at these scales and is
+    # summed again with the singular values over the top one: the norm moves
+    # by a few units in the last place, the rounding of that division
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    x = random_element(alg, rng_from(21))
+    for p in (3.0, 7.0):
+        assert lp_norm(c * x, p) == pytest.approx(c * lp_norm(x, p), rel=1e-15, abs=0.0)
+    assert lp_norm(c * identity(alg), 3.0) == pytest.approx(c * 2.5 ** (1 / 3), rel=1e-15, abs=0.0)

@@ -262,6 +262,39 @@ def test_dinq_constructed_disjoint():
         assert v.algebraic
 
 
+def test_dinq_decomposes_each_matrix_once(monkeypatch):
+    # one fixed M_2 + M_1 verdict of each route, counting np.linalg.svd calls:
+    # a positive disjoint pair took 18 when positivity, the 2-norms and the
+    # algebraic test each decomposed a and b again, and takes 4 (one SVD per
+    # block of the pair's stack, one per block of a + b); a generic pair took
+    # 29 and takes 15, the rest being the ascent's
+    alg = AlgebraDescriptor(((2, 1.0), (1, 0.5)))
+    pairs = [random_disjoint_pair(alg, rng_from(23), positive=True),
+             (random_element(alg, rng_from(24)), random_element(alg, rng_from(25)))]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    counts = []
+    for a, b in pairs:
+        calls.clear()
+        dinq_disjoint_test(a, b)
+        counts.append(len(calls))
+    assert counts[0] <= 4 and counts[1] <= 15
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-120, 1e120, 1e150])
+def test_enclosure_scales_with_the_sequence_outside_the_normal_range(c):
+    # at p = 3 the Schatten sums of these items underflow or overflow; the
+    # enclosure used to read [0, 0] certified at c = 1e-120 and 1e-150
+    alg = matrix_algebra(2)
+    x = [identity(alg), matrix_unit(alg, 0, 0, 1)]
+    base = l1_norm_bounds(sequence(x), 3.0, CFG)
+    iv = l1_norm_bounds(sequence([c * y for y in x]), 3.0, CFG)
+    assert iv.certified_exact == base.certified_exact
+    assert iv.lower == pytest.approx(c * base.lower, rel=3e-16, abs=0.0)
+    assert iv.upper == pytest.approx(c * base.upper, rel=3e-16, abs=0.0)
+
+
 def test_norm_interval_validation():
     with pytest.raises(Exception):
         NormInterval(2.0, 1.0)
@@ -277,13 +310,14 @@ def test_norm_interval_validation():
 # the overflow must surface as NumericError before any nan reaches sequences
 @pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_non_finite_exact_values_raise():
-    # the closed forms overflow to inf at this scale
+    # the closed forms overflow to inf: their values are past the largest float
     alg = matrix_algebra(2)
-    big = 1e300 * identity(alg)
+    big = 8e307 * identity(alg)
     with pytest.raises(NumericError):
         l1_norm_bounds(sequence([big, big]), 3.0, CFG)
-    a = Element(alg, [np.diag([1e300, 0.0])])
-    b = Element(alg, [np.diag([0.0, 1e300])])
+    heavy = matrix_algebra(2, 4.0)  # the 2-norm of a + b is 8e307 * sqrt(8)
+    a = Element(heavy, [np.diag([8e307, 0.0])])
+    b = Element(heavy, [np.diag([0.0, 8e307])])
     with pytest.raises(NumericError):
         dinq_disjoint_test(a, b, CFG)
 
