@@ -17,16 +17,15 @@ from typing import Any, Optional
 import numpy as np
 
 from .algebra import (
-    DEFAULT_CONFIG,
     AlgebraDescriptor,
     Element,
     StructuralError,
     ToleranceConfig,
     is_selfadjoint,
 )
-from .lp import _positive
+from .lp import is_positive
 from .maps import LinearMap
-from .sequences import ElementSequence, _stacks, sequence
+from .sequences import ElementSequence, sequence
 
 VERSION = "nclp-1"
 
@@ -189,19 +188,6 @@ def _decode_p(obj, path: str) -> float:
     return float(obj)
 
 
-def _check_positive(declared: list[tuple[str, Element]]) -> None:
-    """ParseError at the first (path, element) of ``declared`` that is not
-    positive, from one ``_positive`` call per algebra."""
-    ok = {}
-    for alg in dict.fromkeys(el.algebra for _, el in declared):
-        paths, els = zip(*[(path, el) for path, el in declared if el.algebra == alg])
-        ok.update(zip(paths, _positive(_stacks(els), DEFAULT_CONFIG)))
-    for path, el in declared:
-        if not ok[path]:
-            reason = "has negative spectrum" if is_selfadjoint(el) else "not Hermitian"
-            raise ParseError(f"declared positive but {reason}", path)
-
-
 def parse_instance(text: str) -> InstanceFile:
     try:
         doc = json.loads(text)
@@ -234,27 +220,25 @@ def parse_instance(text: str) -> InstanceFile:
             blocks.append((dim, float(weight)))
         inst.algebras[name] = AlgebraDescriptor(tuple(blocks))
 
-    declared = []  # (path, element) of the elements declared positive, in document order
-    try:
-        for name, spec in doc.get("elements", {}).items():
-            path = f"$.elements.{name}"
-            ref = spec.get("algebra") if isinstance(spec, dict) else None
-            _expect(ref in inst.algebras, f"unknown algebra {ref!r}", f"{path}.algebra")
-            alg = inst.algebras[ref]
-            raw = spec.get("blocks")
-            _expect(isinstance(raw, list) and len(raw) == len(alg.blocks),
-                    f"expected {len(alg.blocks)} blocks", f"{path}.blocks")
-            mats = []
-            for k, (d, _) in enumerate(alg.blocks):
-                mats.append(_decode_matrix(raw[k], d, d, f"{path}.blocks[{k}]"))
-            el = Element(alg, mats)
-            if spec.get("positive"):
-                declared.append((path, el))
-                inst.declared_positive.add(name)
-            inst.elements[name] = el
-            inst.element_refs[name] = ref
-    finally:  # a failed declaration comes before any later error
-        _check_positive(declared)
+    for name, spec in doc.get("elements", {}).items():
+        path = f"$.elements.{name}"
+        ref = spec.get("algebra") if isinstance(spec, dict) else None
+        _expect(ref in inst.algebras, f"unknown algebra {ref!r}", f"{path}.algebra")
+        alg = inst.algebras[ref]
+        raw = spec.get("blocks")
+        _expect(isinstance(raw, list) and len(raw) == len(alg.blocks),
+                f"expected {len(alg.blocks)} blocks", f"{path}.blocks")
+        mats = []
+        for k, (d, _) in enumerate(alg.blocks):
+            mats.append(_decode_matrix(raw[k], d, d, f"{path}.blocks[{k}]"))
+        el = Element(alg, mats)
+        if spec.get("positive"):
+            if not is_positive(el):
+                reason = "has negative spectrum" if is_selfadjoint(el) else "not Hermitian"
+                raise ParseError(f"declared positive but {reason}", path)
+            inst.declared_positive.add(name)
+        inst.elements[name] = el
+        inst.element_refs[name] = ref
 
     for name, spec in doc.get("sequences", {}).items():
         path = f"$.sequences.{name}"

@@ -48,7 +48,8 @@ def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     back as t (sum_k w_k sum_i (s_ki / t)^p)^(1/p): every other sum is left
     as it was, so the guard costs one test on the sums.  A caller that can
     pass singular values past about 1e100 runs it with numpy's overflow
-    warning off, as ``_solve`` and ``_norms`` do."""
+    warning off, as ``_solve`` and ``_norms`` do; ``maps._norming_duals``,
+    called on every ascent step, does not."""
     if p == np.inf:
         total, root = functools.reduce(np.maximum, [s[..., 0] for s in svals]), 1.0
     else:

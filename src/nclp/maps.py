@@ -213,8 +213,7 @@ def _norming_duals(
     top singular pair of the block holding the largest singular value.  The
     f_k, (m, d_k) in descending order, are the singular values of z_k."""
     svds = _ranked_svd(_block_stacks(algebra, rows), cfg)
-    with np.errstate(over="ignore"):  # ``_schatten`` sums an overflowing row again, scaled
-        ny = _schatten([s for _, s, _, _ in svds], algebra.weights, p)
+    ny = _schatten([s for _, s, _, _ in svds], algebra.weights, p)
     if p == np.inf:
         top = np.argmax(np.stack([s[:, 0] for _, s, _, _ in svds]), axis=0)
     scale = np.where(ny > 0, ny, 1.0)[:, None]

@@ -60,6 +60,7 @@ for the images) and ``classify_l2_isometry`` its image pairs in one.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -481,14 +482,16 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
         svals = [_svd(np.stack((S, S - _adjoint(S), np.stack((_adjoint(a) @ b, a @ _adjoint(b)), axis=1))),
                       False) for S, a, b in zip(X, A, B)]
         norms = _schatten([s[0] for s in svals], weights, 2.0).tolist()
-    scale, defect, cross = functools.reduce(np.maximum, [s[..., 0] for s in svals])
+        scale, defect, cross = functools.reduce(np.maximum, [s[..., 0] for s in svals])
+        algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
     lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS, (scale, defect))[:3]
     intervals = [NormInterval(lo, up, route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300))
                  for lo, up, route in zip(lower, upper, routes)]
-    algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
     out = []
     for interval, (na, nb), disjoint in zip(intervals, norms, algebraic):
-        threshold = float(np.sqrt(na ** 2 + nb ** 2))
+        # Python's float ** raises on overflow: square only where neither
+        # square can leave the normal range
+        threshold = float(np.sqrt(na ** 2 + nb ** 2)) if 1e-150 < max(na, nb) < 1e150 else math.hypot(na, nb)
         slack = threshold * (1.0 + cfg.opt_tol)
         status = DISJOINT if interval.upper <= slack else NOT_DISJOINT if interval.lower > slack else UNDETERMINED
         out.append(DinqVerdict(status, interval, threshold, disjoint))

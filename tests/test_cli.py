@@ -325,6 +325,21 @@ def test_non_finite_exact_enclosure_is_input_error(capcli):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_far_out_disjoint_pair_is_decided(capcli):
+    # the 2-norms, 1e300 each, are finite; squaring them as Python floats
+    # raised OverflowError, which ended the command in a traceback
+    _, text, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--seed", "3"])
+    doc = json.loads(text)
+    names = list(doc["elements"])
+    doc["elements"][names[0]]["blocks"] = [[[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    doc["elements"][names[1]]["blocks"] = [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
+    code, out, err = capcli(["dinq"], stdin_text=json.dumps(doc))
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["verdict"] == "disjoint" and result["evidence"]["algebraic"]
+    assert result["threshold"] == pytest.approx(1e300 * np.sqrt(2.0), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**32), str(2**40)])
 def test_seed_outside_honoured_range_is_input_error(capcli, monkeypatch, seed):
     _, inst, _ = capcli(["example", "identity", "--dim", "2"])

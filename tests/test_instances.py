@@ -109,8 +109,8 @@ def test_negative_spectrum_declared_positive_rejected():
 
 
 def test_failed_positivity_declaration_precedes_a_later_malformed_element():
-    # the declarations are checked in one stack per algebra once the elements
-    # are read, but an error still names the first problem in document order
+    # an error names the first problem in document order: a failed positivity
+    # declaration before a later element that does not parse
     doc = {
         "version": "nclp-1",
         "algebras": {"M": {"blocks": [{"dim": 2, "weight": 1.0}]}},

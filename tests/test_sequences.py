@@ -322,6 +322,20 @@ def test_non_finite_exact_values_raise():
         dinq_disjoint_test(a, b, CFG)
 
 
+@pytest.mark.parametrize("c", [1e300, 1e200, 1e-200])
+def test_far_out_positive_disjoint_pair_has_a_finite_verdict(c):
+    # the 2-norms of a and b are finite, but their squares leave the float
+    # range: the threshold used to square them as Python floats, whose **
+    # raises OverflowError past 1e154 and underflows to 0 below 1e-154
+    alg = matrix_algebra(2)
+    a = Element(alg, [np.diag([c, 0.0])])
+    b = Element(alg, [np.diag([0.0, c])])
+    v = dinq_disjoint_test(a, b, CFG)
+    assert v.status == DISJOINT and v.algebraic and v.interval.certified_exact
+    assert v.threshold == pytest.approx(c * np.sqrt(2.0), rel=1e-15, abs=0.0)
+    assert v.interval.upper == pytest.approx(v.threshold, rel=1e-15, abs=0.0)
+
+
 # the overflow must surface as NumericError before any nan reaches sequences
 @pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_factor_product_overflow_raises_numeric_error():
