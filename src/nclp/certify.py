@@ -23,9 +23,9 @@ operator-norm enclosure that ``op_norm`` reads too):
                             exact at every p: attained at p = 2, else
                             enclosed by a positive-cone ascent and the
                             Lieb-concavity bound (``maps._cp_norm``);
-                            a mixture takes its parts' bound;
+                            a checked convex split takes its parts' bound;
   positive_4x               a positive map (each Choi component CP or co-CP,
-                            or a ``positive`` flag) has ell^1 norm <= 4 |T|;
+                            or a checked split's parts) has ell^1 norm <= 4 |T|;
   sampled_only              no structure found: lower bound only.
 
 Each route also reads a lower endpoint from T; the sampled ratio runs only
@@ -61,6 +61,7 @@ from .maps import (
     UNDETERMINED,
     LinearMap,
     _block_stacks,
+    _convex_split,
     _norm_bounds,
     _norm_search,
     _weighted_action,
@@ -268,14 +269,10 @@ def certify_l1_norm(
             route, upper = ROUTE_P1, norm
         elif choi["cp"] or choi["co_cp"]:
             route, upper = ROUTE_TWO_POSITIVE, norm
-        elif T.meta.get("convex_parts"):
-            t, T1, T2 = T.meta["convex_parts"]
-            c1 = certify_l1_norm(T1, p, cfg, ratio_budget=0)
-            c2 = certify_l1_norm(T2, p, cfg, ratio_budget=0)
-            route = ROUTE_TWO_POSITIVE
-            upper = t * c1.value_interval.upper + (1 - t) * c2.value_interval.upper
-            evidence["via"] = "convex_combination"
-            evidence["part_routes"] = (c1.route, c2.route)
+        elif split := _convex_split(T, cfg):
+            t, c1, c2 = split[0], *(certify_l1_norm(S, p, cfg, ratio_budget=0) for S in split[1:])
+            route, upper = ROUTE_TWO_POSITIVE, t * c1.value_interval.upper + (1 - t) * c2.value_interval.upper
+            evidence.update(via="convex_combination", part_routes=(c1.route, c2.route))
         elif bounds["positive"]:
             route, upper = ROUTE_POSITIVE, 4.0 * norm
         else:

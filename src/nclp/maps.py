@@ -154,12 +154,10 @@ def compose(S: LinearMap, T: LinearMap) -> LinearMap:
     return LinearMap(T.domain, S.codomain, S.action @ T.action, T.p)
 
 
-def scale_map(T: LinearMap, c: float) -> LinearMap:
+def scale_map(T: LinearMap, c: complex) -> LinearMap:
     meta = dict(T.meta)
-    if c < 0:
-        meta.pop("positive", None)
-    if "convex_parts" in meta:
-        t, T1, T2 = meta["convex_parts"]
+    if split := _convex_split(T):
+        t, T1, T2 = split
         meta["convex_parts"] = (t, scale_map(T1, c), scale_map(T2, c))
     return LinearMap(T.domain, T.codomain, c * T.action, T.p, meta)
 
@@ -167,10 +165,7 @@ def scale_map(T: LinearMap, c: float) -> LinearMap:
 def add_maps(S: LinearMap, T: LinearMap) -> LinearMap:
     if S.domain != T.domain or S.codomain != T.codomain:
         raise StructuralError("sum needs maps with equal domain and codomain")
-    meta = {}
-    if S.meta.get("positive") and T.meta.get("positive"):
-        meta["positive"] = True
-    return LinearMap(S.domain, S.codomain, S.action + T.action, T.p, meta)
+    return LinearMap(S.domain, S.codomain, S.action + T.action, T.p)
 
 
 def adjoint_map(T: LinearMap, p: Optional[float] = None) -> LinearMap:
@@ -186,8 +181,6 @@ def adjoint_map(T: LinearMap, p: Optional[float] = None) -> LinearMap:
     At = T.action[_transposed_coords(T.codomain)][:, _transposed_coords(T.domain)].T
     A_star = (At * coord_weights(T.codomain)[None, :]) / coord_weights(T.domain)[:, None]
     meta = {"kind": "adjoint", "of": T.meta.get("kind")}
-    if T.meta.get("positive"):
-        meta["positive"] = True
     return LinearMap(T.codomain, T.domain, A_star, conjugate_exponent(p), meta)
 
 
@@ -459,8 +452,8 @@ def _cp_norm(T: LinearMap, p: float, cfg: ToleranceConfig, transposed: bool = Fa
 def _norm_bounds(T: LinearMap, p: float, cfg: ToleranceConfig, choi: Optional[dict]) -> tuple[float, float, dict]:
     """Enclosure (lower, upper, meta) of |T|_p read from T alone, shared by
     ``op_norm`` and ``certify``.  ``choi`` is the caller's ``choi_positivity``
-    verdict (None reads only the ``positive`` flag of the generators that
-    no exact test covers yet); meta holds the upper endpoint's ``method``,
+    verdict, from which ``_positivity_route`` decides ``positive`` (None
+    claims no positivity); meta holds the upper endpoint's ``method``,
     ``positive`` and, for a CP or co-CP map, ``_cp_norm``'s ``lieb``
     evidence.  At p = 2 the weighted SVD, attained; else the p = 2 norm
     factored and interpolated, lower endpoint 0.  A positive map takes the
@@ -472,7 +465,7 @@ def _norm_bounds(T: LinearMap, p: float, cfg: ToleranceConfig, choi: Optional[di
     |T*(1)|_inf, so both endpoints are |T*(1)|_inf.  A CP or co-CP map at
     1 < p < inf takes ``_cp_norm``, its upper endpoint when smaller
     ("lieb_concavity")."""
-    positive = bool(choi and choi["positive"]) or bool(T.meta.get("positive"))
+    positive = choi is not None and _positivity_route(T, choi, cfg) is not None
     n2 = float(np.linalg.norm(_weighted_action(T), 2))
     if p == 2:
         return n2, n2, {"method": "weighted_svd", "positive": positive}
@@ -600,6 +593,28 @@ def _rank_one_positives(algebra: AlgebraDescriptor, rng: np.random.Generator, co
     return X
 
 
+def _convex_split(T: LinearMap, cfg: ToleranceConfig = DEFAULT_CONFIG):
+    """The split (t, T1, T2) that ``convex_combination`` recorded, or None: at
+    once where none is (a map read from a file), and unless 0 <= t <= 1, T1 and
+    T2 act between T's algebras and t A1 + (1 - t) A2 is T's action to algebraic_tol relative."""
+    split = T.meta.get("convex_parts")
+    if split is None or not 0 <= split[0] <= 1 or any(
+            S.domain != T.domain or S.codomain != T.codomain for S in split[1:]):
+        return None
+    t, T1, T2 = split
+    defect = np.linalg.norm(t * T1.action + (1 - t) * T2.action - T.action)
+    return split if defect <= cfg.algebraic_tol * np.linalg.norm(T.action) else None
+
+
+def _positivity_route(T: LinearMap, choi: dict, cfg: ToleranceConfig) -> Optional[str]:
+    """How T is proved positive, given its ``choi_positivity`` verdict: "choi",
+    or "convex_split" where the Choi test proves a checked split's parts positive."""
+    if choi["positive"]:
+        return "choi"
+    split = _convex_split(T, cfg)
+    return "convex_split" if split and all(choi_positivity(S, cfg)["positive"] for S in split[1:]) else None
+
+
 def _sampled_positivity(T: LinearMap, cfg: ToleranceConfig) -> PositivityVerdict:
     """Seeded rank-one probes, mapped by one product and judged by one
     ``lp._positive`` call: falsified with the first probe whose image leaves
@@ -620,11 +635,10 @@ def positivity_tests(
     """Positivity verdicts at the requested level.
 
     "certified" requires a proof: the Choi criterion for complete
-    positivity, ``choi_positivity`` for positivity, or the ``positive``
-    flag of the generators that no exact test covers yet.  2-positivity is
-    positivity of the 2-amplification, which carries no flag.  Otherwise
-    seeded rank-one probes can only falsify; a clean run is reported
-    undetermined with the trial count as confidence.
+    positivity, ``_positivity_route`` for positivity.  2-positivity is
+    positivity of the 2-amplification.  Otherwise seeded rank-one probes
+    can only falsify; a clean run is reported undetermined with the trial
+    count as confidence.
     """
     if level not in ("positive", "two_positive", "completely_positive"):
         raise DomainError(f"unknown positivity level {level!r}")
@@ -633,12 +647,9 @@ def positivity_tests(
     choi = choi_positivity(T, cfg)
     if level == "completely_positive":
         return PositivityVerdict(CERTIFIED if choi["cp"] else FALSIFIED, evidence={"route": "choi", **choi})
-    if choi["positive"]:
-        return PositivityVerdict(CERTIFIED, evidence={"route": "choi", **choi})
-    verdict = _sampled_positivity(T, cfg)
-    if verdict.status == UNDETERMINED and T.meta.get("positive"):
-        return PositivityVerdict(CERTIFIED, evidence={"route": "provenance", **verdict.evidence})
-    return verdict
+    if route := _positivity_route(T, choi, cfg):
+        return PositivityVerdict(CERTIFIED, evidence={"route": route, **choi})
+    return _sampled_positivity(T, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +677,6 @@ def amplified_map(T: LinearMap, n: int) -> LinearMap:
                     big[r, :, s, :, r, :, s, :] = T_lk.reshape(c, c, d, d)
             cols.append(big.reshape((n * c) ** 2, (n * d) ** 2))
         rows.append(np.concatenate(cols, axis=1))
-    # plain positivity does not survive amplification (the partial
-    # transpose is the standard counterexample), so no flag is carried over;
-    # the Choi test still certifies the amplification of a completely
-    # positive map
     meta = {"kind": "amplified", "of": T.meta.get("kind"), "order": n}
     return LinearMap(amplify(dom, n), amplify(cod, n), np.concatenate(rows), T.p, meta)
 
@@ -821,8 +828,8 @@ def jordan_direct_sum(
 
 
 def convex_combination(T1: LinearMap, T2: LinearMap, t: float) -> LinearMap:
-    """t T1 + (1 - t) T2, remembering the parts so certification can bound
-    the mixture by certifying each part separately."""
+    """t T1 + (1 - t) T2, recording the split (t, T1, T2), which certification
+    checks against the action (``_convex_split``) and bounds by its parts."""
     if not (0.0 <= t <= 1.0):
         raise StructuralError("mixing weight must lie in [0, 1]")
     T = add_maps(scale_map(T1, t), scale_map(T2, 1.0 - t))

@@ -2,8 +2,8 @@
 completely positive contractions, positive non-2-positive mixtures.
 
 Positivity is read from the action matrix, and separating maps certify
-from their extracted triple.  Only the positive mixtures still set
-``meta["positive"]``, until an exact test proves them positive.
+from their extracted triple.  A positive mixture is the convex split it is
+built from, which certification checks against its action.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .maps import (
     add_maps,
     adjoint_map,
     commutative_matrix,
+    convex_combination,
     depolarizing,
     kraus_map,
     rotation_mixing,
@@ -131,20 +132,15 @@ def random_cp_contraction(
 def random_positive_map(
     algebra: AlgebraDescriptor, p: float, rng: np.random.Generator
 ) -> LinearMap:
-    """Positive but generically not 2-positive: a mixture of a Kraus map and
-    a transposed Kraus map, with a random overall scale."""
+    """Positive but generically not 2-positive: the convex combination of a
+    Kraus map and a transposed Kraus map, with a random overall scale."""
     k1 = kraus_map(
         [Element(algebra, [ginibre(rng, d) for d in algebra.dims])], p
     )
     k2 = kraus_map(
         [Element(algebra, [ginibre(rng, d) for d in algebra.dims])], p, transposed=True
     )
-    t = float(rng.uniform(0.25, 0.75))
-    T = add_maps(scale_map(k1, t), scale_map(k2, 1.0 - t))
-    T = scale_map(T, float(rng.uniform(0.5, 1.5)))
-    T.meta["positive"] = True
-    T.meta["kind"] = "positive_mixture"
-    return T
+    return scale_map(convex_combination(k1, k2, float(rng.uniform(0.25, 0.75))), float(rng.uniform(0.5, 1.5)))
 
 
 def random_l2_isometry(rng: np.random.Generator, index: int) -> LinearMap:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from nclp.certify import (
 )
 from nclp.lp import is_positive, lp_norm
 from nclp.maps import (
+    CERTIFIED,
     LinearMap,
     add_maps,
     commutative_matrix,
@@ -38,7 +41,9 @@ from nclp.maps import (
     depolarizing,
     identity_map,
     kraus_map,
+    map_from_function,
     op_norm,
+    positivity_tests,
     rotation_mixing,
     scale_map,
     transpose_map,
@@ -101,9 +106,16 @@ def test_certify_two_positive_route():
     assert cert.value_interval.upper <= 1.0 + 1e-9
 
 
+def _block_positive_map(rng):
+    # CP on the first block of M_2 + M_2 and co-CP on the second: the Choi
+    # test proves it positive, though it is neither CP nor co-CP
+    two = AlgebraDescriptor(((2, 1.0), (2, 0.3)))
+    u, v = Element(two, [ginibre(rng, 2), np.zeros((2, 2))]), Element(two, [np.zeros((2, 2)), ginibre(rng, 2)])
+    return add_maps(kraus_map([u]), kraus_map([v], transposed=True))
+
+
 def test_certify_positive_4x_route():
-    rng = rng_from(2)
-    T = synth.random_positive_map(matrix_algebra(2), 2.0, rng)
+    T = _block_positive_map(rng_from(2))
     cert = certify_l1_norm(T, 2.0, CFG)
     assert cert.route == ROUTE_POSITIVE
     n2 = op_norm(T, 2.0, CFG)
@@ -121,6 +133,54 @@ def test_certify_convex_combination():
     assert cert.route == ROUTE_TWO_POSITIVE
     assert cert.evidence.get("via") == "convex_combination"
     assert cert.value_interval.upper <= 1.0 + 1e-9
+
+
+def _minus_trace_part(alg):
+    # D(x) = x - tau(x) 1 / tau(1): not positive, and it fixes e_12, so
+    # every norm of D is at least 1
+    one = identity(alg)
+    return map_from_function(alg, alg, lambda x: x - ((x * one).trace() / one.trace()) * one)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_metadata_that_the_action_does_not_match_certifies_nothing(p):
+    # a positive mixture's split, carried over to the action of D
+    alg = matrix_algebra(2)
+    T = dataclasses.replace(synth.random_positive_map(alg, 2.0, rng_from(0)), action=_minus_trace_part(alg).action)
+    nv, cert = op_norm(T, p, CFG), certify_l1_norm(T, p, CFG)
+    assert nv.upper >= 1.0 and cert.value_interval.upper >= 1.0
+    assert cert.route == ROUTE_SAMPLED and not cert.alarm and "via" not in cert.evidence
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_stale_convex_split_is_not_taken(p):
+    alg = matrix_algebra(2)
+    K = depolarizing(alg, 0.5)
+    T = dataclasses.replace(convex_combination(K, compose(K, transpose_map(alg)), 0.5),
+                            action=10.0 * _minus_trace_part(alg).action)
+    cert = certify_l1_norm(T, p, CFG)
+    assert not cert.alarm and "via" not in cert.evidence and cert.route != ROUTE_TWO_POSITIVE
+    assert cert.value_interval.upper >= op_norm(T, p, CFG).lower >= 10.0 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_positive_mixture_certifies_through_its_split(p):
+    for alg in (matrix_algebra(2), AlgebraDescriptor(((2, 1.0), (1, 0.5)))):
+        T = synth.random_positive_map(alg, p, rng_from(1))
+        cert = certify_l1_norm(T, p, CFG)
+        assert cert.route == ROUTE_TWO_POSITIVE and cert.evidence["via"] == "convex_combination"
+        assert not cert.alarm
+        assert cert.value_interval.upper < 4.0 * op_norm(T, p, CFG).upper
+        assert positivity_tests(T, "positive", CFG).status == CERTIFIED
+
+
+def test_complex_scale_of_a_positive_mixture():
+    T = synth.random_positive_map(matrix_algebra(2), 2.0, rng_from(0))
+    S = scale_map(T, 1j)
+    assert np.array_equal(S.action, 1j * T.action)
+    t, S1, S2 = S.meta["convex_parts"]
+    assert np.array_equal(S1.action, 1j * T.meta["convex_parts"][1].action)
+    assert certify_l1_norm(S, 2.0, CFG).value_interval.upper >= op_norm(T, 2.0, CFG).lower
 
 
 def test_certify_commutative_route_and_regular_norm():
@@ -404,7 +464,7 @@ def _count_ascents(monkeypatch):
 
 
 def test_positive_route_runs_one_boyd_ascent(monkeypatch):
-    T = synth.random_positive_map(matrix_algebra(2), 3.0, rng_from(2))
+    T = _block_positive_map(rng_from(2))
     calls = _count_ascents(monkeypatch)
     cert = certify_l1_norm(T, 3.0, CFG)
     assert cert.route == ROUTE_POSITIVE
@@ -420,7 +480,7 @@ def test_general_route_runs_one_ascent_and_keeps_the_op_norm_lower_endpoint(monk
     rng = rng_from(12)
     alg = matrix_algebra(2)
     maps = [LinearMap(alg, alg, ginibre(rng, 4)), synth.random_cp_contraction(alg, 2.0, rng),
-            synth.random_positive_map(alg, 2.0, rng)]
+            _block_positive_map(rng)]
     calls = _count_ascents(monkeypatch)
     for p in (1.0, 1.5, 2.0, 3.0):
         for T in maps:
@@ -617,7 +677,7 @@ def test_open_routes_run_the_sampled_ratio_once(monkeypatch):
     alg = matrix_algebra(2)
     calls = _count_ratios(monkeypatch)
     for T, p, route in [(rotation_mixing(0.7), 1.5, ROUTE_SAMPLED), (rotation_mixing(0.7), 2.0, ROUTE_SAMPLED),
-                        (synth.random_positive_map(alg, 3.0, rng_from(2)), 3.0, ROUTE_POSITIVE)]:
+                        (_block_positive_map(rng_from(2)), 3.0, ROUTE_POSITIVE)]:
         del calls[:]
         cert = certify_l1_norm(T, p, CFG)
         assert cert.route == route and calls == [p]

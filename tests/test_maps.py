@@ -590,14 +590,16 @@ def test_positivity_sampling_applies_the_probe_once_per_sample(monkeypatch):
     monkeypatch.setattr(nclp.maps, "_positive",
                         lambda stacks, cfg: judged.append([S.shape for S in stacks]) or positive(stacks, cfg))
     verdict = positivity_tests(T, "positive", CFG)
-    assert verdict.status == CERTIFIED  # by provenance
-    assert verdict.evidence == {"route": "provenance", "trials": 49}
+    assert verdict.status == CERTIFIED  # by its checked convex split
+    assert verdict.evidence == {"route": "convex_split", "cp": False, "co_cp": False, "positive": False}
+    # the Choi test of T and of each part, and no probe
+    assert judged == [[(2, 4, 4)]] * 3 and calls == []
+    del T.meta["convex_parts"], judged[:]
+    verdict = positivity_tests(T, "positive", CFG)
+    assert verdict.status == UNDETERMINED and verdict.evidence == {"trials": 49}
     # one stack for the Choi component and its partial transpose, then the
     # 49 probe images from one product, judged at once; no per-sample call
     assert judged == [[(2, 4, 4)], [(49, 2, 2)]] and calls == []
-    del T.meta["positive"]
-    verdict = positivity_tests(T, "positive", CFG)
-    assert verdict.status == UNDETERMINED and verdict.evidence == {"trials": 49}
     # a falsified map comes with a rank-one positive input whose image
     # is_positive rejects
     amp = amplified_map(transpose_map(matrix_algebra(2)), 2)

@@ -33,18 +33,20 @@ from nclp.sampling import ginibre, random_unitary, rng_from
 CFG = ToleranceConfig(seed=11)
 EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
-# (case, exponents) whose in-memory certificate still reads metadata that an
-# instance file drops, with the reason; each goes once a decomposition
-# certificate read from the action alone replaces that metadata (ROADMAP item 4)
+# (case, exponents) whose in-memory certificate still reads the convex split
+# (t, T1, T2) that ``convex_combination`` records and an instance file drops,
+# with the reason; each goes once a decomposition certificate read from the
+# action alone replaces the split (ROADMAP item 2)
 ROUND_TRIP_EXCEPTIONS = {
-    ("random_positive_map", p): "the positive flag: a Kraus map mixed with a transposed one "
-    "is positive, but its component is neither CP nor co-CP"
+    (name, p): reason
+    for name, reason in (
+        ("random_positive_map", "the convex split proves a Kraus map mixed with a transposed one "
+         "positive, although its component is neither CP nor co-CP"),
+        ("convex_combination", "the convex split bounds the mixture by its certified parts, "
+         "and proves it positive for the p = 1 closed form"),
+    )
     for p in EXPONENTS
 }
-ROUND_TRIP_EXCEPTIONS.update({
-    ("convex_combination", p): "convex_parts: the mixture is bounded by its certified parts"
-    for p in (1.5, 2.0, 3.0)
-})
 
 
 def _cases():
