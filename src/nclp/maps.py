@@ -47,7 +47,7 @@ from .algebra import (
     matrix_algebra,
     polar_support,
 )
-from .lp import _norms, _positive, _schatten, conjugate_exponent, is_positive, lp_norm
+from .lp import _norms, _positive, _schatten, _unit_shifts, conjugate_exponent, is_positive, lp_norm
 from .sampling import ginibre, rng_from, wishart
 from .sequences import UNDETERMINED, NormInterval
 
@@ -506,18 +506,23 @@ def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFA
     """Enclosure of the L^p -> L^p operator norm: ``_norm_bounds`` (with
     ``choi_positivity`` off p = 2), raised where it stays open by the best
     value of ``_norm_search``.  A lower endpoint above the upper one (by
-    rounding) is clipped and kept as meta["search_above_upper"]."""
+    rounding) is clipped and kept as meta["search_above_upper"].  An action
+    whose largest entry lies far from 1 is enclosed as 4^k T (``_unit_shifts``)
+    and its endpoints scaled back by 4^-k."""
     p = T.p if p is None else p
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
+    if k := int(_unit_shifts(np.abs(T.action).max())):
+        T = scale_map(T, np.ldexp(1.0, 2 * k))
     lower, upper, bounds = _norm_bounds(T, p, cfg, choi_positivity(T, cfg) if p != 2 else None)
-    if not upper - lower <= cfg.opt_tol * upper:  # open, or upper = inf
+    if not upper - lower <= cfg.opt_tol * upper < np.inf:  # open, or upper = inf
         lower = max(lower, float(_norm_search(T, p, cfg)[0].max()))
     certified = upper < np.inf and (upper - lower) <= cfg.opt_tol * max(upper, 1e-300)
+    back = float(np.ldexp(1.0, -2 * k))
     meta = {"method": bounds["method"]}
     if lower > upper:  # by rounding: the interval is clipped, the value kept here
-        meta["search_above_upper"] = lower
-    return NormInterval(min(lower, upper), upper, certified, meta=meta)
+        meta["search_above_upper"] = lower * back
+    return NormInterval(min(lower, upper) * back, upper * back, certified, meta=meta)
 
 
 # ---------------------------------------------------------------------------

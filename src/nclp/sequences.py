@@ -60,7 +60,6 @@ for the images) and ``classify_l2_isometry`` its image pairs in one.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -80,7 +79,7 @@ from .algebra import (
     positive_sqrt,
     zero_element,
 )
-from .lp import _disjoint, _norms, _positive, _schatten, is_positive, lp_norm
+from .lp import _disjoint, _norms, _positive, _schatten, _unit_shifts, is_positive, lp_norm
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,14 @@ def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, m
     stack = np.zeros((len(X) * m, n, D, D), dtype=np.result_type(*X))
     for k, (S, d) in enumerate(zip(X, dims)):
         stack[k * m:(k + 1) * m, :, :d, :d] = S
+    shifts = _unit_shifts(np.abs(stack).max(axis=(1, 2, 3)))  # each block of a row ascends as 4^k x
+    if shifts.any():
+        stack *= np.ldexp(1.0, 2 * shifts)[:, None, None, None]
     trace, alpha, beta, norms, steps = _stack_ascent(stack, p, cfg, max_steps, np.repeat(dims, m))
+    if shifts.any():
+        back = np.ldexp(1.0, -shifts)
+        trace, norms = trace * (back * back)[:, None], norms * (back * back)[:, None]
+        alpha, beta = alpha * back[:, None, None, None], beta * back[:, None, None, None]
     steps = steps.reshape(len(X), m).max(axis=0)
     width = 2 + int(steps.max())
     totals = _schatten(list(trace[:, :width].reshape(len(X), m, width, 1)), weights, p)
@@ -477,24 +483,27 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
     within opt_tol, with no witness built.  Every other scale, for
     ``_positive``, ``_disjoint`` and the 2-norms of a and b, comes from one
     SVD per block of the stack [x, x - x*, (a* b, a b*)], x = a, b."""
+    # a pair whose largest entry times the root of its block's weight (|a|_2
+    # and |b|_2 up to a factor of the dimension) is far from 1 is judged as 4^k (a, b)
+    shifts = _unit_shifts(functools.reduce(np.maximum, [w ** 0.5 * np.abs(S).max(axis=(1, 2, 3))
+                                                        for S, w in zip(X, weights)]))
+    if shifts.any():
+        X = [S * np.ldexp(1.0, 2 * shifts)[:, None, None, None] for S in X]
     A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
-    with np.errstate(over="ignore", invalid="ignore"):  # the SVD rejects the nan an overflow leaves
-        svals = [_svd(np.stack((S, S - _adjoint(S), np.stack((_adjoint(a) @ b, a @ _adjoint(b)), axis=1))),
-                      False) for S, a, b in zip(X, A, B)]
-        norms = _schatten([s[0] for s in svals], weights, 2.0).tolist()
-        scale, defect, cross = functools.reduce(np.maximum, [s[..., 0] for s in svals])
-        algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
+    svals = [_svd(np.stack((S, S - _adjoint(S), np.stack((_adjoint(a) @ b, a @ _adjoint(b)), axis=1))), False)
+             for S, a, b in zip(X, A, B)]
+    norms = _schatten([s[0] for s in svals], weights, 2.0).tolist()
+    scale, defect, cross = functools.reduce(np.maximum, [s[..., 0] for s in svals])
+    algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
     lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS, (scale, defect))[:3]
-    intervals = [NormInterval(lo, up, route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300))
-                 for lo, up, route in zip(lower, upper, routes)]
     out = []
-    for interval, (na, nb), disjoint in zip(intervals, norms, algebraic):
-        # Python's float ** raises on overflow: square only where neither
-        # square can leave the normal range
-        threshold = float(np.sqrt(na ** 2 + nb ** 2)) if 1e-150 < max(na, nb) < 1e150 else math.hypot(na, nb)
+    for lo, up, route, (na, nb), disjoint, back in zip(lower, upper, routes, norms, algebraic,
+                                                       np.ldexp(1.0, -2 * shifts).tolist()):
+        certified = route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300)
+        threshold = float(np.sqrt(na ** 2 + nb ** 2))
         slack = threshold * (1.0 + cfg.opt_tol)
-        status = DISJOINT if interval.upper <= slack else NOT_DISJOINT if interval.lower > slack else UNDETERMINED
-        out.append(DinqVerdict(status, interval, threshold, disjoint))
+        status = DISJOINT if up <= slack else NOT_DISJOINT if lo > slack else UNDETERMINED
+        out.append(DinqVerdict(status, NormInterval(lo * back, up * back, certified), threshold * back, disjoint))
     return out
 
 

@@ -325,6 +325,24 @@ def test_non_finite_exact_enclosure_is_input_error(capcli):
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_far_out_generic_pair_is_not_disjoint(capcli):
+    # at 1e-200 the cross products underflowed, and the pair printed disjoint
+    _, text, _ = capcli(["gen", "--kind", "disjoint-pair", "--dims", "2", "--seed", "3"])
+    doc = json.loads(text)
+    names = list(doc["elements"])
+    results = []
+    for c in (1.0, 1e-200):
+        for name, m in zip(names, ([[1, 2], [3, 4]], [[5, 6], [7, 8]])):
+            doc["elements"][name]["blocks"] = [[[[c * v, 0.0] for v in row] for row in m]]
+        code, out, err = capcli(["dinq"], stdin_text=json.dumps(doc))
+        assert code == 1 and err == ""
+        results.append(json.loads(out))
+    unit, far = results
+    assert unit["verdict"] == far["verdict"] == "not_disjoint" and not far["evidence"]["algebraic"]
+    for end in ("lower", "upper"):
+        assert far["interval"][end] == pytest.approx(1e-200 * unit["interval"][end], rel=1e-14, abs=0.0)
+
+
 def test_far_out_disjoint_pair_is_decided(capcli):
     # the 2-norms, 1e300 each, are finite; squaring them as Python floats
     # raised OverflowError, which ended the command in a traceback
@@ -367,18 +385,27 @@ def test_seed_is_read_only_by_commands_that_use_one(capcli, monkeypatch):
     assert code == 3 and out == "" and "NCLP_SEED" in err
 
 
-def _overflow_pair(capcli) -> str:
-    # a non-positive pair near 1e300, whose factor products overflow
-    _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--seed", "3"])
+def _overflow_pair(capcli, c: float = 1e308, weight: str = "8") -> str:
+    # a non-positive pair c x, c y on M_2 with the given weight; at c = 1e308
+    # and weight 8 its norm at p = 3 is past the largest float
+    _, text, _ = capcli(["gen", "--kind", "seq", "--n", "2", "--dims", "2", "--weights", weight, "--seed", "3"])
     doc = json.loads(text)
-    doc["elements"]["x0"]["blocks"] = [[[[1e300, 0.0], [2e300, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]]
-    doc["elements"]["x1"]["blocks"] = [[[[0.0, 0.0], [1e300, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]]
+    doc["elements"]["x0"]["blocks"] = [[[[c, 0.0], [c, 0.0]], [[0.0, 0.0], [c, 0.0]]]]
+    doc["elements"]["x1"]["blocks"] = [[[[0.0, 0.0], [c, 0.0]], [[c, 0.0], [0.0, 0.0]]]]
     return json.dumps(doc)
 
 
 # the overflow must surface as NumericError before any nan reaches sequences
 @pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_factor_overflow_is_input_error(capcli):
+    # near 1e300 the factor products used to overflow; the pair now ascends
+    # at unit scale and prints c times the unit pair's enclosure
+    runs = [capcli(["seqnorm", "--p", "3"], stdin_text=_overflow_pair(capcli, c, "1")) for c in (1.0, 1e300)]
+    assert [code for code, _, _ in runs] == [0, 0]
+    unit, far = (json.loads(out)["interval"] for _, out, _ in runs)
+    assert far["certified_exact"] == unit["certified_exact"]
+    for end in ("lower", "upper"):
+        assert far[end] == pytest.approx(1e300 * unit[end], rel=1e-14, abs=0.0)
     code, out, err = capcli(["seqnorm", "--p", "3"], stdin_text=_overflow_pair(capcli))
     assert code == 3 and out == ""
     assert err.startswith("error:") and "overflowed" in err

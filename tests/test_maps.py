@@ -327,15 +327,17 @@ def test_op_norm_overflow_raises():
     A = ginibre(rng_from(0), alg.coord_dim)
     base = op_norm(LinearMap(alg, alg, A, 3.0), 3.0, CFG)
     # the Schatten sums of |T x|_3 leave the float range from about c = 1e103
-    # on and are summed again scaled, so the enclosure scales with T; the
-    # ascent's unscaled first sum still warns there (its errstate would cost
-    # every maps op)
-    for c in (1e100, 1e110, 1e300):
-        with np.errstate(over="warn" if c < 1e103 else "ignore"):
-            big = op_norm(LinearMap(alg, alg, c * A, 3.0), 3.0, CFG)
+    # on; an action that far from 1 is enclosed as 4^k T, so the enclosure
+    # scales with T without a warning.  At 3e307 the upper endpoint is past
+    # the largest float, and the lower one, about 1.13e308, used to read 0
+    for c in (1e100, 1e110, 1e300, 3e307):
+        big = op_norm(LinearMap(alg, alg, c * A, 3.0), 3.0, CFG)
         assert not big.certified_exact
         assert abs(big.lower - c * base.lower) <= 1e-12 * big.lower
-        assert abs(big.upper - c * base.upper) <= 1e-12 * big.upper
+        if c < 1e307:
+            assert abs(big.upper - c * base.upper) <= 1e-12 * big.upper
+        else:
+            assert big.upper == np.inf
     # T x overflows; the search that raises op_norm's lower endpoint raises
     # rather than return a non-finite value to its certification test
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="overflowed"):

@@ -282,17 +282,27 @@ def test_dinq_decomposes_each_matrix_once(monkeypatch):
     assert counts[0] <= 4 and counts[1] <= 15
 
 
-@pytest.mark.parametrize("c", [1e-150, 1e-120, 1e120, 1e150])
-def test_enclosure_scales_with_the_sequence_outside_the_normal_range(c):
+@pytest.mark.parametrize("c, rel", [(1e-150, 3e-16), (1e-120, 3e-16), (1e120, 3e-16), (1e150, 3e-16),
+                                    (1e-200, 5e-16), (1e160, 5e-16), (1e250, 5e-16)])
+def test_enclosure_scales_with_the_sequence_outside_the_normal_range(c, rel):
     # at p = 3 the Schatten sums of these items underflow or overflow; the
-    # enclosure used to read [0, 0] certified at c = 1e-120 and 1e-150
+    # enclosure used to read [0, 0] certified at c = 1e-120 and 1e-150.
+    # From c = 1e-200 and 1e160 on the ascent's product of factor norms
+    # leaves the float range too: it read [0, 0] certified at 1e-200 and
+    # raised at 1e160.  Such a row ascends as 4^k x, whose entries keep the
+    # mantissas of c x, so the endpoints round a few units apart from c times
+    # those of x
     alg = matrix_algebra(2)
     x = [identity(alg), matrix_unit(alg, 0, 0, 1)]
     base = l1_norm_bounds(sequence(x), 3.0, CFG)
     iv = l1_norm_bounds(sequence([c * y for y in x]), 3.0, CFG)
     assert iv.certified_exact == base.certified_exact
-    assert iv.lower == pytest.approx(c * base.lower, rel=3e-16, abs=0.0)
-    assert iv.upper == pytest.approx(c * base.upper, rel=3e-16, abs=0.0)
+    assert iv.lower == pytest.approx(c * base.lower, rel=rel, abs=0.0)
+    assert iv.upper == pytest.approx(c * base.upper, rel=rel, abs=0.0)
+    assert iv.meta["histories"][0] == pytest.approx([c * h for h in base.meta["histories"][0]], rel=1e-13, abs=0.0)
+    a, b = iv.witness  # the factors scaled back: each x_n = a_n b_n
+    for y, a_n, b_n in zip(x, a, b):
+        assert ((a_n * b_n) - c * y).sup_norm() <= 1e-9 * c
 
 
 def test_norm_interval_validation():
@@ -322,6 +332,22 @@ def test_non_finite_exact_values_raise():
         dinq_disjoint_test(a, b, CFG)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e160, 1e300])
+def test_far_out_generic_pair_is_judged_at_unit_scale(c):
+    # the cross products of a and b used to underflow at 1e-200, which made
+    # the pair [0, 0] certified and algebraically disjoint, and overflow
+    # from 1e160 on, which raised; the pair is judged as 4^k (a, b)
+    alg = matrix_algebra(2)
+    a, b = (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
+    base = dinq_disjoint_test(Element(alg, [a]), Element(alg, [b]), CFG)
+    v = dinq_disjoint_test(Element(alg, [c * a]), Element(alg, [c * b]), CFG)
+    assert base.status == v.status == NOT_DISJOINT and not v.algebraic
+    assert v.interval.certified_exact == base.interval.certified_exact
+    for got, want in ((v.interval.lower, base.interval.lower), (v.interval.upper, base.interval.upper),
+                      (v.threshold, base.threshold)):
+        assert got == pytest.approx(c * want, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("c", [1e300, 1e200, 1e-200])
 def test_far_out_positive_disjoint_pair_has_a_finite_verdict(c):
     # the 2-norms of a and b are finite, but their squares leave the float
@@ -339,22 +365,30 @@ def test_far_out_positive_disjoint_pair_has_a_finite_verdict(c):
 # the overflow must surface as NumericError before any nan reaches sequences
 @pytest.mark.filterwarnings("error::RuntimeWarning:nclp.sequences")
 def test_factor_product_overflow_raises_numeric_error():
-    # the residual of a non-positive pair near 1e300 overflows; its operator
-    # norm used to end in a raw LinAlgError from the SVD
+    # the factor products of a non-positive pair near 1e300 (and near 1e160
+    # at p = 2) used to overflow and raise; the rows now ascend at unit
+    # scale, so they get their values, in a stack among normal rows too
     alg = matrix_algebra(2)
-    x = Element(alg, [1e300 * np.array([[1.0, 2.0], [0.0, 1.0]])])
-    y = Element(alg, [1e300 * np.array([[0.0, 1.0], [1.0, 0.0]])])
-    with pytest.raises(NumericError, match="overflowed"):
-        l1_norm_bounds(sequence([x, y]), 3.0, CFG)
-    # one overflowing row fails the whole stack, wherever it sits
+    X, Y = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
     rng = rng_from(29)
     fine = [sequence([random_element(alg, rng) for _ in range(2)]) for _ in range(2)]
+    for c, p in ((1e300, 3.0), (1e160, 2.0)):
+        far = sequence([Element(alg, [c * X]), Element(alg, [c * Y])])
+        base = l1_norm_bounds(sequence([Element(alg, [X]), Element(alg, [Y])]), p, CFG)
+        rows = _intervals(_rows([fine[0], far, fine[1]]), alg, p, CFG)
+        for iv in (l1_norm_bounds(far, p, CFG), rows[1]):
+            assert iv.certified_exact
+            assert iv.lower == pytest.approx(c * base.lower, rel=1e-14, abs=0.0)
+            assert iv.upper == pytest.approx(c * base.upper, rel=1e-14, abs=0.0)
+        for row, seq in zip((rows[0], rows[2]), fine):
+            assert (row.lower, row.upper) == (l1_norm_bounds(seq, p, CFG).lower, l1_norm_bounds(seq, p, CFG).upper)
+    # a value past the largest float still raises, wherever its row sits
+    heavy = matrix_algebra(2, 8.0)
+    past = sequence([Element(heavy, [1e308 * np.array([[1.0, 1.0], [0.0, 1.0]])]), Element(heavy, [1e308 * Y])])
     with pytest.raises(NumericError, match="overflowed"):
-        _intervals(_rows([fine[0], sequence([x, y]), fine[1]]), alg, 3.0, CFG)
-    u = Element(alg, [1e160 * np.array([[1.0, 2.0], [0.0, 1.0]])])
-    v = Element(alg, [1e160 * np.array([[0.0, 1.0], [1.0, 0.0]])])
+        l1_norm_bounds(past, 3.0, CFG)
     with pytest.raises(NumericError, match="overflowed"):
-        _intervals(_rows([fine[0], sequence([u, v])]), alg, 2.0, CFG)
+        _intervals(_rows([sequence([random_element(heavy, rng) for _ in range(2)]), past]), heavy, 3.0, CFG)
 
 
 @pytest.mark.parametrize("side", ["column", "row"])
