@@ -68,14 +68,16 @@ def _schatten(svals: list[np.ndarray], weights: tuple[float, ...], p: float):
     return np.array(values).reshape(total.shape)
 
 
-def _unit_shifts(top: np.ndarray) -> np.ndarray:
+def _unit_shifts(top: np.ndarray):
     """Per row with largest entry or norm ``top``, the k with 4^k top in
     [1/2, 2) where top lies outside [2^-256, 2^256], else 0 (also for 0, inf
-    and nan), within [-511, 511] so that 4^k and 4^-k are normal floats.  A
-    row solved as 4^k x meets no product or square outside the float range,
-    and a power of two rounds nothing: its norms come back as 4^-k times
-    those of 4^k x, its factors x = a b as 2^-k times theirs."""
-    top = np.asarray(top, dtype=float)
+    and nan), within [-511, 511] so that 4^k and 4^-k are normal floats; None
+    when every row lies inside, which one min and one max decide.  A row
+    solved as 4^k x meets no product or square outside the float range, and
+    a power of two rounds nothing: its norms come back as 4^-k times those
+    of 4^k x, its factors x = a b as 2^-k times theirs."""
+    if 2.0 ** -256 <= top.min() and top.max() <= 2.0 ** 256:
+        return None
     far = (top < 2.0 ** -256) | (top > 2.0 ** 256)
     return np.where(far, np.clip(-(np.frexp(top)[1] // 2), -511, 511), 0)
 

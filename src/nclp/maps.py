@@ -512,7 +512,7 @@ def op_norm(T: LinearMap, p: Optional[float] = None, cfg: ToleranceConfig = DEFA
     p = T.p if p is None else p
     if not p >= 1:  # also rejects nan
         raise DomainError(f"op_norm needs p >= 1, got p = {p}")
-    if k := int(_unit_shifts(np.abs(T.action).max())):
+    if k := int(_unit_shifts(np.abs(T.action).max()) or 0):
         T = scale_map(T, np.ldexp(1.0, 2 * k))
     lower, upper, bounds = _norm_bounds(T, p, cfg, choi_positivity(T, cfg) if p != 2 else None)
     if not upper - lower <= cfg.opt_tol * upper < np.inf:  # open, or upper = inf

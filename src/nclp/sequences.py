@@ -41,7 +41,11 @@ Each step is one batched SVD and one dual SVD for all of them; after step
 0 a pair reads its primal endpoint (one Gram ``eigvalsh``) only once its
 best dual rose by at most SETTLE relative in the step.  A pair leaves the
 stack when its own gap closes, so its endpoints, factors and history are
-bit for bit those of solving its row alone.
+bit for bit those of solving its row alone.  A row whose largest item
+norm lies outside [2^-256, 2^256] ascends as 4^k x (``lp._unit_shifts``)
+and comes back scaled by 4^-k, its factors by 2^-k, so no product of
+factor norms leaves the float range; the pair verdicts judge a far-out
+pair as 4^k (a, b) the same way.
 
 Three input classes collapse to exact values, decided per row by the
 batched positivity test of ``lp``: positive sequences (norm of the sum),
@@ -74,6 +78,7 @@ from .algebra import (
     ToleranceConfig,
     _adjoint,
     _ranked_svd,
+    _selfadjoint,
     _svd,
     block_matrix,
     positive_sqrt,
@@ -334,23 +339,23 @@ def _stack_ascent(X: np.ndarray, p: float, cfg: ToleranceConfig, max_steps: int,
         (a, b), (ap, bp) = _dual_factors(G[:, :, None], e, r, cfg)
 
 
-def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int):
+def _block_split(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_steps: int, shifts=None):
     """(lower, upper, factors, histories) per row of the stack X (per block
     an (m, n, d, d) array) from the block split, every block of every row
     zero-padded into the corner of one ``_stack_ascent``: ``factors`` lists
     (alpha, beta, |Y1|_p, |Y2|_p) per block, ``histories`` the whole upper
-    endpoint after each step of the row's longest ascent."""
+    endpoint after each step of the row's longest ascent.  With ``shifts``
+    (``lp._unit_shifts``), row i ascends as 4^k_i x and is scaled back."""
     (m, n), dims = X[0].shape[:2], [S.shape[-1] for S in X]
     D = max(dims)
     stack = np.zeros((len(X) * m, n, D, D), dtype=np.result_type(*X))
     for k, (S, d) in enumerate(zip(X, dims)):
         stack[k * m:(k + 1) * m, :, :d, :d] = S
-    shifts = _unit_shifts(np.abs(stack).max(axis=(1, 2, 3)))  # each block of a row ascends as 4^k x
-    if shifts.any():
-        stack *= np.ldexp(1.0, 2 * shifts)[:, None, None, None]
+    if shifts is not None:
+        stack *= np.tile(np.ldexp(1.0, 2 * shifts), len(X))[:, None, None, None]
     trace, alpha, beta, norms, steps = _stack_ascent(stack, p, cfg, max_steps, np.repeat(dims, m))
-    if shifts.any():
-        back = np.ldexp(1.0, -shifts)
+    if shifts is not None:
+        back = np.tile(np.ldexp(1.0, -shifts), len(X))
         trace, norms = trace * (back * back)[:, None], norms * (back * back)[:, None]
         alpha, beta = alpha * back[:, None, None, None], beta * back[:, None, None, None]
     steps = steps.reshape(len(X), m).max(axis=0)
@@ -371,9 +376,11 @@ def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_ste
     block an (m, n, d, d) array: m sequences of n items over one algebra
     with block weights ``weights``): the closed form of the module
     docstring where one applies (no factors, empty history), else
-    ``max_steps`` steps of the block split (route "optimizer").  ``sup``,
-    when given, holds the items' (|x|, |x - x*|) for ``_positive``."""
+    ``max_steps`` steps of the block split (route "optimizer"), a row whose
+    largest item norm is far from 1 at unit scale.  ``sup``, when given,
+    holds the items' (|x|, |x - x*|) for ``_positive``."""
     m, n = X[0].shape[:2]
+    sup = _selfadjoint(X) if sup is None else sup
     positive = _positive(X, cfg, sup).all(axis=-1)
     other = "singleton" if n == 1 else "p1_direct_sum" if p == 1 else "optimizer"
     routes = ["positive" if pos else other for pos in positive.tolist()]
@@ -390,7 +397,8 @@ def _solve(X: list[np.ndarray], weights, p: float, cfg: ToleranceConfig, max_ste
     upper, factors, histories = list(lower), [None] * m, [[] for _ in range(m)]
     if len(rows) and other == "optimizer":
         sub = X if len(rows) == m else [S[rows] for S in X]
-        for i, lo, up, f, h in zip(rows.tolist(), *_block_split(sub, weights, p, cfg, max_steps)):
+        shifts = _unit_shifts(sup[0][rows].max(axis=-1))
+        for i, lo, up, f, h in zip(rows.tolist(), *_block_split(sub, weights, p, cfg, max_steps, shifts)):
             lower[i], upper[i], factors[i], histories[i] = lo, up, f, h
     return lower, upper, routes, factors, histories
 
@@ -438,7 +446,9 @@ def _row_witness(alg, row: list[np.ndarray], p: float, cfg: ToleranceConfig, rou
         roots = [positive_sqrt(0.5 * (x + x.H), cfg) for x in (Element(alg, list(b)) for b in zip(*row))]
         return roots, roots
     if route != "optimizer":
-        factors = _block_split([S[None] for S in row], alg.weights, p, cfg, 0)[2][0]
+        X = [S[None] for S in row]
+        with np.errstate(over="ignore"):  # ``_schatten`` sums an overflowing trace again, scaled
+            factors = _block_split(X, alg.weights, p, cfg, 0, _unit_shifts(_selfadjoint(X)[0].max(axis=-1)))[2][0]
     return _witness(alg, factors)
 
 
@@ -487,7 +497,7 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
     # and |b|_2 up to a factor of the dimension) is far from 1 is judged as 4^k (a, b)
     shifts = _unit_shifts(functools.reduce(np.maximum, [w ** 0.5 * np.abs(S).max(axis=(1, 2, 3))
                                                         for S, w in zip(X, weights)]))
-    if shifts.any():
+    if shifts is not None:
         X = [S * np.ldexp(1.0, 2 * shifts)[:, None, None, None] for S in X]
     A, B = [S[:, 0] for S in X], [S[:, 1] for S in X]
     svals = [_svd(np.stack((S, S - _adjoint(S), np.stack((_adjoint(a) @ b, a @ _adjoint(b)), axis=1))), False)
@@ -497,8 +507,8 @@ def _dinq_verdicts(X: list[np.ndarray], weights, cfg: ToleranceConfig) -> list[D
     algebraic = _disjoint(scale[:, 0], scale[:, 1], cross.max(axis=-1), cfg).tolist()
     lower, upper, routes = _solve(X, weights, 2.0, cfg, MAX_STEPS, (scale, defect))[:3]
     out = []
-    for lo, up, route, (na, nb), disjoint, back in zip(lower, upper, routes, norms, algebraic,
-                                                       np.ldexp(1.0, -2 * shifts).tolist()):
+    backs = [1.0] * len(lower) if shifts is None else np.ldexp(1.0, -2 * shifts).tolist()
+    for lo, up, route, (na, nb), disjoint, back in zip(lower, upper, routes, norms, algebraic, backs):
         certified = route != "optimizer" or up - lo <= cfg.opt_tol * max(up, 1e-300)
         threshold = float(np.sqrt(na ** 2 + nb ** 2))
         slack = threshold * (1.0 + cfg.opt_tol)

@@ -303,6 +303,9 @@ def test_enclosure_scales_with_the_sequence_outside_the_normal_range(c, rel):
     a, b = iv.witness  # the factors scaled back: each x_n = a_n b_n
     for y, a_n, b_n in zip(x, a, b):
         assert ((a_n * b_n) - c * y).sup_norm() <= 1e-9 * c
+    # and the polar witness of a single item, a closed form
+    [a_1], [b_1] = l1_norm_bounds(sequence([c * x[1]]), 3.0, CFG).witness
+    assert ((a_1 * b_1) - c * x[1]).sup_norm() <= 1e-9 * c
 
 
 def test_norm_interval_validation():
